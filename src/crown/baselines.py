@@ -3,7 +3,8 @@
 Every paper contributes its citation count to the cell of each category its
 journal carries, keyed by publication year, so a paper in a journal with m
 categories sits in m cells. The reference universe is the corpus itself: cell
-means are the "expected citations" a paper is normalized against. Papers in
+means are the "expected citations" a paper is normalized against; each cell's
+mean is fixed when the cell is built, so a lookup costs O(1). Papers in
 several categories combine their cell means with equal category weights,
 either arithmetically or harmonically; the harmonic combination makes the
 citations-to-expectation ratio equal the plain average of the per-category
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .corpus import Corpus
 
@@ -31,11 +32,16 @@ class Weighting(enum.Enum):
 
 @dataclass(frozen=True)
 class FieldYearCell:
-    """All citation counts of one category-year population, kept sorted."""
+    """All citation counts of one category-year population, kept sorted.
+
+    ``mean_citations`` is computed once, at construction, and takes no part
+    in equality: it is a function of ``sorted_citations``.
+    """
 
     category: str
     year: int
     sorted_citations: tuple[int, ...]
+    mean_citations: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.sorted_citations:
@@ -45,14 +51,13 @@ class FieldYearCell:
             for a, b in zip(self.sorted_citations, self.sorted_citations[1:])
         ):
             raise ValueError(f"cell ({self.category!r}, {self.year}) not sorted")
+        object.__setattr__(
+            self, "mean_citations", sum(self.sorted_citations) / self.n
+        )
 
     @property
     def n(self) -> int:
         return len(self.sorted_citations)
-
-    @property
-    def mean_citations(self) -> float:
-        return sum(self.sorted_citations) / self.n
 
 
 @dataclass(frozen=True)

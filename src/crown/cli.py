@@ -14,10 +14,11 @@ Subcommand grammar::
 
 All report-producing subcommands take ``--format tsv|json`` and ``--out PATH``.
 Every report starts with the full effective configuration, including a SHA-256
-content hash of each input file, so a result is always traceable to its exact
-inputs; identical inputs and flags produce byte-identical output. Exit codes:
-0 success, 1 input error, 2 computation degeneracy (for example a group whose
-every paper is unscorable, which still emits a coverage report).
+content hash of each input file, taken from the single read that was parsed,
+so a result is always traceable to its exact inputs; identical inputs and
+flags produce byte-identical output. Exit codes: 0 success, 1 input error, 2
+computation degeneracy (for example a group whose every paper is unscorable,
+which still emits a coverage report).
 
 Group files list one paper id per line; blank lines and ``#`` comments are
 ignored; the group is named after the file stem.
@@ -34,12 +35,19 @@ import argparse
 import hashlib
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 from .baselines import Weighting, compute_baselines
-from .corpus import CitationWindow, Corpus, CorpusError, load_corpus, parse_journals
+from .corpus import (
+    CitationWindow,
+    Corpus,
+    CorpusError,
+    load_corpus,
+    parse_journals,
+    read_hashed,
+)
 from .diagnostics import (
     MEAN_OF_RATIOS,
     RATIO_OF_SUMS,
@@ -215,8 +223,9 @@ def run() -> None:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    config = _corpus_config("ingest", args)
+    digests: dict[str, str] = {}
+    corpus = _load(args, digests)
+    config = _corpus_config("ingest", args, digests)
     years = [paper.year for paper in corpus.papers.values()]
     external = sum(
         1
@@ -242,9 +251,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_baselines(args: argparse.Namespace) -> int:
-    corpus = _load(args)
+    digests: dict[str, str] = {}
+    corpus = _load(args, digests)
     table = compute_baselines(corpus)
-    config = _corpus_config("baselines", args)
+    config = _corpus_config("baselines", args, digests)
     if args.format == "json":
         cells = [
             {
@@ -263,13 +273,14 @@ def _cmd_baselines(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    corpus = _load(args)
+    digests: dict[str, str] = {}
+    corpus = _load(args, digests)
     table = compute_baselines(corpus)
-    group = _read_group(args.group, corpus)
+    group = _read_group(args.group, corpus, digests)
     report = score_group(
         corpus, table, group, Weighting(args.weighting), top_x=args.top_x
     )
-    config = _score_config("score", args)
+    config = RunConfig("score", _score_settings(args, digests))
     if args.format == "json":
         _emit(_json_payload(config, {"report": json.loads(report.to_json())}), args.out)
     else:
@@ -383,22 +394,22 @@ def _cmd_consistency(args: argparse.Namespace) -> int:
 
 
 def _cmd_indexer(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    group = _read_group(args.group, corpus)
+    digests: dict[str, str] = {}
+    corpus = _load(args, digests)
+    group = _read_group(args.group, corpus, digests)
     scheme_a = list(corpus.journals.values())
     if args.journals_b is None:
         scheme_b = primary_only_scheme(scheme_a)
         scheme_b_label = "primary-only derivation of --journals"
     else:
-        with open(args.journals_b, encoding="utf-8", newline="") as handle:
-            scheme_b = parse_journals(handle)
-        scheme_b_label = f"{args.journals_b} sha256={_sha256(args.journals_b)}"
+        scheme_b, digest = read_hashed(args.journals_b, parse_journals, newline="")
+        scheme_b_label = f"{args.journals_b} sha256={digest}"
     report = indexer_sensitivity(
         corpus, group, scheme_a, scheme_b, Weighting(args.weighting), top_x=args.top_x
     )
     config = RunConfig(
         "diagnose indexer",
-        _score_settings(args) + (("scheme_b", scheme_b_label),),
+        _score_settings(args, digests) + (("scheme_b", scheme_b_label),),
     )
     if args.format == "json":
         _emit(_json_payload(config, {"sensitivity": _sensitivity_dict(report)}), args.out)
@@ -428,12 +439,13 @@ def _cmd_indexer(args: argparse.Namespace) -> int:
 
 
 def _cmd_ranksum(args: argparse.Namespace) -> int:
-    corpus = _load(args)
+    digests: dict[str, str] = {}
+    corpus = _load(args, digests)
     table = compute_baselines(corpus)
     weighting = Weighting(args.weighting)
     samples = {}
     for label, path in (("a", args.group_a), ("b", args.group_b)):
-        group = _read_group(path, corpus)
+        group = _read_group(path, corpus, digests)
         scored = score_papers(corpus, table, group.paper_ids, weighting)
         values = [paper.ncs for paper in scored if paper.scorable]
         if not values:
@@ -452,10 +464,10 @@ def _cmd_ranksum(args: argparse.Namespace) -> int:
     config = RunConfig(
         "diagnose ranksum",
         (
-            ("papers", f"{args.papers} sha256={_sha256(args.papers)}"),
-            ("journals", f"{args.journals} sha256={_sha256(args.journals)}"),
-            ("group_a", f"{args.group_a} sha256={_sha256(args.group_a)}"),
-            ("group_b", f"{args.group_b} sha256={_sha256(args.group_b)}"),
+            ("papers", _input(args.papers, digests)),
+            ("journals", _input(args.journals, digests)),
+            ("group_a", _input(args.group_a, digests)),
+            ("group_b", _input(args.group_b, digests)),
             ("weighting", args.weighting),
             ("window", str(CitationWindow.parse(args.window))),
         ),
@@ -491,45 +503,55 @@ def _cmd_ranksum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load(args: argparse.Namespace) -> Corpus:
+def _load(args: argparse.Namespace, digests: dict[str, str]) -> Corpus:
     window = CitationWindow.parse(args.window)
-    return load_corpus(args.papers, args.journals, window)
+    return load_corpus(args.papers, args.journals, window, digests)
 
 
-def _read_group(path: str, corpus: Corpus) -> GroupSelection:
-    ids = []
-    with open(path, encoding="utf-8") as handle:
-        for raw_line in handle:
-            line = raw_line.strip()
-            if line and not line.startswith("#"):
-                ids.append(line)
+def _read_group(path: str, corpus: Corpus, digests: dict[str, str]) -> GroupSelection:
+    ids, digest = read_hashed(path, _group_ids)
+    digests[path] = digest
     return GroupSelection.resolve(Path(path).stem, ids, corpus)
 
 
-def _corpus_config(command: str, args: argparse.Namespace) -> RunConfig:
+def _group_ids(handle: Iterable[str]) -> list[str]:
+    ids = []
+    for raw_line in handle:
+        line = raw_line.strip()
+        if line and not line.startswith("#"):
+            ids.append(line)
+    return ids
+
+
+def _input(path: str, digests: dict[str, str]) -> str:
+    """Header value of an input file: its path and the digest of its bytes."""
+    return f"{path} sha256={digests[path]}"
+
+
+def _corpus_config(
+    command: str, args: argparse.Namespace, digests: dict[str, str]
+) -> RunConfig:
     return RunConfig(
         command,
         (
-            ("papers", f"{args.papers} sha256={_sha256(args.papers)}"),
-            ("journals", f"{args.journals} sha256={_sha256(args.journals)}"),
+            ("papers", _input(args.papers, digests)),
+            ("journals", _input(args.journals, digests)),
             ("window", str(CitationWindow.parse(args.window))),
         ),
     )
 
 
-def _score_settings(args: argparse.Namespace) -> tuple[tuple[str, str], ...]:
+def _score_settings(
+    args: argparse.Namespace, digests: dict[str, str]
+) -> tuple[tuple[str, str], ...]:
     return (
-        ("papers", f"{args.papers} sha256={_sha256(args.papers)}"),
-        ("journals", f"{args.journals} sha256={_sha256(args.journals)}"),
-        ("group", f"{args.group} sha256={_sha256(args.group)}"),
+        ("papers", _input(args.papers, digests)),
+        ("journals", _input(args.journals, digests)),
+        ("group", _input(args.group, digests)),
         ("weighting", args.weighting),
         ("window", str(CitationWindow.parse(args.window))),
         ("top_x", _fmt(args.top_x)),
     )
-
-
-def _score_config(command: str, args: argparse.Namespace) -> RunConfig:
-    return RunConfig(command, _score_settings(args))
 
 
 def _emit_degenerate(args: argparse.Namespace, exc: DegenerateGroupError) -> None:
@@ -617,10 +639,6 @@ def _fmt(value: object) -> str:
 
 def _pairs_text(pairs: Sequence[tuple[int, int]]) -> str:
     return ";".join(f"{citations}:{expected}" for citations, expected in pairs)
-
-
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _sha256_bytes(data: bytes) -> str:

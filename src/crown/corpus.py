@@ -17,10 +17,15 @@ than skipping records, so an evaluation never silently drops input.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO, TypeVar
+
+_T = TypeVar("_T")
 
 YEAR_MIN = 1900
 YEAR_MAX = 2100
@@ -274,12 +279,62 @@ def load_corpus(
     papers_path: str | Path,
     journals_path: str | Path,
     window: CitationWindow = CitationWindow.all(),
+    digests: dict[str, str] | None = None,
 ) -> Corpus:
-    with open(papers_path, encoding="utf-8") as handle:
-        papers = parse_papers(handle)
-    with open(journals_path, encoding="utf-8", newline="") as handle:
-        journals = parse_journals(handle)
+    """Read, parse and build a corpus, reading each file once.
+
+    When ``digests`` is given, it receives the hex SHA-256 of the bytes each
+    file was parsed from, keyed by ``str(path)``.
+    """
+    papers, papers_digest = read_hashed(papers_path, parse_papers)
+    journals, journals_digest = read_hashed(journals_path, parse_journals, newline="")
+    if digests is not None:
+        digests[str(papers_path)] = papers_digest
+        digests[str(journals_path)] = journals_digest
     return build_corpus(papers, journals, window)
+
+
+def read_hashed(
+    path: str | Path,
+    parse: Callable[[TextIO], _T],
+    newline: str | None = None,
+) -> tuple[_T, str]:
+    """Parse a UTF-8 text file and return the SHA-256 of the bytes parsed.
+
+    The file is streamed once: every chunk the text layer reads is hashed on
+    its way to the parser, and whatever the parser leaves unread is hashed at
+    the end, so the digest covers the whole file. ``newline`` has the meaning
+    it has for ``open``.
+    """
+    hashing = _HashingReader(open(path, "rb", buffering=0))
+    with io.TextIOWrapper(
+        io.BufferedReader(hashing), encoding="utf-8", newline=newline
+    ) as handle:
+        result = parse(handle)
+        while hashing.read(io.DEFAULT_BUFFER_SIZE):
+            pass
+        return result, hashing.sha256.hexdigest()
+
+
+class _HashingReader(io.RawIOBase):
+    """Raw binary reader that feeds every byte it returns into a SHA-256."""
+
+    def __init__(self, raw: io.FileIO):
+        self._raw = raw
+        self.sha256 = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._raw.readinto(buffer)
+        if count:
+            self.sha256.update(memoryview(buffer)[:count])
+        return count
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
 
 
 def _check_paper(paper: Paper) -> None:

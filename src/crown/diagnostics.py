@@ -27,9 +27,8 @@ from .indicators import (
     GroupSelection,
     IndicatorReport,
     cpp_fcsm,
-    fractional_score,
+    group_report,
     mncs,
-    score_group,
     score_papers,
     scored_from_pairs,
 )
@@ -277,33 +276,34 @@ def indexer_sensitivity(
     weighting: Weighting,
     top_x: float = 1.0,
 ) -> SensitivityReport:
-    """Score the group under both schemes over the same citation graph."""
+    """Score the group under both schemes over the same citation graph.
+
+    One score pass per scheme feeds both the per-paper rows and the group
+    reports.
+    """
     corpus_a = corpus.with_journals(scheme_a)
     corpus_b = corpus.with_journals(scheme_b)
     table_a = compute_baselines(corpus_a)
     table_b = compute_baselines(corpus_b)
     scored_a = score_papers(corpus_a, table_a, group.paper_ids, weighting)
     scored_b = score_papers(corpus_b, table_b, group.paper_ids, weighting)
-    papers = []
-    for paper_a, paper_b in zip(scored_a, scored_b):
-        fractional_a = fractional_score(corpus_a, paper_a.paper_id)
-        fractional_b = fractional_score(corpus_b, paper_b.paper_id)
-        papers.append(
-            PaperSensitivity(
-                paper_id=paper_a.paper_id,
-                ncs_a=paper_a.ncs,
-                ncs_b=paper_b.ncs,
-                percentile_a=paper_a.percentile,
-                percentile_b=paper_b.percentile,
-                fractional_delta=(fractional_b or 0.0) - (fractional_a or 0.0),
-            )
+    papers = tuple(
+        PaperSensitivity(
+            paper_id=paper_a.paper_id,
+            ncs_a=paper_a.ncs,
+            ncs_b=paper_b.ncs,
+            percentile_a=paper_a.percentile,
+            percentile_b=paper_b.percentile,
+            fractional_delta=(paper_b.fractional or 0.0) - (paper_a.fractional or 0.0),
         )
+        for paper_a, paper_b in zip(scored_a, scored_b)
+    )
     return SensitivityReport(
         group=group.name,
         weighting=str(weighting),
-        papers=tuple(papers),
-        report_a=score_group(corpus_a, table_a, group, weighting, top_x),
-        report_b=score_group(corpus_b, table_b, group, weighting, top_x),
+        papers=papers,
+        report_a=group_report(group.name, scored_a, weighting, corpus.window, top_x),
+        report_b=group_report(group.name, scored_b, weighting, corpus.window, top_x),
     )
 
 

@@ -23,7 +23,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 
 from .baselines import BaselineTable, FieldYearCell, Weighting, expected_citations_with_reason
-from .corpus import Corpus, CorpusError
+from .corpus import CitationWindow, Corpus, CorpusError
 
 
 class DegenerateGroupError(RuntimeError):
@@ -177,8 +177,9 @@ def fractional_score(corpus: Corpus, paper_id: str) -> float | None:
             stacklevel=2,
         )
         return None
+    papers = corpus.papers
     return math.fsum(
-        1.0 / corpus.reference_count(citer) for citer in corpus.cited_by[paper_id]
+        1.0 / len(papers[citer].references) for citer in corpus.cited_by[paper_id]
     )
 
 
@@ -202,16 +203,21 @@ def score_papers(
     paper_ids: Iterable[str],
     weighting: Weighting,
 ) -> list[ScoredPaper]:
-    """Per-paper scores in ascending paper-id order."""
+    """Per-paper scores in ascending paper-id order.
+
+    Papers with a citation override get ``fractional=None`` silently; the
+    group report counts them and warns once.
+    """
     scored = []
     for paper_id in sorted(paper_ids):
         citations = corpus.citation_count(paper_id)
         expected, reason = expected_citations_with_reason(
             corpus, table, paper_id, weighting
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        if corpus.papers[paper_id].raw_citation_count is None:
             fractional = fractional_score(corpus, paper_id)
+        else:
+            fractional = None
         scored.append(
             ScoredPaper(
                 paper_id=paper_id,
@@ -236,6 +242,21 @@ def score_group(
 ) -> IndicatorReport:
     """All group indicators in one report; raises when nothing is scorable."""
     scored = score_papers(corpus, table, group.paper_ids, weighting)
+    return group_report(group.name, scored, weighting, corpus.window, top_x)
+
+
+def group_report(
+    name: str,
+    scored: Sequence[ScoredPaper],
+    weighting: Weighting,
+    window: CitationWindow,
+    top_x: float = 1.0,
+) -> IndicatorReport:
+    """Aggregate an existing score pass into the group report.
+
+    Warns once when override papers were left out of fractional counting;
+    raises when nothing is scorable.
+    """
     unscorable = tuple(
         (paper.paper_id, paper.unscorable_reason or "unscorable")
         for paper in scored
@@ -244,29 +265,29 @@ def score_group(
     scorable = [paper for paper in scored if paper.scorable]
     if not scorable:
         raise DegenerateGroupError(
-            f"group {group.name!r}: no scorable papers",
-            group=group.name,
+            f"group {name!r}: no scorable papers",
+            group=name,
             n_total=len(scored),
             unscorable=unscorable,
         )
     overridden = [p.paper_id for p in scored if p.fractional is None]
     if overridden:
         warnings.warn(
-            f"group {group.name!r}: {len(overridden)} paper(s) with citation "
+            f"group {name!r}: {len(overridden)} paper(s) with citation "
             "overrides excluded from fractional counting",
-            stacklevel=2,
+            stacklevel=3,
         )
     fractional_values = [p.fractional for p in scored if p.fractional is not None]
     if not fractional_values:
         raise DegenerateGroupError(
-            f"group {group.name!r}: no papers with citing-side reference data",
-            group=group.name,
+            f"group {name!r}: no papers with citing-side reference data",
+            group=name,
             n_total=len(scored),
             unscorable=unscorable,
         )
     fractional_mean = math.fsum(fractional_values) / len(fractional_values)
     return IndicatorReport(
-        group=group.name,
+        group=name,
         n_total=len(scored),
         n_scorable=len(scorable),
         cpp_fcsm=cpp_fcsm(scorable),
@@ -275,7 +296,7 @@ def score_group(
         pp_top1=pp_top(scorable, top_x),
         mean_fractional=fractional_mean,
         weighting=str(weighting),
-        window=str(corpus.window),
+        window=str(window),
         top_x=top_x,
         unscorable=unscorable,
     )

@@ -54,8 +54,11 @@ class SynthConfig:
         for field in self.fields:
             if not field.name or _FORBIDDEN_NAME_CHARS & set(field.name):
                 raise ValueError(f"bad field name {field.name!r}")
-            if field.mean_references <= 0:
-                raise ValueError(f"field {field.name!r}: mean references must be positive")
+            if not math.isfinite(field.mean_references) or field.mean_references <= 0:
+                # NaN would pass both range checks and never end the Poisson loop
+                raise ValueError(
+                    f"field {field.name!r}: mean references must be positive and finite"
+                )
             if field.mean_references > 700:
                 # exp(-mean) underflows past this, breaking the Poisson sampler
                 raise ValueError(f"field {field.name!r}: mean references above 700")
@@ -71,7 +74,7 @@ class SynthConfig:
             ("multi_category_journal_fraction", self.multi_category_journal_fraction),
             ("skew_fraction", self.skew_fraction),
         ):
-            if not 0.0 <= fraction <= 1.0:
+            if not math.isfinite(fraction) or not 0.0 <= fraction <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.seed < 0 or self.seed >= 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")

@@ -42,6 +42,15 @@ def test_cell_statistics_direct_mean() -> None:
     assert cell.n == 3
     assert cell.mean_citations == 2.0
     assert cell.sorted_citations == (0, 2, 4)
+    # the mean is fixed at construction and is exactly the integer sum over n
+    odd = FieldYearCell("F", 2005, (1, 2, 2, 7, 11, 13, 40))
+    assert odd.mean_citations == sum(odd.sorted_citations) / odd.n
+    # ... and it takes no part in equality or hashing
+    twin = FieldYearCell("F", 2005, (0, 2, 4))
+    object.__setattr__(twin, "mean_citations", 99.0)
+    assert twin == cell
+    assert hash(twin) == hash(cell)
+    assert "mean_citations" not in repr(cell)
 
 
 def test_multi_category_paper_lands_in_each_cell() -> None:

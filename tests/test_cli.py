@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +31,10 @@ def _synth(tmp_path: Path, seed: str = "42") -> tuple[Path, Path]:
     args[args.index("--seed") + 1] = seed
     assert main(args) == 0
     return papers, journals
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _group_file(tmp_path: Path, papers: Path, count: int = 15) -> Path:
@@ -77,7 +85,10 @@ def test_score_happy_path_tsv(demo, capsys) -> None:
     assert "# weighting: harmonic" in out
     assert "# window: all" in out
     assert "# top_x: 1.0" in out
-    assert f"# group: {group} sha256=" in out
+    # each header hash is of the exact bytes that were parsed
+    assert f"# papers: {papers} sha256={_sha256(papers)}" in out
+    assert f"# journals: {journals} sha256={_sha256(journals)}" in out
+    assert f"# group: {group} sha256={_sha256(group)}" in out
 
 
 def test_score_runs_are_byte_identical(demo, tmp_path) -> None:
@@ -255,6 +266,8 @@ def test_diagnose_indexer_identity_scheme(demo, capsys) -> None:
          "--group", str(group), "--journals-b", str(journals), "--format", "json"]
     ) == 0
     payload = json.loads(capsys.readouterr().out)
+    settings = payload["config"]["settings"]
+    assert settings["scheme_b"] == f"{journals} sha256={_sha256(journals)}"
     for paper in payload["sensitivity"]["papers"]:
         assert paper["delta"] == 0.0
         assert paper["fractional_delta"] == 0.0
@@ -271,7 +284,9 @@ def test_diagnose_ranksum(demo, tmp_path, capsys) -> None:
         ["diagnose", "ranksum", "--papers", str(papers), "--journals", str(journals),
          "--group-a", str(group), "--group-b", str(group_b), "--format", "json"]
     ) == 0
-    payload = json.loads(capsys.readouterr().out)["ranksum"]
+    output = json.loads(capsys.readouterr().out)
+    assert output["config"]["settings"]["group_b"] == f"{group_b} sha256={_sha256(group_b)}"
+    payload = output["ranksum"]
     assert payload["n_a"] == 15
     assert 0.0 < payload["p_two_sided"] <= 1.0
     assert payload["u_statistic"] <= payload["n_a"] * payload["n_b"]
@@ -301,3 +316,17 @@ def test_group_file_comments_and_blanks_are_ignored(demo, capsys) -> None:
 def test_help_exits_zero(capsys) -> None:
     assert main(["--help"]) == 0
     assert main(["score", "--help"]) == 0
+
+
+def test_synth_nan_mean_is_input_error_not_hang(tmp_path) -> None:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-m", "crown", "synth", "--fields", "a:nan:5",
+         "--years", "2000-2001", "--papers", str(tmp_path / "p.jsonl"),
+         "--journals", str(tmp_path / "j.csv")],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("crown: error: ")
+    assert not (tmp_path / "p.jsonl").exists()

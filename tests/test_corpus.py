@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from crown.corpus import (
     load_corpus,
     parse_journals,
     parse_papers,
+    read_hashed,
 )
 
 from conftest import CARDIOLOGY_JOURNALS_CSV
@@ -199,15 +202,33 @@ def test_window_parse_round_trip() -> None:
 def test_load_corpus_reads_files(tmp_path) -> None:
     papers_path = tmp_path / "papers.jsonl"
     journals_path = tmp_path / "journals.csv"
-    papers_path.write_text(
-        '{"id":"p1","year":2005,"journal":"jvr","references":[]}\n'
-        '{"id":"p2","year":2006,"journal":"circ","references":["p1"]}\n',
-        encoding="utf-8",
+    # CRLF line ends: universal newlines for JSONL, newline="" for the CSV,
+    # so a quoted CRLF inside a CSV field survives as written
+    papers_path.write_bytes(
+        b'{"id":"p1","year":2005,"journal":"jvr","references":[]}\r\n'
+        b'{"id":"p2","year":2006,"journal":"circ","references":["p1"]}\r\n'
     )
-    journals_path.write_text(CARDIOLOGY_JOURNALS_CSV, encoding="utf-8")
-    corpus = load_corpus(papers_path, journals_path)
+    journals_path.write_bytes(
+        CARDIOLOGY_JOURNALS_CSV.replace("\n", "\r\n").encode("utf-8")
+        + b'jx,"Two\r\nLines",physiology\r\n'
+    )
+    digests: dict[str, str] = {}
+    corpus = load_corpus(papers_path, journals_path, digests=digests)
     assert corpus.citation_count("p1") == 1
-    assert len(corpus.journals) == 3
+    assert len(corpus.journals) == 4
+    assert corpus.journals["jx"].title == "Two\r\nLines"
+    assert digests == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (papers_path, journals_path)
+    }
+
+
+def test_read_hashed_covers_bytes_the_parser_left_unread(tmp_path) -> None:
+    path = tmp_path / "big.txt"
+    path.write_bytes(b"first line\n" + b"x" * 200_000 + b"\nlast\n")
+    first, digest = read_hashed(path, lambda handle: handle.readline())
+    assert first == "first line\n"
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @st.composite

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crown.baselines import Weighting
+from crown import diagnostics, indicators
+from crown.baselines import Weighting, compute_baselines
 from crown.corpus import Journal
 from crown.diagnostics import (
     MEAN_OF_RATIOS,
@@ -21,7 +22,7 @@ from crown.diagnostics import (
     primary_only_scheme,
     rank_sum_test,
 )
-from crown.indicators import GroupSelection
+from crown.indicators import GroupSelection, score_group, score_papers
 
 from conftest import corpus_from_text
 
@@ -137,16 +138,29 @@ def test_identical_schemes_are_a_fixed_point() -> None:
     assert all(delta == 0.0 for delta in report.group_deltas.values())
 
 
-def test_primary_only_scheme_moves_scores_of_multi_category_papers() -> None:
+def test_primary_only_scheme_moves_scores_of_multi_category_papers(monkeypatch) -> None:
     corpus = _multi_scheme_corpus()
     group = GroupSelection.resolve("g", ["m1", "m2"], corpus)
     scheme_a = list(corpus.journals.values())
     scheme_b = primary_only_scheme(scheme_a)
     assert all(len(journal.categories) == 1 for journal in scheme_b)
+    passes = []
+
+    def counting_score_papers(*args, **kwargs):
+        passes.append(args[1])  # the baseline table of the scheme being scored
+        return score_papers(*args, **kwargs)
+
+    for module in (diagnostics, indicators):
+        monkeypatch.setattr(module, "score_papers", counting_score_papers)
     report = indexer_sensitivity(corpus, group, scheme_a, scheme_b, Weighting.HARMONIC)
+    assert len(passes) == 2  # one score pass per scheme, reused for the reports
     assert any(paper.ncs_delta not in (None, 0.0) for paper in report.papers)
     assert all(paper.fractional_delta == 0.0 for paper in report.papers)
     assert report.group_deltas["mean_fractional"] == 0.0
+    for scheme, expected in ((scheme_a, report.report_a), (scheme_b, report.report_b)):
+        rescheme = corpus.with_journals(scheme)
+        table = compute_baselines(rescheme)
+        assert score_group(rescheme, table, group, Weighting.HARMONIC) == expected
 
 
 def test_fractional_invariance_holds_for_any_scheme_pair() -> None:

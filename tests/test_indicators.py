@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -273,6 +274,21 @@ def test_fractional_excludes_override_papers_with_warning() -> None:
     corpus = build_corpus(papers, [Journal("j1", "J", ("F",))])
     with pytest.warns(UserWarning, match="precomputed citation count"):
         assert fractional_score(corpus, "t") is None
+    # the score pass skips the override without warning per paper ...
+    table = compute_baselines(corpus)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scored = score_papers(corpus, table, ["t", "q"], Weighting.ARITHMETIC)
+    assert {paper.paper_id: paper.fractional for paper in scored} == {"q": 0.0, "t": None}
+    # ... and the group report warns exactly once for the whole group
+    group = GroupSelection.resolve("g", ["t", "q"], corpus)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = score_group(corpus, table, group, Weighting.ARITHMETIC)
+    assert [str(w.message) for w in caught] == [
+        "group 'g': 1 paper(s) with citation overrides excluded from fractional counting"
+    ]
+    assert report.mean_fractional == 0.0
 
 
 def test_mean_fractional_group() -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import statistics
 
 import pytest
@@ -145,6 +146,7 @@ def test_skew_produces_right_skewed_citation_counts() -> None:
         {"fields": ()},
         {"fields": (FieldSpec("a", 0.0, 5),)},
         {"fields": (FieldSpec("a", 800.0, 5),)},
+        {"fields": (FieldSpec("a", math.nan, 5),)},
         {"fields": (FieldSpec("a", 5.0, 0),)},
         {"fields": (FieldSpec("a", 5.0, 5), FieldSpec("a", 3.0, 5))},
         {"fields": (FieldSpec("a,b", 5.0, 5),)},
@@ -152,6 +154,7 @@ def test_skew_produces_right_skewed_citation_counts() -> None:
         {"cross_field_fraction": 1.5},
         {"multi_category_journal_fraction": -0.1},
         {"skew_fraction": 2.0},
+        {"skew_fraction": math.nan},
         {"seed": -1},
     ],
 )
