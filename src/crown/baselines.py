@@ -69,13 +69,6 @@ class BaselineTable:
     def cell(self, category: str, year: int) -> FieldYearCell:
         return self.cells[(category, year)]
 
-    def to_tsv(self) -> str:
-        lines = ["category\tyear\tn\tmean_citations"]
-        for (category, year) in sorted(self.cells):
-            cell = self.cells[(category, year)]
-            lines.append(f"{category}\t{year}\t{cell.n}\t{cell.mean_citations!r}")
-        return "\n".join(lines) + "\n"
-
 
 def compute_baselines(corpus: Corpus) -> BaselineTable:
     """Build the cell table; counts accumulate in ascending paper-id order."""

@@ -17,16 +17,18 @@ Every report starts with the full effective configuration, including a SHA-256
 content hash of each input file, taken from the single read that was parsed,
 so a result is always traceable to its exact inputs; identical inputs and
 flags produce byte-identical output. Exit codes: 0 success, 1 input error, 2
-computation degeneracy (for example a group whose every paper is unscorable,
-which still emits a coverage report).
+computation degeneracy (for example a group whose every paper is unscorable).
+A degenerate run still emits a coverage report under the same configuration
+header, input hashes included.
 
 Group files list one paper id per line; blank lines and ``#`` comments are
 ignored; the group is named after the file stem.
 
 The score report TSV carries the columns group, n_total, n_scorable,
-cpp_fcsm, mncs, mdncs, pp_top1, mean_fractional after the ``#`` header block,
-followed by one ``# unscorable:`` line per excluded paper; the JSON format
-nests the same report under ``report`` next to ``config``.
+cpp_fcsm, mncs, mdncs, pp_top<x> (``pp_top1`` at the default ``--top-x 1``),
+mean_fractional after the ``#`` header block, followed by one
+``# unscorable:`` line per excluded paper; the JSON format nests the same
+report under ``report`` next to ``config``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import hashlib
 import json
 import sys
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .baselines import Weighting, compute_baselines
@@ -51,9 +53,7 @@ from .corpus import (
 from .diagnostics import (
     MEAN_OF_RATIOS,
     RATIO_OF_SUMS,
-    Counterexample,
     SearchBounds,
-    SensitivityReport,
     consistency_counterexample,
     indexer_sensitivity,
     primary_only_scheme,
@@ -62,36 +62,41 @@ from .diagnostics import (
 from .indicators import (
     DegenerateGroupError,
     GroupSelection,
+    scorable_papers,
     score_group,
     score_papers,
-)
-
-SCORE_COLUMNS = (
-    "group",
-    "n_total",
-    "n_scorable",
-    "cpp_fcsm",
-    "mncs",
-    "mdncs",
-    "pp_top1",
-    "mean_fractional",
+    top_label,
 )
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Effective configuration of one run, echoed into every report header."""
+class Report:
+    """One run's output: its configuration, one table and the JSON body.
+
+    TSV is the ``# crown <command>`` line, one ``# key: value`` line per
+    setting, the column line, one tab-joined line per row and one ``# `` line
+    per note. JSON is ``{"config": ..., **body}`` with sorted keys.
+    """
 
     command: str
-    settings: tuple[tuple[str, str], ...]
+    settings: Sequence[tuple[str, str]]
+    columns: Sequence[str] = ()
+    rows: Sequence[Sequence[object]] = ()
+    notes: Sequence[str] = ()
+    body: dict = field(default_factory=dict)
 
-    def header_lines(self) -> list[str]:
+    def render(self, fmt: str) -> str:
+        if fmt == "json":
+            config = {"command": self.command, "settings": dict(self.settings)}
+            payload = {"config": config, **self.body}
+            return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         lines = [f"# crown {self.command}"]
         lines.extend(f"# {key}: {value}" for key, value in self.settings)
-        return lines
-
-    def as_dict(self) -> dict:
-        return {"command": self.command, "settings": dict(self.settings)}
+        if self.columns:
+            lines.append("\t".join(self.columns))
+        lines.extend("\t".join(_fmt(value) for value in row) for row in self.rows)
+        lines.extend(f"# {note}" for note in self.notes)
+        return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,14 +212,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         "synth": _cmd_synth,
         "diagnose": _cmd_diagnose,
     }[args.command]
+    digests: dict[str, str] = {}
+    code = 0
     try:
-        return handler(args)
-    except DegenerateGroupError as exc:
-        _emit_degenerate(args, exc)
-        return 2
+        try:
+            report = handler(args, digests)
+        except DegenerateGroupError as exc:
+            print(f"crown: degenerate: {exc}", file=sys.stderr)
+            report, code = _coverage_report(args, digests, exc), 2
+        text = report.render(getattr(args, "format", "tsv"))
+        out = getattr(args, "out", None)
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            Path(out).write_bytes(text.encode("utf-8"))
     except (CorpusError, ValueError, OSError) as exc:
         print(f"crown: error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 def run() -> None:
@@ -222,10 +237,8 @@ def run() -> None:
     sys.exit(main())
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    digests: dict[str, str] = {}
+def _cmd_ingest(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     corpus = _load(args, digests)
-    config = _corpus_config("ingest", args, digests)
     years = [paper.year for paper in corpus.papers.values()]
     external = sum(
         1
@@ -233,7 +246,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         for ref in paper.references
         if ref not in corpus.papers
     )
-    metrics = [
+    rows = [
         ("papers", len(corpus.papers)),
         ("journals", len(corpus.journals)),
         ("citation_edges", corpus.n_edges),
@@ -241,71 +254,45 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         ("year_min", min(years)),
         ("year_max", max(years)),
     ]
-    if args.format == "json":
-        _emit(_json_payload(config, {"summary": dict(metrics)}), args.out)
-    else:
-        lines = config.header_lines() + ["metric\tvalue"]
-        lines.extend(f"{key}\t{value}" for key, value in metrics)
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return Report(
+        "ingest", _settings(args, digests), ("metric", "value"), rows,
+        body={"summary": dict(rows)},
+    )
 
 
-def _cmd_baselines(args: argparse.Namespace) -> int:
-    digests: dict[str, str] = {}
+def _cmd_baselines(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     corpus = _load(args, digests)
     table = compute_baselines(corpus)
-    config = _corpus_config("baselines", args, digests)
-    if args.format == "json":
-        cells = [
-            {
-                "category": cell.category,
-                "year": cell.year,
-                "n": cell.n,
-                "mean_citations": cell.mean_citations,
-            }
-            for key, cell in sorted(table.cells.items())
-        ]
-        _emit(_json_payload(config, {"baselines": cells}), args.out)
-    else:
-        text = "\n".join(config.header_lines()) + "\n" + table.to_tsv()
-        _emit(text, args.out)
-    return 0
+    columns = ("category", "year", "n", "mean_citations")
+    rows = [
+        (cell.category, cell.year, cell.n, cell.mean_citations)
+        for _, cell in sorted(table.cells.items())
+    ]
+    return Report(
+        "baselines", _settings(args, digests), columns, rows,
+        body={"baselines": _records(columns, rows)},
+    )
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
-    digests: dict[str, str] = {}
+def _cmd_score(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     corpus = _load(args, digests)
     table = compute_baselines(corpus)
     group = _read_group(args.group, corpus, digests)
     report = score_group(
         corpus, table, group, Weighting(args.weighting), top_x=args.top_x
     )
-    config = RunConfig("score", _score_settings(args, digests))
-    if args.format == "json":
-        _emit(_json_payload(config, {"report": json.loads(report.to_json())}), args.out)
-    else:
-        row = [
-            report.group,
-            str(report.n_total),
-            str(report.n_scorable),
-            _fmt(report.cpp_fcsm),
-            _fmt(report.mncs),
-            _fmt(report.mdncs),
-            _fmt(report.pp_top1),
-            _fmt(report.mean_fractional),
-        ]
-        lines = config.header_lines()
-        lines.append("\t".join(SCORE_COLUMNS))
-        lines.append("\t".join(row))
-        lines.extend(
-            f"# unscorable: {paper_id}\t{reason}"
-            for paper_id, reason in report.unscorable
-        )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    columns = ("group", "n_total", "n_scorable", "cpp_fcsm", "mncs", "mdncs",
+               top_label(report.top_x), "mean_fractional")
+    row = (report.group, report.n_total, report.n_scorable, report.cpp_fcsm,
+           report.mncs, report.mdncs, report.pp_top, report.mean_fractional)
+    return Report(
+        "score", _settings(args, digests), columns, [row],
+        _unscorable_notes(report.unscorable),
+        {"report": json.loads(report.to_json())},
+    )
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _cmd_synth(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     from .synth import FieldSpec, SynthConfig, generate_corpus
 
     fields = []
@@ -326,7 +313,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     papers_bytes, journals_bytes = generate_corpus(config)
     Path(args.papers).write_bytes(papers_bytes)
     Path(args.journals).write_bytes(journals_bytes)
-    run_config = RunConfig(
+    return Report(
         "synth",
         (
             ("fields", args.fields),
@@ -335,26 +322,32 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             ("multi_cat", _fmt(args.multi_cat)),
             ("skew", _fmt(args.skew)),
             ("seed", str(args.seed)),
-            ("papers", f"{args.papers} sha256={_sha256_bytes(papers_bytes)}"),
-            ("journals", f"{args.journals} sha256={_sha256_bytes(journals_bytes)}"),
+            ("papers", f"{args.papers} sha256={hashlib.sha256(papers_bytes).hexdigest()}"),
+            ("journals", f"{args.journals} sha256={hashlib.sha256(journals_bytes).hexdigest()}"),
         ),
     )
-    sys.stdout.write("\n".join(run_config.header_lines()) + "\n")
-    return 0
 
 
-def _cmd_diagnose(args: argparse.Namespace) -> int:
+def _cmd_diagnose(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     return {
         "consistency": _cmd_consistency,
         "indexer": _cmd_indexer,
         "ranksum": _cmd_ranksum,
-    }[args.diagnostic](args)
+    }[args.diagnostic](args, digests)
 
 
-def _cmd_consistency(args: argparse.Namespace) -> int:
+def _cmd_consistency(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     bounds = SearchBounds(args.max_size, args.max_c, args.max_e)
     found = consistency_counterexample(args.indicator, bounds)
-    config = RunConfig(
+    columns = ("found", "group_a", "group_b", "added_paper",
+               "before_a", "before_b", "after_a", "after_b")
+    if found is None:
+        row = (False, None, None, None, None, None, None, None)
+    else:
+        row = (True, _pairs_text(found.group_a), _pairs_text(found.group_b),
+               _pairs_text([found.added_paper]), found.before_a, found.before_b,
+               found.after_a, found.after_b)
+    return Report(
         "diagnose consistency",
         (
             ("indicator", args.indicator),
@@ -363,144 +356,119 @@ def _cmd_consistency(args: argparse.Namespace) -> int:
             ("max_e", str(args.max_e)),
             ("instances", str(bounds.instance_count())),
         ),
+        columns,
+        [row],
+        body={"counterexample": None if found is None else asdict(found)},
     )
-    if args.format == "json":
-        payload = {"counterexample": _counterexample_dict(found)}
-        _emit(_json_payload(config, payload), args.out)
-    else:
-        lines = config.header_lines()
-        lines.append(
-            "found\tgroup_a\tgroup_b\tadded_paper\tbefore_a\tbefore_b\tafter_a\tafter_b"
-        )
-        if found is None:
-            lines.append("false\tNA\tNA\tNA\tNA\tNA\tNA\tNA")
-        else:
-            lines.append(
-                "\t".join(
-                    (
-                        "true",
-                        _pairs_text(found.group_a),
-                        _pairs_text(found.group_b),
-                        _pairs_text([found.added_paper]),
-                        _fmt(found.before_a),
-                        _fmt(found.before_b),
-                        _fmt(found.after_a),
-                        _fmt(found.after_b),
-                    )
-                )
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
 
 
-def _cmd_indexer(args: argparse.Namespace) -> int:
-    digests: dict[str, str] = {}
+def _cmd_indexer(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     corpus = _load(args, digests)
     group = _read_group(args.group, corpus, digests)
     scheme_a = list(corpus.journals.values())
     if args.journals_b is None:
         scheme_b = primary_only_scheme(scheme_a)
-        scheme_b_label = "primary-only derivation of --journals"
     else:
-        scheme_b, digest = read_hashed(args.journals_b, parse_journals, newline="")
-        scheme_b_label = f"{args.journals_b} sha256={digest}"
+        scheme_b, digests[args.journals_b] = read_hashed(
+            args.journals_b, parse_journals, newline=""
+        )
     report = indexer_sensitivity(
         corpus, group, scheme_a, scheme_b, Weighting(args.weighting), top_x=args.top_x
     )
-    config = RunConfig(
-        "diagnose indexer",
-        _score_settings(args, digests) + (("scheme_b", scheme_b_label),),
+    columns = ("paper_id", "ncs_a", "ncs_b", "delta",
+               "percentile_a", "percentile_b", "fractional_delta")
+    rows = [
+        (paper.paper_id, paper.ncs_a, paper.ncs_b, paper.ncs_delta,
+         paper.percentile_a, paper.percentile_b, paper.fractional_delta)
+        for paper in report.papers
+    ]
+    deltas = report.group_deltas
+    sensitivity = {
+        "group": report.group,
+        "weighting": report.weighting,
+        "papers": _records(columns, rows),
+        "report_a": json.loads(report.report_a.to_json()),
+        "report_b": json.loads(report.report_b.to_json()),
+        "group_deltas": deltas,
+    }
+    return Report(
+        "diagnose indexer", _settings(args, digests), columns, rows,
+        [f"group_delta {name}: {_fmt(delta)}" for name, delta in deltas.items()],
+        {"sensitivity": sensitivity},
     )
-    if args.format == "json":
-        _emit(_json_payload(config, {"sensitivity": _sensitivity_dict(report)}), args.out)
-    else:
-        lines = config.header_lines()
-        lines.append(
-            "paper_id\tncs_a\tncs_b\tdelta\tpercentile_a\tpercentile_b\tfractional_delta"
-        )
-        for paper in report.papers:
-            lines.append(
-                "\t".join(
-                    (
-                        paper.paper_id,
-                        _fmt(paper.ncs_a),
-                        _fmt(paper.ncs_b),
-                        _fmt(paper.ncs_delta),
-                        _fmt(paper.percentile_a),
-                        _fmt(paper.percentile_b),
-                        _fmt(paper.fractional_delta),
-                    )
-                )
-            )
-        for name, delta in report.group_deltas.items():
-            lines.append(f"# group_delta {name}: {_fmt(delta)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
 
 
-def _cmd_ranksum(args: argparse.Namespace) -> int:
-    digests: dict[str, str] = {}
+def _cmd_ranksum(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     corpus = _load(args, digests)
     table = compute_baselines(corpus)
     weighting = Weighting(args.weighting)
-    samples = {}
-    for label, path in (("a", args.group_a), ("b", args.group_b)):
-        group = _read_group(path, corpus, digests)
+    groups = [_read_group(path, corpus, digests) for path in (args.group_a, args.group_b)]
+    samples = []
+    for group in groups:
         scored = score_papers(corpus, table, group.paper_ids, weighting)
-        values = [paper.ncs for paper in scored if paper.scorable]
-        if not values:
-            raise DegenerateGroupError(
-                f"group {group.name!r}: no scorable papers",
-                group=group.name,
-                n_total=len(scored),
-                unscorable=tuple(
-                    (p.paper_id, p.unscorable_reason or "unscorable")
-                    for p in scored
-                    if not p.scorable
-                ),
-            )
-        samples[label] = values
-    result = rank_sum_test(samples["a"], samples["b"])
-    config = RunConfig(
-        "diagnose ranksum",
-        (
-            ("papers", _input(args.papers, digests)),
-            ("journals", _input(args.journals, digests)),
-            ("group_a", _input(args.group_a, digests)),
-            ("group_b", _input(args.group_b, digests)),
-            ("weighting", args.weighting),
-            ("window", str(CitationWindow.parse(args.window))),
-        ),
+        scorable, _ = scorable_papers(group.name, scored)
+        samples.append([paper.ncs for paper in scorable])
+    result = rank_sum_test(*samples)
+    columns = ("n_a", "n_b", "u_statistic", "z", "p_two_sided", "degenerate")
+    row = (result.n_a, result.n_b, result.u_statistic, result.z,
+           result.p_two_sided, result.degenerate)
+    return Report(
+        "diagnose ranksum", _settings(args, digests), columns, [row],
+        body={"ranksum": dict(zip(columns, row))},
     )
-    if args.format == "json":
-        payload = {
-            "ranksum": {
-                "u_statistic": result.u_statistic,
-                "z": result.z,
-                "p_two_sided": result.p_two_sided,
-                "n_a": result.n_a,
-                "n_b": result.n_b,
-                "degenerate": result.degenerate,
-            }
-        }
-        _emit(_json_payload(config, payload), args.out)
-    else:
-        lines = config.header_lines()
-        lines.append("n_a\tn_b\tu_statistic\tz\tp_two_sided\tdegenerate")
-        lines.append(
-            "\t".join(
-                (
-                    str(result.n_a),
-                    str(result.n_b),
-                    _fmt(result.u_statistic),
-                    _fmt(result.z),
-                    _fmt(result.p_two_sided),
-                    "true" if result.degenerate else "false",
-                )
-            )
-        )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+
+
+def _coverage_report(
+    args: argparse.Namespace, digests: dict[str, str], exc: DegenerateGroupError
+) -> Report:
+    """Coverage report for a run that had nothing to compute on."""
+    command = " ".join(filter(None, (args.command, getattr(args, "diagnostic", None))))
+    columns = ("group", "n_total", "n_scorable")
+    row = (exc.group, exc.n_total, 0)
+    coverage = dict(zip(columns, row))
+    coverage["unscorable"] = [list(item) for item in exc.unscorable]
+    return Report(
+        command, _settings(args, digests), columns, [row],
+        [f"degenerate: {exc}", *_unscorable_notes(exc.unscorable)],
+        {"degenerate": str(exc), "coverage": coverage},
+    )
+
+
+def _settings(
+    args: argparse.Namespace, digests: dict[str, str]
+) -> tuple[tuple[str, str], ...]:
+    """Header settings of a corpus run in one fixed order; each key appears
+    only when the subcommand has that flag."""
+    flags = vars(args)
+    settings = [
+        (key, _input(flags[key], digests))
+        for key in ("papers", "journals", "group", "group_a", "group_b")
+        if key in flags
+    ]
+    if "weighting" in flags:
+        settings.append(("weighting", args.weighting))
+    settings.append(("window", str(CitationWindow.parse(args.window))))
+    if "top_x" in flags:
+        settings.append(("top_x", _fmt(args.top_x)))
+    if "journals_b" in flags:
+        if args.journals_b is None:
+            settings.append(("scheme_b", "primary-only derivation of --journals"))
+        else:
+            settings.append(("scheme_b", _input(args.journals_b, digests)))
+    return tuple(settings)
+
+
+def _input(path: str, digests: dict[str, str]) -> str:
+    """Header value of an input file: its path and the digest of its bytes."""
+    return f"{path} sha256={digests[path]}"
+
+
+def _unscorable_notes(unscorable: Iterable[tuple[str, str]]) -> list[str]:
+    return [f"unscorable: {paper_id}\t{reason}" for paper_id, reason in unscorable]
+
+
+def _records(columns: Sequence[str], rows: Iterable[Sequence[object]]) -> list[dict]:
+    return [dict(zip(columns, row)) for row in rows]
 
 
 def _load(args: argparse.Namespace, digests: dict[str, str]) -> Corpus:
@@ -509,8 +477,7 @@ def _load(args: argparse.Namespace, digests: dict[str, str]) -> Corpus:
 
 
 def _read_group(path: str, corpus: Corpus, digests: dict[str, str]) -> GroupSelection:
-    ids, digest = read_hashed(path, _group_ids)
-    digests[path] = digest
+    ids, digests[path] = read_hashed(path, _group_ids)
     return GroupSelection.resolve(Path(path).stem, ids, corpus)
 
 
@@ -523,115 +490,11 @@ def _group_ids(handle: Iterable[str]) -> list[str]:
     return ids
 
 
-def _input(path: str, digests: dict[str, str]) -> str:
-    """Header value of an input file: its path and the digest of its bytes."""
-    return f"{path} sha256={digests[path]}"
-
-
-def _corpus_config(
-    command: str, args: argparse.Namespace, digests: dict[str, str]
-) -> RunConfig:
-    return RunConfig(
-        command,
-        (
-            ("papers", _input(args.papers, digests)),
-            ("journals", _input(args.journals, digests)),
-            ("window", str(CitationWindow.parse(args.window))),
-        ),
-    )
-
-
-def _score_settings(
-    args: argparse.Namespace, digests: dict[str, str]
-) -> tuple[tuple[str, str], ...]:
-    return (
-        ("papers", _input(args.papers, digests)),
-        ("journals", _input(args.journals, digests)),
-        ("group", _input(args.group, digests)),
-        ("weighting", args.weighting),
-        ("window", str(CitationWindow.parse(args.window))),
-        ("top_x", _fmt(args.top_x)),
-    )
-
-
-def _emit_degenerate(args: argparse.Namespace, exc: DegenerateGroupError) -> None:
-    """Coverage report for a run that had nothing to compute on."""
-    out = getattr(args, "out", None)
-    fmt = getattr(args, "format", "tsv")
-    coverage = {
-        "group": exc.group,
-        "n_total": exc.n_total,
-        "n_scorable": 0,
-        "unscorable": [list(item) for item in exc.unscorable],
-    }
-    if fmt == "json":
-        payload = {"degenerate": str(exc), "coverage": coverage}
-        _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", out)
-    else:
-        lines = [
-            f"# crown {args.command}: degenerate: {exc}",
-            "group\tn_total\tn_scorable",
-            f"{exc.group}\t{exc.n_total}\t0",
-        ]
-        lines.extend(
-            f"# unscorable: {paper_id}\t{reason}" for paper_id, reason in exc.unscorable
-        )
-        _emit("\n".join(lines) + "\n", out)
-    print(f"crown: degenerate: {exc}", file=sys.stderr)
-
-
-def _counterexample_dict(found: Counterexample | None) -> dict | None:
-    if found is None:
-        return None
-    return {
-        "indicator": found.indicator,
-        "group_a": [list(pair) for pair in found.group_a],
-        "group_b": [list(pair) for pair in found.group_b],
-        "added_paper": list(found.added_paper),
-        "before_a": found.before_a,
-        "before_b": found.before_b,
-        "after_a": found.after_a,
-        "after_b": found.after_b,
-    }
-
-
-def _sensitivity_dict(report: SensitivityReport) -> dict:
-    return {
-        "group": report.group,
-        "weighting": report.weighting,
-        "papers": [
-            {
-                "paper_id": paper.paper_id,
-                "ncs_a": paper.ncs_a,
-                "ncs_b": paper.ncs_b,
-                "delta": paper.ncs_delta,
-                "percentile_a": paper.percentile_a,
-                "percentile_b": paper.percentile_b,
-                "fractional_delta": paper.fractional_delta,
-            }
-            for paper in report.papers
-        ],
-        "report_a": json.loads(report.report_a.to_json()),
-        "report_b": json.loads(report.report_b.to_json()),
-        "group_deltas": report.group_deltas,
-    }
-
-
-def _json_payload(config: RunConfig, payload: dict) -> str:
-    body = {"config": config.as_dict(), **payload}
-    return json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_bytes(text.encode("utf-8"))
-
-
 def _fmt(value: object) -> str:
     if value is None:
         return "NA"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -639,10 +502,6 @@ def _fmt(value: object) -> str:
 
 def _pairs_text(pairs: Sequence[tuple[int, int]]) -> str:
     return ";".join(f"{citations}:{expected}" for citations, expected in pairs)
-
-
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def _parse_years(text: str) -> tuple[int, int]:

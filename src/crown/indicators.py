@@ -82,7 +82,7 @@ class IndicatorReport:
     cpp_fcsm: float
     mncs: float
     mdncs: float
-    pp_top1: float
+    pp_top: float
     mean_fractional: float
     weighting: str
     window: str
@@ -90,13 +90,16 @@ class IndicatorReport:
     unscorable: tuple[tuple[str, str], ...] = ()
 
     def to_json(self) -> str:
+        """Sorted-key JSON; the top-x share is keyed ``top_label(top_x)``."""
         payload = asdict(self)
+        payload[top_label(self.top_x)] = payload.pop("pp_top")
         payload["unscorable"] = [list(item) for item in self.unscorable]
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> IndicatorReport:
         payload = json.loads(text)
+        payload["pp_top"] = payload.pop(top_label(payload["top_x"]))
         payload["unscorable"] = tuple(
             (paper_id, reason) for paper_id, reason in payload["unscorable"]
         )
@@ -121,6 +124,11 @@ def mdncs(scored: Iterable[ScoredPaper]) -> float:
     """Median normalized score; even counts take the central-pair midpoint."""
     papers = _scorable(scored)
     return statistics.median(paper.ncs for paper in papers)
+
+
+def top_label(x: float) -> str:
+    """Name of the top-x% share: ``pp_top1``, ``pp_top10``, ``pp_top0.5``."""
+    return "pp_top" + repr(float(x)).removesuffix(".0")
 
 
 def pp_top(scored: Iterable[ScoredPaper], x: float = 1.0) -> float:
@@ -245,18 +253,11 @@ def score_group(
     return group_report(group.name, scored, weighting, corpus.window, top_x)
 
 
-def group_report(
-    name: str,
-    scored: Sequence[ScoredPaper],
-    weighting: Weighting,
-    window: CitationWindow,
-    top_x: float = 1.0,
-) -> IndicatorReport:
-    """Aggregate an existing score pass into the group report.
-
-    Warns once when override papers were left out of fractional counting;
-    raises when nothing is scorable.
-    """
+def scorable_papers(
+    name: str, scored: Sequence[ScoredPaper]
+) -> tuple[list[ScoredPaper], tuple[tuple[str, str], ...]]:
+    """Split a score pass into its scorable papers and (id, reason) pairs for
+    the rest; raises when nothing is scorable."""
     unscorable = tuple(
         (paper.paper_id, paper.unscorable_reason or "unscorable")
         for paper in scored
@@ -270,6 +271,22 @@ def group_report(
             n_total=len(scored),
             unscorable=unscorable,
         )
+    return scorable, unscorable
+
+
+def group_report(
+    name: str,
+    scored: Sequence[ScoredPaper],
+    weighting: Weighting,
+    window: CitationWindow,
+    top_x: float = 1.0,
+) -> IndicatorReport:
+    """Aggregate an existing score pass into the group report.
+
+    Warns once when override papers were left out of fractional counting;
+    raises when nothing is scorable.
+    """
+    scorable, unscorable = scorable_papers(name, scored)
     overridden = [p.paper_id for p in scored if p.fractional is None]
     if overridden:
         warnings.warn(
@@ -293,7 +310,7 @@ def group_report(
         cpp_fcsm=cpp_fcsm(scorable),
         mncs=mncs(scorable),
         mdncs=mdncs(scorable),
-        pp_top1=pp_top(scorable, top_x),
+        pp_top=pp_top(scorable, top_x),
         mean_fractional=fractional_mean,
         weighting=str(weighting),
         window=str(window),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from crown.baselines import (
     expected_citations_with_reason,
     normalized_score,
 )
+from crown.cli import main
 from crown.corpus import Journal, Paper, build_corpus
 
 from conftest import corpus_from_text
@@ -223,9 +225,27 @@ def test_baseline_table_covers_every_category_year_pair() -> None:
     )
 
 
-def test_tsv_export_shape() -> None:
-    table = compute_baselines(_cell_corpus())
-    lines = table.to_tsv().splitlines()
+def test_tsv_export_shape(tmp_path) -> None:
+    corpus = _cell_corpus()
+    table = compute_baselines(corpus)
+    papers = tmp_path / "papers.jsonl"
+    journals = tmp_path / "journals.csv"
+    out = tmp_path / "baselines.tsv"
+    papers.write_text(
+        "".join(
+            json.dumps({"id": p.id, "year": p.year, "journal": p.journal_id,
+                        "references": list(p.references)}) + "\n"
+            for p in corpus.papers.values()
+        ),
+        encoding="utf-8",
+    )
+    journals.write_text("id,title,categories\nj1,J,F\n", encoding="utf-8")
+    assert main(["baselines", "--papers", str(papers), "--journals", str(journals),
+                 "--out", str(out)]) == 0
+    lines = [
+        line for line in out.read_text(encoding="utf-8").splitlines()
+        if not line.startswith("#")
+    ]
     assert lines[0] == "category\tyear\tn\tmean_citations"
     assert lines[1] == "F\t2005\t3\t2.0"
     assert len(lines) == 1 + len(table.cells)

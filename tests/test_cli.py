@@ -330,3 +330,201 @@ def test_synth_nan_mean_is_input_error_not_hang(tmp_path) -> None:
     assert result.returncode == 1
     assert result.stderr.startswith("crown: error: ")
     assert not (tmp_path / "p.jsonl").exists()
+
+
+# Fixed inputs for the byte-pinned reports below. The 2008 papers are never
+# cited, so their cells have zero means and they are unscorable; the 2000
+# papers lose their 2006 and 2008 citations under --window years5.
+PINNED_PAPERS = "".join(
+    json.dumps({"id": pid, "year": year, "journal": journal, "references": refs}) + "\n"
+    for pid, year, journal, refs in (
+        ("a1", 2000, "jvr", ["doi:x1"]),
+        ("a2", 2000, "circ", []),
+        ("a3", 2000, "ajc", []),
+        ("a4", 2000, "phy", []),
+        ("b1", 2003, "jvr", ["a1", "a2"]),
+        ("b2", 2003, "circ", ["a1", "a3", "doi:x2"]),
+        ("b3", 2003, "ajc", ["a2", "a3", "a4"]),
+        ("b4", 2003, "phy", ["a1", "a4"]),
+        ("c1", 2006, "jvr", ["b1", "b2", "a1"]),
+        ("c2", 2006, "circ", ["b1", "b2", "b3", "a2", "a3"]),
+        ("c3", 2006, "ajc", ["b2", "b3", "b4"]),
+        ("c4", 2006, "phy", ["b4", "a4", "doi:x3"]),
+        ("d1", 2008, "jvr", ["c1", "c2", "b1", "a1"]),
+        ("d2", 2008, "circ", ["c3", "b2", "a2"]),
+        ("d3", 2008, "ajc", ["c1", "c4", "b3", "a3"]),
+        ("d4", 2008, "phy", ["c2", "c3", "c4", "b4", "a4"]),
+    )
+)
+PINNED_JOURNALS = (
+    "id,title,categories\n"
+    "jvr,Journal of Vascular Research,vascular|physiology\n"
+    "circ,Circulation,cardiac|hematology|vascular\n"
+    "ajc,American Journal of Cardiology,cardiac\n"
+    "phy,Physiology Reports,physiology\n"
+)
+PINNED_JOURNALS_B = (
+    "id,title,categories\n"
+    "jvr,Journal of Vascular Research,physiology\n"
+    "circ,Circulation,cardiac|hematology\n"
+    "ajc,American Journal of Cardiology,cardiac|physiology\n"
+    "phy,Physiology Reports,physiology\n"
+)
+PINNED_FILES = {
+    "papers.jsonl": PINNED_PAPERS,
+    "journals.csv": PINNED_JOURNALS,
+    "journals_b.csv": PINNED_JOURNALS_B,
+    "unit.txt": "# unit under evaluation\n\na1\nb2\nc3\nd4\nb4\nc1\n",
+    "other.txt": "a2\na3\nb1\nb3\nc2\nc4\nd1\n",
+    "dead.txt": "d1\nd2\n",  # uncited final-year papers: nothing scorable
+}
+CORPUS = ("--papers", "papers.jsonl", "--journals", "journals.csv")
+NON_DEFAULT = ("--weighting", "arithmetic", "--window", "years5")
+PINNED_CASES = {
+    "ingest": ("ingest", *CORPUS),
+    "ingest-years5": ("ingest", *CORPUS, "--window", "years5"),
+    "baselines": ("baselines", *CORPUS),
+    "baselines-years5": ("baselines", *CORPUS, "--window", "years5"),
+    "score": ("score", *CORPUS, "--group", "unit.txt"),
+    "score-arithmetic-years5": ("score", *CORPUS, "--group", "unit.txt", *NON_DEFAULT),
+    "score-top10": ("score", *CORPUS, "--group", "unit.txt", "--top-x", "10"),
+    "consistency": ("diagnose", "consistency"),
+    "consistency-mncs": ("diagnose", "consistency", "--indicator", "mncs"),
+    "indexer": ("diagnose", "indexer", *CORPUS, "--group", "unit.txt"),
+    "indexer-journals-b": ("diagnose", "indexer", *CORPUS, "--group", "unit.txt",
+                           "--journals-b", "journals_b.csv", *NON_DEFAULT),
+    "indexer-top25.5": ("diagnose", "indexer", *CORPUS, "--group", "unit.txt",
+                        "--top-x", "25.5"),
+    "ranksum": ("diagnose", "ranksum", *CORPUS, "--group-a", "unit.txt",
+                "--group-b", "other.txt"),
+    "ranksum-arithmetic-years5": ("diagnose", "ranksum", *CORPUS, "--group-a", "unit.txt",
+                                  "--group-b", "other.txt", *NON_DEFAULT),
+    "ranksum-identical": ("diagnose", "ranksum", *CORPUS, "--group-a", "unit.txt",
+                          "--group-b", "unit.txt"),
+}
+# sha256 of each report's stdout: a change to any byte of any report must be
+# deliberate, never a side effect of reworking the code that writes it.
+PINNED_SHA256 = {
+    "baselines-tsv": "b51caf6b41df4df72ef743011c3f4d1ad506c50a4dfe140f4f423b2e5350c8a7",
+    "baselines-json": "07fe98c9b8ba1b54eb6907c46a32d8bee01feaf6127895ac52ad6c4a380d969d",
+    "baselines-years5-tsv": "a702a784318a9f28c325a49d541a392a9c9b8fd9f8859b044491815a5773911f",
+    "baselines-years5-json": "c0a2243e27cc62822516a3f4d0f68c4984a419153de0bb884f9f1feb878186f0",
+    "consistency-tsv": "5c0043430cd9f84efba166edf70dfda5d81a584144c7874cc50024a279a5663f",
+    "consistency-json": "07d6640ca2893e6c135da8f12c7b89db9a893ebc4bf26b4ecad4c6b44c44c807",
+    "consistency-mncs-tsv": "902ad1acb1b97d64ffdd8a68166220872d1a15ba8ede236fda3b81b76bc55f4e",
+    "consistency-mncs-json": "2421470f4009c35849f5ecc2efb6b499f962e977cff245da94ddff424673e3f6",
+    "indexer-tsv": "a01368a77e5f0c8944361e3217aee9b61d764aac68d0458ee8b71bc52f3be765",
+    "indexer-json": "356c991f95eed4151f45a0fc19e6494792eaf9085e786baff722596e718d9a57",
+    "indexer-journals-b-tsv": "e18001c45eec8480d8d74d30b038b5a8faff95984229c4c66cdd325d6dff8d16",
+    "indexer-journals-b-json": "070ec604fc3d573c7fc2c1e69aacca9559623e576b1745e36c322a81446988e2",
+    "indexer-top25.5-tsv": "9946d6fc157fefd46ebf45f2000d47ec3755f36539539103777f9ac5822f6fd7",
+    "indexer-top25.5-json": "1785f2ce3ef79f310803fed833b6e7729bed78a0568f1c63a7f7b57d10e8a6ed",
+    "ingest-tsv": "465ed5b81c6361f2afad223ca2033cd52f59d4ac7098977145890d7bb831645e",
+    "ingest-json": "1de23faf9dc51db75f844b502e65e10fc6d30349a7a7147b4723f69933f50c29",
+    "ingest-years5-tsv": "e8adbd57bcb4b80df841cc65f2281ee5e71966a0f3a4d0aced426e925be0b22a",
+    "ingest-years5-json": "83d9a0996e63accc6f9936794e624aac0981c37be149714e76a38be94e9b5b8a",
+    "ranksum-tsv": "c7fb19e188d51f0f0d9b4f185f2946dbc136b5874f94733b2f0b55c72043ed80",
+    "ranksum-json": "94151259002a290b79baf6886e65b6c18f3e71f982ce5d9b0c5257b51af4b617",
+    "ranksum-arithmetic-years5-tsv": "1187e8273804d1be725d88a335ff930bb20bded4be69ecb3209abaf7a96a1f51",
+    "ranksum-arithmetic-years5-json": "650a7d3ec76f3c9ad70c1d6678fdb9b3c316061a85222d0e4c5392f40c0607c2",
+    "ranksum-identical-tsv": "a83be40cdd508713a0531e8ee0b0c17ddf5531de8a61a40ed9498a58cd1f30b0",
+    "ranksum-identical-json": "02205056822a34d19ca11dbdcc9656f068e9043069238414c7b75ee890f7c60d",
+    "score-tsv": "e7e2ff4c229fb16f749a1e27fc62b45a0463d59fec24ba45855877d2d8f420d0",
+    "score-json": "b39cbc9074530d77fa48755cc99aa3eb5526e165e89785050b47f85ec604951a",
+    "score-arithmetic-years5-tsv": "44c8641f2ab73df2eacc1f5390faa877283ab6cde601048020451db0ca04daf9",
+    "score-arithmetic-years5-json": "d61e74b961e92ab3fadf3e79c3b692a5a754cd9f988c11085ca8b0fe3af25af2",
+    "score-top10-tsv": "96413791dd9fe5c10fe5adf87f7caf117eda026eccf8819bbc9fb8d9d45ae5ac",
+    "score-top10-json": "b38b86c6370d7d069c467b57b312d612d937885bdd39283dd33796436643f539",
+}
+
+
+@pytest.fixture
+def pinned_inputs(tmp_path, monkeypatch):
+    for name, text in PINNED_FILES.items():
+        (tmp_path / name).write_bytes(text.encode("utf-8"))
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+def test_report_bytes_are_pinned(case, fmt, pinned_inputs, capsys) -> None:
+    assert main([*PINNED_CASES[case], "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == PINNED_SHA256[f"{case}-{fmt}"]
+
+
+DEGENERATE_CASES = {
+    "score": (("score", *CORPUS, "--group", "dead.txt"),
+              ("papers.jsonl", "journals.csv", "dead.txt")),
+    "diagnose indexer": (("diagnose", "indexer", *CORPUS, "--group", "dead.txt",
+                          "--journals-b", "journals_b.csv"),
+                         ("papers.jsonl", "journals.csv", "dead.txt", "journals_b.csv")),
+    # the degenerate group comes first, so the second file must be read anyway
+    "diagnose ranksum": (("diagnose", "ranksum", *CORPUS, "--group-a", "dead.txt",
+                          "--group-b", "unit.txt"),
+                         ("papers.jsonl", "journals.csv", "dead.txt", "unit.txt")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEGENERATE_CASES))
+def test_degenerate_report_carries_the_full_header(command, pinned_inputs, capsys) -> None:
+    argv, inputs = DEGENERATE_CASES[command]
+    hashes = [f"{name} sha256={_sha256(Path(name))}" for name in inputs]
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "crown: degenerate: group 'dead': no scorable papers\n"
+    lines = captured.out.splitlines()
+    assert lines[0] == f"# crown {command}"
+    for value in hashes:
+        assert any(line.endswith(f": {value}") for line in lines)
+    assert "# window: all" in lines
+    assert lines[-4:] == [
+        "dead\t2\t0",
+        "# degenerate: group 'dead': no scorable papers",
+        "# unscorable: d1\tzero baseline in cell (vascular, 2008), (physiology, 2008)",
+        "# unscorable: d2\tzero baseline in cell (cardiac, 2008), (hematology, 2008), "
+        "(vascular, 2008)",
+    ]
+    assert lines[-5] == "group\tn_total\tn_scorable"
+
+    assert main([*argv, "--format", "json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["command"] == command
+    header = dict(line[2:].split(": ", 1) for line in lines[1:-5])
+    assert payload["config"]["settings"] == header
+    assert payload["coverage"] == {
+        "group": "dead", "n_total": 2, "n_scorable": 0,
+        "unscorable": [["d1", "zero baseline in cell (vascular, 2008), (physiology, 2008)"],
+                       ["d2", "zero baseline in cell (cardiac, 2008), (hematology, 2008), "
+                              "(vascular, 2008)"]],
+    }
+    assert payload["degenerate"] == "group 'dead': no scorable papers"
+
+
+def test_top_x_share_is_named_after_x(pinned_inputs, capsys) -> None:
+    argv = ["score", *CORPUS, "--group", "unit.txt", "--top-x", "10"]
+    assert main(argv) == 0
+    columns = capsys.readouterr().out.splitlines()[7].split("\t")
+    assert columns[6] == "pp_top10"
+    assert main([*argv, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert "pp_top10" in report and "pp_top1" not in report
+
+
+@pytest.mark.parametrize("bounds", [
+    ("--max-size", "3", "--max-c", "6", "--max-e", "6"),
+    ("--indicator", "mncs", "--max-size", "3", "--max-c", "6", "--max-e", "6"),
+    ("--max-e", "100000000000"),
+    ("--max-size", "1000000000000", "--max-c", "0", "--max-e", "1"),
+])
+def test_consistency_search_over_the_limit_is_input_error(bounds) -> None:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-m", "crown", "diagnose", "consistency", *bounds],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("crown: error: ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""

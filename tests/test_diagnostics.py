@@ -11,6 +11,7 @@ from crown import diagnostics, indicators
 from crown.baselines import Weighting, compute_baselines
 from crown.corpus import Journal
 from crown.diagnostics import (
+    MAX_INSTANCES,
     MEAN_OF_RATIOS,
     RATIO_OF_SUMS,
     SHIPPED_COUNTEREXAMPLE,
@@ -94,6 +95,23 @@ def test_search_rejects_unknown_indicator_and_bad_bounds() -> None:
         consistency_counterexample("h_index", SearchBounds(2, 4, 4))
     with pytest.raises(ValueError):
         SearchBounds(0, 4, 4)
+
+
+@pytest.mark.parametrize("bounds", [
+    (3, 6, 6),  # 7.4e9 instances
+    (2, 4, 10**11),  # far past the limit at group size 1
+    (10**12, 0, 1),  # one instance per size: only the size bound is large
+])
+def test_search_bounds_above_the_instance_limit_are_rejected(bounds) -> None:
+    with pytest.raises(ValueError, match="limit"):
+        SearchBounds(*bounds)
+
+
+def test_instance_count_is_exact_under_the_limit() -> None:
+    # 20 pairs; 20, 210 and 1540 multisets of sizes 1, 2 and 3
+    count = 20**2 * 20 + 210**2 * 20 + 1540**2 * 20
+    assert count <= MAX_INSTANCES
+    assert SearchBounds(3, 4, 4).instance_count() == count
 
 
 def test_instance_count_matches_enumeration() -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -25,6 +26,7 @@ from crown.indicators import (
     score_group,
     score_papers,
     scored_from_pairs,
+    top_label,
 )
 
 from conftest import corpus_from_text
@@ -390,6 +392,26 @@ def test_report_json_round_trip_is_bit_identical() -> None:
     text = report.to_json()
     assert IndicatorReport.from_json(text) == report
     assert IndicatorReport.from_json(text).to_json() == text
+
+
+def test_report_json_keys_the_top_share_after_x() -> None:
+    corpus = _scored_corpus()
+    table = compute_baselines(corpus)
+    group = GroupSelection.resolve("g", ["p1", "q1"], corpus)
+    report = score_group(corpus, table, group, Weighting.HARMONIC, top_x=0.5)
+    text = report.to_json()
+    payload = json.loads(text)
+    assert payload["pp_top0.5"] == report.pp_top
+    assert "pp_top1" not in payload
+    assert IndicatorReport.from_json(text) == report
+    assert IndicatorReport.from_json(text).to_json() == text
+
+
+def test_top_label_names_the_share_after_x() -> None:
+    assert top_label(1) == "pp_top1"
+    assert top_label(10.0) == "pp_top10"
+    assert top_label(0.5) == "pp_top0.5"
+    assert top_label(25.5) == "pp_top25.5"
 
 
 def test_score_group_all_unscorable_raises_with_coverage() -> None:
