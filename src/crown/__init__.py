@@ -8,98 +8,33 @@ JSONL/CSV files or generated synthetically with a fixed seed. Diagnostics
 make the indicators' failure modes executable: ranking flips of ratio-of-sums
 aggregation, indexer effects from multi-category journal attribution, and
 non-parametric group comparison via the rank-sum test.
+
+The package namespace holds what the README library example needs. The
+per-paper score pass, the diagnostics and the synthetic corpus generator are
+imported from their modules (``crown.indicators``, ``crown.diagnostics``,
+``crown.synth``).
 """
 
-from .baselines import (
-    BaselineTable,
-    FieldYearCell,
-    Weighting,
-    compute_baselines,
-    expected_citations,
-    normalized_score,
-)
-from .corpus import (
-    CitationWindow,
-    Corpus,
-    CorpusError,
-    Journal,
-    Paper,
-    ParseError,
-    build_corpus,
-    load_corpus,
-    parse_journals,
-    parse_papers,
-)
-from .diagnostics import (
-    Counterexample,
-    RankSumResult,
-    SearchBounds,
-    SensitivityReport,
-    consistency_counterexample,
-    indexer_sensitivity,
-    primary_only_scheme,
-    rank_sum_test,
-)
+from .baselines import Weighting, compute_baselines
+from .corpus import CitationWindow, CorpusError, ParseError, load_corpus
 from .indicators import (
     DegenerateGroupError,
     GroupSelection,
     IndicatorReport,
-    ScoredPaper,
-    combined_percentile,
-    cpp_fcsm,
-    fractional_score,
-    mdncs,
-    mean_fractional,
-    mncs,
-    percentile_rank,
-    pp_top,
     score_group,
-    score_papers,
 )
-from .synth import FieldSpec, SynthConfig, generate_corpus
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineTable",
     "CitationWindow",
-    "Corpus",
     "CorpusError",
-    "Counterexample",
     "DegenerateGroupError",
-    "FieldSpec",
-    "FieldYearCell",
     "GroupSelection",
     "IndicatorReport",
-    "Journal",
-    "Paper",
     "ParseError",
-    "RankSumResult",
-    "ScoredPaper",
-    "SearchBounds",
-    "SensitivityReport",
-    "SynthConfig",
     "Weighting",
-    "build_corpus",
-    "combined_percentile",
     "compute_baselines",
-    "consistency_counterexample",
-    "cpp_fcsm",
-    "expected_citations",
-    "fractional_score",
-    "generate_corpus",
-    "indexer_sensitivity",
     "load_corpus",
-    "mdncs",
-    "mean_fractional",
-    "mncs",
-    "normalized_score",
-    "parse_journals",
-    "parse_papers",
-    "percentile_rank",
-    "pp_top",
-    "primary_only_scheme",
-    "rank_sum_test",
     "score_group",
-    "score_papers",
 ]

@@ -85,29 +85,20 @@ def compute_baselines(corpus: Corpus) -> BaselineTable:
     return BaselineTable(cells)
 
 
-def expected_citations(
-    corpus: Corpus,
-    table: BaselineTable,
-    paper_id: str,
-    weighting: Weighting,
-) -> float | None:
-    """Combined expected value e for one paper, or None if unscorable.
-
-    None covers the zero-baseline degeneracies: a zero cell mean under the
-    harmonic weighting, or a combined value of zero (which would make the
-    normalized score undefined). Callers must exclude such papers from group
-    statistics and report them, never score them as zero or infinity.
-    """
-    value, _ = expected_citations_with_reason(corpus, table, paper_id, weighting)
-    return value
-
-
 def expected_citations_with_reason(
     corpus: Corpus,
     table: BaselineTable,
     paper_id: str,
     weighting: Weighting,
 ) -> tuple[float | None, str | None]:
+    """Combined expected value e for one paper, with the reason when undefined.
+
+    Returns ``(e, None)``, or ``(None, reason)`` for the zero-baseline
+    degeneracies: a zero cell mean under the harmonic weighting, or a
+    combined value of zero (which would make c / e undefined). Callers must
+    exclude such papers from group statistics and report them, never score
+    them as zero or infinity.
+    """
     paper = corpus.papers[paper_id]
     categories = corpus.categories_of(paper_id)
     means = [
@@ -131,15 +122,3 @@ def _zero_baseline_reason(zero_cells: list[str], year: int) -> str:
     cells = ", ".join(f"({category}, {year})" for category in zero_cells)
     return f"zero baseline in cell {cells}"
 
-
-def normalized_score(
-    corpus: Corpus,
-    table: BaselineTable,
-    paper_id: str,
-    weighting: Weighting,
-) -> float | None:
-    """Citations over expected citations (c / e); None when e is undefined."""
-    expected = expected_citations(corpus, table, paper_id, weighting)
-    if expected is None:
-        return None
-    return corpus.citation_count(paper_id) / expected

@@ -45,18 +45,44 @@ class ParseError(CorpusError):
 
 @dataclass(frozen=True)
 class Paper:
+    """One paper record; its own invariants are checked on construction."""
+
     id: str
     year: int
     journal_id: str
     references: tuple[str, ...] = ()
     raw_citation_count: int | None = None
 
+    def __post_init__(self) -> None:
+        if not self.id:
+            raise CorpusError("paper id must be a non-empty string")
+        if not YEAR_MIN <= self.year <= YEAR_MAX:
+            raise CorpusError(
+                f"paper {self.id!r}: year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}]"
+            )
+        if self.id in self.references:
+            raise CorpusError(f"paper {self.id!r} references itself")
+        if self.raw_citation_count is not None and self.raw_citation_count < 0:
+            raise CorpusError(
+                f"paper {self.id!r}: citation override must be non-negative"
+            )
+
 
 @dataclass(frozen=True)
 class Journal:
+    """One journal record; its own invariants are checked on construction."""
+
     id: str
     title: str
     categories: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if not self.id:
+            raise CorpusError("empty journal id")
+        if not self.categories or not all(self.categories):
+            raise CorpusError(f"journal {self.id!r} has an empty categories field")
+        if len(set(self.categories)) != len(self.categories):
+            raise CorpusError(f"journal {self.id!r} repeats a category")
 
     @property
     def primary_category(self) -> str:
@@ -175,19 +201,16 @@ def parse_papers(lines: Iterable[str]) -> list[Paper]:
 
 
 def _paper_from_record(record: dict, line_no: int) -> Paper:
+    """Check the JSON shape of one record; ``Paper`` checks the values."""
     for field_name in ("id", "year", "journal", "references"):
         if field_name not in record:
             raise ParseError(line_no, f"missing required field {field_name!r}")
     paper_id = record["id"]
-    if not isinstance(paper_id, str) or not paper_id:
-        raise ParseError(line_no, "field 'id' must be a non-empty string")
+    if not isinstance(paper_id, str):
+        raise ParseError(line_no, "field 'id' must be a string")
     year = record["year"]
     if isinstance(year, bool) or not isinstance(year, int):
         raise ParseError(line_no, "field 'year' must be an integer")
-    if not YEAR_MIN <= year <= YEAR_MAX:
-        raise ParseError(
-            line_no, f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}]"
-        )
     journal_id = record["journal"]
     if not isinstance(journal_id, str) or not journal_id:
         raise ParseError(line_no, "field 'journal' must be a non-empty string")
@@ -196,15 +219,15 @@ def _paper_from_record(record: dict, line_no: int) -> Paper:
         not isinstance(ref, str) for ref in references
     ):
         raise ParseError(line_no, "field 'references' must be a list of strings")
-    if paper_id in references:
-        raise ParseError(line_no, f"paper {paper_id!r} references itself")
     citations = record.get("citations")
-    if citations is not None:
-        if isinstance(citations, bool) or not isinstance(citations, int) or citations < 0:
-            raise ParseError(
-                line_no, "field 'citations' must be a non-negative integer"
-            )
-    return Paper(paper_id, year, journal_id, tuple(references), citations)
+    if citations is not None and (
+        isinstance(citations, bool) or not isinstance(citations, int)
+    ):
+        raise ParseError(line_no, "field 'citations' must be an integer")
+    try:
+        return Paper(paper_id, year, journal_id, tuple(references), citations)
+    except CorpusError as exc:
+        raise ParseError(line_no, str(exc)) from exc
 
 
 def parse_journals(lines: Iterable[str]) -> list[Journal]:
@@ -222,17 +245,14 @@ def parse_journals(lines: Iterable[str]) -> list[Journal]:
         if len(row) != 3:
             raise ParseError(line_no, f"expected 3 fields, got {len(row)}")
         journal_id, title, categories_field = row
-        if not journal_id:
-            raise ParseError(line_no, "empty journal id")
         if journal_id in seen:
             raise ParseError(line_no, f"duplicate journal id {journal_id!r}")
         seen.add(journal_id)
         categories = tuple(categories_field.split("|")) if categories_field else ()
-        if not categories or any(not c for c in categories):
-            raise ParseError(line_no, f"journal {journal_id!r} has an empty categories field")
-        if len(set(categories)) != len(categories):
-            raise ParseError(line_no, f"journal {journal_id!r} repeats a category")
-        journals.append(Journal(journal_id, title, categories))
+        try:
+            journals.append(Journal(journal_id, title, categories))
+        except CorpusError as exc:
+            raise ParseError(line_no, str(exc)) from exc
     return journals
 
 
@@ -253,7 +273,6 @@ def build_corpus(
     journal_map = _journal_map(journals)
     paper_map: dict[str, Paper] = {}
     for paper in papers:
-        _check_paper(paper)
         if paper.id in paper_map:
             raise CorpusError(f"duplicate paper id {paper.id!r}")
         if paper.journal_id not in journal_map:
@@ -303,12 +322,13 @@ def read_hashed(
 
     The file is streamed once: every chunk the text layer reads is hashed on
     its way to the parser, and whatever the parser leaves unread is hashed at
-    the end, so the digest covers the whole file. ``newline`` has the meaning
-    it has for ``open``.
+    the end, so the digest covers the whole file. A leading byte-order mark
+    is dropped before parsing but hashed like every other byte. ``newline``
+    has the meaning it has for ``open``.
     """
     hashing = _HashingReader(open(path, "rb", buffering=0))
     with io.TextIOWrapper(
-        io.BufferedReader(hashing), encoding="utf-8", newline=newline
+        io.BufferedReader(hashing), encoding="utf-8-sig", newline=newline
     ) as handle:
         result = parse(handle)
         while hashing.read(io.DEFAULT_BUFFER_SIZE):
@@ -337,26 +357,9 @@ class _HashingReader(io.RawIOBase):
         super().close()
 
 
-def _check_paper(paper: Paper) -> None:
-    if not paper.id:
-        raise CorpusError("paper with empty id")
-    if not YEAR_MIN <= paper.year <= YEAR_MAX:
-        raise CorpusError(
-            f"paper {paper.id!r}: year {paper.year} outside [{YEAR_MIN}, {YEAR_MAX}]"
-        )
-    if paper.id in paper.references:
-        raise CorpusError(f"paper {paper.id!r} references itself")
-    if paper.raw_citation_count is not None and paper.raw_citation_count < 0:
-        raise CorpusError(f"paper {paper.id!r}: negative citation override")
-
-
 def _journal_map(journals: Sequence[Journal]) -> dict[str, Journal]:
     journal_map: dict[str, Journal] = {}
     for journal in journals:
-        if not journal.categories or any(not c for c in journal.categories):
-            raise CorpusError(f"journal {journal.id!r} has an empty category")
-        if len(set(journal.categories)) != len(journal.categories):
-            raise CorpusError(f"journal {journal.id!r} repeats a category")
         if journal.id in journal_map:
             raise CorpusError(f"duplicate journal id {journal.id!r}")
         journal_map[journal.id] = journal

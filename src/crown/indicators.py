@@ -191,20 +191,6 @@ def fractional_score(corpus: Corpus, paper_id: str) -> float | None:
     )
 
 
-def mean_fractional(corpus: Corpus, paper_ids: Iterable[str]) -> float:
-    """Mean fractional score over the group's papers with citing-side data."""
-    values = []
-    for paper_id in sorted(paper_ids):
-        value = fractional_score(corpus, paper_id)
-        if value is not None:
-            values.append(value)
-    if not values:
-        raise DegenerateGroupError(
-            "no group papers with citing-side reference data"
-        )
-    return math.fsum(values) / len(values)
-
-
 def score_papers(
     corpus: Corpus,
     table: BaselineTable,

@@ -13,12 +13,11 @@ from crown.baselines import (
     FieldYearCell,
     Weighting,
     compute_baselines,
-    expected_citations,
     expected_citations_with_reason,
-    normalized_score,
 )
 from crown.cli import main
 from crown.corpus import Journal, Paper, build_corpus
+from crown.indicators import score_papers
 
 from conftest import corpus_from_text
 
@@ -90,7 +89,7 @@ def _expected_for_means(means: list[int], weighting: Weighting, citations: int =
     """Expected value for a paper in len(means) categories with those cell means."""
     corpus = _paper_in_categories([f"F{i}" for i in range(len(means))])
     table = _table_with_means(means)
-    return expected_citations(corpus, table, "p", weighting)
+    return expected_citations_with_reason(corpus, table, "p", weighting)[0]
 
 
 def test_expected_arithmetic_two_fields() -> None:
@@ -143,9 +142,15 @@ def _ncs_corpus(citations: int, means: list[int]):
     return corpus, BaselineTable(cells)
 
 
+def _ncs(corpus, table, paper_id: str, weighting: Weighting) -> float:
+    """c / e exactly as the score pass computes a paper's ``ncs``."""
+    expected = expected_citations_with_reason(corpus, table, paper_id, weighting)[0]
+    return corpus.citation_count(paper_id) / expected
+
+
 def test_normalized_score_matches_mean_of_per_field_ratios() -> None:
     corpus, table = _ncs_corpus(10, [5, 20])
-    ncs = normalized_score(corpus, table, "p", Weighting.HARMONIC)
+    ncs = _ncs(corpus, table, "p", Weighting.HARMONIC)
     assert ncs == 1.25
     oracle = (10 / 5 + 10 / 20) / 2
     assert ncs == pytest.approx(oracle, rel=1e-15)
@@ -153,12 +158,12 @@ def test_normalized_score_matches_mean_of_per_field_ratios() -> None:
 
 def test_normalized_score_zero_citations() -> None:
     corpus, table = _ncs_corpus(0, [5, 20])
-    assert normalized_score(corpus, table, "p", Weighting.HARMONIC) == 0.0
+    assert _ncs(corpus, table, "p", Weighting.HARMONIC) == 0.0
 
 
 def test_normalized_score_at_expectation_is_one() -> None:
     corpus, table = _ncs_corpus(7, [7])
-    assert normalized_score(corpus, table, "p", Weighting.ARITHMETIC) == 1.0
+    assert _ncs(corpus, table, "p", Weighting.ARITHMETIC) == 1.0
 
 
 positive_means = st.lists(
@@ -171,7 +176,7 @@ positive_means = st.lists(
 def test_harmonic_identity(citations: int, means: list[int]) -> None:
     """c / e_harmonic equals the plain mean of the per-field ratios c / e_j."""
     corpus, table = _ncs_corpus(citations, means)
-    ncs = normalized_score(corpus, table, "p", Weighting.HARMONIC)
+    ncs = _ncs(corpus, table, "p", Weighting.HARMONIC)
     per_field_mean = math.fsum(citations / mean for mean in means) / len(means)
     assert ncs == pytest.approx(per_field_mean, rel=1e-12, abs=0.0) or (
         ncs == 0.0 and per_field_mean == 0.0
@@ -204,10 +209,11 @@ def test_single_category_corpus_weighting_is_irrelevant() -> None:
     )
     corpus = corpus_from_text(papers_jsonl, "id,title,categories\nj1,J,solo\n")
     table = compute_baselines(corpus)
-    for pid in corpus.papers:
-        assert normalized_score(
-            corpus, table, pid, Weighting.ARITHMETIC
-        ) == normalized_score(corpus, table, pid, Weighting.HARMONIC)
+    arithmetic = score_papers(corpus, table, corpus.papers, Weighting.ARITHMETIC)
+    harmonic = score_papers(corpus, table, corpus.papers, Weighting.HARMONIC)
+    assert [paper.paper_id for paper in arithmetic] == sorted(corpus.papers)
+    for a, h in zip(arithmetic, harmonic):
+        assert a.ncs == h.ncs
 
 
 def test_baseline_table_covers_every_category_year_pair() -> None:

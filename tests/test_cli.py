@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -528,3 +529,59 @@ def test_consistency_search_over_the_limit_is_input_error(bounds) -> None:
     assert result.stderr.startswith("crown: error: ")
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("which", ["papers", "journals", "group"])
+def test_utf8_bom_input_is_read_and_hashed_as_written(which, demo, capsys) -> None:
+    papers, journals, group = demo
+    argv = ["score", "--papers", str(papers), "--journals", str(journals),
+            "--group", str(group)]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out.splitlines()
+    path = {"papers": papers, "journals": journals, "group": group}[which]
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(argv) == 0
+    with_bom = capsys.readouterr().out.splitlines()
+    # the BOM is not data, but the header hash is of the raw bytes, BOM included
+    assert len(with_bom) == len(plain)
+    assert [new for old, new in zip(plain, with_bom) if new != old] == [
+        f"# {which}: {path} sha256={_sha256(path)}"
+    ]
+
+
+def _shuffle_lines(path: Path, rng: random.Random, keep_header: bool) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    head, body = (lines[:1], lines[1:]) if keep_header else ([], lines)
+    rng.shuffle(body)
+    path.write_text("".join(head + body), encoding="utf-8")
+
+
+def test_reports_do_not_depend_on_input_line_order(demo, tmp_path, capsys) -> None:
+    papers, journals, group = demo
+    other_ids = [json.loads(line)["id"] for line in papers.read_text().splitlines()[20:40]]
+    group_b = tmp_path / "gb.txt"
+    group_b.write_text("\n".join(other_ids) + "\n", encoding="utf-8")
+    corpus = ["--papers", str(papers), "--journals", str(journals)]
+    commands = [
+        ["score", *corpus, "--group", str(group)],
+        ["diagnose", "indexer", *corpus, "--group", str(group)],
+        ["diagnose", "ranksum", *corpus, "--group-a", str(group), "--group-b", str(group_b)],
+    ]
+
+    def reports() -> list[list[str]]:
+        outputs = []
+        for argv in commands:
+            assert main(argv) == 0
+            outputs.append([
+                line for line in capsys.readouterr().out.splitlines()
+                if not line.startswith(("# papers:", "# journals:"))
+            ])
+        return outputs
+
+    before = reports()
+    rng = random.Random(2010)
+    original = papers.read_bytes(), journals.read_bytes()
+    _shuffle_lines(papers, rng, keep_header=False)
+    _shuffle_lines(journals, rng, keep_header=True)
+    assert (papers.read_bytes(), journals.read_bytes()) != original
+    assert reports() == before

@@ -69,6 +69,35 @@ def test_parse_papers_aborts_on_bad_records(line: str, match: str) -> None:
         parse_papers([line])
 
 
+@pytest.mark.parametrize(
+    "make,match",
+    [
+        (lambda: Paper("", 2005, "j1"), "non-empty string"),
+        (lambda: Paper("p1", 1899, "j1"), "outside"),
+        (lambda: Paper("p1", 2005, "j1", ("p1",)), "references itself"),
+        (lambda: Paper("p1", 2005, "j1", (), raw_citation_count=-1), "non-negative"),
+        (lambda: Journal("", "J", ("cat",)), "empty journal id"),
+        (lambda: Journal("j1", "J", ()), "empty categories"),
+        (lambda: Journal("j1", "J", ("x", "")), "empty categories"),
+        (lambda: Journal("j1", "J", ("x", "x")), "repeats a category"),
+    ],
+)
+def test_records_check_their_invariants_on_construction(make, match: str) -> None:
+    with pytest.raises(CorpusError, match=match) as exc_info:
+        make()
+    assert not isinstance(exc_info.value, ParseError)
+
+
+def test_record_invariant_errors_carry_the_line_number() -> None:
+    good = '{"id":"p1","year":2005,"journal":"j1","references":[]}'
+    with pytest.raises(ParseError, match="^line 2: .*outside") as exc_info:
+        parse_papers([good, '{"id":"p2","year":1800,"journal":"j1","references":[]}'])
+    assert exc_info.value.line_no == 2
+    with pytest.raises(ParseError, match="^line 3: .*repeats a category") as exc_info:
+        parse_journals(["id,title,categories", "j1,A,x", "j2,B,y|y"])
+    assert exc_info.value.line_no == 3
+
+
 def test_parse_journals_cardiology_fixture() -> None:
     journals = parse_journals(CARDIOLOGY_JOURNALS_CSV.splitlines())
     by_id = {journal.id: journal for journal in journals}

@@ -19,7 +19,6 @@ from crown.indicators import (
     cpp_fcsm,
     fractional_score,
     mdncs,
-    mean_fractional,
     mncs,
     percentile_rank,
     pp_top,
@@ -293,15 +292,21 @@ def test_fractional_excludes_override_papers_with_warning() -> None:
     assert report.mean_fractional == 0.0
 
 
+def _mean_fractional(corpus, paper_ids: list[str]) -> float:
+    table = compute_baselines(corpus)
+    group = GroupSelection.resolve("g", paper_ids, corpus)
+    return score_group(corpus, table, group, Weighting.HARMONIC).mean_fractional
+
+
 def test_mean_fractional_group() -> None:
     corpus = _fractional_fixture()
-    assert mean_fractional(corpus, ["t", "u"]) == pytest.approx(
+    assert _mean_fractional(corpus, ["t", "u"]) == pytest.approx(
         (1 / 6 + 1 / 40) / 2, abs=1e-15
     )
 
 
 def test_mean_fractional_single_uncited_paper() -> None:
-    assert mean_fractional(_fractional_fixture(), ["u"]) == 0.0
+    assert _mean_fractional(_fractional_fixture(), ["u"]) == 0.0
 
 
 def test_mean_fractional_conservation_on_internal_corpus() -> None:

@@ -1,0 +1,79 @@
+"""The README's library example runs as written against the public API."""
+
+from __future__ import annotations
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import crown
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _library_example() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library use\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys) -> None:
+    (tmp_path / "papers.jsonl").write_text(
+        '{"id":"p1","year":2005,"journal":"j1","references":[]}\n'
+        '{"id":"p2","year":2006,"journal":"j1","references":["p1"]}\n'
+        '{"id":"p3","year":2006,"journal":"j2","references":["p1","p2","doi:x"]}\n',
+        encoding="utf-8",
+    )
+    (tmp_path / "journals.csv").write_text(
+        "id,title,categories\nj1,Journal One,F|G\nj2,Journal Two,G\n", encoding="utf-8"
+    )
+    monkeypatch.chdir(tmp_path)
+    source = _library_example()
+    exec(compile(source, str(README), "exec"), {})
+    mncs, mdncs, report_json = capsys.readouterr().out.split(" ", 2)
+    report = crown.IndicatorReport.from_json(report_json)
+    assert report.group == "unit-a"
+    assert (report.n_total, report.n_scorable) == (3, 3)
+    assert (float(mncs), float(mdncs)) == (report.mncs, report.mdncs)
+
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "crown"
+        for alias in node.names
+    ]
+    assert imported
+    assert set(imported) <= set(crown.__all__)
+
+
+def test_public_api_is_the_documented_surface() -> None:
+    assert sorted(crown.__all__) == [
+        "CitationWindow",
+        "CorpusError",
+        "DegenerateGroupError",
+        "GroupSelection",
+        "IndicatorReport",
+        "ParseError",
+        "Weighting",
+        "compute_baselines",
+        "load_corpus",
+        "score_group",
+    ]
+    for name in crown.__all__:
+        assert hasattr(crown, name)
+
+
+def test_import_crown_loads_only_the_scoring_layers() -> None:
+    src = str(Path(crown.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import crown; "
+        "print(sorted(name for name in sys.modules if name.startswith('crown')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, src],
+        capture_output=True, text=True, timeout=30, check=True,
+    )
+    assert ast.literal_eval(result.stdout) == [
+        "crown", "crown.baselines", "crown.corpus", "crown.indicators",
+    ]
