@@ -71,12 +71,19 @@ class BaselineTable:
 
 
 def compute_baselines(corpus: Corpus) -> BaselineTable:
-    """Build the cell table; counts accumulate in ascending paper-id order."""
+    """Build the cell table in one pass over the papers, in corpus order.
+
+    Each cell's counts are sorted and its mean is an exact integer sum over
+    n, so the order in which papers are visited cannot change a cell.
+    """
     per_cell: dict[tuple[str, int], list[int]] = {}
-    for paper_id in sorted(corpus.papers):
-        paper = corpus.papers[paper_id]
-        count = corpus.citation_count(paper_id)
-        for category in corpus.categories_of(paper_id):
+    cited_by = corpus.cited_by
+    journals = corpus.journals
+    for paper in corpus.papers.values():
+        count = paper.raw_citation_count  # Corpus.citation_count, inlined
+        if count is None:
+            count = len(cited_by[paper.id])
+        for category in journals[paper.journal_id].categories:
             per_cell.setdefault((category, paper.year), []).append(count)
     cells = {
         (category, year): FieldYearCell(category, year, tuple(sorted(counts)))

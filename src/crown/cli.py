@@ -34,6 +34,7 @@ report under ``report`` next to ``config``.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -473,7 +474,10 @@ def _records(columns: Sequence[str], rows: Iterable[Sequence[object]]) -> list[d
 
 def _load(args: argparse.Namespace, digests: dict[str, str]) -> Corpus:
     window = CitationWindow.parse(args.window)
-    return load_corpus(args.papers, args.journals, window, digests)
+    corpus = load_corpus(args.papers, args.journals, window, digests)
+    # The corpus lives until the process exits: keep the collector off it.
+    gc.freeze()
+    return corpus
 
 
 def _read_group(path: str, corpus: Corpus, digests: dict[str, str]) -> GroupSelection:

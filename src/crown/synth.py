@@ -28,6 +28,8 @@ import math
 import random
 from dataclasses import dataclass
 
+from .corpus import YEAR_MAX, YEAR_MIN
+
 _SAMPLE_RETRIES = 8
 _FORBIDDEN_NAME_CHARS = set(',|"\n\r')
 
@@ -69,6 +71,11 @@ class SynthConfig:
         first, last = self.years
         if last < first:
             raise ValueError(f"empty year range {self.years}")
+        if first < YEAR_MIN or last > YEAR_MAX:
+            # the corpus reader rejects such papers, so refuse to write them
+            raise ValueError(
+                f"year range {self.years} outside [{YEAR_MIN}, {YEAR_MAX}]"
+            )
         for name, fraction in (
             ("cross_field_fraction", self.cross_field_fraction),
             ("multi_category_journal_fraction", self.multi_category_journal_fraction),

@@ -333,6 +333,30 @@ def test_synth_nan_mean_is_input_error_not_hang(tmp_path) -> None:
     assert not (tmp_path / "p.jsonl").exists()
 
 
+@pytest.mark.parametrize("years", ["1850-1851", "2100-2101"])
+def test_synth_years_outside_the_corpus_range_are_input_error(
+    tmp_path, capsys, years
+) -> None:
+    papers, journals = tmp_path / "p.jsonl", tmp_path / "j.csv"
+    code = main(
+        ["synth", "--fields", "a:3:2", "--years", years, "--seed", "1",
+         "--papers", str(papers), "--journals", str(journals)]
+    )
+    assert code == 1
+    assert "outside [1900, 2100]" in capsys.readouterr().err
+    assert not papers.exists()
+
+
+def test_synth_years_at_the_corpus_range_edges_ingest(tmp_path) -> None:
+    papers, journals = tmp_path / "p.jsonl", tmp_path / "j.csv"
+    for years in ("1900-1901", "2099-2100"):
+        assert main(
+            ["synth", "--fields", "a:3:2", "--years", years, "--seed", "1",
+             "--papers", str(papers), "--journals", str(journals)]
+        ) == 0
+        assert main(["ingest", "--papers", str(papers), "--journals", str(journals)]) == 0
+
+
 # Fixed inputs for the byte-pinned reports below. The 2008 papers are never
 # cited, so their cells have zero means and they are unscorable; the 2000
 # papers lose their 2006 and 2008 citations under --window years5.

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import gc
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crown.baselines import compute_baselines
 from crown.corpus import (
     CitationWindow,
     CorpusError,
@@ -318,3 +321,179 @@ def test_build_is_deterministic(case) -> None:
     second = build_corpus(list(papers), journals, window)
     assert first.cited_by == second.cited_by
     assert list(first.papers) == list(second.papers)
+
+
+# Three windows, three journals (one of them in two categories), and papers
+# whose reference lists repeat keys, name external keys, point forward to
+# later lines, and sometimes carry a citation override.
+GRAPH_WINDOWS = tuple(map(CitationWindow.parse, ("all", "years1", "years5")))
+GRAPH_JOURNALS = [
+    Journal("j1", "One", ("a",)),
+    Journal("j2", "Two", ("b", "a")),
+    Journal("j3", "Three", ("c",)),
+]
+
+
+@st.composite
+def graph_case(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    ids = [f"p{i}" for i in range(n)]
+    keys = ids + ["ext:a", "ext:b"]
+    papers = []
+    for pid in ids:
+        refs = draw(st.lists(st.sampled_from(keys), max_size=8))
+        papers.append(
+            Paper(
+                pid,
+                draw(st.integers(min_value=2000, max_value=2007)),
+                draw(st.sampled_from(["j1", "j2", "j3"])),
+                tuple(ref for ref in refs if ref != pid),
+                draw(st.one_of(st.none(), st.integers(min_value=0, max_value=5))),
+            )
+        )
+    return papers, draw(st.sampled_from(GRAPH_WINDOWS))
+
+
+def _jsonl(papers: list[Paper]) -> list[str]:
+    lines = []
+    for paper in papers:
+        record = {
+            "id": paper.id,
+            "year": paper.year,
+            "journal": paper.journal_id,
+            "references": list(paper.references),
+        }
+        if paper.raw_citation_count is not None:
+            record["citations"] = paper.raw_citation_count
+        lines.append(json.dumps(record))
+    return lines
+
+
+def _reference_cited_by(papers: list[Paper], window: CitationWindow) -> dict:
+    """The plain graph build: a set of resolved keys per citing paper."""
+    paper_map = {paper.id: paper for paper in papers}
+    cited_by: dict[str, list[str]] = {pid: [] for pid in paper_map}
+    for citing in paper_map.values():
+        resolved: set[str] = set()
+        for ref in citing.references:
+            cited = paper_map.get(ref)
+            if cited is None or ref in resolved:
+                continue
+            resolved.add(ref)
+            if window.admits(cited.year, citing.year):
+                cited_by[ref].append(citing.id)
+    return {pid: tuple(citers) for pid, citers in cited_by.items()}
+
+
+@given(graph_case())
+@settings(max_examples=300)
+def test_build_matches_the_reference_build(case) -> None:
+    papers, window = case
+    expected = _reference_cited_by(papers, window)
+    for source in (papers, parse_papers(_jsonl(papers))):
+        corpus = build_corpus(source, GRAPH_JOURNALS, window)
+        assert list(corpus.cited_by.items()) == list(expected.items())
+        assert all(type(citers) is tuple for citers in corpus.cited_by.values())
+        assert corpus.n_edges == sum(len(citers) for citers in expected.values())
+
+
+@given(graph_case())
+@settings(max_examples=100)
+def test_parse_shares_one_string_per_key(case) -> None:
+    papers, _ = case
+    parsed = parse_papers(_jsonl(papers))
+    assert parsed == papers
+    corpus = build_corpus(parsed, GRAPH_JOURNALS)
+    first_seen: dict[str, str] = {}
+    for paper in parsed:
+        for key in (paper.id, *paper.references):
+            assert key is first_seen.setdefault(key, key)
+            if key in corpus.papers:
+                assert key is corpus.papers[key].id
+    for cited_id, citers in corpus.cited_by.items():
+        for citing_id in citers:
+            assert citing_id is corpus.papers[citing_id].id
+
+
+@given(graph_case(), st.randoms(use_true_random=False))
+@settings(max_examples=100)
+def test_baselines_do_not_depend_on_paper_order(case, rng) -> None:
+    papers, window = case
+    shuffled = list(papers)
+    rng.shuffle(shuffled)
+    first = compute_baselines(build_corpus(papers, GRAPH_JOURNALS, window))
+    second = compute_baselines(build_corpus(shuffled, GRAPH_JOURNALS, window))
+    assert first.cells == second.cells
+
+
+def _set_gc(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def gc_state():
+    """Restore the collector's state whatever the test leaves behind."""
+    was_enabled = gc.isenabled()
+    yield
+    _set_gc(was_enabled)
+
+
+def _write_inputs(tmp_path, lines: list[str]):
+    papers_path = tmp_path / "papers.jsonl"
+    journals_path = tmp_path / "journals.csv"
+    papers_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    journals_path.write_text(CARDIOLOGY_JOURNALS_CSV, encoding="utf-8")
+    return papers_path, journals_path
+
+
+GOOD_LINES = [
+    '{"id":"p1","year":2005,"journal":"jvr","references":["p2","doi:x"]}',
+    '{"id":"p2","year":2006,"journal":"circ","references":["p1","p1"]}',
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_corpus_restores_the_collector_state(tmp_path, gc_state, enabled) -> None:
+    papers_path, journals_path = _write_inputs(tmp_path, GOOD_LINES)
+    _set_gc(enabled)
+    corpus = load_corpus(papers_path, journals_path)
+    assert gc.isenabled() is enabled
+    assert corpus.cited_by == {"p1": ("p2",), "p2": ("p1",)}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_corpus_restores_the_collector_state_after_an_error(
+    tmp_path, gc_state, enabled
+) -> None:
+    papers_path, journals_path = _write_inputs(tmp_path, [*GOOD_LINES, "{not json"])
+    _set_gc(enabled)
+    with pytest.raises(ParseError, match="^line 3: malformed JSON"):
+        load_corpus(papers_path, journals_path)
+    assert gc.isenabled() is enabled
+
+
+def test_load_corpus_parses_and_builds_with_the_collector_paused(
+    tmp_path, gc_state, monkeypatch
+) -> None:
+    import crown.corpus as corpus_module
+
+    seen = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            seen.append((name, gc.isenabled()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("parse_papers", "parse_journals", "build_corpus"):
+        monkeypatch.setattr(corpus_module, name, spy(name, getattr(corpus_module, name)))
+    papers_path, journals_path = _write_inputs(tmp_path, GOOD_LINES)
+    gc.enable()
+    load_corpus(papers_path, journals_path)
+    assert seen == [
+        ("parse_papers", False), ("parse_journals", False), ("build_corpus", False)
+    ]
+    assert gc.isenabled()

@@ -151,6 +151,10 @@ def test_skew_produces_right_skewed_citation_counts() -> None:
         {"fields": (FieldSpec("a", 5.0, 5), FieldSpec("a", 3.0, 5))},
         {"fields": (FieldSpec("a,b", 5.0, 5),)},
         {"years": (2005, 2000)},
+        {"years": (1850, 1851)},
+        {"years": (1899, 2000)},
+        {"years": (2000, 2101)},
+        {"years": (2101, 2101)},
         {"cross_field_fraction": 1.5},
         {"multi_category_journal_fraction": -0.1},
         {"skew_fraction": 2.0},
