@@ -289,7 +289,7 @@ def _cmd_score(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     return Report(
         "score", _settings(args, digests), columns, [row],
         _unscorable_notes(report.unscorable),
-        {"report": json.loads(report.to_json())},
+        {"report": report.payload()},
     )
 
 
@@ -388,8 +388,8 @@ def _cmd_indexer(args: argparse.Namespace, digests: dict[str, str]) -> Report:
         "group": report.group,
         "weighting": report.weighting,
         "papers": _records(columns, rows),
-        "report_a": json.loads(report.report_a.to_json()),
-        "report_b": json.loads(report.report_b.to_json()),
+        "report_a": report.report_a.payload(),
+        "report_b": report.report_b.payload(),
         "group_deltas": deltas,
     }
     return Report(

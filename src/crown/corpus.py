@@ -201,6 +201,10 @@ def parse_papers(lines: Iterable[str]) -> list[Paper]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(line_no, f"malformed JSON ({exc.msg})") from exc
+        except ValueError as exc:  # an integer past the interpreter's digit limit
+            raise ParseError(line_no, f"unreadable JSON value ({exc})") from exc
+        except RecursionError as exc:
+            raise ParseError(line_no, "malformed JSON (nested too deeply)") from exc
         if not isinstance(record, dict):
             raise ParseError(line_no, "expected a JSON object")
         paper = _paper_from_record(record, line_no, canon)

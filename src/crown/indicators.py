@@ -10,6 +10,13 @@ one report makes their disagreements observable instead of hidden.
 All group statistics run over scorable papers only, with the scorable and
 total counts reported side by side; papers are accumulated in ascending
 paper-id order so results are reproducible bit for bit.
+
+A score pass computes each per-paper value once per key rather than once per
+paper: the expected value (and its unscorable reason) depends only on the
+paper's (journal, year), the combined percentile only on (journal, year,
+citation count), and a citation's fractional weight 1/R only on the citing
+paper. The tables are local to one pass, so two passes, for example under two
+category schemes, share nothing.
 """
 
 from __future__ import annotations
@@ -19,11 +26,11 @@ import math
 import statistics
 import warnings
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields
 
 from .baselines import BaselineTable, FieldYearCell, Weighting, expected_citations_with_reason
-from .corpus import CitationWindow, Corpus, CorpusError
+from .corpus import CitationWindow, Corpus, CorpusError, Paper
 
 
 class DegenerateGroupError(RuntimeError):
@@ -89,12 +96,17 @@ class IndicatorReport:
     top_x: float
     unscorable: tuple[tuple[str, str], ...] = ()
 
-    def to_json(self) -> str:
-        """Sorted-key JSON; the top-x share is keyed ``top_label(top_x)``."""
-        payload = asdict(self)
+    def payload(self) -> dict:
+        """The report as a JSON-ready dict; the top-x share is keyed
+        ``top_label(top_x)`` and each unscorable pair is a list."""
+        payload = {field.name: getattr(self, field.name) for field in fields(self)}
         payload[top_label(self.top_x)] = payload.pop("pp_top")
         payload["unscorable"] = [list(item) for item in self.unscorable]
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return payload
+
+    def to_json(self) -> str:
+        """Sorted-key compact JSON of ``payload()``."""
+        return json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> IndicatorReport:
@@ -168,7 +180,12 @@ def combined_percentile(corpus: Corpus, table: BaselineTable, paper_id: str) -> 
     return math.fsum(ranks) / len(ranks)
 
 
-def fractional_score(corpus: Corpus, paper_id: str) -> float | None:
+def fractional_score(
+    corpus: Corpus,
+    paper_id: str,
+    *,
+    inverse_r: Mapping[str, float] | None = None,
+) -> float | None:
     """Citing-side fractional citation count: sum of 1/R over citing papers.
 
     R is each citing paper's full reference-list length, so a citation from a
@@ -176,6 +193,11 @@ def fractional_score(corpus: Corpus, paper_id: str) -> float | None:
     value depends only on the citation graph, never on any category scheme.
     Papers whose citation count is a stored override have no trustworthy
     citing-side records, so they are excluded (None) with a warning.
+
+    ``inverse_r``, when given, maps every citing id to its 1/R, so that a
+    score pass divides once per citing paper rather than once per edge;
+    ``score_papers`` passes a table that fills itself on first lookup. The
+    sum gets the same addends in the same order either way.
     """
     paper = corpus.papers[paper_id]
     if paper.raw_citation_count is not None:
@@ -185,10 +207,23 @@ def fractional_score(corpus: Corpus, paper_id: str) -> float | None:
             stacklevel=2,
         )
         return None
+    citers = corpus.cited_by[paper_id]
+    if inverse_r is not None:
+        return math.fsum(map(inverse_r.__getitem__, citers))
     papers = corpus.papers
-    return math.fsum(
-        1.0 / len(papers[citer].references) for citer in corpus.cited_by[paper_id]
-    )
+    return math.fsum(1.0 / len(papers[citer].references) for citer in citers)
+
+
+class _InverseReferenceCounts(dict):
+    """Citing id -> 1/R, each entry computed on its first lookup."""
+
+    def __init__(self, papers: Mapping[str, Paper]):
+        super().__init__()
+        self._papers = papers
+
+    def __missing__(self, citer: str) -> float:
+        value = self[citer] = 1.0 / len(self._papers[citer].references)
+        return value
 
 
 def score_papers(
@@ -199,17 +234,37 @@ def score_papers(
 ) -> list[ScoredPaper]:
     """Per-paper scores in ascending paper-id order.
 
-    Papers with a citation override get ``fractional=None`` silently; the
-    group report counts them and warns once.
+    Each value is computed once per key the paper shares with others, in
+    tables that live for this one pass: the expected value and its reason
+    once per (journal, year), the combined percentile once per (journal,
+    year, citation count), and 1/R once per citing paper of the scored
+    papers. ``fractional_score`` still runs once per paper, over that 1/R
+    table. Papers with a citation override get ``fractional=None`` silently;
+    the group report counts them and warns once.
     """
+    papers = corpus.papers
+    expected_by_key: dict[tuple[str, int], tuple[float | None, str | None]] = {}
+    percentile_by_key: dict[tuple[str, int, int], float] = {}
+    inverse_r = _InverseReferenceCounts(papers)
     scored = []
     for paper_id in sorted(paper_ids):
+        paper = papers[paper_id]
         citations = corpus.citation_count(paper_id)
-        expected, reason = expected_citations_with_reason(
-            corpus, table, paper_id, weighting
-        )
-        if corpus.papers[paper_id].raw_citation_count is None:
-            fractional = fractional_score(corpus, paper_id)
+        key = (paper.journal_id, paper.year)
+        expected_and_reason = expected_by_key.get(key)
+        if expected_and_reason is None:
+            expected_and_reason = expected_by_key[key] = (
+                expected_citations_with_reason(corpus, table, paper_id, weighting)
+            )
+        expected, reason = expected_and_reason
+        percentile_key = (paper.journal_id, paper.year, citations)
+        percentile = percentile_by_key.get(percentile_key)
+        if percentile is None:
+            percentile = percentile_by_key[percentile_key] = combined_percentile(
+                corpus, table, paper_id
+            )
+        if paper.raw_citation_count is None:
+            fractional = fractional_score(corpus, paper_id, inverse_r=inverse_r)
         else:
             fractional = None
         scored.append(
@@ -218,7 +273,7 @@ def score_papers(
                 citations=citations,
                 expected=expected,
                 ncs=None if expected is None else citations / expected,
-                percentile=combined_percentile(corpus, table, paper_id),
+                percentile=percentile,
                 fractional=fractional,
                 scorable=expected is not None,
                 unscorable_reason=reason,

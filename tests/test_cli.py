@@ -333,6 +333,27 @@ def test_synth_nan_mean_is_input_error_not_hang(tmp_path) -> None:
     assert not (tmp_path / "p.jsonl").exists()
 
 
+@pytest.mark.parametrize("line", [
+    "[" * 200_000,  # nested past the JSON decoder's recursion limit
+    '{"id":"p","year":' + "1" * 5000 + ',"journal":"j","references":[]}',
+], ids=["deep-nesting", "5000-digit-year"])
+def test_undecodable_papers_line_is_input_error_with_line_number(tmp_path, line) -> None:
+    papers, journals = tmp_path / "p.jsonl", tmp_path / "j.csv"
+    papers.write_text(line + "\n", encoding="utf-8")
+    journals.write_text("id,title,categories\nj,J,a\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-m", "crown", "ingest",
+         "--papers", str(papers), "--journals", str(journals)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("crown: error: line 1: ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("years", ["1850-1851", "2100-2101"])
 def test_synth_years_outside_the_corpus_range_are_input_error(
     tmp_path, capsys, years

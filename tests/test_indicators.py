@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -9,12 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crown.baselines import FieldYearCell, Weighting, compute_baselines
-from crown.corpus import Journal, Paper, build_corpus
+from crown import indicators
+from crown.baselines import (
+    FieldYearCell,
+    Weighting,
+    compute_baselines,
+    expected_citations_with_reason,
+)
+from crown.corpus import CitationWindow, Journal, Paper, build_corpus
 from crown.indicators import (
     DegenerateGroupError,
     GroupSelection,
     IndicatorReport,
+    ScoredPaper,
     combined_percentile,
     cpp_fcsm,
     fractional_score,
@@ -27,8 +35,9 @@ from crown.indicators import (
     scored_from_pairs,
     top_label,
 )
+from crown.synth import FieldSpec, SynthConfig
 
-from conftest import corpus_from_text
+from conftest import corpus_from_synth, corpus_from_text
 
 
 # --- ratio-of-sums vs mean-of-ratios -------------------------------------
@@ -455,3 +464,221 @@ def test_score_papers_orders_by_paper_id() -> None:
     table = compute_baselines(corpus)
     scored = score_papers(corpus, table, ["q1", "p1", "p3"], Weighting.HARMONIC)
     assert [paper.paper_id for paper in scored] == ["p1", "p3", "q1"]
+
+
+# --- the score pass against a per-paper reference pass ----------------------
+
+
+def _reference_score_papers(corpus, table, paper_ids, weighting) -> list:
+    """The plain score pass: every value recomputed for every paper."""
+    scored = []
+    for paper_id in sorted(paper_ids):
+        citations = corpus.citation_count(paper_id)
+        expected, reason = expected_citations_with_reason(
+            corpus, table, paper_id, weighting
+        )
+        if corpus.papers[paper_id].raw_citation_count is None:
+            fractional = fractional_score(corpus, paper_id)
+        else:
+            fractional = None
+        scored.append(
+            ScoredPaper(
+                paper_id=paper_id,
+                citations=citations,
+                expected=expected,
+                ncs=None if expected is None else citations / expected,
+                percentile=combined_percentile(corpus, table, paper_id),
+                fractional=fractional,
+                scorable=expected is not None,
+                unscorable_reason=reason,
+            )
+        )
+    return scored
+
+
+# Four journals, two of them in several categories, over a narrow span of
+# years and small reference lists, so that zero-mean cells, repeated
+# (journal, year, count) keys and citation overrides all come up often.
+PASS_JOURNALS = [
+    Journal("j1", "One", ("a",)),
+    Journal("j2", "Two", ("b", "a")),
+    Journal("j3", "Three", ("c",)),
+    Journal("j4", "Four", ("a", "b", "c")),
+]
+PASS_WINDOWS = tuple(map(CitationWindow.parse, ("all", "years1", "years5")))
+
+
+@st.composite
+def score_pass_case(draw):
+    n = draw(st.integers(min_value=1, max_value=16))
+    ids = [f"p{i:02d}" for i in range(n)]
+    keys = ids + ["ext:a"]
+    papers = []
+    for pid in ids:
+        refs = draw(st.lists(st.sampled_from(keys), max_size=4))
+        papers.append(
+            Paper(
+                pid,
+                draw(st.integers(min_value=2000, max_value=2003)),
+                draw(st.sampled_from(["j1", "j2", "j3", "j4"])),
+                tuple(ref for ref in refs if ref != pid),
+                draw(st.one_of(st.none(), st.none(), st.integers(0, 3))),
+            )
+        )
+    group = draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+    return (
+        papers,
+        group,
+        draw(st.sampled_from(list(Weighting))),
+        draw(st.sampled_from(PASS_WINDOWS)),
+    )
+
+
+@given(score_pass_case())
+@settings(max_examples=300)
+def test_score_papers_matches_the_per_paper_reference_pass(case) -> None:
+    papers, group, weighting, window = case
+    corpus = build_corpus(papers, PASS_JOURNALS, window)
+    table = compute_baselines(corpus)
+    scored = score_papers(corpus, table, group, weighting)
+    expected = _reference_score_papers(corpus, table, group, weighting)
+    assert scored == expected
+    assert repr(scored) == repr(expected)
+
+
+def test_score_pass_computes_each_value_once_per_key(monkeypatch) -> None:
+    corpus = corpus_from_synth(
+        SynthConfig(
+            fields=(FieldSpec("math", 4.0, 40), FieldSpec("bio", 12.0, 40)),
+            years=(2000, 2003),
+            cross_field_fraction=0.2,
+            multi_category_journal_fraction=1.0,
+            seed=5,
+        )
+    )
+    table = compute_baselines(corpus)
+    group = sorted(corpus.papers)[::2]
+    calls = {"expected": 0, "percentile": 0, "fractional": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        indicators,
+        "expected_citations_with_reason",
+        counting("expected", expected_citations_with_reason),
+    )
+    monkeypatch.setattr(
+        indicators, "combined_percentile", counting("percentile", combined_percentile)
+    )
+    monkeypatch.setattr(
+        indicators, "fractional_score", counting("fractional", fractional_score)
+    )
+    scored = score_papers(corpus, table, group, Weighting.HARMONIC)
+    papers = [corpus.papers[pid] for pid in group]
+    year_keys = {(paper.journal_id, paper.year) for paper in papers}
+    count_keys = {
+        (paper.journal_id, paper.year, corpus.citation_count(paper.id))
+        for paper in papers
+    }
+    assert len(year_keys) < len(count_keys) < len(group)
+    assert calls["expected"] == len(year_keys)
+    assert calls["percentile"] == len(count_keys)
+    # fractional_score stays per paper, over the pass's 1/R table
+    assert calls["fractional"] == sum(p.raw_citation_count is None for p in papers)
+    monkeypatch.undo()
+    assert scored == _reference_score_papers(corpus, table, group, Weighting.HARMONIC)
+
+
+# --- metamorphic checks on real corpus groups --------------------------------
+
+
+# One journal per field; the seed gives some of them several categories.
+METAMORPHIC_CONFIG = SynthConfig(
+    fields=(FieldSpec("math", 4.0, 20), FieldSpec("bio", 15.0, 20), FieldSpec("chem", 8.0, 20)),
+    years=(2000, 2004),
+    cross_field_fraction=0.2,
+    multi_category_journal_fraction=0.5,
+    seed=11,
+)
+
+
+@functools.cache
+def _metamorphic_corpus(window: str):
+    return corpus_from_synth(METAMORPHIC_CONFIG, CitationWindow.parse(window))
+
+
+@functools.cache
+def _scorable_ids(weighting: Weighting) -> tuple[str, ...]:
+    corpus = _metamorphic_corpus("all")
+    table = compute_baselines(corpus)
+    scored = score_papers(corpus, table, corpus.papers, weighting)
+    return tuple(paper.paper_id for paper in scored if paper.scorable)
+
+
+@given(
+    st.sampled_from(list(Weighting)),
+    st.integers(min_value=1, max_value=20),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_adding_one_paper_to_two_equal_groups_never_reverses_their_mncs(
+    weighting, size, rng
+) -> None:
+    corpus = _metamorphic_corpus("all")
+    table = compute_baselines(corpus)
+    drawn = rng.sample(_scorable_ids(weighting), 2 * size + 1)
+    group_a, group_b, added = drawn[:size], drawn[size:-1], drawn[-1]
+
+    def value(ids) -> float:
+        group = GroupSelection.resolve("g", ids, corpus)
+        return score_group(corpus, table, group, weighting).mncs
+
+    before_a, before_b = value(group_a), value(group_b)
+    after_a, after_b = value([*group_a, added]), value([*group_b, added])
+    # A strict order may collapse into a tie under rounding, never reverse.
+    if before_a > before_b:
+        assert after_a >= after_b
+    if before_a < before_b:
+        assert after_a <= after_b
+    if before_a == before_b:
+        assert after_a == after_b
+
+
+@given(
+    st.sampled_from(("all", "years1", "years5")),
+    st.lists(
+        st.lists(st.sampled_from("xyzw"), min_size=1, max_size=3, unique=True),
+        min_size=len(METAMORPHIC_CONFIG.fields),
+        max_size=len(METAMORPHIC_CONFIG.fields),
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_relabelling_categories_leaves_fractional_scores_bit_identical(
+    window, labels
+) -> None:
+    corpus = _metamorphic_corpus(window)
+    journals = list(corpus.journals.values())
+    assert len(journals) == len(labels)
+    relabelled = corpus.with_journals(
+        [
+            Journal(journal.id, journal.title, tuple(categories))
+            for journal, categories in zip(journals, labels)
+        ]
+    )
+    ids = list(corpus.papers)
+    for pid in ids:
+        assert fractional_score(corpus, pid).hex() == fractional_score(
+            relabelled, pid
+        ).hex()
+    passes = [
+        score_papers(scheme, compute_baselines(scheme), ids, Weighting.ARITHMETIC)
+        for scheme in (corpus, relabelled)
+    ]
+    assert [paper.fractional.hex() for paper in passes[0]] == [
+        paper.fractional.hex() for paper in passes[1]
+    ]
