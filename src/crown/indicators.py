@@ -11,12 +11,11 @@ All group statistics run over scorable papers only, with the scorable and
 total counts reported side by side; papers are accumulated in ascending
 paper-id order so results are reproducible bit for bit.
 
-A score pass computes each per-paper value once per key rather than once per
-paper: the expected value (and its unscorable reason) depends only on the
-paper's (journal, year), the combined percentile only on (journal, year,
-citation count), and a citation's fractional weight 1/R only on the citing
-paper. The tables are local to one pass, so two passes, for example under two
-category schemes, share nothing.
+A score pass computes the expected value (and its unscorable reason) once per
+(journal, year) and the combined percentile once per (journal, year, citation
+count), since neither depends on anything else about the paper; the
+fractional score is still computed per paper. The tables are local to one
+pass, so two passes, for example under two category schemes, share nothing.
 """
 
 from __future__ import annotations
@@ -26,11 +25,11 @@ import math
 import statistics
 import warnings
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 
 from .baselines import BaselineTable, FieldYearCell, Weighting, expected_citations_with_reason
-from .corpus import CitationWindow, Corpus, CorpusError, Paper
+from .corpus import CitationWindow, Corpus, CorpusError
 
 
 class DegenerateGroupError(RuntimeError):
@@ -180,12 +179,7 @@ def combined_percentile(corpus: Corpus, table: BaselineTable, paper_id: str) -> 
     return math.fsum(ranks) / len(ranks)
 
 
-def fractional_score(
-    corpus: Corpus,
-    paper_id: str,
-    *,
-    inverse_r: Mapping[str, float] | None = None,
-) -> float | None:
+def fractional_score(corpus: Corpus, paper_id: str) -> float | None:
     """Citing-side fractional citation count: sum of 1/R over citing papers.
 
     R is each citing paper's full reference-list length, so a citation from a
@@ -193,11 +187,6 @@ def fractional_score(
     value depends only on the citation graph, never on any category scheme.
     Papers whose citation count is a stored override have no trustworthy
     citing-side records, so they are excluded (None) with a warning.
-
-    ``inverse_r``, when given, maps every citing id to its 1/R, so that a
-    score pass divides once per citing paper rather than once per edge;
-    ``score_papers`` passes a table that fills itself on first lookup. The
-    sum gets the same addends in the same order either way.
     """
     paper = corpus.papers[paper_id]
     if paper.raw_citation_count is not None:
@@ -207,23 +196,10 @@ def fractional_score(
             stacklevel=2,
         )
         return None
-    citers = corpus.cited_by[paper_id]
-    if inverse_r is not None:
-        return math.fsum(map(inverse_r.__getitem__, citers))
     papers = corpus.papers
-    return math.fsum(1.0 / len(papers[citer].references) for citer in citers)
-
-
-class _InverseReferenceCounts(dict):
-    """Citing id -> 1/R, each entry computed on its first lookup."""
-
-    def __init__(self, papers: Mapping[str, Paper]):
-        super().__init__()
-        self._papers = papers
-
-    def __missing__(self, citer: str) -> float:
-        value = self[citer] = 1.0 / len(self._papers[citer].references)
-        return value
+    return math.fsum(
+        1.0 / len(papers[citer].references) for citer in corpus.cited_by[paper_id]
+    )
 
 
 def score_papers(
@@ -234,18 +210,15 @@ def score_papers(
 ) -> list[ScoredPaper]:
     """Per-paper scores in ascending paper-id order.
 
-    Each value is computed once per key the paper shares with others, in
-    tables that live for this one pass: the expected value and its reason
-    once per (journal, year), the combined percentile once per (journal,
-    year, citation count), and 1/R once per citing paper of the scored
-    papers. ``fractional_score`` still runs once per paper, over that 1/R
-    table. Papers with a citation override get ``fractional=None`` silently;
+    The expected value and its reason are computed once per (journal, year)
+    and the combined percentile once per (journal, year, citation count), in
+    tables that live for this one pass; ``fractional_score`` runs once per
+    paper. Papers with a citation override get ``fractional=None`` silently;
     the group report counts them and warns once.
     """
     papers = corpus.papers
     expected_by_key: dict[tuple[str, int], tuple[float | None, str | None]] = {}
     percentile_by_key: dict[tuple[str, int, int], float] = {}
-    inverse_r = _InverseReferenceCounts(papers)
     scored = []
     for paper_id in sorted(paper_ids):
         paper = papers[paper_id]
@@ -264,7 +237,7 @@ def score_papers(
                 corpus, table, paper_id
             )
         if paper.raw_citation_count is None:
-            fractional = fractional_score(corpus, paper_id, inverse_r=inverse_r)
+            fractional = fractional_score(corpus, paper_id)
         else:
             fractional = None
         scored.append(
