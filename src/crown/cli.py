@@ -370,9 +370,7 @@ def _cmd_indexer(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     if args.journals_b is None:
         scheme_b = primary_only_scheme(scheme_a)
     else:
-        scheme_b, digests[args.journals_b] = read_hashed(
-            args.journals_b, parse_journals, newline=""
-        )
+        scheme_b, digests[args.journals_b] = read_hashed(args.journals_b, parse_journals)
     report = indexer_sensitivity(
         corpus, group, scheme_a, scheme_b, Weighting(args.weighting), top_x=args.top_x
     )

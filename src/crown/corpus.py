@@ -7,6 +7,11 @@ Input formats:
     journals.csv   header ``id,title,categories``; categories pipe-separated,
                    first category is the journal's primary category.
 
+Every input file is UTF-8 and is read by ``read_hashed``, one line at a time.
+Lines end in LF or CRLF; a bare CR does not end a line. A line that is not
+UTF-8, a JSON key repeated within one object and malformed CSV are rejected
+with the line number, like any other malformed line.
+
 Reference keys that match a paper id become citation edges, subject to the
 citation window. Keys that do not resolve stay external: they produce no edge
 but still count toward the citing paper's reference-list length, which is the
@@ -28,12 +33,11 @@ from __future__ import annotations
 import csv
 import gc
 import hashlib
-import io
 import json
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO, TypeVar
+from typing import BinaryIO, TypeVar
 
 _T = TypeVar("_T")
 
@@ -198,9 +202,11 @@ def parse_papers(lines: Iterable[str]) -> list[Paper]:
     canon: dict[str, str] = {}  # one string object per distinct id or key
     for line_no, line in enumerate(lines, start=1):
         try:
-            record = json.loads(line)
+            record = _JSON.decode(line)
         except json.JSONDecodeError as exc:
             raise ParseError(line_no, f"malformed JSON ({exc.msg})") from exc
+        except _DuplicateKeyError as exc:
+            raise ParseError(line_no, f"duplicate key {exc.args[0]!r}") from exc
         except ValueError as exc:  # an integer past the interpreter's digit limit
             raise ParseError(line_no, f"unreadable JSON value ({exc})") from exc
         except RecursionError as exc:
@@ -213,6 +219,25 @@ def parse_papers(lines: Iterable[str]) -> list[Paper]:
         seen.add(paper.id)
         papers.append(paper)
     return papers
+
+
+class _DuplicateKeyError(ValueError):
+    """A JSON object names one key twice; ``args[0]`` is the key."""
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """Build a JSON object, refusing a key that appears twice in it."""
+    record = dict(pairs)
+    if len(record) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _DuplicateKeyError(key)
+            seen.add(key)
+    return record
+
+
+_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def _paper_from_record(record: dict, line_no: int, canon: dict[str, str]) -> Paper:
@@ -256,6 +281,14 @@ def _paper_from_record(record: dict, line_no: int, canon: dict[str, str]) -> Pap
 def parse_journals(lines: Iterable[str]) -> list[Journal]:
     """Parse the journals CSV (header ``id,title,categories``)."""
     reader = csv.reader(lines)
+    try:
+        return _journals_from_rows(reader)
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, f"malformed CSV ({exc})") from exc
+
+
+def _journals_from_rows(reader) -> list[Journal]:
+    """Journals from a ``csv.reader``, whose ``line_num`` numbers the errors."""
     journals: list[Journal] = []
     seen: set[str] = set()
     header = next(reader, None)
@@ -345,9 +378,7 @@ def load_corpus(
     gc.disable()
     try:
         papers, papers_digest = read_hashed(papers_path, parse_papers)
-        journals, journals_digest = read_hashed(
-            journals_path, parse_journals, newline=""
-        )
+        journals, journals_digest = read_hashed(journals_path, parse_journals)
         if digests is not None:
             digests[str(papers_path)] = papers_digest
             digests[str(journals_path)] = journals_digest
@@ -358,47 +389,37 @@ def load_corpus(
 
 
 def read_hashed(
-    path: str | Path,
-    parse: Callable[[TextIO], _T],
-    newline: str | None = None,
+    path: str | Path, parse: Callable[[Iterator[str]], _T]
 ) -> tuple[_T, str]:
-    """Parse a UTF-8 text file and return the SHA-256 of the bytes parsed.
+    """Parse a UTF-8 text file and return the SHA-256 of its bytes.
 
-    The file is streamed once: every chunk the text layer reads is hashed on
-    its way to the parser, and whatever the parser leaves unread is hashed at
-    the end, so the digest covers the whole file. A leading byte-order mark
-    is dropped before parsing but hashed like every other byte. ``newline``
-    has the meaning it has for ``open``.
+    ``parse`` receives the file's lines, each decoded on its own and ending
+    in the LF or CRLF it was written with; a bare CR does not end a line.
+    Every line is hashed as it is read, and whatever ``parse`` leaves unread
+    is hashed at the end, so the digest covers the whole file. A leading
+    byte-order mark is dropped before parsing but hashed like every other
+    byte. A line that is not UTF-8 raises ``ParseError`` with its number.
     """
-    hashing = _HashingReader(open(path, "rb", buffering=0))
-    with io.TextIOWrapper(
-        io.BufferedReader(hashing), encoding="utf-8-sig", newline=newline
-    ) as handle:
-        result = parse(handle)
-        while hashing.read(io.DEFAULT_BUFFER_SIZE):
-            pass
-        return result, hashing.sha256.hexdigest()
+    sha256 = hashlib.sha256()
+    with open(path, "rb") as handle:
+        result = parse(_decoded_lines(handle, sha256.update))
+        for raw_line in handle:
+            sha256.update(raw_line)
+    return result, sha256.hexdigest()
 
 
-class _HashingReader(io.RawIOBase):
-    """Raw binary reader that feeds every byte it returns into a SHA-256."""
-
-    def __init__(self, raw: io.FileIO):
-        self._raw = raw
-        self.sha256 = hashlib.sha256()
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        count = self._raw.readinto(buffer)
-        if count:
-            self.sha256.update(memoryview(buffer)[:count])
-        return count
-
-    def close(self) -> None:
-        self._raw.close()
-        super().close()
+def _decoded_lines(
+    handle: BinaryIO, update: Callable[[bytes], object]
+) -> Iterator[str]:
+    encoding = "utf-8-sig"  # line 1 only: drop a byte-order mark
+    for line_no, raw_line in enumerate(handle, start=1):
+        update(raw_line)
+        try:
+            line = raw_line.decode(encoding)
+        except UnicodeDecodeError as exc:
+            raise ParseError(line_no, f"not UTF-8 ({exc})") from exc
+        encoding = "utf-8"
+        yield line
 
 
 def _journal_map(journals: Sequence[Journal]) -> dict[str, Journal]:

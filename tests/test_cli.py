@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import os
 import random
@@ -9,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crown.cli import main
 
@@ -354,6 +359,73 @@ def test_undecodable_papers_line_is_input_error_with_line_number(tmp_path, line)
     assert result.stdout == ""
 
 
+def _crown_subprocess(*argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "crown", *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+
+
+# A small valid corpus, one bytes object per line, named like the files the
+# tests write: LF and CRLF line ends, a quoted CRLF inside a CSV field, an
+# external key, a citation override, a group comment and a blank line.
+SMALL_INPUT_LINES = {
+    "papers": (
+        b'{"id":"p1","year":2005,"journal":"j","references":[]}\n',
+        b'{"id":"p2","year":2005,"journal":"k","references":["p1","x:1"]}\r\n',
+        b'{"id":"p3","year":2006,"journal":"j","references":["p1","p2"]}\n',
+        b'{"id":"p4","year":2006,"journal":"k","references":["p3"],"citations":3}\n',
+    ),
+    "journals": (b"id,title,categories\n", b"j,J,a|b\n", b'k,"K, the\r\nsecond",b\n'),
+    "journals-b": (b"id,title,categories\r\n", b"j,J,a\r\n", b"k,K,a\r\n"),
+    "group": (b"# group\n", b"p1\n", b"\n", b"p3\n"),
+}
+
+
+def _write_small_inputs(
+    directory: Path, replaced: dict[str, bytes] | None = None
+) -> dict[str, Path]:
+    """Write the small corpus; ``replaced`` maps a file name to other bytes."""
+    paths = {}
+    for name, lines in SMALL_INPUT_LINES.items():
+        paths[name] = directory / name
+        paths[name].write_bytes((replaced or {}).get(name, b"".join(lines)))
+    return paths
+
+
+@pytest.mark.parametrize("which", ["papers", "journals", "group", "journals-b"])
+def test_non_utf8_byte_is_input_error_with_line_number(tmp_path, which) -> None:
+    lines = list(SMALL_INPUT_LINES[which])
+    lines[1] = lines[1].replace(b"\n", b"\xff\n")
+    paths = _write_small_inputs(tmp_path, {which: b"".join(lines)})
+    result = _crown_subprocess(
+        "diagnose", "indexer", "--papers", str(paths["papers"]),
+        "--journals", str(paths["journals"]), "--group", str(paths["group"]),
+        "--journals-b", str(paths["journals-b"]),
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("crown: error: line 2: not UTF-8 ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("row", [
+    b"j," + b"x" * 131_073 + b",a\n",  # past the csv module's field size limit
+    b"j,J\rK,a\n",  # a bare CR does not end a line, and is not allowed unquoted
+], ids=["field-over-limit", "unquoted-bare-cr"])
+def test_malformed_csv_is_input_error_with_line_number(tmp_path, row) -> None:
+    paths = _write_small_inputs(tmp_path, {"journals": b"id,title,categories\n" + row})
+    result = _crown_subprocess(
+        "ingest", "--papers", str(paths["papers"]), "--journals", str(paths["journals"])
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("crown: error: line 2: ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("years", ["1850-1851", "2100-2101"])
 def test_synth_years_outside_the_corpus_range_are_input_error(
     tmp_path, capsys, years
@@ -630,3 +702,82 @@ def test_reports_do_not_depend_on_input_line_order(demo, tmp_path, capsys) -> No
     _shuffle_lines(journals, rng, keep_header=True)
     assert (papers.read_bytes(), journals.read_bytes()) != original
     assert reports() == before
+
+
+FUZZ_COMMANDS = (
+    ("ingest",),
+    ("score", "--group", "group"),
+    ("diagnose", "indexer", "--group", "group", "--journals-b", "journals-b"),
+)
+# Bytes that occur nowhere in UTF-8 text.
+NEVER_UTF8 = st.sampled_from([bytes([b]) for b in (0xC0, 0xC1, *range(0xF5, 0x100))])
+
+
+def _any_bytes(max_size: int) -> st.SearchStrategy[bytes]:
+    return st.one_of(
+        st.binary(max_size=max_size),
+        st.text(max_size=max_size).map(lambda text: text.encode("utf-8")),
+    )
+
+
+@st.composite
+def fuzzed_file(draw, lines: tuple[bytes, ...]) -> bytes:
+    """Arbitrary bytes, or a valid file with one line replaced by arbitrary bytes."""
+    if draw(st.booleans()):
+        return draw(_any_bytes(200))
+    replaced = list(lines)
+    replaced[draw(st.integers(0, len(lines) - 1))] = draw(_any_bytes(60))
+    return b"".join(replaced)
+
+
+def _main_in_process(paths: dict[str, Path], command: tuple[str, ...]) -> tuple[int, str]:
+    """Run main() on the small-corpus files; return its exit code and stderr."""
+    argv = [str(paths.get(arg, arg))
+            for arg in (*command, "--papers", "papers", "--journals", "journals")]
+    argv += ["--out", str(paths["papers"].with_name("out"))]
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    finally:
+        gc.unfreeze()  # main() freezes each loaded corpus; let this process collect
+    return code, stderr.getvalue()
+
+
+def _assert_clean_outcome(code: int, stderr: str) -> None:
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert stderr.startswith("crown: error: ")
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")
+
+
+def test_small_corpus_runs_cleanly_in_process(tmp_path) -> None:
+    paths = _write_small_inputs(tmp_path)
+    for command in FUZZ_COMMANDS:
+        assert _main_in_process(paths, command) == (0, "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.sampled_from(sorted(SMALL_INPUT_LINES)), data=st.data())
+def test_main_survives_arbitrary_input_bytes(which, data, tmp_path_factory) -> None:
+    fuzzed = data.draw(fuzzed_file(SMALL_INPUT_LINES[which]))
+    paths = _write_small_inputs(tmp_path_factory.mktemp("fuzz"), {which: fuzzed})
+    for command in FUZZ_COMMANDS:
+        _assert_clean_outcome(*_main_in_process(paths, command))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    line_index=st.integers(0, len(SMALL_INPUT_LINES["papers"]) - 1),
+    garbage=st.tuples(st.binary(max_size=30), NEVER_UTF8, st.binary(max_size=30)),
+    command=st.sampled_from(FUZZ_COMMANDS),
+)
+def test_main_names_the_papers_line_that_is_not_utf8(
+    line_index, garbage, command, tmp_path_factory
+) -> None:
+    papers = list(SMALL_INPUT_LINES["papers"])
+    papers[line_index] = b"".join(garbage).replace(b"\n", b"") + b"\n"
+    paths = _write_small_inputs(tmp_path_factory.mktemp("fuzz"), {"papers": b"".join(papers)})
+    code, stderr = _main_in_process(paths, command)
+    assert code == 1
+    assert stderr.startswith(f"crown: error: line {line_index + 1}: not UTF-8 ")

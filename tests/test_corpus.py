@@ -65,6 +65,10 @@ def test_parse_papers_rejects_self_reference() -> None:
         ('{"id":"p1","year":2005,"journal":"j1","references":[3]}', "list of strings"),
         ('{"id":"p1","year":2005,"journal":"j1","references":[],"citations":-1}', "non-negative"),
         ("[1,2]", "expected a JSON object"),
+        ('{"id":"p1","id":"p9","year":2005,"journal":"j1","references":[]}',
+         "^line 1: duplicate key 'id'$"),
+        ('{"id":"p1","year":2005,"journal":"j1","references":[],"x":{"a":1,"a":2}}',
+         "^line 1: duplicate key 'a'$"),
     ],
 )
 def test_parse_papers_aborts_on_bad_records(line: str, match: str) -> None:
@@ -234,8 +238,8 @@ def test_window_parse_round_trip() -> None:
 def test_load_corpus_reads_files(tmp_path) -> None:
     papers_path = tmp_path / "papers.jsonl"
     journals_path = tmp_path / "journals.csv"
-    # CRLF line ends: universal newlines for JSONL, newline="" for the CSV,
-    # so a quoted CRLF inside a CSV field survives as written
+    # CRLF line ends: every line keeps its CRLF, which JSON reads as
+    # whitespace, and a quoted CRLF inside a CSV field survives as written
     papers_path.write_bytes(
         b'{"id":"p1","year":2005,"journal":"jvr","references":[]}\r\n'
         b'{"id":"p2","year":2006,"journal":"circ","references":["p1"]}\r\n'
@@ -255,10 +259,25 @@ def test_load_corpus_reads_files(tmp_path) -> None:
     }
 
 
+def test_bare_cr_does_not_end_a_line(tmp_path) -> None:
+    # JSON Lines ends records with LF (CRLF is read as LF plus whitespace);
+    # a file whose records end in a bare CR is one line holding them all
+    papers_path = tmp_path / "papers.jsonl"
+    journals_path = tmp_path / "journals.csv"
+    papers_path.write_bytes(
+        b'{"id":"p1","year":2005,"journal":"jvr","references":[]}\r'
+        b'{"id":"p2","year":2006,"journal":"circ","references":["p1"]}\r'
+    )
+    journals_path.write_text(CARDIOLOGY_JOURNALS_CSV, encoding="utf-8")
+    with pytest.raises(ParseError) as exc_info:
+        load_corpus(papers_path, journals_path)
+    assert str(exc_info.value) == "line 1: malformed JSON (Extra data)"
+
+
 def test_read_hashed_covers_bytes_the_parser_left_unread(tmp_path) -> None:
     path = tmp_path / "big.txt"
     path.write_bytes(b"first line\n" + b"x" * 200_000 + b"\nlast\n")
-    first, digest = read_hashed(path, lambda handle: handle.readline())
+    first, digest = read_hashed(path, next)
     assert first == "first line\n"
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
