@@ -73,18 +73,25 @@ class BaselineTable:
 def compute_baselines(corpus: Corpus) -> BaselineTable:
     """Build the cell table in one pass over the papers, in corpus order.
 
-    Each cell's counts are sorted and its mean is an exact integer sum over
-    n, so the order in which papers are visited cannot change a cell.
+    Counts are collected per (journal, year) first, then added to each of the
+    journal's categories once per key. Each cell's counts are sorted and its
+    mean is an exact integer sum over n, so the order in which papers are
+    visited cannot change a cell.
     """
-    per_cell: dict[tuple[str, int], list[int]] = {}
+    per_key: dict[tuple[str, int], list[int]] = {}
     cited_by = corpus.cited_by
+    for paper_id, year, journal_id, _, override in corpus.papers.values():
+        count = len(cited_by[paper_id]) if override is None else override
+        counts = per_key.get((journal_id, year))
+        if counts is None:
+            per_key[(journal_id, year)] = [count]
+        else:
+            counts.append(count)
+    per_cell: dict[tuple[str, int], list[int]] = {}
     journals = corpus.journals
-    for paper in corpus.papers.values():
-        count = paper.raw_citation_count  # Corpus.citation_count, inlined
-        if count is None:
-            count = len(cited_by[paper.id])
-        for category in journals[paper.journal_id].categories:
-            per_cell.setdefault((category, paper.year), []).append(count)
+    for (journal_id, year), counts in per_key.items():
+        for category in journals[journal_id].categories:
+            per_cell.setdefault((category, year), []).extend(counts)
     cells = {
         (category, year): FieldYearCell(category, year, tuple(sorted(counts)))
         for (category, year), counts in per_cell.items()

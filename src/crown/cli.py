@@ -47,6 +47,7 @@ from .corpus import (
     CitationWindow,
     Corpus,
     CorpusError,
+    ParseError,
     load_corpus,
     parse_journals,
     read_hashed,
@@ -479,17 +480,31 @@ def _load(args: argparse.Namespace, digests: dict[str, str]) -> Corpus:
 
 
 def _read_group(path: str, corpus: Corpus, digests: dict[str, str]) -> GroupSelection:
-    ids, digests[path] = read_hashed(path, _group_ids)
-    return GroupSelection.resolve(Path(path).stem, ids, corpus)
+    name = Path(path).stem
+    ids, digests[path] = read_hashed(
+        path, lambda lines: _group_ids(name, lines, corpus)
+    )
+    return GroupSelection.resolve(name, ids, corpus)
 
 
-def _group_ids(handle: Iterable[str]) -> list[str]:
-    ids = []
-    for raw_line in handle:
-        line = raw_line.strip()
-        if line and not line.startswith("#"):
-            ids.append(line)
-    return ids
+def _group_ids(name: str, lines: Iterable[str], corpus: Corpus) -> list[str]:
+    """The ids of a group file; an unknown or repeated id is rejected with
+    its line number."""
+    first_line: dict[str, int] = {}
+    for line_no, raw_line in enumerate(lines, start=1):
+        paper_id = raw_line.strip()
+        if not paper_id or paper_id.startswith("#"):
+            continue
+        if paper_id not in corpus.papers:
+            raise ParseError(line_no, f"group {name!r}: unknown paper {paper_id!r}")
+        if paper_id in first_line:
+            raise ParseError(
+                line_no,
+                f"group {name!r} lists paper {paper_id!r} twice "
+                f"(first on line {first_line[paper_id]})",
+            )
+        first_line[paper_id] = line_no
+    return list(first_line)
 
 
 def _fmt(value: object) -> str:

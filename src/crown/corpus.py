@@ -26,6 +26,10 @@ it rescan the growing corpus every few hundred allocations, and restores the
 caller's setting afterwards. Within one parse, every occurrence of a paper id
 (as an id or as a reference key) is the same string object, which saves
 memory and lets the graph build match keys by identity.
+
+``Paper`` is a named tuple, the cheapest immutable record to build once per
+input line: it compares equal to the tuple of its fields and unpacks like
+one, and ``_replace`` checks the new record like a call does.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import json
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, TypeVar
+from typing import BinaryIO, NamedTuple, TypeVar
 
 _T = TypeVar("_T")
 
@@ -57,29 +61,50 @@ class ParseError(CorpusError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True, slots=True)
-class Paper:
-    """One paper record; its own invariants are checked on construction."""
-
+class _PaperFields(NamedTuple):
     id: str
     year: int
     journal_id: str
     references: tuple[str, ...] = ()
     raw_citation_count: int | None = None
 
-    def __post_init__(self) -> None:
-        if not self.id:
+
+class Paper(_PaperFields):
+    """One paper record; its own invariants are checked on construction.
+
+    A named tuple: it compares equal to the tuple of its fields and unpacks
+    like one. Every way of building one (a call, ``_make``, ``_replace``,
+    unpickling) goes through ``__new__`` and so runs the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: str,
+        year: int,
+        journal_id: str,
+        references: tuple[str, ...] = (),
+        raw_citation_count: int | None = None,
+    ) -> Paper:
+        if not id:
             raise CorpusError("paper id must be a non-empty string")
-        if not YEAR_MIN <= self.year <= YEAR_MAX:
+        if not YEAR_MIN <= year <= YEAR_MAX:
             raise CorpusError(
-                f"paper {self.id!r}: year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}]"
+                f"paper {id!r}: year {year} outside [{YEAR_MIN}, {YEAR_MAX}]"
             )
-        if self.id in self.references:
-            raise CorpusError(f"paper {self.id!r} references itself")
-        if self.raw_citation_count is not None and self.raw_citation_count < 0:
-            raise CorpusError(
-                f"paper {self.id!r}: citation override must be non-negative"
-            )
+        if id in references:
+            raise CorpusError(f"paper {id!r} references itself")
+        if raw_citation_count is not None and raw_citation_count < 0:
+            raise CorpusError(f"paper {id!r}: citation override must be non-negative")
+        return tuple.__new__(cls, (id, year, journal_id, references, raw_citation_count))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Paper:
+        return cls(*iterable)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self)
 
 
 @dataclass(frozen=True)
@@ -248,27 +273,27 @@ def _paper_from_record(record: dict, line_no: int, canon: dict[str, str]) -> Pap
     is local to one parse rather than ``sys.intern``, whose strings are
     immortal on CPython 3.12, so the strings die with the corpus.
     """
-    for field_name in ("id", "year", "journal", "references"):
-        if field_name not in record:
-            raise ParseError(line_no, f"missing required field {field_name!r}")
-    paper_id = record["id"]
-    if not isinstance(paper_id, str):
+    try:
+        paper_id = record["id"]
+        year = record["year"]
+        journal_id = record["journal"]
+        references = record["references"]
+    except KeyError as exc:
+        raise ParseError(line_no, f"missing required field {exc.args[0]!r}") from exc
+    # A decoded JSON value has an exact type, so ``type(x) is int`` also
+    # rejects a bool.
+    if type(paper_id) is not str:
         raise ParseError(line_no, "field 'id' must be a string")
-    year = record["year"]
-    if isinstance(year, bool) or not isinstance(year, int):
+    if type(year) is not int:
         raise ParseError(line_no, "field 'year' must be an integer")
-    journal_id = record["journal"]
-    if not isinstance(journal_id, str) or not journal_id:
+    if type(journal_id) is not str or not journal_id:
         raise ParseError(line_no, "field 'journal' must be a non-empty string")
-    references = record["references"]
-    if not isinstance(references, list) or not all(
+    if type(references) is not list or not all(
         map(str.__instancecheck__, references)
     ):
         raise ParseError(line_no, "field 'references' must be a list of strings")
     citations = record.get("citations")
-    if citations is not None and (
-        isinstance(citations, bool) or not isinstance(citations, int)
-    ):
+    if citations is not None and type(citations) is not int:
         raise ParseError(line_no, "field 'citations' must be an integer")
     paper_id = canon.setdefault(paper_id, paper_id)
     references = tuple(map(canon.setdefault, references, references))
@@ -284,7 +309,14 @@ def parse_journals(lines: Iterable[str]) -> list[Journal]:
     try:
         return _journals_from_rows(reader)
     except csv.Error as exc:
-        raise ParseError(reader.line_num, f"malformed CSV ({exc})") from exc
+        message = str(exc)
+        if message.startswith("new-line character seen in unquoted field"):
+            # Lines are split at LF only, so the new-line is a bare CR; the
+            # csv module's own hint names an open() mode crown does not expose.
+            message = (
+                "unquoted carriage return: quote the field or end lines in LF or CRLF"
+            )
+        raise ParseError(reader.line_num, f"malformed CSV ({message})") from exc
 
 
 def _journals_from_rows(reader) -> list[Journal]:
@@ -323,32 +355,39 @@ def build_corpus(
     the (cited year, citing year) pair; repeated keys within one reference
     list yield at most one edge per citing paper. Unresolved keys are kept
     only implicitly, through the citing paper's reference-list length.
+
+    A duplicate id or an unresolved journal raises ``ParseError`` numbered by
+    the paper's 1-based position in ``papers``, which is its papers-file line
+    when ``papers`` came from ``parse_papers``.
     """
     if not papers:
         raise CorpusError("corpus has no papers")
     journal_map = _journal_map(journals)
     paper_map: dict[str, Paper] = {}
-    for paper in papers:
-        if paper.id in paper_map:
-            raise CorpusError(f"duplicate paper id {paper.id!r}")
-        if paper.journal_id not in journal_map:
-            raise CorpusError(
-                f"paper {paper.id!r} has unresolved journal {paper.journal_id!r}"
+    for line_no, paper in enumerate(papers, start=1):
+        paper_id, _, journal_id, _, _ = paper
+        if paper_id in paper_map:
+            raise ParseError(line_no, f"duplicate paper id {paper_id!r}")
+        if journal_id not in journal_map:
+            raise ParseError(
+                line_no, f"paper {paper_id!r} has unresolved journal {journal_id!r}"
             )
-        paper_map[paper.id] = paper
-    cited_by_lists: dict[str, list[str]] = {pid: [] for pid in paper_map}
+        paper_map[paper_id] = paper
+    # Each citer list becomes a tuple in place once the edges are in.
+    cited_by: dict = {pid: [] for pid in paper_map}
     every_year = window.years is None
-    for citing in paper_map.values():
-        citing_id = citing.id
-        citing_year = citing.year
-        # dict.fromkeys drops repeated keys and keeps first-occurrence order
-        for ref in dict.fromkeys(citing.references):
-            citers = cited_by_lists.get(ref)
-            if citers is not None and (
-                every_year or window.admits(paper_map[ref].year, citing_year)
+    for citing_id, citing_year, _, references, _ in paper_map.values():
+        for ref in references:
+            citers = cited_by.get(ref)
+            # A repeated key finds this paper already last in its citer list.
+            if (
+                citers is not None
+                and (not citers or citers[-1] is not citing_id)
+                and (every_year or window.admits(paper_map[ref].year, citing_year))
             ):
                 citers.append(citing_id)
-    cited_by = {pid: tuple(citers) for pid, citers in cited_by_lists.items()}
+    for pid, citers in cited_by.items():
+        cited_by[pid] = tuple(citers)
     return Corpus(paper_map, journal_map, cited_by, window)
 
 

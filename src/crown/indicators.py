@@ -16,6 +16,8 @@ A score pass computes the expected value (and its unscorable reason) once per
 count), since neither depends on anything else about the paper; the
 fractional score is still computed per paper. The tables are local to one
 pass, so two passes, for example under two category schemes, share nothing.
+Each paper's scores are a ``ScoredPaper`` named tuple, which compares equal
+to the tuple of its fields and unpacks like one.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import warnings
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .baselines import BaselineTable, FieldYearCell, Weighting, expected_citations_with_reason
 from .corpus import CitationWindow, Corpus, CorpusError
@@ -68,8 +71,10 @@ class GroupSelection:
         return cls(name, ids)
 
 
-@dataclass(frozen=True)
-class ScoredPaper:
+class ScoredPaper(NamedTuple):
+    """One paper's scores from a score pass; a named tuple, so it compares
+    equal to the tuple of its fields and unpacks like one."""
+
     paper_id: str
     citations: int
     expected: float | None
@@ -217,39 +222,40 @@ def score_papers(
     the group report counts them and warns once.
     """
     papers = corpus.papers
+    cited_by = corpus.cited_by
     expected_by_key: dict[tuple[str, int], tuple[float | None, str | None]] = {}
     percentile_by_key: dict[tuple[str, int, int], float] = {}
     scored = []
     for paper_id in sorted(paper_ids):
-        paper = papers[paper_id]
-        citations = corpus.citation_count(paper_id)
-        key = (paper.journal_id, paper.year)
+        _, year, journal_id, _, override = papers[paper_id]
+        citations = len(cited_by[paper_id]) if override is None else override
+        key = (journal_id, year)
         expected_and_reason = expected_by_key.get(key)
         if expected_and_reason is None:
             expected_and_reason = expected_by_key[key] = (
                 expected_citations_with_reason(corpus, table, paper_id, weighting)
             )
         expected, reason = expected_and_reason
-        percentile_key = (paper.journal_id, paper.year, citations)
+        percentile_key = (journal_id, year, citations)
         percentile = percentile_by_key.get(percentile_key)
         if percentile is None:
             percentile = percentile_by_key[percentile_key] = combined_percentile(
                 corpus, table, paper_id
             )
-        if paper.raw_citation_count is None:
+        if override is None:
             fractional = fractional_score(corpus, paper_id)
         else:
             fractional = None
         scored.append(
             ScoredPaper(
-                paper_id=paper_id,
-                citations=citations,
-                expected=expected,
-                ncs=None if expected is None else citations / expected,
-                percentile=percentile,
-                fractional=fractional,
-                scorable=expected is not None,
-                unscorable_reason=reason,
+                paper_id,
+                citations,
+                expected,
+                None if expected is None else citations / expected,
+                percentile,
+                fractional,
+                expected is not None,
+                reason,
             )
         )
     return scored

@@ -16,7 +16,7 @@ from crown.baselines import (
     expected_citations_with_reason,
 )
 from crown.cli import main
-from crown.corpus import Journal, Paper, build_corpus
+from crown.corpus import CitationWindow, Journal, Paper, build_corpus
 from crown.indicators import score_papers
 
 from conftest import corpus_from_text
@@ -255,3 +255,61 @@ def test_tsv_export_shape(tmp_path) -> None:
     assert lines[0] == "category\tyear\tn\tmean_citations"
     assert lines[1] == "F\t2005\t3\t2.0"
     assert len(lines) == 1 + len(table.cells)
+
+
+# --- the cell table against a per-paper reference build -------------------
+
+
+def _reference_cells(corpus) -> dict:
+    """The plain build: each paper's count added to each of its cells."""
+    per_cell: dict = {}
+    for paper_id, paper in corpus.papers.items():
+        for category in corpus.categories_of(paper_id):
+            per_cell.setdefault((category, paper.year), []).append(
+                corpus.citation_count(paper_id)
+            )
+    return {
+        (category, year): FieldYearCell(category, year, tuple(sorted(counts)))
+        for (category, year), counts in per_cell.items()
+    }
+
+
+# Two of the four journals are in several categories and share categories
+# with the others; short reference lists, a narrow year span and the
+# one-year window leave many cells all zero; some papers carry an override.
+CELL_JOURNALS = [
+    Journal("j1", "One", ("a",)),
+    Journal("j2", "Two", ("b", "a")),
+    Journal("j3", "Three", ("c",)),
+    Journal("j4", "Four", ("c", "a", "b")),
+]
+
+
+@st.composite
+def cell_case(draw):
+    n = draw(st.integers(min_value=1, max_value=16))
+    ids = [f"p{i:02d}" for i in range(n)]
+    papers = []
+    for pid in ids:
+        refs = draw(st.lists(st.sampled_from(ids + ["ext:a"]), max_size=3))
+        papers.append(
+            Paper(
+                pid,
+                draw(st.integers(min_value=2000, max_value=2003)),
+                draw(st.sampled_from([journal.id for journal in CELL_JOURNALS])),
+                tuple(ref for ref in refs if ref != pid),
+                draw(st.one_of(st.none(), st.none(), st.integers(0, 3))),
+            )
+        )
+    window = draw(st.sampled_from([CitationWindow.all(), CitationWindow.fixed_years(1)]))
+    return build_corpus(papers, CELL_JOURNALS, window)
+
+
+@given(cell_case())
+@settings(max_examples=300)
+def test_compute_baselines_matches_the_per_paper_reference_build(corpus) -> None:
+    cells = compute_baselines(corpus).cells
+    expected = _reference_cells(corpus)
+    assert list(cells.items()) == list(expected.items())
+    for key, cell in cells.items():
+        assert cell.mean_citations == expected[key].mean_citations

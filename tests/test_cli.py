@@ -411,17 +411,51 @@ def test_non_utf8_byte_is_input_error_with_line_number(tmp_path, which) -> None:
     assert result.stdout == ""
 
 
-@pytest.mark.parametrize("row", [
-    b"j," + b"x" * 131_073 + b",a\n",  # past the csv module's field size limit
-    b"j,J\rK,a\n",  # a bare CR does not end a line, and is not allowed unquoted
+@pytest.mark.parametrize("row,message", [
+    # past the csv module's field size limit
+    (b"j," + b"x" * 131_073 + b",a\n", "malformed CSV ("),
+    # a bare CR does not end a line, and is not allowed unquoted
+    (b"j,J\rK,a\n", "malformed CSV (unquoted carriage return: "
+                     "quote the field or end lines in LF or CRLF)\n"),
 ], ids=["field-over-limit", "unquoted-bare-cr"])
-def test_malformed_csv_is_input_error_with_line_number(tmp_path, row) -> None:
+def test_malformed_csv_is_input_error_with_line_number(tmp_path, row, message) -> None:
     paths = _write_small_inputs(tmp_path, {"journals": b"id,title,categories\n" + row})
     result = _crown_subprocess(
         "ingest", "--papers", str(paths["papers"]), "--journals", str(paths["journals"])
     )
     assert result.returncode == 1
-    assert result.stderr.startswith("crown: error: line 2: ")
+    assert result.stderr.startswith("crown: error: line 2: " + message)
+    assert "universal-newline" not in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+_UNRESOLVED_JOURNAL_PAPERS = b"".join(
+    line.replace(b'"journal":"j"', b'"journal":"zz"') if line.startswith(b'{"id":"p3"')
+    else line
+    for line in SMALL_INPUT_LINES["papers"]
+)
+
+
+@pytest.mark.parametrize("command,replaced,message", [
+    ("ingest", {"papers": _UNRESOLVED_JOURNAL_PAPERS},
+     "line 3: paper 'p3' has unresolved journal 'zz'"),
+    ("score", {"papers": _UNRESOLVED_JOURNAL_PAPERS},
+     "line 3: paper 'p3' has unresolved journal 'zz'"),
+    ("score", {"group": b"# group\np1\n\nghost\n"},
+     "line 4: group 'group': unknown paper 'ghost'"),
+    ("score", {"group": b"# group\np3\np1\np3\n"},
+     "line 4: group 'group' lists paper 'p3' twice (first on line 2)"),
+], ids=["ingest-unresolved-journal", "score-unresolved-journal",
+        "score-unknown-group-id", "score-repeated-group-id"])
+def test_cross_record_error_names_its_line(tmp_path, command, replaced, message) -> None:
+    paths = _write_small_inputs(tmp_path, replaced)
+    argv = [command, "--papers", str(paths["papers"]), "--journals", str(paths["journals"])]
+    if command == "score":
+        argv += ["--group", str(paths["group"])]
+    result = _crown_subprocess(*argv)
+    assert result.returncode == 1
+    assert result.stderr == f"crown: error: {message}\n"
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
 

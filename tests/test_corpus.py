@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from crown.baselines import compute_baselines
 from crown.corpus import (
+    YEAR_MAX,
+    YEAR_MIN,
     CitationWindow,
     CorpusError,
     Journal,
@@ -103,6 +106,92 @@ def test_record_invariant_errors_carry_the_line_number() -> None:
     with pytest.raises(ParseError, match="^line 3: .*repeats a category") as exc_info:
         parse_journals(["id,title,categories", "j1,A,x", "j2,B,y|y"])
     assert exc_info.value.line_no == 3
+
+
+# Each flaw breaks one of the four ``Paper`` invariants, with its message.
+PAPER_FLAWS = {
+    None: None,
+    "empty id": "^paper id must be a non-empty string$",
+    "year": r"^paper .+: year -?\d+ outside \[1900, 2100\]$",
+    "self reference": "^paper .+ references itself$",
+    "negative override": "^paper .+: citation override must be non-negative$",
+}
+
+
+@st.composite
+def paper_fields(draw):
+    """Five field values, valid or with one flaw; returns (fields, flaw)."""
+    paper_id = draw(st.text(min_size=1, max_size=6))
+    year = draw(st.integers(min_value=YEAR_MIN, max_value=YEAR_MAX))
+    journal_id = draw(st.text(min_size=1, max_size=4))
+    references = [
+        ref for ref in draw(st.lists(st.text(max_size=4), max_size=4)) if ref != paper_id
+    ]
+    override = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=50)))
+    flaw = draw(st.sampled_from(list(PAPER_FLAWS)))
+    if flaw == "empty id":
+        paper_id = ""
+    elif flaw == "year":
+        year = draw(
+            st.one_of(
+                st.integers(max_value=YEAR_MIN - 1), st.integers(min_value=YEAR_MAX + 1)
+            )
+        )
+    elif flaw == "self reference":
+        references.insert(draw(st.integers(0, len(references))), paper_id)
+    elif flaw == "negative override":
+        override = draw(st.integers(max_value=-1))
+    return (paper_id, year, journal_id, tuple(references), override), flaw
+
+
+def _unchecked_paper(fields) -> Paper:
+    """A ``Paper`` built without its checks, as a stale pickle might hold."""
+    return tuple.__new__(Paper, fields)
+
+
+PAPER_BUILDERS = {
+    "call": lambda fields: Paper(*fields),
+    "keywords": lambda fields: Paper(**dict(zip(Paper._fields, fields))),
+    "_make": Paper._make,
+    "_replace": lambda fields: Paper("v", 2000, "jv")._replace(
+        **dict(zip(Paper._fields, fields))
+    ),
+    **{
+        f"pickle protocol {protocol}": (
+            lambda fields, protocol=protocol: pickle.loads(
+                pickle.dumps(_unchecked_paper(fields), protocol)
+            )
+        )
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    },
+}
+
+
+@given(paper_fields())
+@settings(max_examples=200)
+def test_every_way_of_building_a_paper_runs_its_checks(case) -> None:
+    fields, flaw = case
+    messages = set()
+    for builder in PAPER_BUILDERS.values():
+        if flaw is None:
+            paper = builder(fields)
+            assert type(paper) is Paper
+            assert paper == fields
+        else:
+            with pytest.raises(CorpusError, match=PAPER_FLAWS[flaw]) as exc_info:
+                builder(fields)
+            messages.add(str(exc_info.value))
+    assert len(messages) == (flaw is not None)
+
+
+def test_paper_is_immutable_and_keeps_the_dataclass_repr() -> None:
+    paper = Paper("p1", 2005, "j1", ("p2",))
+    with pytest.raises(AttributeError):
+        paper.year = 2006  # type: ignore[misc]
+    assert repr(paper) == (
+        "Paper(id='p1', year=2005, journal_id='j1', references=('p2',), "
+        "raw_citation_count=None)"
+    )
 
 
 def test_parse_journals_cardiology_fixture() -> None:
@@ -205,6 +294,15 @@ def test_citation_count_unknown_paper() -> None:
 def test_build_corpus_rejects_unresolved_journal() -> None:
     with pytest.raises(CorpusError, match="unresolved journal"):
         build_corpus([Paper("p1", 2000, "nope", ())], [Journal("j1", "J", ("cat",))])
+
+
+def test_build_corpus_errors_name_the_position_of_the_paper() -> None:
+    journals = [Journal("j1", "J", ("cat",))]
+    first = Paper("p1", 2000, "j1", ())
+    with pytest.raises(ParseError, match="^line 2: paper 'p2' has unresolved journal 'nope'$"):
+        build_corpus([first, Paper("p2", 2000, "nope", ())], journals)
+    with pytest.raises(ParseError, match="^line 2: duplicate paper id 'p1'$"):
+        build_corpus([first, first], journals)
 
 
 def test_build_corpus_rejects_empty_papers() -> None:

@@ -212,7 +212,7 @@ def test_combined_percentile_averages_cells_with_equal_weights() -> None:
 def _scored_with_percentiles(percentiles):
     scored = scored_from_pairs([(1, 1)] * len(percentiles))
     return [
-        paper.__class__(**{**paper.__dict__, "percentile": percentile})
+        paper._replace(percentile=percentile)
         for paper, percentile in zip(scored, percentiles)
     ]
 
@@ -464,6 +464,16 @@ def test_score_papers_orders_by_paper_id() -> None:
     table = compute_baselines(corpus)
     scored = score_papers(corpus, table, ["q1", "p1", "p3"], Weighting.HARMONIC)
     assert [paper.paper_id for paper in scored] == ["p1", "p3", "q1"]
+
+
+def test_scored_paper_is_immutable_and_keeps_the_dataclass_repr() -> None:
+    paper = scored_from_pairs([(3, 2)])[0]
+    with pytest.raises(AttributeError):
+        paper.ncs = 2.0  # type: ignore[misc]
+    assert repr(paper) == (
+        "ScoredPaper(paper_id='pair0', citations=3, expected=2, ncs=1.5, "
+        "percentile=0.0, fractional=None, scorable=True, unscorable_reason=None)"
+    )
 
 
 # --- the score pass against a per-paper reference pass ----------------------
