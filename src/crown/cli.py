@@ -38,7 +38,8 @@ import gc
 import hashlib
 import json
 import sys
-from collections.abc import Iterable, Sequence
+import warnings
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -47,7 +48,6 @@ from .corpus import (
     CitationWindow,
     Corpus,
     CorpusError,
-    ParseError,
     load_corpus,
     parse_journals,
     read_hashed,
@@ -111,16 +111,19 @@ def build_parser() -> argparse.ArgumentParser:
     ingest = sub.add_parser("ingest", help="validate a corpus and print a summary")
     _add_corpus_flags(ingest)
     _add_output_flags(ingest)
+    ingest.set_defaults(handler=_cmd_ingest)
 
     baselines = sub.add_parser("baselines", help="export the (category, year) baseline table")
     _add_corpus_flags(baselines)
     _add_output_flags(baselines)
+    baselines.set_defaults(handler=_cmd_baselines)
 
     score = sub.add_parser("score", help="score a group file into an indicator report")
     _add_corpus_flags(score)
     score.add_argument("--group", required=True, help="group file, one paper id per line")
     _add_scoring_flags(score)
     _add_output_flags(score)
+    score.set_defaults(handler=_cmd_score)
 
     synth = sub.add_parser("synth", help="generate a seeded synthetic corpus")
     synth.add_argument(
@@ -138,6 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="share of references redirected to the most-cited decile (default 0)")
     synth.add_argument("--papers", required=True, help="output path for papers.jsonl")
     synth.add_argument("--journals", required=True, help="output path for journals.csv")
+    synth.set_defaults(handler=_cmd_synth)
 
     diagnose = sub.add_parser("diagnose", help="run one of the indicator diagnostics")
     diag = diagnose.add_subparsers(dest="diagnostic", required=True)
@@ -152,6 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     consistency.add_argument("--max-c", type=int, default=4, help="max citation count (default 4)")
     consistency.add_argument("--max-e", type=int, default=4, help="max expected value (default 4)")
     _add_output_flags(consistency)
+    consistency.set_defaults(handler=_cmd_consistency)
 
     indexer = diag.add_parser(
         "indexer", help="rescore a group under two category schemes and report the shifts"
@@ -165,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scoring_flags(indexer)
     _add_output_flags(indexer)
+    indexer.set_defaults(handler=_cmd_indexer)
 
     ranksum = diag.add_parser(
         "ranksum", help="Mann-Whitney rank-sum test between two groups' normalized scores"
@@ -174,6 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     ranksum.add_argument("--group-b", required=True, help="second group file")
     _add_scoring_flags(ranksum, top_x=False)
     _add_output_flags(ranksum)
+    ranksum.set_defaults(handler=_cmd_ranksum)
 
     return parser
 
@@ -207,31 +214,35 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on --help (0) and usage errors
         return 0 if exc.code == 0 else 1
-    handler = {
-        "ingest": _cmd_ingest,
-        "baselines": _cmd_baselines,
-        "score": _cmd_score,
-        "synth": _cmd_synth,
-        "diagnose": _cmd_diagnose,
-    }[args.command]
     digests: dict[str, str] = {}
     code = 0
-    try:
+    with warnings.catch_warnings():
+        # Each distinct library warning is one stderr line, printed once.
+        warnings.simplefilter("always")
+        shown: set[str] = set()
+        warnings.showwarning = lambda message, *_: _warn_once(str(message), shown)
         try:
-            report = handler(args, digests)
-        except DegenerateGroupError as exc:
-            print(f"crown: degenerate: {exc}", file=sys.stderr)
-            report, code = _coverage_report(args, digests, exc), 2
-        text = report.render(getattr(args, "format", "tsv"))
-        out = getattr(args, "out", None)
-        if out is None:
-            sys.stdout.write(text)
-        else:
-            Path(out).write_bytes(text.encode("utf-8"))
-    except (CorpusError, ValueError, OSError) as exc:
-        print(f"crown: error: {exc}", file=sys.stderr)
-        return 1
+            try:
+                report = args.handler(args, digests)
+            except DegenerateGroupError as exc:
+                print(f"crown: degenerate: {exc}", file=sys.stderr)
+                report, code = _coverage_report(args, digests, exc), 2
+            text = report.render(getattr(args, "format", "tsv"))
+            out = getattr(args, "out", None)
+            if out is None:
+                sys.stdout.write(text)
+            else:
+                Path(out).write_bytes(text.encode("utf-8"))
+        except (CorpusError, ValueError, OSError) as exc:
+            print(f"crown: error: {exc}", file=sys.stderr)
+            return 1
     return code
+
+
+def _warn_once(message: str, shown: set[str]) -> None:
+    if message not in shown:
+        shown.add(message)
+        print(f"crown: warning: {message}", file=sys.stderr)
 
 
 def run() -> None:
@@ -330,14 +341,6 @@ def _cmd_synth(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     )
 
 
-def _cmd_diagnose(args: argparse.Namespace, digests: dict[str, str]) -> Report:
-    return {
-        "consistency": _cmd_consistency,
-        "indexer": _cmd_indexer,
-        "ranksum": _cmd_ranksum,
-    }[args.diagnostic](args, digests)
-
-
 def _cmd_consistency(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     bounds = SearchBounds(args.max_size, args.max_c, args.max_e)
     found = consistency_counterexample(args.indicator, bounds)
@@ -367,13 +370,12 @@ def _cmd_consistency(args: argparse.Namespace, digests: dict[str, str]) -> Repor
 def _cmd_indexer(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     corpus = _load(args, digests)
     group = _read_group(args.group, corpus, digests)
-    scheme_a = list(corpus.journals.values())
     if args.journals_b is None:
-        scheme_b = primary_only_scheme(scheme_a)
+        scheme_b = primary_only_scheme(list(corpus.journals.values()))
     else:
         scheme_b, digests[args.journals_b] = read_hashed(args.journals_b, parse_journals)
     report = indexer_sensitivity(
-        corpus, group, scheme_a, scheme_b, Weighting(args.weighting), top_x=args.top_x
+        corpus, group, scheme_b, Weighting(args.weighting), top_x=args.top_x
     )
     columns = ("paper_id", "ncs_a", "ncs_b", "delta",
                "percentile_a", "percentile_b", "fractional_delta")
@@ -481,30 +483,19 @@ def _load(args: argparse.Namespace, digests: dict[str, str]) -> Corpus:
 
 def _read_group(path: str, corpus: Corpus, digests: dict[str, str]) -> GroupSelection:
     name = Path(path).stem
-    ids, digests[path] = read_hashed(
-        path, lambda lines: _group_ids(name, lines, corpus)
+    group, digests[path] = read_hashed(
+        path, lambda lines: GroupSelection.resolve_numbered(name, _group_ids(lines), corpus)
     )
-    return GroupSelection.resolve(name, ids, corpus)
+    return group
 
 
-def _group_ids(name: str, lines: Iterable[str], corpus: Corpus) -> list[str]:
-    """The ids of a group file; an unknown or repeated id is rejected with
-    its line number."""
-    first_line: dict[str, int] = {}
+def _group_ids(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number, id) for each line of a group file that is not blank or
+    a ``#`` comment, the id stripped of surrounding whitespace."""
     for line_no, raw_line in enumerate(lines, start=1):
         paper_id = raw_line.strip()
-        if not paper_id or paper_id.startswith("#"):
-            continue
-        if paper_id not in corpus.papers:
-            raise ParseError(line_no, f"group {name!r}: unknown paper {paper_id!r}")
-        if paper_id in first_line:
-            raise ParseError(
-                line_no,
-                f"group {name!r} lists paper {paper_id!r} twice "
-                f"(first on line {first_line[paper_id]})",
-            )
-        first_line[paper_id] = line_no
-    return list(first_line)
+        if paper_id and not paper_id.startswith("#"):
+            yield line_no, paper_id
 
 
 def _fmt(value: object) -> str:

@@ -50,7 +50,7 @@ YEAR_MAX = 2100
 
 
 class CorpusError(ValueError):
-    """Invalid bibliographic input (bad record, unresolved journal, ...)."""
+    """Invalid bibliographic input (bad record, unknown journal, ...)."""
 
 
 class ParseError(CorpusError):
@@ -209,21 +209,16 @@ class Corpus:
         return sum(len(citers) for citers in self.cited_by.values())
 
     def with_journals(self, journals: Sequence[Journal]) -> Corpus:
-        """Same papers and citation graph under a different category scheme."""
-        new_journals = _journal_map(journals)
-        for paper in self.papers.values():
-            if paper.journal_id not in new_journals:
-                raise CorpusError(
-                    f"scheme missing journal {paper.journal_id!r} "
-                    f"(used by paper {paper.id!r})"
-                )
+        """Same papers and citation graph under a different category scheme,
+        which must cover every paper's journal, checked as in ``build_corpus``."""
+        new_journals = _journal_map(journals, self.papers.values())
         return Corpus(self.papers, new_journals, self.cited_by, self.window)
 
 
 def parse_papers(lines: Iterable[str]) -> list[Paper]:
-    """Parse JSONL paper records, aborting with a line number on any error."""
+    """Parse JSONL paper records, aborting with a line number on any error;
+    the checks across records are ``build_corpus``'s."""
     papers: list[Paper] = []
-    seen: set[str] = set()
     canon: dict[str, str] = {}  # one string object per distinct id or key
     for line_no, line in enumerate(lines, start=1):
         try:
@@ -238,11 +233,7 @@ def parse_papers(lines: Iterable[str]) -> list[Paper]:
             raise ParseError(line_no, "malformed JSON (nested too deeply)") from exc
         if not isinstance(record, dict):
             raise ParseError(line_no, "expected a JSON object")
-        paper = _paper_from_record(record, line_no, canon)
-        if paper.id in seen:
-            raise ParseError(line_no, f"duplicate paper id {paper.id!r}")
-        seen.add(paper.id)
-        papers.append(paper)
+        papers.append(_paper_from_record(record, line_no, canon))
     return papers
 
 
@@ -356,23 +347,19 @@ def build_corpus(
     list yield at most one edge per citing paper. Unresolved keys are kept
     only implicitly, through the citing paper's reference-list length.
 
-    A duplicate id or an unresolved journal raises ``ParseError`` numbered by
-    the paper's 1-based position in ``papers``, which is its papers-file line
-    when ``papers`` came from ``parse_papers``.
+    The first repeated paper id, else the first paper whose journal is not in
+    ``journals``, raises ``ParseError`` numbered by the paper's 1-based
+    position in ``papers``, its papers-file line when ``papers`` came from
+    ``parse_papers``.
     """
     if not papers:
         raise CorpusError("corpus has no papers")
-    journal_map = _journal_map(journals)
     paper_map: dict[str, Paper] = {}
     for line_no, paper in enumerate(papers, start=1):
-        paper_id, _, journal_id, _, _ = paper
-        if paper_id in paper_map:
-            raise ParseError(line_no, f"duplicate paper id {paper_id!r}")
-        if journal_id not in journal_map:
-            raise ParseError(
-                line_no, f"paper {paper_id!r} has unresolved journal {journal_id!r}"
-            )
-        paper_map[paper_id] = paper
+        if paper.id in paper_map:
+            raise ParseError(line_no, f"duplicate paper id {paper.id!r}")
+        paper_map[paper.id] = paper
+    journal_map = _journal_map(journals, paper_map.values())
     # Each citer list becomes a tuple in place once the edges are in.
     cited_by: dict = {pid: [] for pid in paper_map}
     every_year = window.years is None
@@ -461,10 +448,17 @@ def _decoded_lines(
         yield line
 
 
-def _journal_map(journals: Sequence[Journal]) -> dict[str, Journal]:
+def _journal_map(journals: Sequence[Journal], papers: Iterable[Paper]) -> dict[str, Journal]:
+    """Journals by id; the first of ``papers`` whose journal is missing raises
+    ``ParseError`` with its 1-based position."""
     journal_map: dict[str, Journal] = {}
     for journal in journals:
         if journal.id in journal_map:
             raise CorpusError(f"duplicate journal id {journal.id!r}")
         journal_map[journal.id] = journal
+    for line_no, (paper_id, _, journal_id, _, _) in enumerate(papers, start=1):
+        if journal_id not in journal_map:
+            raise ParseError(
+                line_no, f"paper {paper_id!r} has unresolved journal {journal_id!r}"
+            )
     return journal_map

@@ -292,21 +292,20 @@ def primary_only_scheme(journals: Sequence[Journal]) -> list[Journal]:
 def indexer_sensitivity(
     corpus: Corpus,
     group: GroupSelection,
-    scheme_a: Sequence[Journal],
     scheme_b: Sequence[Journal],
     weighting: Weighting,
     top_x: float = 1.0,
 ) -> SensitivityReport:
-    """Score the group under both schemes over the same citation graph.
+    """Score the group under the corpus's own scheme (A) and under ``scheme_b``,
+    which must cover every paper's journal, over the same citation graph.
 
     One score pass per scheme feeds both the per-paper rows and the group
     reports.
     """
-    corpus_a = corpus.with_journals(scheme_a)
     corpus_b = corpus.with_journals(scheme_b)
-    table_a = compute_baselines(corpus_a)
+    table_a = compute_baselines(corpus)
     table_b = compute_baselines(corpus_b)
-    scored_a = score_papers(corpus_a, table_a, group.paper_ids, weighting)
+    scored_a = score_papers(corpus, table_a, group.paper_ids, weighting)
     scored_b = score_papers(corpus_b, table_b, group.paper_ids, weighting)
     papers = tuple(
         PaperSensitivity(

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .baselines import BaselineTable, FieldYearCell, Weighting, expected_citations_with_reason
-from .corpus import CitationWindow, Corpus, CorpusError
+from .corpus import CitationWindow, Corpus, CorpusError, ParseError
 
 
 class DegenerateGroupError(RuntimeError):
@@ -60,15 +60,28 @@ class GroupSelection:
 
     @classmethod
     def resolve(cls, name: str, paper_ids: Iterable[str], corpus: Corpus) -> GroupSelection:
-        ids = tuple(paper_ids)
-        if not ids:
-            raise CorpusError(f"group {name!r} is empty")
-        if len(set(ids)) != len(ids):
-            raise CorpusError(f"group {name!r} lists a paper twice")
-        for paper_id in ids:
+        """``resolve_numbered`` with each id numbered by its 1-based position."""
+        return cls.resolve_numbered(name, enumerate(paper_ids, start=1), corpus)
+
+    @classmethod
+    def resolve_numbered(
+        cls, name: str, numbered_ids: Iterable[tuple[int, str]], corpus: Corpus
+    ) -> GroupSelection:
+        """The group of the ids in ``(number, id)`` pairs, in order. The first
+        id not in the corpus, or listed twice, raises ``ParseError`` with its
+        number; no ids at all raise ``CorpusError``."""
+        first_line: dict[str, int] = {}
+        for line_no, paper_id in numbered_ids:
             if paper_id not in corpus.papers:
-                raise CorpusError(f"group {name!r}: unknown paper {paper_id!r}")
-        return cls(name, ids)
+                raise ParseError(line_no, f"group {name!r}: unknown paper {paper_id!r}")
+            if paper_id in first_line:
+                first = first_line[paper_id]
+                raise ParseError(line_no, f"group {name!r} lists paper {paper_id!r} "
+                                          f"twice (first on line {first})")
+            first_line[paper_id] = line_no
+        if not first_line:
+            raise CorpusError(f"group {name!r} is empty")
+        return cls(name, tuple(first_line))
 
 
 class ScoredPaper(NamedTuple):

@@ -446,18 +446,42 @@ _UNRESOLVED_JOURNAL_PAPERS = b"".join(
      "line 4: group 'group': unknown paper 'ghost'"),
     ("score", {"group": b"# group\np3\np1\np3\n"},
      "line 4: group 'group' lists paper 'p3' twice (first on line 2)"),
+    # journal k is first used by p2, on line 2 of the papers file
+    ("diagnose indexer", {"journals-b": b"id,title,categories\nj,J,a\n"},
+     "line 2: paper 'p2' has unresolved journal 'k'"),
 ], ids=["ingest-unresolved-journal", "score-unresolved-journal",
-        "score-unknown-group-id", "score-repeated-group-id"])
+        "score-unknown-group-id", "score-repeated-group-id",
+        "indexer-journals-b-missing-a-journal"])
 def test_cross_record_error_names_its_line(tmp_path, command, replaced, message) -> None:
     paths = _write_small_inputs(tmp_path, replaced)
-    argv = [command, "--papers", str(paths["papers"]), "--journals", str(paths["journals"])]
-    if command == "score":
+    argv = [*command.split(), "--papers", str(paths["papers"]),
+            "--journals", str(paths["journals"])]
+    if command != "ingest":
         argv += ["--group", str(paths["group"])]
+    if command == "diagnose indexer":
+        argv += ["--journals-b", str(paths["journals-b"])]
     result = _crown_subprocess(*argv)
     assert result.returncode == 1
     assert result.stderr == f"crown: error: {message}\n"
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("command", [("score",), ("diagnose", "indexer")])
+def test_library_warning_is_one_stderr_line(tmp_path, command) -> None:
+    # p4 carries a citation override; the indexer's two group reports both
+    # warn about it, and the message is printed once
+    paths = _write_small_inputs(tmp_path, {"group": b"p1\np4\n"})
+    result = _crown_subprocess(
+        *command, "--papers", str(paths["papers"]), "--journals", str(paths["journals"]),
+        "--group", str(paths["group"]),
+    )
+    assert result.returncode == 0
+    assert result.stderr == (
+        "crown: warning: group 'group': 1 paper(s) with citation overrides "
+        "excluded from fractional counting\n"
+    )
+    assert result.stdout.startswith(f"# crown {' '.join(command)}\n")
 
 
 @pytest.mark.parametrize("years", ["1850-1851", "2100-2101"])

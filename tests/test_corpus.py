@@ -45,8 +45,9 @@ def test_parse_papers_duplicate_id_names_second_line() -> None:
         '{"id":"p1","year":2005,"journal":"j1","references":[]}',
         '{"id":"p1","year":2006,"journal":"j1","references":[]}',
     ]
-    with pytest.raises(ParseError, match="line 2.*duplicate") as exc_info:
-        parse_papers(lines)
+    papers = parse_papers(lines)  # the build owns the cross-record checks
+    with pytest.raises(ParseError, match="^line 2: duplicate paper id 'p1'$") as exc_info:
+        build_corpus(papers, [Journal("j1", "J", ("cat",))])
     assert exc_info.value.line_no == 2
 
 
@@ -312,8 +313,23 @@ def test_build_corpus_rejects_empty_papers() -> None:
 
 def test_with_journals_requires_full_coverage() -> None:
     corpus = _two_paper_corpus(2001, CitationWindow.all())
-    with pytest.raises(CorpusError, match="scheme missing journal"):
+    with pytest.raises(ParseError, match="^line 1: paper 'p1' has unresolved journal 'j1'$"):
         corpus.with_journals([Journal("other", "O", ("cat",))])
+
+
+def test_with_journals_names_the_position_of_the_first_uncovered_paper() -> None:
+    papers = [
+        Paper("p1", 2000, "j1", ()),
+        Paper("p2", 2001, "j2", ("p1",)),
+        Paper("p3", 2001, "j2", ()),
+    ]
+    journals = [Journal("j1", "J", ("a",)), Journal("j2", "K", ("b",))]
+    corpus = build_corpus(papers, journals)
+    message = "^line 2: paper 'p2' has unresolved journal 'j2'$"
+    with pytest.raises(ParseError, match=message) as exc_info:
+        corpus.with_journals(journals[:1])
+    assert exc_info.value.line_no == 2
+    assert isinstance(exc_info.value, CorpusError)
 
 
 def test_with_journals_keeps_graph() -> None:

@@ -148,7 +148,7 @@ def test_identical_schemes_are_a_fixed_point() -> None:
     corpus = _multi_scheme_corpus()
     group = GroupSelection.resolve("g", ["m1", "a1", "b1"], corpus)
     scheme = list(corpus.journals.values())
-    report = indexer_sensitivity(corpus, group, scheme, scheme, Weighting.HARMONIC)
+    report = indexer_sensitivity(corpus, group, scheme, Weighting.HARMONIC)
     for paper in report.papers:
         assert paper.ncs_delta == 0.0
         assert paper.percentile_a == paper.percentile_b
@@ -170,7 +170,7 @@ def test_primary_only_scheme_moves_scores_of_multi_category_papers(monkeypatch) 
 
     for module in (diagnostics, indicators):
         monkeypatch.setattr(module, "score_papers", counting_score_papers)
-    report = indexer_sensitivity(corpus, group, scheme_a, scheme_b, Weighting.HARMONIC)
+    report = indexer_sensitivity(corpus, group, scheme_b, Weighting.HARMONIC)
     assert len(passes) == 2  # one score pass per scheme, reused for the reports
     assert any(paper.ncs_delta not in (None, 0.0) for paper in report.papers)
     assert all(paper.fractional_delta == 0.0 for paper in report.papers)
@@ -189,7 +189,7 @@ def test_fractional_invariance_holds_for_any_scheme_pair() -> None:
         Journal(journal.id, journal.title, tuple(reversed(journal.categories)))
         for journal in scheme_a
     ]
-    report = indexer_sensitivity(corpus, group, scheme_a, relabeled, Weighting.ARITHMETIC)
+    report = indexer_sensitivity(corpus, group, relabeled, Weighting.ARITHMETIC)
     assert all(paper.fractional_delta == 0.0 for paper in report.papers)
 
 
@@ -197,10 +197,11 @@ def test_scheme_missing_a_journal_is_an_error() -> None:
     corpus = _multi_scheme_corpus()
     group = GroupSelection.resolve("g", ["m1"], corpus)
     scheme_a = list(corpus.journals.values())
-    from crown.corpus import CorpusError
+    from crown.corpus import ParseError
 
-    with pytest.raises(CorpusError, match="scheme missing journal"):
-        indexer_sensitivity(corpus, group, scheme_a, scheme_a[:-1], Weighting.HARMONIC)
+    # jb, the last journal, is first used by b1, the fourth paper
+    with pytest.raises(ParseError, match="^line 4: paper 'b1' has unresolved journal 'jb'$"):
+        indexer_sensitivity(corpus, group, scheme_a[:-1], Weighting.HARMONIC)
 
 
 # --- rank-sum test -----------------------------------------------------------

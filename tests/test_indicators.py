@@ -459,6 +459,20 @@ def test_group_selection_validates_membership_and_duplicates() -> None:
         GroupSelection.resolve("g", [], corpus)
 
 
+def test_group_selection_errors_name_the_position_of_the_id() -> None:
+    corpus = _scored_corpus()
+    from crown.corpus import ParseError
+
+    with pytest.raises(ParseError, match="^line 3: group 'g': unknown paper 'ghost'$"):
+        GroupSelection.resolve("g", ["p1", "q1", "ghost", "p2"], corpus)
+    with pytest.raises(
+        ParseError, match=r"^line 4: group 'g' lists paper 'p1' twice \(first on line 2\)$"
+    ):
+        GroupSelection.resolve("g", ["q1", "p1", "p2", "p1"], corpus)
+    group = GroupSelection.resolve("g", ["q1", "p1", "p2"], corpus)
+    assert group.paper_ids == ("q1", "p1", "p2")
+
+
 def test_score_papers_orders_by_paper_id() -> None:
     corpus = _scored_corpus()
     table = compute_baselines(corpus)
