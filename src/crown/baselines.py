@@ -9,12 +9,15 @@ several categories combine their cell means with equal category weights,
 either arithmetically or harmonically; the harmonic combination makes the
 citations-to-expectation ratio equal the plain average of the per-category
 ratios, which is what keeps mean-of-ratios group statistics consistent.
+An expected value depends only on a journal's categories and a year, which
+are what ``expected_citations_with_reason`` takes, so it can be cached on them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .corpus import Corpus
@@ -100,12 +103,13 @@ def compute_baselines(corpus: Corpus) -> BaselineTable:
 
 
 def expected_citations_with_reason(
-    corpus: Corpus,
     table: BaselineTable,
-    paper_id: str,
+    categories: Sequence[str],
+    year: int,
     weighting: Weighting,
 ) -> tuple[float | None, str | None]:
-    """Combined expected value e for one paper, with the reason when undefined.
+    """Combined expected value e over the ``year`` cells of ``categories``,
+    with the reason when undefined.
 
     Returns ``(e, None)``, or ``(None, reason)`` for the zero-baseline
     degeneracies: a zero cell mean under the harmonic weighting, or a
@@ -113,22 +117,18 @@ def expected_citations_with_reason(
     exclude such papers from group statistics and report them, never score
     them as zero or infinity.
     """
-    paper = corpus.papers[paper_id]
-    categories = corpus.categories_of(paper_id)
-    means = [
-        table.cell(category, paper.year).mean_citations for category in categories
-    ]
+    means = [table.cell(category, year).mean_citations for category in categories]
     m = len(means)
     zero_cells = [
         category for category, mean in zip(categories, means) if mean == 0.0
     ]
     if weighting is Weighting.HARMONIC:
         if zero_cells:
-            return None, _zero_baseline_reason(zero_cells, paper.year)
+            return None, _zero_baseline_reason(zero_cells, year)
         return m / math.fsum(1.0 / mean for mean in means), None
     value = math.fsum(means) / m
     if value == 0.0:  # possible only when every cell mean is zero
-        return None, _zero_baseline_reason(zero_cells, paper.year)
+        return None, _zero_baseline_reason(zero_cells, year)
     return value, None
 
 

@@ -53,7 +53,7 @@ from .corpus import (
     read_hashed,
 )
 from .diagnostics import (
-    MEAN_OF_RATIOS,
+    INDICATORS,
     RATIO_OF_SUMS,
     SearchBounds,
     consistency_counterexample,
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         "consistency", help="search for ranking flips when both groups gain the same paper"
     )
     consistency.add_argument(
-        "--indicator", choices=(RATIO_OF_SUMS, MEAN_OF_RATIOS), default=RATIO_OF_SUMS
+        "--indicator", choices=tuple(INDICATORS), default=RATIO_OF_SUMS
     )
     consistency.add_argument("--max-size", type=int, default=2, help="max group size (default 2)")
     consistency.add_argument("--max-c", type=int, default=4, help="max citation count (default 4)")
@@ -194,8 +194,8 @@ def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
 def _add_scoring_flags(parser: argparse.ArgumentParser, top_x: bool = True) -> None:
     parser.add_argument(
         "--weighting",
-        choices=("arithmetic", "harmonic"),
-        default="harmonic",
+        choices=[str(weighting) for weighting in Weighting],
+        default=str(Weighting.HARMONIC),
         help="multi-category combination (default harmonic)",
     )
     if top_x:
@@ -426,7 +426,7 @@ def _coverage_report(
     """Coverage report for a run that had nothing to compute on."""
     command = " ".join(filter(None, (args.command, getattr(args, "diagnostic", None))))
     columns = ("group", "n_total", "n_scorable")
-    row = (exc.group, exc.n_total, 0)
+    row = (exc.group, exc.n_total, exc.n_scorable)
     coverage = dict(zip(columns, row))
     coverage["unscorable"] = [list(item) for item in exc.unscorable]
     return Report(
@@ -484,18 +484,21 @@ def _load(args: argparse.Namespace, digests: dict[str, str]) -> Corpus:
 def _read_group(path: str, corpus: Corpus, digests: dict[str, str]) -> GroupSelection:
     name = Path(path).stem
     group, digests[path] = read_hashed(
-        path, lambda lines: GroupSelection.resolve_numbered(name, _group_ids(lines), corpus)
+        path, lambda lines: GroupSelection.resolve_numbered(name, _group_lines(lines), corpus)
     )
     return group
 
 
-def _group_ids(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """(line number, id) for each line of a group file that is not blank or
-    a ``#`` comment, the id stripped of surrounding whitespace."""
+def _group_lines(lines: Iterable[str]) -> Iterator[tuple[int, str | None]]:
+    """(line number, id) for each line of a group file, the id stripped of
+    surrounding whitespace, or None on a blank or ``#`` comment line. A
+    zero-byte file reads as one blank line."""
+    line_no = 0
     for line_no, raw_line in enumerate(lines, start=1):
         paper_id = raw_line.strip()
-        if paper_id and not paper_id.startswith("#"):
-            yield line_no, paper_id
+        yield line_no, (paper_id if paper_id and not paper_id.startswith("#") else None)
+    if not line_no:
+        yield 1, None
 
 
 def _fmt(value: object) -> str:

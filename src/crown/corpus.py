@@ -347,10 +347,10 @@ def build_corpus(
     list yield at most one edge per citing paper. Unresolved keys are kept
     only implicitly, through the citing paper's reference-list length.
 
-    The first repeated paper id, else the first paper whose journal is not in
-    ``journals``, raises ``ParseError`` numbered by the paper's 1-based
-    position in ``papers``, its papers-file line when ``papers`` came from
-    ``parse_papers``.
+    The first repeated paper id, else the first repeated journal id, else the
+    first paper whose journal is not in ``journals``, raises ``ParseError``
+    numbered by the item's 1-based position in its list; a paper's is its
+    papers-file line when ``papers`` came from ``parse_papers``.
     """
     if not papers:
         raise CorpusError("corpus has no papers")
@@ -449,12 +449,12 @@ def _decoded_lines(
 
 
 def _journal_map(journals: Sequence[Journal], papers: Iterable[Paper]) -> dict[str, Journal]:
-    """Journals by id; the first of ``papers`` whose journal is missing raises
-    ``ParseError`` with its 1-based position."""
+    """Journals by id; the first repeated journal, else the first of ``papers``
+    whose journal is missing, raises ``ParseError`` with its 1-based position."""
     journal_map: dict[str, Journal] = {}
-    for journal in journals:
+    for position, journal in enumerate(journals, start=1):
         if journal.id in journal_map:
-            raise CorpusError(f"duplicate journal id {journal.id!r}")
+            raise ParseError(position, f"duplicate journal id {journal.id!r}")
         journal_map[journal.id] = journal
     for line_no, (paper_id, _, journal_id, _, _) in enumerate(papers, start=1):
         if journal_id not in journal_map:

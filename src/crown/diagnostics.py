@@ -17,7 +17,7 @@ Three diagnostics:
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -26,6 +26,7 @@ from .corpus import Corpus, Journal
 from .indicators import (
     GroupSelection,
     IndicatorReport,
+    ScoredPaper,
     cpp_fcsm,
     group_report,
     mncs,
@@ -36,6 +37,8 @@ from .indicators import (
 
 RATIO_OF_SUMS = "cpp_fcsm"
 MEAN_OF_RATIOS = "mncs"
+# The group statistics the consistency diagnostics take, by name.
+INDICATORS = {RATIO_OF_SUMS: cpp_fcsm, MEAN_OF_RATIOS: mncs}
 
 Pair = tuple[int, int]
 
@@ -104,12 +107,14 @@ class Counterexample:
 
 def evaluate_pairs(pairs: Sequence[Pair], indicator: str) -> float:
     """Group indicator value for bare (citations, expected) pairs."""
-    scored = scored_from_pairs(pairs)
-    if indicator == RATIO_OF_SUMS:
-        return cpp_fcsm(scored)
-    if indicator == MEAN_OF_RATIOS:
-        return mncs(scored)
-    raise ValueError(f"unknown indicator {indicator!r}")
+    return _indicator(indicator)(scored_from_pairs(pairs))
+
+
+def _indicator(name: str) -> Callable[[list[ScoredPaper]], float]:
+    """The group statistic ``INDICATORS`` names ``name``; ValueError otherwise."""
+    if name not in INDICATORS:
+        raise ValueError(f"unknown indicator {name!r}")
+    return INDICATORS[name]
 
 
 def build_counterexample(
@@ -162,27 +167,18 @@ def consistency_counterexample(
     the mean-of-ratios indicator equal-size groups admit none, so the search
     returns None after visiting every instance in bounds.
     """
-    if indicator not in (RATIO_OF_SUMS, MEAN_OF_RATIOS):
-        raise ValueError(f"unknown indicator {indicator!r}")
+    _indicator(indicator)  # an unknown name fails before the search starts
     papers = [
         (c, e)
         for c in range(bounds.max_citations + 1)
         for e in range(1, bounds.max_expected + 1)
     ]
-    # Common denominator for exact mean-of-ratios comparisons: c/e scaled by
-    # lcm(1..max_expected) is an integer.
-    scale = math.lcm(*range(1, bounds.max_expected + 1))
     for size in range(1, bounds.max_group_size + 1):
         groups = list(combinations_with_replacement(papers, size))
-        sums_c = [sum(c for c, _ in group) for group in groups]
-        sums_e = [sum(e for _, e in group) for group in groups]
-        ratio_sums = [
-            sum(c * (scale // e) for c, e in group) for group in groups
-        ]
         if indicator == RATIO_OF_SUMS:
-            found = _search_ratio_of_sums(groups, sums_c, sums_e, papers)
+            found = _search_ratio_of_sums(groups, papers)
         else:
-            found = _search_mean_of_ratios(groups, ratio_sums, papers, scale)
+            found = _search_mean_of_ratios(groups, papers)
         if found is not None:
             index_a, index_b, added = found
             return build_counterexample(
@@ -192,11 +188,10 @@ def consistency_counterexample(
 
 
 def _search_ratio_of_sums(
-    groups: list[tuple[Pair, ...]],
-    sums_c: list[int],
-    sums_e: list[int],
-    papers: list[Pair],
+    groups: list[tuple[Pair, ...]], papers: list[Pair]
 ) -> tuple[int, int, Pair] | None:
+    sums_c = [sum(c for c, _ in group) for group in groups]
+    sums_e = [sum(e for _, e in group) for group in groups]
     n = len(groups)
     for ia in range(n):
         ca, ea = sums_c[ia], sums_e[ia]
@@ -211,12 +206,13 @@ def _search_ratio_of_sums(
 
 
 def _search_mean_of_ratios(
-    groups: list[tuple[Pair, ...]],
-    ratio_sums: list[int],
-    papers: list[Pair],
-    scale: int,
+    groups: list[tuple[Pair, ...]], papers: list[Pair]
 ) -> tuple[int, int, Pair] | None:
-    # Equal sizes throughout, so comparing scaled ratio sums compares means.
+    # Common denominator for exact comparisons: c/e scaled by the lcm of every
+    # expected value is an integer. Equal sizes throughout, so comparing
+    # scaled ratio sums compares means.
+    scale = math.lcm(*{e for _, e in papers})
+    ratio_sums = [sum(c * (scale // e) for c, e in group) for group in groups]
     n = len(groups)
     added = [c * (scale // e) for c, e in papers]
     for ia in range(n):

@@ -12,16 +12,19 @@ total counts reported side by side; papers are accumulated in ascending
 paper-id order so results are reproducible bit for bit.
 
 A score pass computes the expected value (and its unscorable reason) once per
-(journal, year) and the combined percentile once per (journal, year, citation
-count), since neither depends on anything else about the paper; the
-fractional score is still computed per paper. The tables are local to one
-pass, so two passes, for example under two category schemes, share nothing.
+(categories, year) and the combined percentile once per (categories, year,
+citation count): those are the helpers' arguments, so caching on them is
+correct by construction. ``fractional_score`` runs per paper and alone
+withholds a score from papers with a citation override. The caches are local
+to one pass, so two passes, for example under two category schemes, share
+nothing.
 Each paper's scores are a ``ScoredPaper`` named tuple, which compares equal
 to the tuple of its fields and unpacks like one.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import statistics
@@ -36,7 +39,8 @@ from .corpus import CitationWindow, Corpus, CorpusError, ParseError
 
 
 class DegenerateGroupError(RuntimeError):
-    """A group statistic has no papers to stand on (nothing scorable)."""
+    """A group statistic has no papers to stand on (nothing scorable, or no
+    citing-side data)."""
 
     def __init__(
         self,
@@ -44,11 +48,13 @@ class DegenerateGroupError(RuntimeError):
         group: str = "",
         n_total: int = 0,
         unscorable: Sequence[tuple[str, str]] = (),
+        n_scorable: int = 0,
     ):
         super().__init__(message)
         self.group = group
         self.n_total = n_total
         self.unscorable = tuple(unscorable)
+        self.n_scorable = n_scorable
 
 
 @dataclass(frozen=True)
@@ -65,13 +71,18 @@ class GroupSelection:
 
     @classmethod
     def resolve_numbered(
-        cls, name: str, numbered_ids: Iterable[tuple[int, str]], corpus: Corpus
+        cls, name: str, numbered_ids: Iterable[tuple[int, str | None]], corpus: Corpus
     ) -> GroupSelection:
-        """The group of the ids in ``(number, id)`` pairs, in order. The first
-        id not in the corpus, or listed twice, raises ``ParseError`` with its
-        number; no ids at all raise ``CorpusError``."""
+        """The group of the ids in ``(number, id)`` pairs, in order; an id of
+        None numbers a line that lists no paper, like a group file's blank and
+        comment lines. The first id not in the corpus, or listed twice, raises
+        ``ParseError`` with its number. No ids at all raise ``ParseError``
+        with the last number, or ``CorpusError`` when there was no pair."""
         first_line: dict[str, int] = {}
+        line_no = 0
         for line_no, paper_id in numbered_ids:
+            if paper_id is None:
+                continue
             if paper_id not in corpus.papers:
                 raise ParseError(line_no, f"group {name!r}: unknown paper {paper_id!r}")
             if paper_id in first_line:
@@ -80,6 +91,8 @@ class GroupSelection:
                                           f"twice (first on line {first})")
             first_line[paper_id] = line_no
         if not first_line:
+            if line_no:
+                raise ParseError(line_no, f"group {name!r} is empty")
             raise CorpusError(f"group {name!r} is empty")
         return cls(name, tuple(first_line))
 
@@ -186,14 +199,12 @@ def percentile_rank(cell: FieldYearCell, citations: int) -> float:
     return 100.0 * (below + 0.5 * tied) / cell.n
 
 
-def combined_percentile(corpus: Corpus, table: BaselineTable, paper_id: str) -> float:
-    """Equal-weight mean of the paper's per-category percentile ranks."""
-    paper = corpus.papers[paper_id]
-    count = corpus.citation_count(paper_id)
-    ranks = [
-        percentile_rank(table.cell(category, paper.year), count)
-        for category in corpus.categories_of(paper_id)
-    ]
+def combined_percentile(
+    table: BaselineTable, categories: Sequence[str], year: int, count: int
+) -> float:
+    """Equal-weight mean of the percentile ranks of a citation count in the
+    ``(category, year)`` cell of each of ``categories``."""
+    ranks = [percentile_rank(table.cell(category, year), count) for category in categories]
     return math.fsum(ranks) / len(ranks)
 
 
@@ -204,15 +215,10 @@ def fractional_score(corpus: Corpus, paper_id: str) -> float | None:
     6-reference paper weighs 1/6 and one from a 40-reference paper 1/40. The
     value depends only on the citation graph, never on any category scheme.
     Papers whose citation count is a stored override have no trustworthy
-    citing-side records, so they are excluded (None) with a warning.
+    citing-side records, so they get None; ``group_report`` counts them and
+    warns once per group.
     """
-    paper = corpus.papers[paper_id]
-    if paper.raw_citation_count is not None:
-        warnings.warn(
-            f"paper {paper_id!r} carries a precomputed citation count; "
-            "fractional counting needs citing-side reference lists, skipping it",
-            stacklevel=2,
-        )
+    if corpus.papers[paper_id].raw_citation_count is not None:
         return None
     papers = corpus.papers
     return math.fsum(
@@ -228,45 +234,34 @@ def score_papers(
 ) -> list[ScoredPaper]:
     """Per-paper scores in ascending paper-id order.
 
-    The expected value and its reason are computed once per (journal, year)
-    and the combined percentile once per (journal, year, citation count), in
-    tables that live for this one pass; ``fractional_score`` runs once per
-    paper. Papers with a citation override get ``fractional=None`` silently;
-    the group report counts them and warns once.
+    The expected value and the combined percentile come from caches that
+    live for this one pass and are keyed on their helper's own arguments
+    (``table`` and ``weighting`` are fixed for the pass); ``fractional_score``
+    runs once per paper.
     """
     papers = corpus.papers
+    journals = corpus.journals
     cited_by = corpus.cited_by
-    expected_by_key: dict[tuple[str, int], tuple[float | None, str | None]] = {}
-    percentile_by_key: dict[tuple[str, int, int], float] = {}
+    expected_of = functools.cache(
+        lambda categories, year: expected_citations_with_reason(table, categories, year, weighting)
+    )
+    percentile_of = functools.cache(
+        lambda categories, year, count: combined_percentile(table, categories, year, count)
+    )
     scored = []
     for paper_id in sorted(paper_ids):
         _, year, journal_id, _, override = papers[paper_id]
         citations = len(cited_by[paper_id]) if override is None else override
-        key = (journal_id, year)
-        expected_and_reason = expected_by_key.get(key)
-        if expected_and_reason is None:
-            expected_and_reason = expected_by_key[key] = (
-                expected_citations_with_reason(corpus, table, paper_id, weighting)
-            )
-        expected, reason = expected_and_reason
-        percentile_key = (journal_id, year, citations)
-        percentile = percentile_by_key.get(percentile_key)
-        if percentile is None:
-            percentile = percentile_by_key[percentile_key] = combined_percentile(
-                corpus, table, paper_id
-            )
-        if override is None:
-            fractional = fractional_score(corpus, paper_id)
-        else:
-            fractional = None
+        categories = journals[journal_id].categories
+        expected, reason = expected_of(categories, year)
         scored.append(
             ScoredPaper(
                 paper_id,
                 citations,
                 expected,
                 None if expected is None else citations / expected,
-                percentile,
-                fractional,
+                percentile_of(categories, year, citations),
+                fractional_score(corpus, paper_id),
                 expected is not None,
                 reason,
             )
@@ -334,6 +329,7 @@ def group_report(
             group=name,
             n_total=len(scored),
             unscorable=unscorable,
+            n_scorable=len(scorable),
         )
     fractional_mean = math.fsum(fractional_values) / len(fractional_values)
     return IndicatorReport(

@@ -79,17 +79,12 @@ def _table_with_means(means: list[float], year: int = 2005) -> BaselineTable:
     return BaselineTable(cells)
 
 
-def _paper_in_categories(categories: list[str]):
-    papers = [Paper("p", 2005, "jm", ())]
-    journals = [Journal("jm", "J", tuple(categories))]
-    return build_corpus(papers, journals)
-
-
-def _expected_for_means(means: list[int], weighting: Weighting, citations: int = 0):
-    """Expected value for a paper in len(means) categories with those cell means."""
-    corpus = _paper_in_categories([f"F{i}" for i in range(len(means))])
+def _expected_for_means(means: list[int], weighting: Weighting):
+    """Expected value for a 2005 paper in len(means) categories with those
+    cell means."""
+    categories = [f"F{i}" for i in range(len(means))]
     table = _table_with_means(means)
-    return expected_citations_with_reason(corpus, table, "p", weighting)[0]
+    return expected_citations_with_reason(table, categories, 2005, weighting)[0]
 
 
 def test_expected_arithmetic_two_fields() -> None:
@@ -106,10 +101,9 @@ def test_expected_single_field_identity() -> None:
 
 
 def test_zero_baseline_unscorable_under_harmonic() -> None:
-    corpus = _paper_in_categories(["F0", "F1"])
     table = _table_with_means([0, 20])
     value, reason = expected_citations_with_reason(
-        corpus, table, "p", Weighting.HARMONIC
+        table, ["F0", "F1"], 2005, Weighting.HARMONIC
     )
     assert value is None
     assert "zero baseline" in reason
@@ -121,10 +115,7 @@ def test_zero_baseline_arithmetic_survives_one_zero_cell() -> None:
 
 def test_all_zero_arithmetic_is_unscorable() -> None:
     value, reason = expected_citations_with_reason(
-        _paper_in_categories(["F0", "F1"]),
-        _table_with_means([0, 0]),
-        "p",
-        Weighting.ARITHMETIC,
+        _table_with_means([0, 0]), ["F0", "F1"], 2005, Weighting.ARITHMETIC
     )
     assert value is None
     assert "zero" in reason
@@ -144,7 +135,9 @@ def _ncs_corpus(citations: int, means: list[int]):
 
 def _ncs(corpus, table, paper_id: str, weighting: Weighting) -> float:
     """c / e exactly as the score pass computes a paper's ``ncs``."""
-    expected = expected_citations_with_reason(corpus, table, paper_id, weighting)[0]
+    year = corpus.papers[paper_id].year
+    categories = corpus.categories_of(paper_id)
+    expected = expected_citations_with_reason(table, categories, year, weighting)[0]
     return corpus.citation_count(paper_id) / expected
 
 

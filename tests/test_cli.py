@@ -145,6 +145,42 @@ def test_score_exit_two_with_coverage_when_group_unscorable(tmp_path, capsys) ->
     assert "# unscorable: p1" in captured.out
 
 
+def test_score_exit_two_with_coverage_when_no_paper_has_citing_side_data(
+    tmp_path, capsys
+) -> None:
+    papers = tmp_path / "p.jsonl"
+    journals = tmp_path / "j.csv"
+    group = tmp_path / "g.txt"
+    # both papers are scorable in a non-zero cell, but carry citation overrides
+    papers.write_text(
+        '{"id":"p1","year":2005,"journal":"ajc","references":[],"citations":3}\n'
+        '{"id":"p2","year":2005,"journal":"ajc","references":[],"citations":1}\n',
+        encoding="utf-8",
+    )
+    journals.write_text(CARDIOLOGY_JOURNALS_CSV, encoding="utf-8")
+    group.write_text("p1\np2\n", encoding="utf-8")
+    argv = ["score", "--papers", str(papers), "--journals", str(journals),
+            "--group", str(group)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "crown: warning: group 'g': 2 paper(s) with citation overrides excluded "
+        "from fractional counting\n"
+        "crown: degenerate: group 'g': no papers with citing-side reference data\n"
+    )
+    assert captured.out.splitlines()[-3:] == [
+        "group\tn_total\tn_scorable",
+        "g\t2\t2",
+        "# degenerate: group 'g': no papers with citing-side reference data",
+    ]
+    assert main([*argv, "--format", "json"]) == 2
+    out = capsys.readouterr().out
+    assert '"n_scorable":2' in out
+    assert json.loads(out)["coverage"] == {
+        "group": "g", "n_total": 2, "n_scorable": 2, "unscorable": [],
+    }
+
+
 def test_missing_file_is_input_error(tmp_path, capsys) -> None:
     code = main(
         ["score", "--papers", str(tmp_path / "absent.jsonl"),
@@ -446,11 +482,14 @@ _UNRESOLVED_JOURNAL_PAPERS = b"".join(
      "line 4: group 'group': unknown paper 'ghost'"),
     ("score", {"group": b"# group\np3\np1\np3\n"},
      "line 4: group 'group' lists paper 'p3' twice (first on line 2)"),
+    ("score", {"group": b""}, "line 1: group 'group' is empty"),
+    ("score", {"group": b"# only a comment\n\n"}, "line 2: group 'group' is empty"),
     # journal k is first used by p2, on line 2 of the papers file
     ("diagnose indexer", {"journals-b": b"id,title,categories\nj,J,a\n"},
      "line 2: paper 'p2' has unresolved journal 'k'"),
 ], ids=["ingest-unresolved-journal", "score-unresolved-journal",
         "score-unknown-group-id", "score-repeated-group-id",
+        "score-zero-byte-group", "score-comments-only-group",
         "indexer-journals-b-missing-a-journal"])
 def test_cross_record_error_names_its_line(tmp_path, command, replaced, message) -> None:
     paths = _write_small_inputs(tmp_path, replaced)

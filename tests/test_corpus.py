@@ -306,6 +306,18 @@ def test_build_corpus_errors_name_the_position_of_the_paper() -> None:
         build_corpus([first, first], journals)
 
 
+def test_repeated_journal_id_names_the_position_of_the_journal() -> None:
+    papers = [Paper("p1", 2000, "j", ())]
+    journal = Journal("j", "J", ("a",))
+    message = "^line 2: duplicate journal id 'j'$"
+    with pytest.raises(ParseError, match=message) as exc_info:
+        build_corpus(papers, [journal] * 2)
+    assert exc_info.value.line_no == 2
+    corpus = build_corpus(papers, [journal])
+    with pytest.raises(ParseError, match="^line 3: duplicate journal id 'j'$"):
+        corpus.with_journals([journal, Journal("k", "K", ("b",)), journal])
+
+
 def test_build_corpus_rejects_empty_papers() -> None:
     with pytest.raises(CorpusError, match="no papers"):
         build_corpus([], [Journal("j1", "J", ("cat",))])

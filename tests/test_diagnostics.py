@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from crown import diagnostics, indicators
 from crown.baselines import Weighting, compute_baselines
+from crown.cli import main
 from crown.corpus import Journal
 from crown.diagnostics import (
     MAX_INSTANCES,
@@ -62,6 +63,14 @@ def test_search_finds_ratio_of_sums_flip_within_small_bounds() -> None:
     assert found.after_a == evaluate_pairs(
         [*found.group_a, found.added_paper], RATIO_OF_SUMS
     )
+
+
+def test_unknown_indicator_is_rejected() -> None:
+    with pytest.raises(ValueError, match="unknown indicator 'bogus'"):
+        evaluate_pairs([(1, 1)], "bogus")
+    with pytest.raises(ValueError, match="unknown indicator 'bogus'"):
+        consistency_counterexample("bogus", SearchBounds(1, 0, 1))
+    assert main(["diagnose", "consistency", "--indicator", "bogus"]) == 1
 
 
 def test_search_finds_nothing_for_mean_of_ratios_at_equal_sizes() -> None:

@@ -203,7 +203,9 @@ def test_combined_percentile_averages_cells_with_equal_weights() -> None:
     # cell A: [0, 5, 9]; cell B: [1, 5]; paper m1 has 5 citations
     rank_a = percentile_rank(table.cell("A", 2005), 5)
     rank_b = percentile_rank(table.cell("B", 2005), 5)
-    assert combined_percentile(corpus, table, "m1") == (rank_a + rank_b) / 2
+    assert combined_percentile(table, corpus.categories_of("m1"), 2005, 5) == (
+        (rank_a + rank_b) / 2
+    )
 
 
 # --- top-x% share ----------------------------------------------------------
@@ -282,12 +284,11 @@ def test_fractional_excludes_override_papers_with_warning() -> None:
         Paper("q", 2001, "j1", ("t",)),
     ]
     corpus = build_corpus(papers, [Journal("j1", "J", ("F",))])
-    with pytest.warns(UserWarning, match="precomputed citation count"):
-        assert fractional_score(corpus, "t") is None
-    # the score pass skips the override without warning per paper ...
+    # neither fractional_score nor the score pass warns per paper ...
     table = compute_baselines(corpus)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        assert fractional_score(corpus, "t") is None
         scored = score_papers(corpus, table, ["t", "q"], Weighting.ARITHMETIC)
     assert {paper.paper_id: paper.fractional for paper in scored} == {"q": 0.0, "t": None}
     # ... and the group report warns exactly once for the whole group
@@ -455,7 +456,7 @@ def test_group_selection_validates_membership_and_duplicates() -> None:
         GroupSelection.resolve("g", ["p1", "ghost"], corpus)
     with pytest.raises(CorpusError, match="twice"):
         GroupSelection.resolve("g", ["p1", "p1"], corpus)
-    with pytest.raises(CorpusError, match="empty"):
+    with pytest.raises(CorpusError, match="^group 'g' is empty$"):
         GroupSelection.resolve("g", [], corpus)
 
 
@@ -471,6 +472,11 @@ def test_group_selection_errors_name_the_position_of_the_id() -> None:
         GroupSelection.resolve("g", ["q1", "p1", "p2", "p1"], corpus)
     group = GroupSelection.resolve("g", ["q1", "p1", "p2"], corpus)
     assert group.paper_ids == ("q1", "p1", "p2")
+    # a None id numbers a line that lists no paper
+    with pytest.raises(ParseError, match="^line 2: group 'g' is empty$"):
+        GroupSelection.resolve_numbered("g", [(1, None), (2, None)], corpus)
+    group = GroupSelection.resolve_numbered("g", [(1, None), (2, "p1")], corpus)
+    assert group.paper_ids == ("p1",)
 
 
 def test_score_papers_orders_by_paper_id() -> None:
@@ -498,8 +504,10 @@ def _reference_score_papers(corpus, table, paper_ids, weighting) -> list:
     scored = []
     for paper_id in sorted(paper_ids):
         citations = corpus.citation_count(paper_id)
+        year = corpus.papers[paper_id].year
+        categories = corpus.categories_of(paper_id)
         expected, reason = expected_citations_with_reason(
-            corpus, table, paper_id, weighting
+            table, categories, year, weighting
         )
         if corpus.papers[paper_id].raw_citation_count is None:
             fractional = fractional_score(corpus, paper_id)
@@ -511,7 +519,7 @@ def _reference_score_papers(corpus, table, paper_ids, weighting) -> list:
                 citations=citations,
                 expected=expected,
                 ncs=None if expected is None else citations / expected,
-                percentile=combined_percentile(corpus, table, paper_id),
+                percentile=combined_percentile(table, categories, year, citations),
                 fractional=fractional,
                 scorable=expected is not None,
                 unscorable_reason=reason,
@@ -520,14 +528,16 @@ def _reference_score_papers(corpus, table, paper_ids, weighting) -> list:
     return scored
 
 
-# Four journals, two of them in several categories, over a narrow span of
-# years and small reference lists, so that zero-mean cells, repeated
-# (journal, year, count) keys and citation overrides all come up often.
+# Five journals, three of them in several categories and two (j2, j5) in the
+# same ones, over a narrow span of years and small reference lists, so that
+# zero-mean cells, repeated (categories, year, count) keys, keys shared by two
+# journals and citation overrides all come up often.
 PASS_JOURNALS = [
     Journal("j1", "One", ("a",)),
     Journal("j2", "Two", ("b", "a")),
     Journal("j3", "Three", ("c",)),
     Journal("j4", "Four", ("a", "b", "c")),
+    Journal("j5", "Five", ("b", "a")),
 ]
 PASS_WINDOWS = tuple(map(CitationWindow.parse, ("all", "years1", "years5")))
 
@@ -544,7 +554,7 @@ def score_pass_case(draw):
             Paper(
                 pid,
                 draw(st.integers(min_value=2000, max_value=2003)),
-                draw(st.sampled_from(["j1", "j2", "j3", "j4"])),
+                draw(st.sampled_from([journal.id for journal in PASS_JOURNALS])),
                 tuple(ref for ref in refs if ref != pid),
                 draw(st.one_of(st.none(), st.none(), st.integers(0, 3))),
             )
@@ -604,16 +614,16 @@ def test_score_pass_computes_each_value_once_per_key(monkeypatch) -> None:
     )
     scored = score_papers(corpus, table, group, Weighting.HARMONIC)
     papers = [corpus.papers[pid] for pid in group]
-    year_keys = {(paper.journal_id, paper.year) for paper in papers}
+    year_keys = {(corpus.categories_of(paper.id), paper.year) for paper in papers}
     count_keys = {
-        (paper.journal_id, paper.year, corpus.citation_count(paper.id))
+        (corpus.categories_of(paper.id), paper.year, corpus.citation_count(paper.id))
         for paper in papers
     }
     assert len(year_keys) < len(count_keys) < len(group)
     assert calls["expected"] == len(year_keys)
     assert calls["percentile"] == len(count_keys)
-    # fractional_score stays per paper
-    assert calls["fractional"] == sum(p.raw_citation_count is None for p in papers)
+    # fractional_score stays per paper, and decides the overrides itself
+    assert calls["fractional"] == len(group)
     monkeypatch.undo()
     assert scored == _reference_score_papers(corpus, table, group, Weighting.HARMONIC)
 
