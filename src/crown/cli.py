@@ -64,6 +64,7 @@ from .diagnostics import (
 from .indicators import (
     DegenerateGroupError,
     GroupSelection,
+    check_top_x,
     scorable_papers,
     score_group,
     score_papers,
@@ -199,8 +200,16 @@ def _add_scoring_flags(parser: argparse.ArgumentParser, top_x: bool = True) -> N
         help="multi-category combination (default harmonic)",
     )
     if top_x:
-        parser.add_argument("--top-x", type=float, default=1.0, metavar="X",
-                            help="top-x%% membership threshold (default 1.0)")
+        parser.add_argument("--top-x", type=_top_x, default=1.0, metavar="X",
+                            help="top-x%% membership threshold, 0 < X < 100 (default 1.0)")
+
+
+def _top_x(text: str) -> float:
+    """``--top-x`` as a float in (0, 100), checked while the flags are parsed."""
+    try:
+        return check_top_x(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:

@@ -154,13 +154,15 @@ class CitationWindow:
 
     @classmethod
     def parse(cls, text: str) -> CitationWindow:
-        """Parse the CLI spelling: ``all`` or ``yearsN`` (e.g. ``years5``)."""
+        """Parse the CLI spelling: ``all`` or ``yearsN`` (e.g. ``years5``),
+        N one or more ASCII digits."""
         if text == "all":
             return cls.all()
-        if text.startswith("years"):
+        digits = text.removeprefix("years")
+        if text.startswith("years") and digits.isascii() and digits.isdigit():
             try:
-                return cls.fixed_years(int(text[len("years"):]))
-            except ValueError:
+                return cls.fixed_years(int(digits))
+            except ValueError:  # n < 1, or more digits than int() reads
                 pass
         raise ValueError(f"bad window {text!r}: expected 'all' or 'yearsN'")
 
@@ -186,23 +188,6 @@ class Corpus:
     journals: dict[str, Journal]
     cited_by: dict[str, tuple[str, ...]]
     window: CitationWindow
-
-    def citation_count(self, paper_id: str) -> int:
-        """Citations received within the window; a stored override wins."""
-        paper = self.papers[paper_id]
-        if paper.raw_citation_count is not None:
-            return paper.raw_citation_count
-        return len(self.cited_by[paper_id])
-
-    def reference_count(self, paper_id: str) -> int:
-        """Full reference-list length, duplicates and external keys included."""
-        return len(self.papers[paper_id].references)
-
-    def journal_of(self, paper_id: str) -> Journal:
-        return self.journals[self.papers[paper_id].journal_id]
-
-    def categories_of(self, paper_id: str) -> tuple[str, ...]:
-        return self.journal_of(paper_id).categories
 
     @property
     def n_edges(self) -> int:

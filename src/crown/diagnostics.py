@@ -5,7 +5,10 @@ Three diagnostics:
 * consistency: exhaustive search for instances where adding one identical
   paper to two groups flips their ranking. The ratio-of-sums indicator admits
   such flips at tiny sizes; the mean-of-ratios indicator admits none at equal
-  group sizes, and the search verifies that exhaustively within bounds.
+  group sizes, and the search verifies that exhaustively within bounds. A
+  group here is a list of bare (citations, expected) pairs; its value comes
+  from the same column statistics (``cpp_fcsm``, ``mncs``) that score a
+  corpus group.
 * indexer sensitivity: rescore the same papers under two category schemes and
   report every per-paper and group-level shift. Fractional counting is
   classification-free, so its deltas are asserted to be identically zero.
@@ -26,21 +29,23 @@ from .corpus import Corpus, Journal
 from .indicators import (
     GroupSelection,
     IndicatorReport,
-    ScoredPaper,
     cpp_fcsm,
     group_report,
     mncs,
     score_papers,
-    scored_from_pairs,
     top_label,
 )
 
+Pair = tuple[int, int]
+
 RATIO_OF_SUMS = "cpp_fcsm"
 MEAN_OF_RATIOS = "mncs"
-# The group statistics the consistency diagnostics take, by name.
-INDICATORS = {RATIO_OF_SUMS: cpp_fcsm, MEAN_OF_RATIOS: mncs}
-
-Pair = tuple[int, int]
+# The group statistics the consistency diagnostics take, by name, each a
+# function of a group's (citations, expected) pairs.
+INDICATORS: dict[str, Callable[[Sequence[Pair]], float]] = {
+    RATIO_OF_SUMS: lambda pairs: cpp_fcsm([c for c, _ in pairs], [e for _, e in pairs]),
+    MEAN_OF_RATIOS: lambda pairs: mncs([c / e for c, e in pairs]),
+}
 
 # Largest consistency search accepted. The search keeps every multiset of
 # pairs in memory and visits each instance in pure Python (4.8e7 instances
@@ -101,16 +106,21 @@ class Counterexample:
     after_a: float
     after_b: float
 
-    def is_strict_flip(self) -> bool:
-        return self.before_a > self.before_b and self.after_a < self.after_b
-
 
 def evaluate_pairs(pairs: Sequence[Pair], indicator: str) -> float:
-    """Group indicator value for bare (citations, expected) pairs."""
-    return _indicator(indicator)(scored_from_pairs(pairs))
+    """Group indicator value for bare (citations, expected) pairs; ValueError
+    for an unknown indicator, no pairs or an expected value that is not
+    positive."""
+    statistic = _indicator(indicator)
+    if not pairs:
+        raise ValueError("no pairs to evaluate")
+    for index, (_, expected) in enumerate(pairs):
+        if expected <= 0:
+            raise ValueError(f"pair {index}: expected value must be positive")
+    return statistic(pairs)
 
 
-def _indicator(name: str) -> Callable[[list[ScoredPaper]], float]:
+def _indicator(name: str) -> Callable[[Sequence[Pair]], float]:
     """The group statistic ``INDICATORS`` names ``name``; ValueError otherwise."""
     if name not in INDICATORS:
         raise ValueError(f"unknown indicator {name!r}")
@@ -133,18 +143,6 @@ def build_counterexample(
         after_a=evaluate_pairs([*group_a, added_paper], indicator),
         after_b=evaluate_pairs([*group_b, added_paper], indicator),
     )
-
-
-# Desk-scale instance: a one-paper group at exactly its expectation versus
-# one slightly below, plus an uncited paper with a large expectation.
-# Ratio-of-sums flips the ranking (1.0 > 0.9 becomes 1/11 < 0.45); the
-# mean-of-ratios keeps it (0.5 > 0.45).
-SHIPPED_COUNTEREXAMPLE = build_counterexample(
-    RATIO_OF_SUMS,
-    group_a=[(1, 1)],
-    group_b=[(9, 10)],
-    added_paper=(0, 10),
-)
 
 
 def consistency_counterexample(

@@ -7,9 +7,13 @@ scores, MNCS), together with the median variant (MdNCS), percentile ranks,
 top-x% shares, and citing-side fractional counting. Keeping both families in
 one report makes their disagreements observable instead of hidden.
 
-All group statistics run over scorable papers only, with the scorable and
-total counts reported side by side; papers are accumulated in ascending
-paper-id order so results are reproducible bit for bit.
+The group statistics (``cpp_fcsm``, ``mncs``, ``mdncs``, ``pp_top``) are
+functions of plain, non-empty columns: citations and expected values, ncs
+values, or percentiles. ``scorable_papers`` is the one filter that picks the
+scorable papers of a score pass, and the one place that finds a group with
+none; ``group_report`` builds each column once from its result. The scorable
+and total counts are reported side by side, and papers are accumulated in
+ascending paper-id order so results are reproducible bit for bit.
 
 A score pass computes the expected value (and its unscorable reason) once per
 (categories, year) and the combined percentile once per (categories, year,
@@ -45,9 +49,9 @@ class DegenerateGroupError(RuntimeError):
     def __init__(
         self,
         message: str,
-        group: str = "",
-        n_total: int = 0,
-        unscorable: Sequence[tuple[str, str]] = (),
+        group: str,
+        n_total: int,
+        unscorable: Sequence[tuple[str, str]],
         n_scorable: int = 0,
     ):
         super().__init__(message)
@@ -138,34 +142,20 @@ class IndicatorReport:
         """Sorted-key compact JSON of ``payload()``."""
         return json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, text: str) -> IndicatorReport:
-        payload = json.loads(text)
-        payload["pp_top"] = payload.pop(top_label(payload["top_x"]))
-        payload["unscorable"] = tuple(
-            (paper_id, reason) for paper_id, reason in payload["unscorable"]
-        )
-        return cls(**payload)
 
-
-def cpp_fcsm(scored: Iterable[ScoredPaper]) -> float:
+def cpp_fcsm(citations: Sequence[int], expected: Sequence[float]) -> float:
     """Ratio of sums: total citations over total expected citations."""
-    papers = _scorable(scored)
-    total_citations = sum(paper.citations for paper in papers)
-    total_expected = math.fsum(paper.expected for paper in papers)
-    return total_citations / total_expected
+    return sum(citations) / math.fsum(expected)
 
 
-def mncs(scored: Iterable[ScoredPaper]) -> float:
+def mncs(ncs: Sequence[float]) -> float:
     """Mean of ratios: arithmetic mean of the per-paper normalized scores."""
-    papers = _scorable(scored)
-    return math.fsum(paper.ncs for paper in papers) / len(papers)
+    return math.fsum(ncs) / len(ncs)
 
 
-def mdncs(scored: Iterable[ScoredPaper]) -> float:
+def mdncs(ncs: Sequence[float]) -> float:
     """Median normalized score; even counts take the central-pair midpoint."""
-    papers = _scorable(scored)
-    return statistics.median(paper.ncs for paper in papers)
+    return statistics.median(ncs)
 
 
 def top_label(x: float) -> str:
@@ -173,13 +163,17 @@ def top_label(x: float) -> str:
     return "pp_top" + repr(float(x)).removesuffix(".0")
 
 
-def pp_top(scored: Iterable[ScoredPaper], x: float = 1.0) -> float:
-    """Share of scorable papers at or above the (100 - x)th percentile."""
+def check_top_x(x: float) -> float:
+    """``x`` itself if it names a top-x% share, 0 < x < 100; ValueError otherwise."""
     if not 0.0 < x < 100.0:
         raise ValueError(f"top-x share needs 0 < x < 100, got {x}")
-    papers = _scorable(scored)
-    threshold = 100.0 - x
-    return sum(paper.percentile >= threshold for paper in papers) / len(papers)
+    return x
+
+
+def pp_top(percentiles: Sequence[float], x: float) -> float:
+    """Share of papers at or above the (100 - x)th percentile."""
+    threshold = 100.0 - check_top_x(x)
+    return sum(percentile >= threshold for percentile in percentiles) / len(percentiles)
 
 
 def percentile_rank(cell: FieldYearCell, citations: int) -> float:
@@ -285,7 +279,8 @@ def scorable_papers(
     name: str, scored: Sequence[ScoredPaper]
 ) -> tuple[list[ScoredPaper], tuple[tuple[str, str], ...]]:
     """Split a score pass into its scorable papers and (id, reason) pairs for
-    the rest; raises when nothing is scorable."""
+    the rest; the one filter the group statistics run behind. Raises
+    ``DegenerateGroupError`` when nothing is scorable."""
     unscorable = tuple(
         (paper.paper_id, paper.unscorable_reason or "unscorable")
         for paper in scored
@@ -311,9 +306,11 @@ def group_report(
 ) -> IndicatorReport:
     """Aggregate an existing score pass into the group report.
 
-    Warns once when override papers were left out of fractional counting;
-    raises when nothing is scorable.
+    Checks ``top_x`` first, so a bad share is a ValueError even for a
+    degenerate group. Warns once when override papers were left out of
+    fractional counting; raises when nothing is scorable.
     """
+    check_top_x(top_x)
     scorable, unscorable = scorable_papers(name, scored)
     overridden = [p.paper_id for p in scored if p.fractional is None]
     if overridden:
@@ -332,14 +329,15 @@ def group_report(
             n_scorable=len(scorable),
         )
     fractional_mean = math.fsum(fractional_values) / len(fractional_values)
+    ncs = [p.ncs for p in scorable]
     return IndicatorReport(
         group=name,
         n_total=len(scored),
         n_scorable=len(scorable),
-        cpp_fcsm=cpp_fcsm(scorable),
-        mncs=mncs(scorable),
-        mdncs=mdncs(scorable),
-        pp_top=pp_top(scorable, top_x),
+        cpp_fcsm=cpp_fcsm([p.citations for p in scorable], [p.expected for p in scorable]),
+        mncs=mncs(ncs),
+        mdncs=mdncs(ncs),
+        pp_top=pp_top([p.percentile for p in scorable], top_x),
         mean_fractional=fractional_mean,
         weighting=str(weighting),
         window=str(window),
@@ -347,33 +345,3 @@ def group_report(
         unscorable=unscorable,
     )
 
-
-def scored_from_pairs(pairs: Iterable[tuple[float, float]]) -> list[ScoredPaper]:
-    """Wrap bare (citations, expected) pairs for the group indicators.
-
-    Convenience for fixtures and the consistency diagnostics, where groups
-    are abstract score pairs rather than corpus papers.
-    """
-    scored = []
-    for index, (citations, expected) in enumerate(pairs):
-        if expected <= 0:
-            raise ValueError(f"pair {index}: expected value must be positive")
-        scored.append(
-            ScoredPaper(
-                paper_id=f"pair{index}",
-                citations=citations,
-                expected=expected,
-                ncs=citations / expected,
-                percentile=0.0,
-                fractional=None,
-                scorable=True,
-            )
-        )
-    return scored
-
-
-def _scorable(scored: Iterable[ScoredPaper]) -> list[ScoredPaper]:
-    papers = [paper for paper in scored if paper.scorable]
-    if not papers:
-        raise DegenerateGroupError("no scorable papers in group")
-    return papers

@@ -19,7 +19,7 @@ from crown.cli import main
 from crown.corpus import CitationWindow, Journal, Paper, build_corpus
 from crown.indicators import score_papers
 
-from conftest import corpus_from_text
+from conftest import categories_of, citation_count, corpus_from_text
 
 
 def _cell_corpus():
@@ -136,9 +136,9 @@ def _ncs_corpus(citations: int, means: list[int]):
 def _ncs(corpus, table, paper_id: str, weighting: Weighting) -> float:
     """c / e exactly as the score pass computes a paper's ``ncs``."""
     year = corpus.papers[paper_id].year
-    categories = corpus.categories_of(paper_id)
+    categories = categories_of(corpus, paper_id)
     expected = expected_citations_with_reason(table, categories, year, weighting)[0]
-    return corpus.citation_count(paper_id) / expected
+    return citation_count(corpus, paper_id) / expected
 
 
 def test_normalized_score_matches_mean_of_per_field_ratios() -> None:
@@ -215,12 +215,12 @@ def test_baseline_table_covers_every_category_year_pair() -> None:
     wanted = {
         (category, paper.year)
         for paper in corpus.papers.values()
-        for category in corpus.categories_of(paper.id)
+        for category in categories_of(corpus, paper.id)
     }
     assert set(table.cells) == wanted
     # overlap partition: the multi-membership total matches cell populations
     assert sum(cell.n for cell in table.cells.values()) == sum(
-        len(corpus.categories_of(pid)) for pid in corpus.papers
+        len(categories_of(corpus, pid)) for pid in corpus.papers
     )
 
 
@@ -257,9 +257,9 @@ def _reference_cells(corpus) -> dict:
     """The plain build: each paper's count added to each of its cells."""
     per_cell: dict = {}
     for paper_id, paper in corpus.papers.items():
-        for category in corpus.categories_of(paper_id):
+        for category in categories_of(corpus, paper_id):
             per_cell.setdefault((category, paper.year), []).append(
-                corpus.citation_count(paper_id)
+                citation_count(corpus, paper_id)
             )
     return {
         (category, year): FieldYearCell(category, year, tuple(sorted(counts)))

@@ -216,6 +216,29 @@ def test_bad_window_is_input_error(demo, capsys) -> None:
     assert "bad window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window", ["years1_0", "years+5", "years 5", "years\u0663"])
+def test_window_count_takes_ascii_digits_only(demo, capsys, window) -> None:
+    papers, journals, group = demo
+    argv = ["score", "--papers", str(papers), "--journals", str(journals),
+            "--group", str(group)]
+    assert main([*argv, "--window", window]) == 1
+    err = capsys.readouterr().err
+    assert err == f"crown: error: bad window {window!r}: expected 'all' or 'yearsN'\n"
+    assert main([*argv, "--window", "years05"]) == 0
+    assert "# window: years5\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["score"], ["diagnose", "indexer"]])
+@pytest.mark.parametrize("x", ["nan", "0", "100", "-3", "inf"])
+def test_bad_top_x_is_rejected_before_any_file_is_read(tmp_path, capsys, command, x) -> None:
+    missing = str(tmp_path / "missing")
+    argv = [*command, "--papers", missing, "--journals", missing, "--group", missing]
+    assert main([*argv, "--top-x", x]) == 1
+    err = capsys.readouterr().err
+    assert f"argument --top-x: top-x share needs 0 < x < 100, got {float(x)}\n" in err
+    assert "No such file" not in err
+
+
 def test_window_flag_reaches_the_graph(demo, capsys) -> None:
     papers, journals, group = demo
     assert main(

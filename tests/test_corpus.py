@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crown.baselines import compute_baselines
+from crown.baselines import Weighting, compute_baselines
 from crown.corpus import (
     YEAR_MAX,
     YEAR_MIN,
@@ -24,8 +24,9 @@ from crown.corpus import (
     parse_papers,
     read_hashed,
 )
+from crown.indicators import score_papers
 
-from conftest import CARDIOLOGY_JOURNALS_CSV
+from conftest import CARDIOLOGY_JOURNALS_CSV, categories_of
 
 
 def test_parse_papers_maps_fields_directly() -> None:
@@ -236,13 +237,13 @@ def _two_paper_corpus(citing_year: int, window: CitationWindow):
 def test_build_corpus_single_edge() -> None:
     corpus = _two_paper_corpus(2001, CitationWindow.all())
     assert corpus.cited_by["p1"] == ("p2",)
-    assert corpus.citation_count("p1") == 1
+    assert len(corpus.cited_by["p1"]) == 1
 
 
 def test_build_corpus_window_excludes_late_citation() -> None:
     corpus = _two_paper_corpus(2010, CitationWindow.fixed_years(5))
     assert corpus.cited_by["p1"] == ()
-    assert corpus.citation_count("p1") == 0
+    assert len(corpus.cited_by["p1"]) == 0
 
 
 def test_window_includes_publication_year_span() -> None:
@@ -260,7 +261,7 @@ def test_external_reference_counts_toward_reference_length() -> None:
     ]
     corpus = build_corpus(papers, [Journal("j1", "J", ("cat",))])
     assert corpus.cited_by["p1"] == ()
-    assert corpus.reference_count("p2") == 1
+    assert len(corpus.papers["p2"].references) == 1
     assert corpus.n_edges == 0
 
 
@@ -271,7 +272,7 @@ def test_duplicate_reference_keys_make_one_edge_but_count_twice() -> None:
     ]
     corpus = build_corpus(papers, [Journal("j1", "J", ("cat",))])
     assert corpus.cited_by["p1"] == ("p2",)
-    assert corpus.reference_count("p2") == 2
+    assert len(corpus.papers["p2"].references) == 2
 
 
 def test_citation_count_override_beats_edges() -> None:
@@ -282,14 +283,12 @@ def test_citation_count_override_beats_edges() -> None:
     ]
     corpus = build_corpus(papers, [Journal("j1", "J", ("cat",))])
     assert len(corpus.cited_by["p1"]) == 2
-    assert corpus.citation_count("p1") == 17
-    assert corpus.citation_count("q1") == 0
-
-
-def test_citation_count_unknown_paper() -> None:
-    corpus = _two_paper_corpus(2001, CitationWindow.all())
-    with pytest.raises(KeyError):
-        corpus.citation_count("nope")
+    table = compute_baselines(corpus)
+    scored = score_papers(corpus, table, ["q1", "p1"], Weighting.HARMONIC)
+    assert scored[0].citations == 17
+    assert scored[1].citations == 0
+    assert table.cell("cat", 2000).sorted_citations == (17,)
+    assert table.cell("cat", 2001).sorted_citations == (0, 0)
 
 
 def test_build_corpus_rejects_unresolved_journal() -> None:
@@ -348,7 +347,7 @@ def test_with_journals_keeps_graph() -> None:
     corpus = _two_paper_corpus(2001, CitationWindow.all())
     swapped = corpus.with_journals([Journal("j1", "J", ("newcat",))])
     assert swapped.cited_by is corpus.cited_by
-    assert swapped.categories_of("p1") == ("newcat",)
+    assert categories_of(swapped, "p1") == ("newcat",)
 
 
 def test_window_parse_round_trip() -> None:
@@ -376,7 +375,7 @@ def test_load_corpus_reads_files(tmp_path) -> None:
     )
     digests: dict[str, str] = {}
     corpus = load_corpus(papers_path, journals_path, digests=digests)
-    assert corpus.citation_count("p1") == 1
+    assert len(corpus.cited_by["p1"]) == 1
     assert len(corpus.journals) == 4
     assert corpus.journals["jx"].title == "Two\r\nLines"
     assert digests == {
@@ -454,7 +453,7 @@ def test_citation_total_equals_resolvable_pairs(case) -> None:
         for ref in paper.references
         if ref in ids
     }
-    assert sum(corpus.citation_count(pid) for pid in ids) == len(pairs)
+    assert sum(len(corpus.cited_by[pid]) for pid in ids) == len(pairs)
 
 
 @given(corpus_and_window())

@@ -15,7 +15,6 @@ from crown.diagnostics import (
     MAX_INSTANCES,
     MEAN_OF_RATIOS,
     RATIO_OF_SUMS,
-    SHIPPED_COUNTEREXAMPLE,
     SearchBounds,
     build_counterexample,
     consistency_counterexample,
@@ -26,13 +25,13 @@ from crown.diagnostics import (
 )
 from crown.indicators import GroupSelection, score_group, score_papers
 
-from conftest import corpus_from_text
+from conftest import corpus_from_text, is_strict_flip
 
 # --- consistency -----------------------------------------------------------
 
 
 def test_shipped_counterexample_evaluates_exactly() -> None:
-    example = SHIPPED_COUNTEREXAMPLE
+    example = build_counterexample(RATIO_OF_SUMS, [(1, 1)], [(9, 10)], (0, 10))
     assert example.group_a == ((1, 1),)
     assert example.group_b == ((9, 10),)
     assert example.added_paper == (0, 10)
@@ -40,7 +39,7 @@ def test_shipped_counterexample_evaluates_exactly() -> None:
     assert example.before_b == 0.9
     assert example.after_a == 1 / 11
     assert example.after_b == 0.45
-    assert example.is_strict_flip()
+    assert is_strict_flip(example)
 
 
 def test_same_instance_under_mean_of_ratios_keeps_order() -> None:
@@ -51,13 +50,13 @@ def test_same_instance_under_mean_of_ratios_keeps_order() -> None:
     assert example.before_b == 0.9
     assert example.after_a == 0.5
     assert example.after_b == 0.45
-    assert not example.is_strict_flip()
+    assert not is_strict_flip(example)
 
 
 def test_search_finds_ratio_of_sums_flip_within_small_bounds() -> None:
     found = consistency_counterexample(RATIO_OF_SUMS, SearchBounds(2, 4, 4))
     assert found is not None
-    assert found.is_strict_flip()
+    assert is_strict_flip(found)
     # re-evaluate through the indicators to confirm the reported values
     assert found.before_a == evaluate_pairs(found.group_a, RATIO_OF_SUMS)
     assert found.after_a == evaluate_pairs(
@@ -71,6 +70,16 @@ def test_unknown_indicator_is_rejected() -> None:
     with pytest.raises(ValueError, match="unknown indicator 'bogus'"):
         consistency_counterexample("bogus", SearchBounds(1, 0, 1))
     assert main(["diagnose", "consistency", "--indicator", "bogus"]) == 1
+
+
+@pytest.mark.parametrize("indicator", [RATIO_OF_SUMS, MEAN_OF_RATIOS])
+def test_evaluate_pairs_rejects_bad_pairs(indicator) -> None:
+    for pairs in ([(1, 0)], [(3, 2), (1, -1)]):
+        with pytest.raises(ValueError, match="expected value must be positive"):
+            evaluate_pairs(pairs, indicator)
+    with pytest.raises(ValueError, match="^no pairs to evaluate$"):
+        evaluate_pairs([], indicator)
+
 
 
 def test_search_finds_nothing_for_mean_of_ratios_at_equal_sizes() -> None:

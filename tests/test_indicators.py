@@ -21,7 +21,6 @@ from crown.corpus import CitationWindow, Journal, Paper, build_corpus
 from crown.indicators import (
     DegenerateGroupError,
     GroupSelection,
-    IndicatorReport,
     ScoredPaper,
     combined_percentile,
     cpp_fcsm,
@@ -31,33 +30,38 @@ from crown.indicators import (
     percentile_rank,
     pp_top,
     score_group,
+    scorable_papers,
     score_papers,
-    scored_from_pairs,
     top_label,
 )
 from crown.synth import FieldSpec, SynthConfig
 
-from conftest import corpus_from_synth, corpus_from_text
+from conftest import categories_of, citation_count, corpus_from_synth, corpus_from_text
 
 
 # --- ratio-of-sums vs mean-of-ratios -------------------------------------
 
 
+def _columns(pairs):
+    """The citations, expected and ncs columns of (citations, expected) pairs."""
+    return [c for c, _ in pairs], [e for _, e in pairs], [c / e for c, e in pairs]
+
+
 def test_crown_contrast_on_same_pairs() -> None:
-    scored = scored_from_pairs([(2, 1), (8, 8)])
-    assert cpp_fcsm(scored) == pytest.approx(10 / 9, rel=1e-15)
-    assert mncs(scored) == 1.5
+    citations, expected, ncs = _columns([(2, 1), (8, 8)])
+    assert cpp_fcsm(citations, expected) == pytest.approx(10 / 9, rel=1e-15)
+    assert mncs(ncs) == 1.5
 
 
 def test_ratio_of_sums_is_one_when_every_paper_hits_expectation() -> None:
-    scored = scored_from_pairs([(3, 3), (7, 7), (1, 1)])
-    assert cpp_fcsm(scored) == 1.0
-    assert mncs(scored) == 1.0
+    citations, expected, ncs = _columns([(3, 3), (7, 7), (1, 1)])
+    assert cpp_fcsm(citations, expected) == 1.0
+    assert mncs(ncs) == 1.0
 
 
 def test_single_paper_group_collapses_all_three() -> None:
-    scored = scored_from_pairs([(3, 2)])
-    assert cpp_fcsm(scored) == mncs(scored) == mdncs(scored) == 1.5
+    citations, expected, ncs = _columns([(3, 2)])
+    assert cpp_fcsm(citations, expected) == mncs(ncs) == mdncs(ncs) == 1.5
 
 
 @given(
@@ -72,11 +76,11 @@ def test_single_paper_group_collapses_all_three() -> None:
 )
 @settings(max_examples=200)
 def test_group_statistics_match_exact_oracles(pairs) -> None:
-    scored = scored_from_pairs(pairs)
+    citations, expected, ncs = _columns(pairs)
     exact_ratio_of_sums = Fraction(sum(c for c, _ in pairs), sum(e for _, e in pairs))
     exact_mean = sum(Fraction(c, e) for c, e in pairs) / len(pairs)
-    assert cpp_fcsm(scored) == pytest.approx(float(exact_ratio_of_sums), rel=1e-12)
-    assert mncs(scored) == pytest.approx(float(exact_mean), rel=1e-12)
+    assert cpp_fcsm(citations, expected) == pytest.approx(float(exact_ratio_of_sums), rel=1e-12)
+    assert mncs(ncs) == pytest.approx(float(exact_mean), rel=1e-12)
     ratios = sorted(Fraction(c, e) for c, e in pairs)
     middle = len(ratios) // 2
     exact_median = (
@@ -84,30 +88,45 @@ def test_group_statistics_match_exact_oracles(pairs) -> None:
         if len(ratios) % 2
         else (ratios[middle - 1] + ratios[middle]) / 2
     )
-    assert mdncs(scored) == pytest.approx(float(exact_median), rel=1e-12)
+    assert mdncs(ncs) == pytest.approx(float(exact_median), rel=1e-12)
 
 
 def test_they_agree_when_expected_values_are_equal() -> None:
-    scored = scored_from_pairs([(2, 5), (9, 5), (4, 5)])
-    assert cpp_fcsm(scored) == pytest.approx(mncs(scored), rel=1e-12)
+    citations, expected, ncs = _columns([(2, 5), (9, 5), (4, 5)])
+    assert cpp_fcsm(citations, expected) == pytest.approx(mncs(ncs), rel=1e-12)
 
 
 def test_median_resists_skew_that_drags_the_mean() -> None:
-    scored = scored_from_pairs([(1, 2), (1, 1), (10, 1)])  # ncs 0.5, 1.0, 10.0
-    assert mdncs(scored) == 1.0
-    assert mncs(scored) == pytest.approx(11.5 / 3, rel=1e-12)
-    assert mncs(scored) > mdncs(scored)
+    _, _, ncs = _columns([(1, 2), (1, 1), (10, 1)])  # ncs 0.5, 1.0, 10.0
+    assert mdncs(ncs) == 1.0
+    assert mncs(ncs) == pytest.approx(11.5 / 3, rel=1e-12)
+    assert mncs(ncs) > mdncs(ncs)
 
 
 def test_even_count_median_is_central_midpoint() -> None:
-    scored = scored_from_pairs([(1, 1), (2, 1), (3, 1), (4, 1)])
-    assert mdncs(scored) == 2.5
+    _, _, ncs = _columns([(1, 1), (2, 1), (3, 1), (4, 1)])
+    assert mdncs(ncs) == 2.5
 
 
 def test_empty_scorable_set_is_degenerate() -> None:
-    for statistic in (cpp_fcsm, mncs, mdncs):
-        with pytest.raises(DegenerateGroupError):
-            statistic([])
+    dead = [
+        ScoredPaper(f"p{i}", 0, None, None, 50.0, 0.0, False, "zero baseline")
+        for i in range(3)
+    ]
+    unscorable = tuple((paper.paper_id, "zero baseline") for paper in dead)
+    for split in (
+        lambda: scorable_papers("dead", dead),
+        lambda: indicators.group_report(
+            "dead", dead, Weighting.HARMONIC, CitationWindow.all()
+        ),
+    ):
+        with pytest.raises(
+            DegenerateGroupError, match="^group 'dead': no scorable papers$"
+        ) as exc_info:
+            split()
+        error = exc_info.value
+        assert (error.group, error.n_total, error.n_scorable) == ("dead", 3, 0)
+        assert error.unscorable == unscorable
 
 
 @given(
@@ -138,7 +157,7 @@ def test_mean_of_ratios_is_consistent_at_equal_sizes(pairs_a, pairs_b, added) ->
     if mean(pairs_a) >= mean(pairs_b):
         assert mean([*pairs_a, added]) >= mean([*pairs_b, added])
     # float implementation tracks the exact value closely enough to agree
-    assert mncs(scored_from_pairs([*pairs_a, added])) == pytest.approx(
+    assert mncs(_columns([*pairs_a, added])[2]) == pytest.approx(
         float(mean([*pairs_a, added])), rel=1e-12
     )
 
@@ -203,7 +222,7 @@ def test_combined_percentile_averages_cells_with_equal_weights() -> None:
     # cell A: [0, 5, 9]; cell B: [1, 5]; paper m1 has 5 citations
     rank_a = percentile_rank(table.cell("A", 2005), 5)
     rank_b = percentile_rank(table.cell("B", 2005), 5)
-    assert combined_percentile(table, corpus.categories_of("m1"), 2005, 5) == (
+    assert combined_percentile(table, categories_of(corpus, "m1"), 2005, 5) == (
         (rank_a + rank_b) / 2
     )
 
@@ -211,21 +230,13 @@ def test_combined_percentile_averages_cells_with_equal_weights() -> None:
 # --- top-x% share ----------------------------------------------------------
 
 
-def _scored_with_percentiles(percentiles):
-    scored = scored_from_pairs([(1, 1)] * len(percentiles))
-    return [
-        paper._replace(percentile=percentile)
-        for paper, percentile in zip(scored, percentiles)
-    ]
-
-
 def test_pp_top_counts_threshold_inclusive() -> None:
     percentiles = [99.0, 99.5] + [50.0] * 198
-    assert pp_top(_scored_with_percentiles(percentiles), 1.0) == pytest.approx(0.01)
+    assert pp_top(percentiles, 1.0) == pytest.approx(0.01)
 
 
 def test_pp_top_zero_when_no_paper_reaches_threshold() -> None:
-    assert pp_top(_scored_with_percentiles([10.0, 20.0]), 1.0) == 0.0
+    assert pp_top([10.0, 20.0], 1.0) == 0.0
 
 
 def test_pp_top_half_on_tie_free_uniform_cell() -> None:
@@ -233,16 +244,15 @@ def test_pp_top_half_on_tie_free_uniform_cell() -> None:
     n = 30
     values = list(range(n))
     percentiles = [brute_percentile(values, v) for v in values]
-    share = pp_top(_scored_with_percentiles(percentiles), 50.0)
+    share = pp_top(percentiles, 50.0)
     oracle = sum(p >= 50.0 for p in percentiles) / n
     assert share == oracle == 0.5
 
 
 def test_pp_top_rejects_silly_thresholds() -> None:
-    scored = scored_from_pairs([(1, 1)])
-    for x in (0.0, 100.0, -3.0):
-        with pytest.raises(ValueError):
-            pp_top(scored, x)
+    for x in (0.0, 100.0, -3.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^top-x share needs 0 < x < 100, got "):
+            pp_top([50.0], x)
 
 
 # --- fractional counting ---------------------------------------------------
@@ -263,8 +273,8 @@ def _fractional_fixture():
 
 def test_fractional_contrasting_densities() -> None:
     corpus = _fractional_fixture()
-    assert corpus.reference_count("sparse") == 6
-    assert corpus.reference_count("dense") == 40
+    assert len(corpus.papers["sparse"].references) == 6
+    assert len(corpus.papers["dense"].references) == 40
     assert fractional_score(corpus, "t") == pytest.approx(1 / 6 + 1 / 40, abs=1e-15)
 
 
@@ -334,7 +344,7 @@ def test_mean_fractional_conservation_on_internal_corpus() -> None:
     assert total == pytest.approx(citing, abs=1e-12)
     # oracle: accumulate the exact weights by hand
     exact = sum(
-        Fraction(1, corpus.reference_count(q))
+        Fraction(1, len(corpus.papers[q].references))
         for pid in corpus.papers
         for q in corpus.cited_by[pid]
     )
@@ -405,8 +415,8 @@ def test_report_json_round_trip_is_bit_identical() -> None:
     group = GroupSelection.resolve("g", ["p1", "q1"], corpus)
     report = score_group(corpus, table, group, Weighting.HARMONIC)
     text = report.to_json()
-    assert IndicatorReport.from_json(text) == report
-    assert IndicatorReport.from_json(text).to_json() == text
+    assert json.loads(text) == report.payload()
+    assert json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) == text
 
 
 def test_report_json_keys_the_top_share_after_x() -> None:
@@ -418,8 +428,7 @@ def test_report_json_keys_the_top_share_after_x() -> None:
     payload = json.loads(text)
     assert payload["pp_top0.5"] == report.pp_top
     assert "pp_top1" not in payload
-    assert IndicatorReport.from_json(text) == report
-    assert IndicatorReport.from_json(text).to_json() == text
+    assert payload == report.payload()
 
 
 def test_top_label_names_the_share_after_x() -> None:
@@ -446,6 +455,13 @@ def test_score_group_all_unscorable_raises_with_coverage() -> None:
     assert error.n_total == 2
     assert len(error.unscorable) == 2
     assert all("zero baseline" in reason for _, reason in error.unscorable)
+
+
+def test_group_report_checks_top_x_before_the_degenerate_raise() -> None:
+    dead = [ScoredPaper("p1", 0, None, None, 50.0, 0.0, False, "zero baseline")]
+    for x in (math.nan, 0.0, 150.0):
+        with pytest.raises(ValueError, match=r"^top-x share needs 0 < x < 100, got "):
+            indicators.group_report("dead", dead, Weighting.HARMONIC, CitationWindow.all(), x)
 
 
 def test_group_selection_validates_membership_and_duplicates() -> None:
@@ -487,7 +503,7 @@ def test_score_papers_orders_by_paper_id() -> None:
 
 
 def test_scored_paper_is_immutable_and_keeps_the_dataclass_repr() -> None:
-    paper = scored_from_pairs([(3, 2)])[0]
+    paper = ScoredPaper("pair0", 3, 2, 1.5, 0.0, None, True)
     with pytest.raises(AttributeError):
         paper.ncs = 2.0  # type: ignore[misc]
     assert repr(paper) == (
@@ -503,9 +519,9 @@ def _reference_score_papers(corpus, table, paper_ids, weighting) -> list:
     """The plain score pass: every value recomputed for every paper."""
     scored = []
     for paper_id in sorted(paper_ids):
-        citations = corpus.citation_count(paper_id)
+        citations = citation_count(corpus, paper_id)
         year = corpus.papers[paper_id].year
-        categories = corpus.categories_of(paper_id)
+        categories = categories_of(corpus, paper_id)
         expected, reason = expected_citations_with_reason(
             table, categories, year, weighting
         )
@@ -614,9 +630,9 @@ def test_score_pass_computes_each_value_once_per_key(monkeypatch) -> None:
     )
     scored = score_papers(corpus, table, group, Weighting.HARMONIC)
     papers = [corpus.papers[pid] for pid in group]
-    year_keys = {(corpus.categories_of(paper.id), paper.year) for paper in papers}
+    year_keys = {(categories_of(corpus, paper.id), paper.year) for paper in papers}
     count_keys = {
-        (corpus.categories_of(paper.id), paper.year, corpus.citation_count(paper.id))
+        (categories_of(corpus, paper.id), paper.year, citation_count(corpus, paper.id))
         for paper in papers
     }
     assert len(year_keys) < len(count_keys) < len(group)

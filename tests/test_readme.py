@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -30,9 +31,12 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys) -> None:
     )
     monkeypatch.chdir(tmp_path)
     source = _library_example()
-    exec(compile(source, str(README), "exec"), {})
+    namespace: dict = {}
+    exec(compile(source, str(README), "exec"), namespace)
     mncs, mdncs, report_json = capsys.readouterr().out.split(" ", 2)
-    report = crown.IndicatorReport.from_json(report_json)
+    report = namespace["report"]
+    assert isinstance(report, crown.IndicatorReport)
+    assert json.loads(report_json) == report.payload()
     assert report.group == "unit-a"
     assert (report.n_total, report.n_scorable) == (3, 3)
     assert (float(mncs), float(mdncs)) == (report.mncs, report.mdncs)
