@@ -18,6 +18,8 @@ content hash of each input file, taken from the single read that was parsed,
 so a result is always traceable to its exact inputs; identical inputs and
 flags produce byte-identical output. Exit codes: 0 success, 1 input error, 2
 computation degeneracy (for example a group whose every paper is unscorable).
+An input error, a flag the parser rejects included, is one ``crown: error:``
+line on stderr.
 A degenerate run still emits a coverage report under the same configuration
 header, input hashes included.
 
@@ -102,8 +104,17 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser, subparsers included, that reports a bad command
+    line as one ``crown: error:`` line, like any input error, instead of its
+    usage block, and exits 1."""
+
+    def error(self, message: str):
+        self.exit(1, f"crown: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="crown",
         description="Citation-impact indicators and their diagnostics.",
     )
@@ -205,8 +216,13 @@ def _add_scoring_flags(parser: argparse.ArgumentParser, top_x: bool = True) -> N
 
 
 def _top_x(text: str) -> float:
-    """``--top-x`` as a float in (0, 100), checked while the flags are parsed."""
+    """``--top-x`` as a float in (0, 100), checked while the flags are parsed.
+
+    ``float()`` also reads underscores (``1_0``) and non-ASCII digits, which
+    the header would echo as a different spelling; those are rejected."""
     try:
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"bad top-x {text!r}: expected an ASCII number without '_'")
         return check_top_x(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None

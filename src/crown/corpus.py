@@ -25,7 +25,14 @@ therefore pauses the collector while it reads and builds, instead of letting
 it rescan the growing corpus every few hundred allocations, and restores the
 caller's setting afterwards. Within one parse, every occurrence of a paper id
 (as an id or as a reference key) is the same string object, which saves
-memory and lets the graph build match keys by identity.
+memory and lets the graph build match keys by identity. Every record of one
+journal shares one journal-id string, and every record of one year one year
+int, so a corpus holds one such object per distinct value, not one per record.
+
+The build also computes 1/R once per citing paper, R being the length of its
+reference list, and keeps it as ``Corpus.citing_weight``: the weight of each
+citation that paper makes under fractional counting, read on every
+fractional score instead of measuring R again per edge.
 
 ``Paper`` is a named tuple, the cheapest immutable record to build once per
 input line: it compares equal to the tuple of its fields and unpacks like
@@ -39,7 +46,7 @@ import gc
 import hashlib
 import json
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import BinaryIO, NamedTuple, TypeVar
 
@@ -179,6 +186,13 @@ class CitationWindow:
 class Corpus:
     """Resolved, immutable collection of papers, journals and citation edges.
 
+    ``cited_by`` maps every paper id to the ids of the papers that cite it
+    inside the window, in input order. ``citing_weight`` maps every paper
+    with a non-empty reference list to ``1.0 / len(references)``, so it
+    covers every citer. Both are graph data: they do not depend on
+    ``journals``. Within one parse, equal ids, journal ids and years are
+    each one shared object.
+
     Dict insertion order matches input order everywhere, so two corpora built
     from identical input bytes are identical including all list orderings.
     Safe to share across readers; never mutated after construction.
@@ -187,6 +201,7 @@ class Corpus:
     papers: dict[str, Paper]
     journals: dict[str, Journal]
     cited_by: dict[str, tuple[str, ...]]
+    citing_weight: dict[str, float]
     window: CitationWindow
 
     @property
@@ -194,17 +209,17 @@ class Corpus:
         return sum(len(citers) for citers in self.cited_by.values())
 
     def with_journals(self, journals: Sequence[Journal]) -> Corpus:
-        """Same papers and citation graph under a different category scheme,
-        which must cover every paper's journal, checked as in ``build_corpus``."""
-        new_journals = _journal_map(journals, self.papers.values())
-        return Corpus(self.papers, new_journals, self.cited_by, self.window)
+        """Same papers and citation graph, ``citing_weight`` included, under a
+        different category scheme, which must cover every paper's journal,
+        checked as in ``build_corpus``."""
+        return replace(self, journals=_journal_map(journals, self.papers.values()))
 
 
 def parse_papers(lines: Iterable[str]) -> list[Paper]:
     """Parse JSONL paper records, aborting with a line number on any error;
     the checks across records are ``build_corpus``'s."""
     papers: list[Paper] = []
-    canon: dict[str, str] = {}  # one string object per distinct id or key
+    canon: dict = {}  # one object per distinct id, key, journal id or year
     for line_no, line in enumerate(lines, start=1):
         try:
             record = _JSON.decode(line)
@@ -241,13 +256,14 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
 _JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
-def _paper_from_record(record: dict, line_no: int, canon: dict[str, str]) -> Paper:
+def _paper_from_record(record: dict, line_no: int, canon: dict) -> Paper:
     """Check the JSON shape of one record; ``Paper`` checks the values.
 
-    The id and the reference keys are replaced by their first-seen equal
-    string in ``canon``, so that each distinct key is stored once. The dict
-    is local to one parse rather than ``sys.intern``, whose strings are
-    immortal on CPython 3.12, so the strings die with the corpus.
+    The id, the journal id, the year and the reference keys are replaced by
+    their first-seen equal value in ``canon``, so that each distinct value is
+    stored once. The dict is local to one parse rather than ``sys.intern``,
+    whose strings are immortal on CPython 3.12, so the objects die with the
+    corpus.
     """
     try:
         paper_id = record["id"]
@@ -272,6 +288,8 @@ def _paper_from_record(record: dict, line_no: int, canon: dict[str, str]) -> Pap
     if citations is not None and type(citations) is not int:
         raise ParseError(line_no, "field 'citations' must be an integer")
     paper_id = canon.setdefault(paper_id, paper_id)
+    year = canon.setdefault(year, year)
+    journal_id = canon.setdefault(journal_id, journal_id)
     references = tuple(map(canon.setdefault, references, references))
     try:
         return Paper(paper_id, year, journal_id, references, citations)
@@ -330,7 +348,8 @@ def build_corpus(
     A reference key equal to a paper id becomes an edge if the window admits
     the (cited year, citing year) pair; repeated keys within one reference
     list yield at most one edge per citing paper. Unresolved keys are kept
-    only implicitly, through the citing paper's reference-list length.
+    only implicitly, through the citing paper's reference-list length R,
+    whose inverse ``citing_weight`` holds for every paper with R > 0.
 
     The first repeated paper id, else the first repeated journal id, else the
     first paper whose journal is not in ``journals``, raises ``ParseError``
@@ -347,8 +366,11 @@ def build_corpus(
     journal_map = _journal_map(journals, paper_map.values())
     # Each citer list becomes a tuple in place once the edges are in.
     cited_by: dict = {pid: [] for pid in paper_map}
+    citing_weight: dict[str, float] = {}
     every_year = window.years is None
     for citing_id, citing_year, _, references, _ in paper_map.values():
+        if references:
+            citing_weight[citing_id] = 1.0 / len(references)
         for ref in references:
             citers = cited_by.get(ref)
             # A repeated key finds this paper already last in its citer list.
@@ -360,7 +382,7 @@ def build_corpus(
                 citers.append(citing_id)
     for pid, citers in cited_by.items():
         cited_by[pid] = tuple(citers)
-    return Corpus(paper_map, journal_map, cited_by, window)
+    return Corpus(paper_map, journal_map, cited_by, citing_weight, window)
 
 
 def load_corpus(

@@ -110,13 +110,13 @@ class Counterexample:
 def evaluate_pairs(pairs: Sequence[Pair], indicator: str) -> float:
     """Group indicator value for bare (citations, expected) pairs; ValueError
     for an unknown indicator, no pairs or an expected value that is not
-    positive."""
+    positive and finite."""
     statistic = _indicator(indicator)
     if not pairs:
         raise ValueError("no pairs to evaluate")
     for index, (_, expected) in enumerate(pairs):
-        if expected <= 0:
-            raise ValueError(f"pair {index}: expected value must be positive")
+        if not 0 < expected < math.inf:  # also false for NaN
+            raise ValueError(f"pair {index}: expected value must be positive and finite")
     return statistic(pairs)
 
 
@@ -294,7 +294,9 @@ def indexer_sensitivity(
     which must cover every paper's journal, over the same citation graph.
 
     One score pass per scheme feeds both the per-paper rows and the group
-    reports.
+    reports. Both corpora share the citation graph and its 1/R weights, so
+    the zero fractional-delta check in ``SensitivityReport`` tests that
+    fractional scoring reads nothing from the category scheme.
     """
     corpus_b = corpus.with_journals(scheme_b)
     table_a = compute_baselines(corpus)

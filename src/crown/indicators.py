@@ -207,17 +207,16 @@ def fractional_score(corpus: Corpus, paper_id: str) -> float | None:
 
     R is each citing paper's full reference-list length, so a citation from a
     6-reference paper weighs 1/6 and one from a 40-reference paper 1/40. The
-    value depends only on the citation graph, never on any category scheme.
-    Papers whose citation count is a stored override have no trustworthy
-    citing-side records, so they get None; ``group_report`` counts them and
-    warns once per group.
+    weights are ``corpus.citing_weight``, built once per corpus, and
+    ``math.fsum`` is correctly rounded, so the sum does not depend on the
+    order of the citers. The value depends only on the citation graph, never
+    on any category scheme. Papers whose citation count is a stored override
+    have no trustworthy citing-side records, so they get None;
+    ``group_report`` counts them and warns once per group.
     """
     if corpus.papers[paper_id].raw_citation_count is not None:
         return None
-    papers = corpus.papers
-    return math.fsum(
-        1.0 / len(papers[citer].references) for citer in corpus.cited_by[paper_id]
-    )
+    return math.fsum(map(corpus.citing_weight.__getitem__, corpus.cited_by[paper_id]))
 
 
 def score_papers(

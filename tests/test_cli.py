@@ -239,6 +239,43 @@ def test_bad_top_x_is_rejected_before_any_file_is_read(tmp_path, capsys, command
     assert "No such file" not in err
 
 
+@pytest.mark.parametrize("command", [["score"], ["diagnose", "indexer"]])
+@pytest.mark.parametrize("x", ["1_0", "\u0661\u0660"])
+def test_top_x_takes_ascii_numbers_only(tmp_path, capsys, command, x) -> None:
+    # float() reads each of these, '1_0' and Arabic-Indic '10' as 10.0
+    missing = str(tmp_path / "missing")
+    argv = [*command, "--papers", missing, "--journals", missing, "--group", missing]
+    assert main([*argv, "--top-x", x]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"crown: error: argument --top-x: bad top-x {x!r}: "
+                   "expected an ASCII number without '_'\n")
+
+
+@pytest.mark.parametrize("x, echoed", [("10", "10.0"), ("0.5", "0.5"), ("1e-1", "0.1")])
+def test_top_x_reads_plain_numbers(demo, capsys, x, echoed) -> None:
+    papers, journals, group = demo
+    argv = ["score", "--papers", str(papers), "--journals", str(journals),
+            "--group", str(group), "--top-x", x]
+    assert main(argv) == 0
+    assert f"# top_x: {echoed}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--group", "g", "--weighting", "bogus"],
+     "argument --weighting: invalid choice: 'bogus'"),
+    (["--group", "g", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    ([], "the following arguments are required: --group"),
+    (["--group", "g", "--nope"], "unrecognized arguments: --nope"),
+], ids=["bad-choice", "bad-format", "missing-flag", "unknown-flag"])
+def test_rejected_flag_is_one_error_line(tmp_path, capsys, flags, message) -> None:
+    missing = str(tmp_path / "missing")
+    assert main(["score", "--papers", missing, "--journals", missing, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"crown: error: {message}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.out == ""
+
+
 def test_window_flag_reaches_the_graph(demo, capsys) -> None:
     papers, journals, group = demo
     assert main(

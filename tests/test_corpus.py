@@ -534,11 +534,16 @@ def _reference_cited_by(papers: list[Paper], window: CitationWindow) -> dict:
 def test_build_matches_the_reference_build(case) -> None:
     papers, window = case
     expected = _reference_cited_by(papers, window)
+    weights = {paper.id: 1 / len(paper.references) for paper in papers if paper.references}
     for source in (papers, parse_papers(_jsonl(papers))):
         corpus = build_corpus(source, GRAPH_JOURNALS, window)
         assert list(corpus.cited_by.items()) == list(expected.items())
         assert all(type(citers) is tuple for citers in corpus.cited_by.values())
         assert corpus.n_edges == sum(len(citers) for citers in expected.values())
+        assert corpus.citing_weight == weights
+        rescheme = corpus.with_journals(GRAPH_JOURNALS[::-1])
+        assert rescheme.cited_by is corpus.cited_by
+        assert rescheme.citing_weight is corpus.citing_weight
 
 
 @given(graph_case())
@@ -557,6 +562,11 @@ def test_parse_shares_one_string_per_key(case) -> None:
     for cited_id, citers in corpus.cited_by.items():
         for citing_id in citers:
             assert citing_id is corpus.papers[citing_id].id
+    first_journal: dict[str, str] = {}
+    first_year: dict[int, int] = {}
+    for paper in parsed:
+        assert paper.journal_id is first_journal.setdefault(paper.journal_id, paper.journal_id)
+        assert paper.year is first_year.setdefault(paper.year, paper.year)
 
 
 @given(graph_case(), st.randoms(use_true_random=False))

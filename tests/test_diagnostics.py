@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -74,8 +75,9 @@ def test_unknown_indicator_is_rejected() -> None:
 
 @pytest.mark.parametrize("indicator", [RATIO_OF_SUMS, MEAN_OF_RATIOS])
 def test_evaluate_pairs_rejects_bad_pairs(indicator) -> None:
-    for pairs in ([(1, 0)], [(3, 2), (1, -1)]):
-        with pytest.raises(ValueError, match="expected value must be positive"):
+    for pairs in ([(1, 0)], [(3, 2), (1, -1)], [(1, math.nan)], [(3, 2), (1, math.inf)]):
+        index = len(pairs) - 1
+        with pytest.raises(ValueError, match=f"^pair {index}: expected value must be positive"):
             evaluate_pairs(pairs, indicator)
     with pytest.raises(ValueError, match="^no pairs to evaluate$"):
         evaluate_pairs([], indicator)
@@ -209,6 +211,22 @@ def test_fractional_invariance_holds_for_any_scheme_pair() -> None:
     ]
     report = indexer_sensitivity(corpus, group, relabeled, Weighting.ARITHMETIC)
     assert all(paper.fractional_delta == 0.0 for paper in report.papers)
+
+
+def test_fractional_scoring_that_reads_the_scheme_fails_the_check(monkeypatch) -> None:
+    corpus = _multi_scheme_corpus()
+    group = GroupSelection.resolve("g", ["m1", "a1"], corpus)
+    scheme_b = primary_only_scheme(list(corpus.journals.values()))
+    honest = indicators.fractional_score
+
+    def scheme_dependent(corpus, paper_id):
+        journal = corpus.journals[corpus.papers[paper_id].journal_id]
+        return honest(corpus, paper_id) + len(journal.categories)
+
+    monkeypatch.setattr(indicators, "fractional_score", scheme_dependent)
+    # m1's journal has categories A|B under scheme A and A alone under B
+    with pytest.raises(AssertionError, match=r"moved with the category scheme: \['m1'\]"):
+        indexer_sensitivity(corpus, group, scheme_b, Weighting.HARMONIC)
 
 
 def test_scheme_missing_a_journal_is_an_error() -> None:
