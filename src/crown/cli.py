@@ -218,11 +218,12 @@ def _add_scoring_flags(parser: argparse.ArgumentParser, top_x: bool = True) -> N
 def _top_x(text: str) -> float:
     """``--top-x`` as a float in (0, 100), checked while the flags are parsed.
 
-    ``float()`` also reads underscores (``1_0``) and non-ASCII digits, which
-    the header would echo as a different spelling; those are rejected."""
+    ``float()`` also reads underscores (``1_0``), non-ASCII digits and
+    surrounding whitespace, which the header would echo as a different
+    spelling; those are rejected."""
     try:
-        if not text.isascii() or "_" in text:
-            raise ValueError(f"bad top-x {text!r}: expected an ASCII number without '_'")
+        if not text.isascii() or "_" in text or text != text.strip():
+            raise ValueError(f"bad top-x {text!r}: expected an ASCII number without '_' or spaces")
         return check_top_x(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None

@@ -33,6 +33,17 @@ from .corpus import YEAR_MAX, YEAR_MIN
 _SAMPLE_RETRIES = 8
 _FORBIDDEN_NAME_CHARS = set(',|"\n\r')
 
+# Largest corpus generated. The generator holds every paper line in memory.
+# Two generations of 10^5 papers (two fields, 2000-2009) with 5.5e5 and 5.5e6
+# expected references took 2.4 s and 14.6 s and peaked 50 MB and 180 MB above
+# the interpreter under CPython 3.11 on a 2-vCPU x86 host: about 11 us and
+# 340 B per paper plus 2.5 us and 29 B per reference. By those rates a config
+# at both caps takes about 70 s and 1.3 GB, plus 8 B per paper for each field
+# past the second (every field keeps its own list of the other fields' earlier
+# papers). Larger configs are rejected before anything is built.
+MAX_PAPERS = 2 * 10**6
+MAX_REFERENCES = 2 * 10**7
+
 
 @dataclass(frozen=True)
 class FieldSpec:
@@ -75,6 +86,16 @@ class SynthConfig:
             # the corpus reader rejects such papers, so refuse to write them
             raise ValueError(
                 f"year range {self.years} outside [{YEAR_MIN}, {YEAR_MAX}]"
+            )
+        papers = (last - first + 1) * sum(field.papers_per_year for field in self.fields)
+        if papers > MAX_PAPERS:
+            raise ValueError(f"{papers} papers exceed the limit of {MAX_PAPERS}")
+        references = (last - first + 1) * sum(
+            field.papers_per_year * field.mean_references for field in self.fields
+        )
+        if references > MAX_REFERENCES:
+            raise ValueError(
+                f"{references:.0f} expected references exceed the limit of {MAX_REFERENCES}"
             )
         for name, fraction in (
             ("cross_field_fraction", self.cross_field_fraction),

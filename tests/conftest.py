@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from itertools import combinations_with_replacement
+
 from crown.corpus import (
     CitationWindow,
     Corpus,
@@ -8,7 +11,13 @@ from crown.corpus import (
     parse_journals,
     parse_papers,
 )
-from crown.diagnostics import Counterexample
+from crown.diagnostics import (
+    MEAN_OF_RATIOS,
+    RATIO_OF_SUMS,
+    Counterexample,
+    SearchBounds,
+    build_counterexample,
+)
 from crown.synth import SynthConfig, generate_corpus
 
 # The three cardiology-adjacent journals whose category assignments motivate
@@ -60,3 +69,37 @@ def categories_of(corpus: Corpus, paper_id: str) -> tuple[str, ...]:
 def is_strict_flip(example: Counterexample) -> bool:
     """A ranks strictly above B before the addition and strictly below after."""
     return example.before_a > example.before_b and example.after_a < example.after_b
+
+
+def brute_force_counterexample(
+    indicator: str, bounds: SearchBounds
+) -> Counterexample | None:
+    """Oracle for the consistency search: try every (A, B, added paper)
+    instance in lexicographic order and return the first flip, comparing by
+    integer cross-multiplication (ratio of sums) or by ratio sums over a
+    common denominator (mean of ratios, equal sizes)."""
+    papers = [
+        (c, e)
+        for c in range(bounds.max_citations + 1)
+        for e in range(1, bounds.max_expected + 1)
+    ]
+    scale = math.lcm(*(e for _, e in papers))
+
+    def ahead(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> bool:
+        if indicator == RATIO_OF_SUMS:
+            return sum(c for c, _ in a) * sum(e for _, e in b) > sum(
+                c for c, _ in b
+            ) * sum(e for _, e in a)
+        assert indicator == MEAN_OF_RATIOS
+        return sum(c * scale // e for c, e in a) > sum(c * scale // e for c, e in b)
+
+    for size in range(1, bounds.max_group_size + 1):
+        groups = list(combinations_with_replacement(papers, size))
+        for group_a in groups:
+            for group_b in groups:
+                if not ahead(group_a, group_b):
+                    continue
+                for added in papers:
+                    if ahead([*group_b, added], [*group_a, added]):
+                        return build_counterexample(indicator, group_a, group_b, added)
+    return None

@@ -240,15 +240,16 @@ def test_bad_top_x_is_rejected_before_any_file_is_read(tmp_path, capsys, command
 
 
 @pytest.mark.parametrize("command", [["score"], ["diagnose", "indexer"]])
-@pytest.mark.parametrize("x", ["1_0", "\u0661\u0660"])
+@pytest.mark.parametrize("x", ["1_0", "\u0661\u0660", " 10", "10 ", "10\n"])
 def test_top_x_takes_ascii_numbers_only(tmp_path, capsys, command, x) -> None:
-    # float() reads each of these, '1_0' and Arabic-Indic '10' as 10.0
+    # float() reads each of these as 10.0: '1_0', Arabic-Indic '10', and '10'
+    # with surrounding whitespace
     missing = str(tmp_path / "missing")
     argv = [*command, "--papers", missing, "--journals", missing, "--group", missing]
     assert main([*argv, "--top-x", x]) == 1
     err = capsys.readouterr().err
     assert err == (f"crown: error: argument --top-x: bad top-x {x!r}: "
-                   "expected an ASCII number without '_'\n")
+                   "expected an ASCII number without '_' or spaces\n")
 
 
 @pytest.mark.parametrize("x, echoed", [("10", "10.0"), ("0.5", "0.5"), ("1e-1", "0.1")])

@@ -26,7 +26,7 @@ from crown.diagnostics import (
 )
 from crown.indicators import GroupSelection, score_group, score_papers
 
-from conftest import corpus_from_text, is_strict_flip
+from conftest import brute_force_counterexample, corpus_from_text, is_strict_flip
 
 # --- consistency -----------------------------------------------------------
 
@@ -79,9 +79,12 @@ def test_evaluate_pairs_rejects_bad_pairs(indicator) -> None:
         index = len(pairs) - 1
         with pytest.raises(ValueError, match=f"^pair {index}: expected value must be positive"):
             evaluate_pairs(pairs, indicator)
+    for pairs in ([(-1, 1)], [(math.nan, 1)], [(3, 2), (math.inf, 1)]):
+        index = len(pairs) - 1
+        with pytest.raises(ValueError, match=f"^pair {index}: citation count must be non-negative"):
+            evaluate_pairs(pairs, indicator)
     with pytest.raises(ValueError, match="^no pairs to evaluate$"):
         evaluate_pairs([], indicator)
-
 
 
 def test_search_finds_nothing_for_mean_of_ratios_at_equal_sizes() -> None:
@@ -108,6 +111,24 @@ def test_search_result_verified_by_brute_oracle() -> None:
     assert ratio([*found.group_a, found.added_paper]) < ratio(
         [*found.group_b, found.added_paper]
     )
+
+
+# Each bound with the group size of its first ratio-of-sums flip (None: no
+# flip); mean of ratios has none at any of them.
+@pytest.mark.parametrize("indicator", [RATIO_OF_SUMS, MEAN_OF_RATIOS])
+@pytest.mark.parametrize("bounds, flip_size", [
+    ((1, 0, 3), None), ((1, 1, 1), None), ((1, 2, 2), None), ((2, 1, 2), None),
+    ((1, 4, 4), 1), ((2, 2, 3), 1), ((3, 2, 3), 1),
+    ((2, 1, 3), 2), ((2, 2, 2), 2), ((3, 1, 2), 3),
+])
+def test_search_matches_the_brute_force_oracle(indicator, bounds, flip_size) -> None:
+    bounds = SearchBounds(*bounds)
+    found = consistency_counterexample(indicator, bounds)
+    assert found == brute_force_counterexample(indicator, bounds)
+    if indicator == MEAN_OF_RATIOS or flip_size is None:
+        assert found is None
+    else:
+        assert len(found.group_a) == flip_size
 
 
 def test_search_rejects_unknown_indicator_and_bad_bounds() -> None:

@@ -6,8 +6,9 @@ import statistics
 
 import pytest
 
+from crown.cli import main
 from crown.corpus import parse_journals, parse_papers
-from crown.synth import FieldSpec, SynthConfig, generate_corpus
+from crown.synth import MAX_PAPERS, MAX_REFERENCES, FieldSpec, SynthConfig, generate_corpus
 
 from conftest import corpus_from_synth, journal_of
 
@@ -169,3 +170,36 @@ def test_degenerate_configs_are_rejected(kwargs) -> None:
     }
     with pytest.raises(ValueError):
         SynthConfig(**{**base, **kwargs})
+
+
+# Configs at and just over each cap, over ten years, and the 10^6-paper
+# corpus. They are only built, never generated.
+@pytest.mark.parametrize("fields, message", [
+    ((FieldSpec("a", 1.0, MAX_PAPERS // 10),), None),
+    ((FieldSpec("a", 1.0, MAX_PAPERS // 10 + 1),),
+     f"^{MAX_PAPERS + 10} papers exceed the limit of {MAX_PAPERS}$"),
+    ((FieldSpec("a", 10.0, MAX_REFERENCES // 100),), None),
+    ((FieldSpec("a", 10.5, MAX_REFERENCES // 100),),
+     f"^{MAX_REFERENCES * 21 // 20} expected references exceed the limit of {MAX_REFERENCES}$"),
+    ((FieldSpec("a", 700.0, 10**9),), "papers exceed the limit"),
+    ((FieldSpec("sparse", 3.0, 50_000), FieldSpec("dense", 8.0, 50_000)), None),
+])
+def test_size_caps(fields, message) -> None:
+    if message is None:
+        SynthConfig(fields=fields, years=(2000, 2009))
+    else:
+        with pytest.raises(ValueError, match=message):
+            SynthConfig(fields=fields, years=(2000, 2009))
+
+
+def test_synth_over_the_cap_is_one_error_line(tmp_path, capsys) -> None:
+    papers, journals = tmp_path / "papers.jsonl", tmp_path / "journals.csv"
+    argv = ["synth", "--fields", "a:700:1000000000", "--years", "1900-2100",
+            "--papers", str(papers), "--journals", str(journals)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"crown: error: 201000000000 papers exceed the limit of {MAX_PAPERS}\n"
+    )
+    assert not papers.exists() and not journals.exists()
