@@ -41,9 +41,10 @@ import hashlib
 import json
 import sys
 import warnings
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TypeVar
 
 from .baselines import Weighting, compute_baselines
 from .corpus import (
@@ -72,6 +73,8 @@ from .indicators import (
     score_papers,
     top_label,
 )
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -141,15 +144,19 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument(
         "--fields",
         required=True,
+        type=_fields,
         help="comma-separated NAME:MEAN_REFS:PAPERS_PER_YEAR triplets",
     )
-    synth.add_argument("--years", required=True, help="inclusive year range, e.g. 2000-2019")
-    synth.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    synth.add_argument("--cross-field", type=float, default=0.0, metavar="F",
+    synth.add_argument("--years", required=True, type=_years,
+                       help="inclusive year range, e.g. 2000-2019")
+    synth.add_argument("--seed", type=_number("seed", int), default=0,
+                       help="RNG seed (default 0)")
+    synth.add_argument("--cross-field", type=_number("cross-field", float), default=0.0,
+                       metavar="F",
                        help="probability a reference targets another field (default 0)")
-    synth.add_argument("--multi-cat", type=float, default=0.0, metavar="F",
+    synth.add_argument("--multi-cat", type=_number("multi-cat", float), default=0.0, metavar="F",
                        help="share of journals given 2-3 categories (default 0)")
-    synth.add_argument("--skew", type=float, default=0.0, metavar="F",
+    synth.add_argument("--skew", type=_number("skew", float), default=0.0, metavar="F",
                        help="share of references redirected to the most-cited decile (default 0)")
     synth.add_argument("--papers", required=True, help="output path for papers.jsonl")
     synth.add_argument("--journals", required=True, help="output path for journals.csv")
@@ -164,9 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
     consistency.add_argument(
         "--indicator", choices=tuple(INDICATORS), default=RATIO_OF_SUMS
     )
-    consistency.add_argument("--max-size", type=int, default=2, help="max group size (default 2)")
-    consistency.add_argument("--max-c", type=int, default=4, help="max citation count (default 4)")
-    consistency.add_argument("--max-e", type=int, default=4, help="max expected value (default 4)")
+    consistency.add_argument("--max-size", type=_number("max-size", int), default=2,
+                             help="max group size (default 2)")
+    consistency.add_argument("--max-c", type=_number("max-c", int), default=4,
+                             help="max citation count (default 4)")
+    consistency.add_argument("--max-e", type=_number("max-e", int), default=4,
+                             help="max expected value (default 4)")
     _add_output_flags(consistency)
     consistency.set_defaults(handler=_cmd_consistency)
 
@@ -215,18 +225,54 @@ def _add_scoring_flags(parser: argparse.ArgumentParser, top_x: bool = True) -> N
                             help="top-x%% membership threshold, 0 < X < 100 (default 1.0)")
 
 
-def _top_x(text: str) -> float:
-    """``--top-x`` as a float in (0, 100), checked while the flags are parsed.
+def _number(name: str, convert: Callable[[str], T]) -> Callable[[str], T]:
+    """argparse ``type=`` that reads one number with ``convert``, so that a
+    bad value is rejected while the flags are parsed; any ValueError is the
+    flag's error.
 
-    ``float()`` also reads underscores (``1_0``), non-ASCII digits and
-    surrounding whitespace, which the header would echo as a different
-    spelling; those are rejected."""
-    try:
-        if not text.isascii() or "_" in text or text != text.strip():
-            raise ValueError(f"bad top-x {text!r}: expected an ASCII number without '_' or spaces")
-        return check_top_x(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    Every number on the command line is written in ASCII, without ``_`` and
+    without surrounding whitespace. ``int()`` and ``float()`` also read
+    ``1_0``, non-ASCII digits and padded text, which a header would echo as a
+    different spelling; those are rejected as a bad ``name``."""
+
+    def parse(text: str) -> T:
+        try:
+            if not text.isascii() or "_" in text or text != text.strip():
+                raise ValueError(
+                    f"bad {name} {text!r}: expected an ASCII number without '_' or spaces"
+                )
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+_top_x = _number("top-x", lambda text: check_top_x(float(text)))
+_mean = _number("mean", float)
+_per_year = _number("per-year count", int)
+_year = _number("year", int)
+
+
+def _fields(text: str) -> tuple[str, tuple[tuple[str, float, int], ...]]:
+    """``--fields`` as its text, which the synth header echoes, and its
+    (name, mean references, papers per year) triplets."""
+    specs = []
+    for triplet in text.split(","):
+        parts = triplet.split(":")
+        if len(parts) != 3:
+            raise argparse.ArgumentTypeError(
+                f"bad field spec {triplet!r}: expected NAME:MEAN:PER_YEAR"
+            )
+        specs.append((parts[0], _mean(parts[1]), _per_year(parts[2])))
+    return text, tuple(specs)
+
+
+def _years(text: str) -> tuple[str, tuple[int, int]]:
+    """``--years`` as its text, which the synth header echoes, and its
+    inclusive range: ``A-B``, or ``A`` for one year."""
+    first, dash, last = text.partition("-")
+    return text, (_year(first), _year(last if dash else first))
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -334,15 +380,11 @@ def _cmd_score(args: argparse.Namespace, digests: dict[str, str]) -> Report:
 def _cmd_synth(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     from .synth import FieldSpec, SynthConfig, generate_corpus
 
-    fields = []
-    for triplet in args.fields.split(","):
-        parts = triplet.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad field spec {triplet!r}: expected NAME:MEAN:PER_YEAR")
-        fields.append(FieldSpec(parts[0], float(parts[1]), int(parts[2])))
-    years = _parse_years(args.years)
+    (fields_text, fields), (years_text, years) = args.fields, args.years
+    if Path(args.papers).resolve() == Path(args.journals).resolve():
+        raise ValueError(f"--papers and --journals are the same file {args.journals!r}")
     config = SynthConfig(
-        fields=tuple(fields),
+        fields=tuple(FieldSpec(*spec) for spec in fields),
         years=years,
         cross_field_fraction=args.cross_field,
         multi_category_journal_fraction=args.multi_cat,
@@ -355,8 +397,8 @@ def _cmd_synth(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     return Report(
         "synth",
         (
-            ("fields", args.fields),
-            ("years", args.years),
+            ("fields", fields_text),
+            ("years", years_text),
             ("cross_field", _fmt(args.cross_field)),
             ("multi_cat", _fmt(args.multi_cat)),
             ("skew", _fmt(args.skew)),
@@ -539,11 +581,3 @@ def _fmt(value: object) -> str:
 
 def _pairs_text(pairs: Sequence[tuple[int, int]]) -> str:
     return ";".join(f"{citations}:{expected}" for citations, expected in pairs)
-
-
-def _parse_years(text: str) -> tuple[int, int]:
-    if "-" in text:
-        first, _, last = text.partition("-")
-        return int(first), int(last)
-    year = int(text)
-    return year, year

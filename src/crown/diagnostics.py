@@ -5,10 +5,9 @@ Three diagnostics:
 * consistency: exhaustive search for instances where adding one identical
   paper to two groups flips their ranking. The ratio-of-sums indicator admits
   such flips at tiny sizes; the mean-of-ratios indicator admits none at equal
-  group sizes, and the search verifies that exhaustively within bounds. A
-  group here is a list of bare (citations, expected) pairs; its value comes
-  from the same column statistics (``cpp_fcsm``, ``mncs``) that score a
-  corpus group.
+  group sizes, by an identity, so it needs no search. A group here is a list
+  of bare (citations, expected) pairs; its value comes from the same column
+  statistics (``cpp_fcsm``, ``mncs``) that score a corpus group.
 * indexer sensitivity: rescore the same papers under two category schemes and
   report every per-paper and group-level shift. Fractional counting is
   classification-free, so its deltas are asserted to be identically zero.
@@ -48,10 +47,9 @@ INDICATORS: dict[str, Callable[[Sequence[Pair]], float]] = {
 }
 
 # Largest consistency search accepted, counted in (A, B, added paper)
-# instances. The search keeps every multiset of pairs in memory and settles
-# the added paper in closed form, one check per (A, B) pair; the 4.8e7
-# instances of SearchBounds(3, 4, 4) take 0.14 s under CPython 3.11 on a
-# 2-vCPU x86 host. Larger bounds are rejected before anything is built.
+# instances. The ratio-of-sums search keeps every multiset of pairs of one
+# size in memory and settles the added paper in closed form, one check per
+# (A, B) pair. Larger bounds are rejected before anything is built.
 MAX_INSTANCES = 10**8
 
 
@@ -74,7 +72,8 @@ class SearchBounds:
             )
 
     def instance_count(self) -> int:
-        """Number of (A, B, added) instances the search visits.
+        """Number of (A, B, added) instances the bounds span. The search
+        settles each (A, B) pair at once and visits none of them one by one.
 
         Exact up to MAX_INSTANCES. Past it, the result is only some value
         above the limit: counting stops early, so that huge bounds are
@@ -151,30 +150,25 @@ def build_counterexample(
 def consistency_counterexample(
     indicator: str, bounds: SearchBounds
 ) -> Counterexample | None:
-    """Exhaustively search equal-size groups for a ranking flip.
+    """The first ranking flip between equal-size groups within ``bounds``, or
+    None.
 
-    Instances are visited in lexicographic order (group size ascending, then
-    group A, group B and the added paper, each over pairs ordered by
-    (citations, expected)), and the first flip found is returned, so the
-    result is deterministic. Comparisons use exact integer arithmetic; the
-    reported values come from the real indicator implementations.
+    For ratio of sums, each ordered pair of groups (A, B) is checked once, in
+    lexicographic order (group size ascending, then A and B, each over pairs
+    ordered by (citations, expected)), with the added paper settled exactly,
+    so the result is deterministic. Comparisons use exact integer arithmetic;
+    the reported values come from the real indicator implementations. A flip
+    exists even at group size 1.
 
-    Each ordered pair of groups (A, B) is checked once, with the added paper
-    settled exactly rather than tried one by one. For ratio of sums, A's margin over B
-    after adding a paper is affine in the paper's (citations, expected), so
-    its least value over all papers in bounds is at a corner of that box, and
-    the papers are scanned for the first flip only when the corner value is
-    negative. For mean of ratios, the added paper moves both ratio sums by the
-    same amount, so the margin after the addition is the margin before. Cost
-    grows as the squared number of multisets of pairs per group size;
-    ``bounds.instance_count()`` still counts every (A, B, added) instance
-    (48,322,000 at size 3, c and e up to 4, searched in 0.14 s).
-
-    For the ratio-of-sums indicator a flip exists even at group size 1; for
-    the mean-of-ratios indicator equal-size groups admit none, so the search
-    returns None after checking every pair in bounds.
+    For mean of ratios, equal-size groups admit no flip, by the identity in
+    the body, so the answer is None and no group is built.
     """
-    _indicator(indicator)  # an unknown name fails before the search starts
+    _indicator(indicator)  # an unknown name fails before anything else
+    if indicator == MEAN_OF_RATIOS:
+        # Adding x = (c, e) to equal-size groups puts the same c/e on both
+        # ratio sums, so A's margin over B after the addition is its margin
+        # before: no added paper reverses a strict order.
+        return None
     papers = [
         (c, e)
         for c in range(bounds.max_citations + 1)
@@ -182,10 +176,7 @@ def consistency_counterexample(
     ]
     for size in range(1, bounds.max_group_size + 1):
         groups = list(combinations_with_replacement(papers, size))
-        if indicator == RATIO_OF_SUMS:
-            found = _search_ratio_of_sums(groups, papers)
-        else:
-            found = _search_mean_of_ratios(groups, papers)
+        found = _search_ratio_of_sums(groups, papers)
         if found is not None:
             index_a, index_b, added = found
             return build_counterexample(
@@ -221,25 +212,6 @@ def _search_ratio_of_sums(
             for xc, xe in papers:
                 if lead + xc * slope_c + xe * slope_e < 0:
                     return ia, ib, (xc, xe)
-    return None
-
-
-def _search_mean_of_ratios(
-    groups: list[tuple[Pair, ...]], papers: list[Pair]
-) -> tuple[int, int, Pair] | None:
-    # Common denominator for exact comparisons: c/e scaled by the lcm of every
-    # expected value is an integer. Equal sizes throughout, so comparing
-    # scaled ratio sums compares means. Adding x puts the same scaled ratio
-    # on both sums, so the margin after adding any x is the margin before:
-    # the first paper flips a pair if any paper does.
-    scale = math.lcm(*{e for _, e in papers})
-    ratio_sums = [sum(c * (scale // e) for c, e in group) for group in groups]
-    first = papers[0]
-    shift = first[0] * (scale // first[1])
-    for ia, ra in enumerate(ratio_sums):
-        for ib, rb in enumerate(ratio_sums):
-            if ra > rb and ra + shift < rb + shift:
-                return ia, ib, first
     return None
 
 

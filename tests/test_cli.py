@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import pytest
@@ -239,17 +240,40 @@ def test_bad_top_x_is_rejected_before_any_file_is_read(tmp_path, capsys, command
     assert "No such file" not in err
 
 
-@pytest.mark.parametrize("command", [["score"], ["diagnose", "indexer"]])
+MISSING_CORPUS = ["--papers", "missing", "--journals", "missing", "--group", "missing"]
+SYNTH_OUTPUTS = ["synth", "--fields", "a:3:2", "--years", "2000-2001",
+                 "--papers", "missing", "--journals", "missing"]
+
+
+# (argv before the flag, flag, the number's name in the message, the flag
+# value with {} where the number goes)
+@pytest.mark.parametrize("command", [
+    (["score", *MISSING_CORPUS], "--top-x", "top-x", "{}"),
+    (["diagnose", "indexer", *MISSING_CORPUS], "--top-x", "top-x", "{}"),
+    (SYNTH_OUTPUTS, "--seed", "seed", "{}"),
+    (SYNTH_OUTPUTS, "--cross-field", "cross-field", "{}"),
+    (SYNTH_OUTPUTS, "--multi-cat", "multi-cat", "{}"),
+    (SYNTH_OUTPUTS, "--skew", "skew", "{}"),
+    (SYNTH_OUTPUTS, "--fields", "mean", "a:{}:2"),
+    (SYNTH_OUTPUTS, "--fields", "per-year count", "a:3:{}"),
+    (SYNTH_OUTPUTS, "--years", "year", "{}-2001"),
+    (SYNTH_OUTPUTS, "--years", "year", "2000-{}"),
+    (["diagnose", "consistency"], "--max-size", "max-size", "{}"),
+    (["diagnose", "consistency"], "--max-c", "max-c", "{}"),
+    (["diagnose", "consistency"], "--max-e", "max-e", "{}"),
+])
 @pytest.mark.parametrize("x", ["1_0", "\u0661\u0660", " 10", "10 ", "10\n"])
 def test_top_x_takes_ascii_numbers_only(tmp_path, capsys, command, x) -> None:
-    # float() reads each of these as 10.0: '1_0', Arabic-Indic '10', and '10'
-    # with surrounding whitespace
-    missing = str(tmp_path / "missing")
-    argv = [*command, "--papers", missing, "--journals", missing, "--group", missing]
-    assert main([*argv, "--top-x", x]) == 1
+    # int() and float() read each of these as 10: '1_0', Arabic-Indic '10',
+    # and '10' with surrounding whitespace. Every numeric flag, and every
+    # number inside --fields and --years, takes the --top-x spelling rule.
+    prefix, flag, name, value = command
+    argv = [str(tmp_path / arg) if arg == "missing" else arg for arg in prefix]
+    assert main([*argv, flag, value.format(x)]) == 1
     err = capsys.readouterr().err
-    assert err == (f"crown: error: argument --top-x: bad top-x {x!r}: "
+    assert err == (f"crown: error: argument {flag}: bad {name} {x!r}: "
                    "expected an ASCII number without '_' or spaces\n")
+    assert not any(tmp_path.iterdir())  # nothing read, nothing written
 
 
 @pytest.mark.parametrize("x, echoed", [("10", "10.0"), ("0.5", "0.5"), ("1e-1", "0.1")])
@@ -598,6 +622,21 @@ def test_synth_years_outside_the_corpus_range_are_input_error(
     assert not papers.exists()
 
 
+@pytest.mark.parametrize("journals", ["same.out", "./same.out", "link.out"])
+def test_synth_refuses_one_path_for_both_outputs(tmp_path, capsys, journals) -> None:
+    (tmp_path / "link.out").symlink_to("same.out")
+    argv = ["synth", "--fields", "a:3:2", "--years", "2000-2001",
+            "--papers", f"{tmp_path}/same.out", "--journals", f"{tmp_path}/{journals}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"crown: error: --papers and --journals are the same file '{tmp_path}/{journals}'\n"
+    )
+    assert captured.out == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.out"]
+    assert not (tmp_path / "same.out").exists()
+
+
 def test_synth_years_at_the_corpus_range_edges_ingest(tmp_path) -> None:
     papers, journals = tmp_path / "p.jsonl", tmp_path / "j.csv"
     for years in ("1900-1901", "2099-2100"):
@@ -888,11 +927,17 @@ def fuzzed_file(draw, lines: tuple[bytes, ...]) -> bytes:
     return b"".join(replaced)
 
 
-def _main_in_process(paths: dict[str, Path], command: tuple[str, ...]) -> tuple[int, str]:
-    """Run main() on the small-corpus files; return its exit code and stderr."""
-    argv = [str(paths.get(arg, arg))
-            for arg in (*command, "--papers", "papers", "--journals", "journals")]
-    argv += ["--out", str(paths["papers"].with_name("out"))]
+def _main_in_process(
+    paths: dict[str, Path], command: Sequence[str], corpus: bool = True
+) -> tuple[int, str]:
+    """Run main() with each name in ``paths`` replaced by its path; return its
+    exit code and stderr. With ``corpus``, the command reads the small-corpus
+    files and writes its report next to them."""
+    if corpus:
+        command = (*command, "--papers", "papers", "--journals", "journals")
+    argv = [str(paths.get(arg, arg)) for arg in command]
+    if corpus:
+        argv += ["--out", str(paths["papers"].with_name("out"))]
     stderr = io.StringIO()
     try:
         with contextlib.redirect_stderr(stderr):
@@ -939,3 +984,81 @@ def test_main_names_the_papers_line_that_is_not_utf8(
     code, stderr = _main_in_process(paths, command)
     assert code == 1
     assert stderr.startswith(f"crown: error: line {line_index + 1}: not UTF-8 ")
+
+
+# Flag values at the edges of what int() and float() read. The last three
+# break the spelling rule that every number on the command line follows.
+EDGE_VALUES = ("nan", "inf", "-inf", "0", "-0", "-3", "1e30", "",
+               "\u0661\u0660", "1_0", " 10")
+MISSPELLED = EDGE_VALUES[-3:]
+# (argv, whether it reads the small corpus, flags); each flag is (flag, value
+# template, one valid value per {} slot). The valid synth run writes 5 years
+# of 7 papers.
+ARGV_FUZZ = (
+    (("score", "--group", "group"), True, (
+        ("--top-x", "{}", ("10",)),
+        ("--window", "years{}", ("5",)),
+    )),
+    (("diagnose", "indexer", "--group", "group"), True, (
+        ("--top-x", "{}", ("0.5",)),
+        ("--window", "years{}", ("3",)),
+    )),
+    (("diagnose", "consistency", "--out", "out"), False, (
+        ("--indicator", "{}", ("cpp_fcsm",)),
+        ("--max-size", "{}", ("2",)),
+        ("--max-c", "{}", ("3",)),
+        ("--max-e", "{}", ("3",)),
+    )),
+    (("synth", "--papers", "synth-papers", "--journals", "synth-journals"), False, (
+        ("--fields", "a:{}:{},b:3:2", ("3", "5")),
+        ("--years", "{}-{}", ("2000", "2004")),
+        ("--seed", "{}", ("7",)),
+        ("--cross-field", "{}", ("0.2",)),
+        ("--multi-cat", "{}", ("0.5",)),
+        ("--skew", "{}", ("0.1",)),
+    )),
+)
+
+
+@st.composite
+def fuzzed_argv(draw) -> tuple[tuple[str, ...], bool, bool]:
+    """A subcommand's argv with up to three of its flag values (or numbers
+    inside one) drawn from EDGE_VALUES and the rest valid; whether it reads
+    the corpus; whether a drawn value is misspelled."""
+    command, corpus, flags = draw(st.sampled_from(ARGV_FUZZ))
+    slots = [(flag, index) for flag, _, valid in flags for index in range(len(valid))]
+    edged = draw(st.dictionaries(st.sampled_from(slots), st.sampled_from(EDGE_VALUES),
+                                 max_size=3))
+    argv = list(command)
+    for flag, template, valid in flags:
+        values = [edged.get((flag, index), value) for index, value in enumerate(valid)]
+        argv.append(f"{flag}={template.format(*values)}")
+    return tuple(argv), corpus, any(value in MISSPELLED for value in edged.values())
+
+
+def _argv_fuzz_paths(directory: Path) -> dict[str, Path]:
+    """The small corpus, and the output files ARGV_FUZZ names."""
+    return {**_write_small_inputs(directory), "out": directory / "out",
+            "synth-papers": directory / "sp", "synth-journals": directory / "sj"}
+
+
+def test_fuzzed_argv_is_valid_without_edge_values(tmp_path) -> None:
+    # Every rejection the fuzz below sees comes from a drawn edge value.
+    paths = _argv_fuzz_paths(tmp_path)
+    for command, corpus, flags in ARGV_FUZZ:
+        argv = [*command, *(f"{flag}={template.format(*valid)}"
+                            for flag, template, valid in flags)]
+        assert _main_in_process(paths, argv, corpus) == (0, "")
+    assert len((tmp_path / "sp").read_bytes().splitlines()) == 35
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=fuzzed_argv())
+def test_main_survives_arbitrary_flag_values(drawn, tmp_path_factory) -> None:
+    argv, corpus, misspelled = drawn
+    directory = tmp_path_factory.mktemp("argv")
+    paths = _argv_fuzz_paths(directory)
+    code, stderr = _main_in_process(paths, argv, corpus)
+    _assert_clean_outcome(code, stderr)
+    if misspelled:
+        assert code == 1, stderr
