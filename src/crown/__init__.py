@@ -10,12 +10,12 @@ aggregation, indexer effects from multi-category journal attribution, and
 non-parametric group comparison via the rank-sum test.
 
 The package namespace holds what the README library example needs. The
-per-paper score pass, the diagnostics and the synthetic corpus generator are
-imported from their modules (``crown.indicators``, ``crown.diagnostics``,
-``crown.synth``).
+table builder, the per-paper score pass, the diagnostics and the synthetic
+corpus generator are imported from their modules (``crown.baselines``,
+``crown.indicators``, ``crown.diagnostics``, ``crown.synth``).
 """
 
-from .baselines import Weighting, compute_baselines
+from .baselines import Weighting
 from .corpus import CitationWindow, CorpusError, ParseError, load_corpus
 from .indicators import (
     DegenerateGroupError,
@@ -34,7 +34,6 @@ __all__ = [
     "IndicatorReport",
     "ParseError",
     "Weighting",
-    "compute_baselines",
     "load_corpus",
     "score_group",
 ]

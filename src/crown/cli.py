@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TypeVar
 
-from .baselines import Weighting, compute_baselines
+from .baselines import Weighting
 from .corpus import (
     CitationWindow,
     Corpus,
@@ -210,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--papers", required=True, help="papers.jsonl path")
     parser.add_argument("--journals", required=True, help="journals.csv path")
-    parser.add_argument("--window", default="all", help="citation window: all or yearsN (default all)")
+    parser.add_argument("--window", type=_window, default="all",
+                        help="citation window: all or yearsN (default all)")
 
 
 def _add_scoring_flags(parser: argparse.ArgumentParser, top_x: bool = True) -> None:
@@ -246,6 +247,14 @@ def _number(name: str, convert: Callable[[str], T]) -> Callable[[str], T]:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
+
+
+def _window(text: str) -> CitationWindow:
+    """argparse ``type=`` for ``--window``: a bad spelling is the flag's error."""
+    try:
+        return CitationWindow.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 _top_x = _number("top-x", lambda text: check_top_x(float(text)))
@@ -347,11 +356,10 @@ def _cmd_ingest(args: argparse.Namespace, digests: dict[str, str]) -> Report:
 
 def _cmd_baselines(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     corpus = _load(args, digests)
-    table = compute_baselines(corpus)
     columns = ("category", "year", "n", "mean_citations")
     rows = [
         (cell.category, cell.year, cell.n, cell.mean_citations)
-        for _, cell in sorted(table.cells.items())
+        for _, cell in sorted(corpus.baselines.cells.items())
     ]
     return Report(
         "baselines", _settings(args, digests), columns, rows,
@@ -361,11 +369,8 @@ def _cmd_baselines(args: argparse.Namespace, digests: dict[str, str]) -> Report:
 
 def _cmd_score(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     corpus = _load(args, digests)
-    table = compute_baselines(corpus)
     group = _read_group(args.group, corpus, digests)
-    report = score_group(
-        corpus, table, group, Weighting(args.weighting), top_x=args.top_x
-    )
+    report = score_group(corpus, group, Weighting(args.weighting), top_x=args.top_x)
     columns = ("group", "n_total", "n_scorable", "cpp_fcsm", "mncs", "mdncs",
                top_label(report.top_x), "mean_fractional")
     row = (report.group, report.n_total, report.n_scorable, report.cpp_fcsm,
@@ -470,12 +475,11 @@ def _cmd_indexer(args: argparse.Namespace, digests: dict[str, str]) -> Report:
 
 def _cmd_ranksum(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     corpus = _load(args, digests)
-    table = compute_baselines(corpus)
     weighting = Weighting(args.weighting)
     groups = [_read_group(path, corpus, digests) for path in (args.group_a, args.group_b)]
     samples = []
     for group in groups:
-        scored = score_papers(corpus, table, group.paper_ids, weighting)
+        scored = score_papers(corpus, group.paper_ids, weighting)
         scorable, _ = scorable_papers(group.name, scored)
         samples.append([paper.ncs for paper in scorable])
     result = rank_sum_test(*samples)
@@ -517,7 +521,7 @@ def _settings(
     ]
     if "weighting" in flags:
         settings.append(("weighting", args.weighting))
-    settings.append(("window", str(CitationWindow.parse(args.window))))
+    settings.append(("window", str(args.window)))
     if "top_x" in flags:
         settings.append(("top_x", _fmt(args.top_x)))
     if "journals_b" in flags:
@@ -542,8 +546,7 @@ def _records(columns: Sequence[str], rows: Iterable[Sequence[object]]) -> list[d
 
 
 def _load(args: argparse.Namespace, digests: dict[str, str]) -> Corpus:
-    window = CitationWindow.parse(args.window)
-    corpus = load_corpus(args.papers, args.journals, window, digests)
+    corpus = load_corpus(args.papers, args.journals, args.window, digests)
     # The corpus lives until the process exits: keep the collector off it.
     gc.freeze()
     return corpus

@@ -42,13 +42,17 @@ one, and ``_replace`` checks the new record like a call does.
 from __future__ import annotations
 
 import csv
+import functools
 import gc
 import hashlib
 import json
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import BinaryIO, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, BinaryIO, NamedTuple, TypeVar
+
+if TYPE_CHECKING:
+    from .baselines import BaselineTable
 
 _T = TypeVar("_T")
 
@@ -195,7 +199,8 @@ class Corpus:
 
     Dict insertion order matches input order everywhere, so two corpora built
     from identical input bytes are identical including all list orderings.
-    Safe to share across readers; never mutated after construction.
+    Safe to share across readers; the one value set after construction is
+    ``baselines``, the corpus's own baseline table, built on first use.
     """
 
     papers: dict[str, Paper]
@@ -207,6 +212,12 @@ class Corpus:
     @property
     def n_edges(self) -> int:
         return sum(len(citers) for citers in self.cited_by.values())
+
+    @functools.cached_property
+    def baselines(self) -> BaselineTable:
+        """This corpus's (category, year) baseline table, built on first use."""
+        from .baselines import compute_baselines  # baselines imports corpus
+        return compute_baselines(self)
 
     def with_journals(self, journals: Sequence[Journal]) -> Corpus:
         """Same papers and citation graph, ``citing_weight`` included, under a

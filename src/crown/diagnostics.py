@@ -23,7 +23,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .baselines import Weighting, compute_baselines
+from .baselines import Weighting
 from .corpus import Corpus, Journal
 from .indicators import (
     GroupSelection,
@@ -80,9 +80,10 @@ class SearchBounds:
         rejected at once.
         """
         papers = (self.max_citations + 1) * self.max_expected
-        # Each group size contributes at least `papers` instances.
-        if self.max_group_size * papers > MAX_INSTANCES:
-            return self.max_group_size * papers
+        if papers == 1:  # one group, and so one instance, per size
+            return self.max_group_size
+        # With two papers or more, size s spans more than 2 s^2 instances, so
+        # the total passes the limit within a few hundred sizes.
         total = 0
         for size in range(1, self.max_group_size + 1):
             groups = math.comb(papers + size - 1, size)
@@ -158,7 +159,8 @@ def consistency_counterexample(
     ordered by (citations, expected)), with the added paper settled exactly,
     so the result is deterministic. Comparisons use exact integer arithmetic;
     the reported values come from the real indicator implementations. A flip
-    exists even at group size 1.
+    exists even at group size 1, and the first one, if any, by size 3, so
+    larger groups are never built.
 
     For mean of ratios, equal-size groups admit no flip, by the identity in
     the body, so the answer is None and no group is built.
@@ -174,7 +176,12 @@ def consistency_counterexample(
         for c in range(bounds.max_citations + 1)
         for e in range(1, bounds.max_expected + 1)
     ]
-    for size in range(1, bounds.max_group_size + 1):
+    # Sizes past 3 are never needed. With max_c = 0 every group scores 0, so
+    # none leads. With max_e = 1, equal-size groups have equal expected sums
+    # n, so A leads only with more citations and keeps the lead after any
+    # addition. Every other box holds the size-3 flip A = (0,1)(1,1)(1,1),
+    # B = (1,1)(1,2)(1,2), x = (0,2): 2/3 > 3/5, then 2/5 < 3/7.
+    for size in range(1, min(bounds.max_group_size, 3) + 1):
         groups = list(combinations_with_replacement(papers, size))
         found = _search_ratio_of_sums(groups, papers)
         if found is not None:
@@ -289,10 +296,8 @@ def indexer_sensitivity(
     fractional scoring reads nothing from the category scheme.
     """
     corpus_b = corpus.with_journals(scheme_b)
-    table_a = compute_baselines(corpus)
-    table_b = compute_baselines(corpus_b)
-    scored_a = score_papers(corpus, table_a, group.paper_ids, weighting)
-    scored_b = score_papers(corpus_b, table_b, group.paper_ids, weighting)
+    scored_a = score_papers(corpus, group.paper_ids, weighting)
+    scored_b = score_papers(corpus_b, group.paper_ids, weighting)
     papers = tuple(
         PaperSensitivity(
             paper_id=paper_a.paper_id,

@@ -15,13 +15,13 @@ none; ``group_report`` builds each column once from its result. The scorable
 and total counts are reported side by side, and papers are accumulated in
 ascending paper-id order so results are reproducible bit for bit.
 
-A score pass computes the expected value (and its unscorable reason) once per
-(categories, year) and the combined percentile once per (categories, year,
-citation count): those are the helpers' arguments, so caching on them is
-correct by construction. ``fractional_score`` runs per paper and alone
-withholds a score from papers with a citation override. The caches are local
-to one pass, so two passes, for example under two category schemes, share
-nothing.
+A score pass reads the corpus's own table, ``Corpus.baselines``, and computes
+the expected value (and its unscorable reason) once per (categories, year)
+and the combined percentile once per (categories, year, citation count):
+those are the helpers' arguments, so caching on them is correct by
+construction. ``fractional_score`` runs per paper and alone withholds a score
+from papers with a citation override. The caches are local to one pass, and
+two corpora, for example under two category schemes, share no table.
 Each paper's scores are a ``ScoredPaper`` named tuple, which compares equal
 to the tuple of its fields and unpacks like one.
 """
@@ -220,18 +220,16 @@ def fractional_score(corpus: Corpus, paper_id: str) -> float | None:
 
 
 def score_papers(
-    corpus: Corpus,
-    table: BaselineTable,
-    paper_ids: Iterable[str],
-    weighting: Weighting,
+    corpus: Corpus, paper_ids: Iterable[str], weighting: Weighting
 ) -> list[ScoredPaper]:
-    """Per-paper scores in ascending paper-id order.
+    """Per-paper scores in ascending paper-id order, against ``corpus.baselines``.
 
     The expected value and the combined percentile come from caches that
     live for this one pass and are keyed on their helper's own arguments
-    (``table`` and ``weighting`` are fixed for the pass); ``fractional_score``
+    (the table and ``weighting`` are fixed for the pass); ``fractional_score``
     runs once per paper.
     """
+    table = corpus.baselines
     papers = corpus.papers
     journals = corpus.journals
     cited_by = corpus.cited_by
@@ -264,13 +262,12 @@ def score_papers(
 
 def score_group(
     corpus: Corpus,
-    table: BaselineTable,
     group: GroupSelection,
     weighting: Weighting,
     top_x: float = 1.0,
 ) -> IndicatorReport:
     """All group indicators in one report; raises when nothing is scorable."""
-    scored = score_papers(corpus, table, group.paper_ids, weighting)
+    scored = score_papers(corpus, group.paper_ids, weighting)
     return group_report(group.name, scored, weighting, corpus.window, top_x)
 
 

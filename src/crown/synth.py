@@ -38,9 +38,8 @@ _FORBIDDEN_NAME_CHARS = set(',|"\n\r')
 # expected references took 2.4 s and 14.6 s and peaked 50 MB and 180 MB above
 # the interpreter under CPython 3.11 on a 2-vCPU x86 host: about 11 us and
 # 340 B per paper plus 2.5 us and 29 B per reference. By those rates a config
-# at both caps takes about 70 s and 1.3 GB, plus 8 B per paper for each field
-# past the second (every field keeps its own list of the other fields' earlier
-# papers). Larger configs are rejected before anything is built.
+# at both caps takes about 70 s and 1.3 GB. Larger configs are rejected before
+# anything is built.
 MAX_PAPERS = 2 * 10**6
 MAX_REFERENCES = 2 * 10**7
 
@@ -136,42 +135,41 @@ def generate_corpus(config: SynthConfig) -> tuple[bytes, bytes]:
     )
     id_width = max(6, len(str(total)))
 
+    # Papers cite only earlier years: by_field holds each field's papers of
+    # the years before the current one, which is its same-field pool. A
+    # year's papers, and the citations they make, which rank the skew
+    # deciles, are added when the year ends.
     by_field: dict[str, list[str]] = {name: [] for name in field_names}
-    earlier_same: dict[str, list[str]] = {name: [] for name in field_names}
-    earlier_other: dict[str, list[str]] = {name: [] for name in field_names}
     tallies: dict[str, int] = {}
     paper_lines: list[str] = []
     serial = 0
 
     for year in range(config.years[0], config.years[1] + 1):
-        for name in field_names:
-            earlier_same[name] = list(by_field[name])
-            earlier_other[name] = [
+        year_ids: dict[str, list[str]] = {name: [] for name in field_names}
+        year_tallies: dict[str, int] = {}
+        for field in config.fields:
+            same_pool = by_field[field.name]
+            # Built while this field's papers are drawn, so only one field's
+            # other-field pool is held at a time.
+            other_pool = [
                 pid
                 for other in field_names
-                if other != name
+                if other != field.name
                 for pid in by_field[other]
             ]
-        top_pools: dict[tuple[str, bool], list[str]] = {}
-        if config.skew_fraction > 0.0:
-            for name in field_names:
-                top_pools[(name, False)] = _top_decile(earlier_same[name], tallies)
-                top_pools[(name, True)] = _top_decile(earlier_other[name], tallies)
-        for field in config.fields:
+            top_pools: dict[bool, list[str]] = {}
+            if config.skew_fraction > 0.0:
+                top_pools[False] = _top_decile(same_pool, tallies)
+                top_pools[True] = _top_decile(other_pool, tallies)
             for _ in range(field.papers_per_year):
                 paper_id = f"p{serial:0{id_width}d}"
                 serial += 1
                 references = _draw_references(
-                    rng,
-                    config,
-                    field,
-                    earlier_same[field.name],
-                    earlier_other[field.name],
-                    top_pools,
+                    rng, config, field, same_pool, other_pool, top_pools
                 )
                 for ref in references:
-                    tallies[ref] = tallies.get(ref, 0) + 1
-                by_field[field.name].append(paper_id)
+                    year_tallies[ref] = year_tallies.get(ref, 0) + 1
+                year_ids[field.name].append(paper_id)
                 paper_lines.append(
                     json.dumps(
                         {
@@ -183,6 +181,10 @@ def generate_corpus(config: SynthConfig) -> tuple[bytes, bytes]:
                         separators=(",", ":"),
                     )
                 )
+        for name, ids in year_ids.items():
+            by_field[name].extend(ids)
+        for ref, count in year_tallies.items():
+            tallies[ref] = tallies.get(ref, 0) + count
     papers_jsonl = ("\n".join(paper_lines) + "\n").encode("utf-8")
     return papers_jsonl, journals_csv
 
@@ -193,7 +195,7 @@ def _draw_references(
     field: FieldSpec,
     same_pool: list[str],
     other_pool: list[str],
-    top_pools: dict[tuple[str, bool], list[str]],
+    top_pools: dict[bool, list[str]],
 ) -> list[str]:
     wanted = _poisson(rng, field.mean_references)
     references: list[str] = []
@@ -202,7 +204,7 @@ def _draw_references(
         cross = rng.random() < config.cross_field_fraction
         pool = other_pool if cross else same_pool
         if config.skew_fraction > 0.0 and rng.random() < config.skew_fraction:
-            top = top_pools[(field.name, cross)]
+            top = top_pools[cross]
             if top:
                 pool = top
         if not pool:

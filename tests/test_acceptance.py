@@ -95,7 +95,7 @@ def test_criterion_01_harmonic_identity() -> None:
     multi = [j for j in corpus.journals.values() if len(j.categories) >= 2]
     started = time.perf_counter()
     table = compute_baselines(corpus)
-    scored = score_papers(corpus, table, list(corpus.papers), Weighting.HARMONIC)
+    scored = score_papers(corpus, list(corpus.papers), Weighting.HARMONIC)
     worst = 0.0
     zero_mismatch = 0
     for paper in scored:
@@ -245,10 +245,8 @@ def test_criterion_05_classification_independence() -> None:
     bytes_a = fractional_blob(corpus)
     bytes_b = fractional_blob(relabeled)
 
-    table_a = compute_baselines(corpus)
-    table_b = compute_baselines(relabeled)
-    scored_a = score_papers(corpus, table_a, list(corpus.papers), Weighting.HARMONIC)
-    scored_b = score_papers(relabeled, table_b, list(corpus.papers), Weighting.HARMONIC)
+    scored_a = score_papers(corpus, list(corpus.papers), Weighting.HARMONIC)
+    scored_b = score_papers(relabeled, list(corpus.papers), Weighting.HARMONIC)
     ncs_changed = sum(
         1
         for a, b in zip(scored_a, scored_b)
@@ -292,10 +290,9 @@ def test_criterion_07_skew_separation() -> None:
         mdncs(fixture) == 1.0 and abs(mncs(fixture) - 11.5 / 3) <= 1e-12
     )
     corpus = corpus_from_synth(RIGHT_SKEW)
-    table = compute_baselines(corpus)
     ncs = [
         paper.ncs
-        for paper in score_papers(corpus, table, list(corpus.papers), Weighting.HARMONIC)
+        for paper in score_papers(corpus, list(corpus.papers), Weighting.HARMONIC)
         if paper.scorable
     ]
     corpus_mean, corpus_median = mncs(ncs), mdncs(ncs)
@@ -310,9 +307,8 @@ def test_criterion_07_skew_separation() -> None:
 
 def test_criterion_08_field_unit_normalization() -> None:
     corpus = corpus_from_synth(RIGHT_SKEW)  # single-category corpus
-    table = compute_baselines(corpus)
     cell_ids = [pid for pid, paper in corpus.papers.items() if paper.year == 2005]
-    scored = score_papers(corpus, table, cell_ids, Weighting.ARITHMETIC)
+    scored = score_papers(corpus, cell_ids, Weighting.ARITHMETIC)
     value = mncs([paper.ncs for paper in scored if paper.scorable])
     ok = len(cell_ids) == 60 and abs(value - 1.0) <= 1e-9
     _verdict(

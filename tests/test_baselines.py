@@ -201,9 +201,8 @@ def test_single_category_corpus_weighting_is_irrelevant() -> None:
         ]
     )
     corpus = corpus_from_text(papers_jsonl, "id,title,categories\nj1,J,solo\n")
-    table = compute_baselines(corpus)
-    arithmetic = score_papers(corpus, table, corpus.papers, Weighting.ARITHMETIC)
-    harmonic = score_papers(corpus, table, corpus.papers, Weighting.HARMONIC)
+    arithmetic = score_papers(corpus, corpus.papers, Weighting.ARITHMETIC)
+    harmonic = score_papers(corpus, corpus.papers, Weighting.HARMONIC)
     assert [paper.paper_id for paper in arithmetic] == sorted(corpus.papers)
     for a, h in zip(arithmetic, harmonic):
         assert a.ncs == h.ncs

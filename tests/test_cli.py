@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crown import baselines
+from crown.baselines import compute_baselines
 from crown.cli import main
 
 from conftest import CARDIOLOGY_JOURNALS_CSV
@@ -224,7 +226,9 @@ def test_window_count_takes_ascii_digits_only(demo, capsys, window) -> None:
             "--group", str(group)]
     assert main([*argv, "--window", window]) == 1
     err = capsys.readouterr().err
-    assert err == f"crown: error: bad window {window!r}: expected 'all' or 'yearsN'\n"
+    assert err == (
+        f"crown: error: argument --window: bad window {window!r}: expected 'all' or 'yearsN'\n"
+    )
     assert main([*argv, "--window", "years05"]) == 0
     assert "# window: years5\n" in capsys.readouterr().out
 
@@ -428,6 +432,30 @@ def test_ranksum_identical_groups(demo, capsys) -> None:
     payload = json.loads(capsys.readouterr().out)["ranksum"]
     assert payload["z"] == 0.0
     assert payload["p_two_sided"] == 1.0
+
+
+@pytest.mark.parametrize("command, tables", [
+    (["score", "--group", "{group}"], 1),
+    (["diagnose", "ranksum", "--group-a", "{group}", "--group-b", "{group}"], 1),
+    (["diagnose", "indexer", "--group", "{group}"], 2),
+], ids=["score", "ranksum", "indexer"])
+def test_each_corpus_builds_its_baseline_table_once(
+    demo, monkeypatch, capsys, command, tables
+) -> None:
+    papers, journals, group = demo
+    built = []
+
+    def counting_compute_baselines(corpus):
+        built.append(corpus)
+        return compute_baselines(corpus)
+
+    monkeypatch.setattr(baselines, "compute_baselines", counting_compute_baselines)
+    argv = [arg.format(group=group) for arg in command]
+    assert main([*argv, "--papers", str(papers), "--journals", str(journals)]) == 0
+    capsys.readouterr()
+    # ranksum scores two groups on one corpus; indexer scores one group on
+    # two corpora, one per category scheme
+    assert len(built) == tables
 
 
 def test_group_file_comments_and_blanks_are_ignored(demo, capsys) -> None:

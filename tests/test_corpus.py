@@ -24,6 +24,7 @@ from crown.corpus import (
     parse_papers,
     read_hashed,
 )
+from crown.diagnostics import primary_only_scheme
 from crown.indicators import score_papers
 
 from conftest import CARDIOLOGY_JOURNALS_CSV, categories_of
@@ -284,7 +285,7 @@ def test_citation_count_override_beats_edges() -> None:
     corpus = build_corpus(papers, [Journal("j1", "J", ("cat",))])
     assert len(corpus.cited_by["p1"]) == 2
     table = compute_baselines(corpus)
-    scored = score_papers(corpus, table, ["q1", "p1"], Weighting.HARMONIC)
+    scored = score_papers(corpus, ["q1", "p1"], Weighting.HARMONIC)
     assert scored[0].citations == 17
     assert scored[1].citations == 0
     assert table.cell("cat", 2000).sorted_citations == (17,)
@@ -578,6 +579,21 @@ def test_baselines_do_not_depend_on_paper_order(case, rng) -> None:
     first = compute_baselines(build_corpus(papers, GRAPH_JOURNALS, window))
     second = compute_baselines(build_corpus(shuffled, GRAPH_JOURNALS, window))
     assert first.cells == second.cells
+
+
+def test_corpus_keeps_its_own_baseline_table_per_scheme() -> None:
+    papers = parse_papers([
+        '{"id":"p1","year":2005,"journal":"circ","references":[]}',
+        '{"id":"p2","year":2005,"journal":"jvr","references":["p1"]}',
+        '{"id":"p3","year":2006,"journal":"ajc","references":["p1","p2"]}',
+    ])
+    corpus = build_corpus(papers, parse_journals(CARDIOLOGY_JOURNALS_CSV.splitlines()))
+    assert corpus.baselines is corpus.baselines
+    assert corpus.baselines == compute_baselines(corpus)
+    primary = corpus.with_journals(primary_only_scheme(list(corpus.journals.values())))
+    assert primary.baselines != corpus.baselines
+    assert primary.baselines == compute_baselines(primary)
+    assert set(primary.baselines.cells) < set(corpus.baselines.cells)
 
 
 def _set_gc(enabled: bool) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crown import diagnostics, indicators
-from crown.baselines import Weighting, compute_baselines
+from crown.baselines import Weighting
 from crown.cli import main
 from crown.corpus import Journal
 from crown.diagnostics import (
@@ -120,6 +121,7 @@ def test_search_result_verified_by_brute_oracle() -> None:
     ((1, 0, 3), None), ((1, 1, 1), None), ((1, 2, 2), None), ((2, 1, 2), None),
     ((1, 4, 4), 1), ((2, 2, 3), 1), ((3, 2, 3), 1),
     ((2, 1, 3), 2), ((2, 2, 2), 2), ((3, 1, 2), 3),
+    ((6, 0, 2), None), ((6, 1, 1), None), ((4, 2, 2), 2), ((5, 1, 2), 3),
 ])
 def test_search_matches_the_brute_force_oracle(indicator, bounds, flip_size) -> None:
     bounds = SearchBounds(*bounds)
@@ -153,6 +155,15 @@ def test_instance_count_is_exact_under_the_limit() -> None:
     count = 20**2 * 20 + 210**2 * 20 + 1540**2 * 20
     assert count <= MAX_INSTANCES
     assert SearchBounds(3, 4, 4).instance_count() == count
+
+
+def test_one_paper_box_is_counted_and_settled_at_once() -> None:
+    # one (citations, expected) pair: one group, and one instance, per size
+    bounds = SearchBounds(MAX_INSTANCES, 0, 1)
+    started = time.perf_counter()
+    assert bounds.instance_count() == MAX_INSTANCES
+    assert consistency_counterexample(RATIO_OF_SUMS, bounds) is None
+    assert time.perf_counter() - started < 1.0
 
 
 def test_instance_count_matches_enumeration() -> None:
@@ -206,7 +217,7 @@ def test_primary_only_scheme_moves_scores_of_multi_category_papers(monkeypatch) 
     passes = []
 
     def counting_score_papers(*args, **kwargs):
-        passes.append(args[1])  # the baseline table of the scheme being scored
+        passes.append(args[0])  # the corpus of the scheme being scored
         return score_papers(*args, **kwargs)
 
     for module in (diagnostics, indicators):
@@ -218,8 +229,7 @@ def test_primary_only_scheme_moves_scores_of_multi_category_papers(monkeypatch) 
     assert report.group_deltas["mean_fractional"] == 0.0
     for scheme, expected in ((scheme_a, report.report_a), (scheme_b, report.report_b)):
         rescheme = corpus.with_journals(scheme)
-        table = compute_baselines(rescheme)
-        assert score_group(rescheme, table, group, Weighting.HARMONIC) == expected
+        assert score_group(rescheme, group, Weighting.HARMONIC) == expected
 
 
 def test_fractional_invariance_holds_for_any_scheme_pair() -> None:

@@ -295,17 +295,16 @@ def test_fractional_excludes_override_papers_with_warning() -> None:
     ]
     corpus = build_corpus(papers, [Journal("j1", "J", ("F",))])
     # neither fractional_score nor the score pass warns per paper ...
-    table = compute_baselines(corpus)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert fractional_score(corpus, "t") is None
-        scored = score_papers(corpus, table, ["t", "q"], Weighting.ARITHMETIC)
+        scored = score_papers(corpus, ["t", "q"], Weighting.ARITHMETIC)
     assert {paper.paper_id: paper.fractional for paper in scored} == {"q": 0.0, "t": None}
     # ... and the group report warns exactly once for the whole group
     group = GroupSelection.resolve("g", ["t", "q"], corpus)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = score_group(corpus, table, group, Weighting.ARITHMETIC)
+        report = score_group(corpus, group, Weighting.ARITHMETIC)
     assert [str(w.message) for w in caught] == [
         "group 'g': 1 paper(s) with citation overrides excluded from fractional counting"
     ]
@@ -313,9 +312,8 @@ def test_fractional_excludes_override_papers_with_warning() -> None:
 
 
 def _mean_fractional(corpus, paper_ids: list[str]) -> float:
-    table = compute_baselines(corpus)
     group = GroupSelection.resolve("g", paper_ids, corpus)
-    return score_group(corpus, table, group, Weighting.HARMONIC).mean_fractional
+    return score_group(corpus, group, Weighting.HARMONIC).mean_fractional
 
 
 def test_mean_fractional_group() -> None:
@@ -377,9 +375,8 @@ def _scored_corpus():
 
 def test_score_group_composes_all_indicators() -> None:
     corpus = _scored_corpus()
-    table = compute_baselines(corpus)
     group = GroupSelection.resolve("g", ["p1", "p2", "p3"], corpus)
-    report = score_group(corpus, table, group, Weighting.HARMONIC)
+    report = score_group(corpus, group, Weighting.HARMONIC)
     assert report.n_total == 3
     assert report.n_scorable == 3
     # cell (solo, 2005) holds citations [0, 1, 3]: e = 4/3 for each paper
@@ -392,10 +389,9 @@ def test_score_group_composes_all_indicators() -> None:
 
 def test_score_group_weighting_is_irrelevant_on_single_category_corpus() -> None:
     corpus = _scored_corpus()
-    table = compute_baselines(corpus)
     group = GroupSelection.resolve("g", list(corpus.papers), corpus)
-    harmonic = score_group(corpus, table, group, Weighting.HARMONIC)
-    arithmetic = score_group(corpus, table, group, Weighting.ARITHMETIC)
+    harmonic = score_group(corpus, group, Weighting.HARMONIC)
+    arithmetic = score_group(corpus, group, Weighting.ARITHMETIC)
     assert harmonic == arithmetic.__class__(
         **{**arithmetic.__dict__, "weighting": "harmonic"}
     )
@@ -403,17 +399,15 @@ def test_score_group_weighting_is_irrelevant_on_single_category_corpus() -> None
 
 def test_whole_cell_group_normalizes_to_one() -> None:
     corpus = _scored_corpus()
-    table = compute_baselines(corpus)
     group = GroupSelection.resolve("cell", ["p1", "p2", "p3"], corpus)
-    report = score_group(corpus, table, group, Weighting.ARITHMETIC)
+    report = score_group(corpus, group, Weighting.ARITHMETIC)
     assert report.mncs == pytest.approx(1.0, abs=1e-9)
 
 
 def test_report_json_round_trip_is_bit_identical() -> None:
     corpus = _scored_corpus()
-    table = compute_baselines(corpus)
     group = GroupSelection.resolve("g", ["p1", "q1"], corpus)
-    report = score_group(corpus, table, group, Weighting.HARMONIC)
+    report = score_group(corpus, group, Weighting.HARMONIC)
     text = report.to_json()
     assert json.loads(text) == report.payload()
     assert json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) == text
@@ -421,9 +415,8 @@ def test_report_json_round_trip_is_bit_identical() -> None:
 
 def test_report_json_keys_the_top_share_after_x() -> None:
     corpus = _scored_corpus()
-    table = compute_baselines(corpus)
     group = GroupSelection.resolve("g", ["p1", "q1"], corpus)
-    report = score_group(corpus, table, group, Weighting.HARMONIC, top_x=0.5)
+    report = score_group(corpus, group, Weighting.HARMONIC, top_x=0.5)
     text = report.to_json()
     payload = json.loads(text)
     assert payload["pp_top0.5"] == report.pp_top
@@ -446,10 +439,9 @@ def test_score_group_all_unscorable_raises_with_coverage() -> None:
         ]
     )
     corpus = corpus_from_text(papers_jsonl, "id,title,categories\nj1,J,solo\n")
-    table = compute_baselines(corpus)
     group = GroupSelection.resolve("dead", ["p1", "p2"], corpus)
     with pytest.raises(DegenerateGroupError) as exc_info:
-        score_group(corpus, table, group, Weighting.HARMONIC)
+        score_group(corpus, group, Weighting.HARMONIC)
     error = exc_info.value
     assert error.group == "dead"
     assert error.n_total == 2
@@ -497,8 +489,7 @@ def test_group_selection_errors_name_the_position_of_the_id() -> None:
 
 def test_score_papers_orders_by_paper_id() -> None:
     corpus = _scored_corpus()
-    table = compute_baselines(corpus)
-    scored = score_papers(corpus, table, ["q1", "p1", "p3"], Weighting.HARMONIC)
+    scored = score_papers(corpus, ["q1", "p1", "p3"], Weighting.HARMONIC)
     assert [paper.paper_id for paper in scored] == ["p1", "p3", "q1"]
 
 
@@ -515,8 +506,10 @@ def test_scored_paper_is_immutable_and_keeps_the_dataclass_repr() -> None:
 # --- the score pass against a per-paper reference pass ----------------------
 
 
-def _reference_score_papers(corpus, table, paper_ids, weighting) -> list:
-    """The plain score pass: every value recomputed for every paper."""
+def _reference_score_papers(corpus, paper_ids, weighting) -> list:
+    """The plain score pass: every value recomputed for every paper, against a
+    table built here, not the one the corpus keeps."""
+    table = compute_baselines(corpus)
     scored = []
     for paper_id in sorted(paper_ids):
         citations = citation_count(corpus, paper_id)
@@ -589,9 +582,8 @@ def score_pass_case(draw):
 def test_score_papers_matches_the_per_paper_reference_pass(case) -> None:
     papers, group, weighting, window = case
     corpus = build_corpus(papers, PASS_JOURNALS, window)
-    table = compute_baselines(corpus)
-    scored = score_papers(corpus, table, group, weighting)
-    expected = _reference_score_papers(corpus, table, group, weighting)
+    scored = score_papers(corpus, group, weighting)
+    expected = _reference_score_papers(corpus, group, weighting)
     assert scored == expected
     assert repr(scored) == repr(expected)
 
@@ -606,7 +598,6 @@ def test_score_pass_computes_each_value_once_per_key(monkeypatch) -> None:
             seed=5,
         )
     )
-    table = compute_baselines(corpus)
     group = sorted(corpus.papers)[::2]
     calls = {"expected": 0, "percentile": 0, "fractional": 0}
 
@@ -628,7 +619,7 @@ def test_score_pass_computes_each_value_once_per_key(monkeypatch) -> None:
     monkeypatch.setattr(
         indicators, "fractional_score", counting("fractional", fractional_score)
     )
-    scored = score_papers(corpus, table, group, Weighting.HARMONIC)
+    scored = score_papers(corpus, group, Weighting.HARMONIC)
     papers = [corpus.papers[pid] for pid in group]
     year_keys = {(categories_of(corpus, paper.id), paper.year) for paper in papers}
     count_keys = {
@@ -641,7 +632,7 @@ def test_score_pass_computes_each_value_once_per_key(monkeypatch) -> None:
     # fractional_score stays per paper, and decides the overrides itself
     assert calls["fractional"] == len(group)
     monkeypatch.undo()
-    assert scored == _reference_score_papers(corpus, table, group, Weighting.HARMONIC)
+    assert scored == _reference_score_papers(corpus, group, Weighting.HARMONIC)
 
 
 # --- metamorphic checks on real corpus groups --------------------------------
@@ -665,8 +656,7 @@ def _metamorphic_corpus(window: str):
 @functools.cache
 def _scorable_ids(weighting: Weighting) -> tuple[str, ...]:
     corpus = _metamorphic_corpus("all")
-    table = compute_baselines(corpus)
-    scored = score_papers(corpus, table, corpus.papers, weighting)
+    scored = score_papers(corpus, corpus.papers, weighting)
     return tuple(paper.paper_id for paper in scored if paper.scorable)
 
 
@@ -680,16 +670,15 @@ def test_adding_one_paper_to_two_equal_groups_never_reverses_their_mncs(
     weighting, size, rng
 ) -> None:
     corpus = _metamorphic_corpus("all")
-    table = compute_baselines(corpus)
     drawn = rng.sample(_scorable_ids(weighting), 2 * size + 1)
     group_a, group_b, added = drawn[:size], drawn[size:-1], drawn[-1]
 
     def value(ids) -> float:
         group = GroupSelection.resolve("g", ids, corpus)
-        return score_group(corpus, table, group, weighting).mncs
+        return score_group(corpus, group, weighting).mncs
 
     def exact_sum(ids) -> Fraction:
-        scored = score_papers(corpus, table, ids, weighting)
+        scored = score_papers(corpus, ids, weighting)
         return sum(Fraction(paper.ncs) for paper in scored)
 
     before_a, before_b = value(group_a), value(group_b)
@@ -731,7 +720,7 @@ def test_relabelling_categories_leaves_fractional_scores_bit_identical(
             relabelled, pid
         ).hex()
     passes = [
-        score_papers(scheme, compute_baselines(scheme), ids, Weighting.ARITHMETIC)
+        score_papers(scheme, ids, Weighting.ARITHMETIC)
         for scheme in (corpus, relabelled)
     ]
     assert [paper.fractional.hex() for paper in passes[0]] == [

@@ -60,7 +60,6 @@ def test_public_api_is_the_documented_surface() -> None:
         "IndicatorReport",
         "ParseError",
         "Weighting",
-        "compute_baselines",
         "load_corpus",
         "score_group",
     ]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
+import tracemalloc
 
 import pytest
 
@@ -139,6 +140,30 @@ def test_skew_produces_right_skewed_citation_counts() -> None:
     counts = [len(corpus.cited_by[pid]) for pid in corpus.papers]
     assert statistics.mean(counts) > statistics.median(counts)
     assert max(counts) > 4 * statistics.mean(counts)
+
+
+def _generation_peak(n_fields: int) -> int:
+    """Peak traced bytes of one generation of 4,000 papers over ten years,
+    split evenly over ``n_fields`` fields."""
+    config = SynthConfig(
+        fields=tuple(FieldSpec(f"f{i}", 2.0, 400 // n_fields) for i in range(n_fields)),
+        years=(2000, 2009),
+        cross_field_fraction=0.2,
+        seed=3,
+    )
+    tracemalloc.start()
+    try:
+        generate_corpus(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generation_memory_does_not_grow_with_the_field_count() -> None:
+    # Only the drawing field's pool of the other fields' earlier papers is
+    # held. One such pool per field grows with fields x papers: here, 40
+    # fields would peak at about 1.75 times the 2-field peak.
+    assert _generation_peak(40) <= 1.5 * _generation_peak(2)
 
 
 @pytest.mark.parametrize(
