@@ -1,22 +1,23 @@
-"""Per-(category, year) citation baselines and expected citation values.
+"""Per-(category, year) citation baselines and the multi-category rule.
 
 Every paper contributes its citation count to the cell of each category its
 journal carries, keyed by publication year, so a paper in a journal with m
 categories sits in m cells. The reference universe is the corpus itself: cell
-means are the "expected citations" a paper is normalized against; each cell's
-mean is fixed when the cell is built, so a lookup costs O(1). Papers in
-several categories combine their cell means with equal category weights,
-either arithmetically or harmonically; the harmonic combination makes the
-citations-to-expectation ratio equal the plain average of the per-category
-ratios, which is what keeps mean-of-ratios group statistics consistent.
-An expected value depends only on a journal's categories and a year, which
-are what ``expected_citations_with_reason`` takes, so it can be cached on them.
+means are the "expected citations" a paper is normalized against, fixed when
+the cell is built. A multi-category paper weighs its cells equally: its
+expected value is the arithmetic or harmonic mean of the cell means (the
+harmonic one makes c / e the plain average of the per-category ratios, which
+keeps mean-of-ratios group statistics consistent), and its percentile the
+mean of its cell ranks. Both depend only on what their functions take (the
+categories, the year and, for the percentile, the count), so a score pass
+caches them on those arguments.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -35,9 +36,8 @@ class Weighting(enum.Enum):
 
 @dataclass(frozen=True)
 class FieldYearCell:
-    """All citation counts of one category-year population, kept sorted.
-
-    ``mean_citations`` is computed once, at construction, and takes no part
+    """All citation counts of one category-year population, sorted on
+    construction. ``mean_citations`` is computed then too and takes no part
     in equality: it is a function of ``sorted_citations``.
     """
 
@@ -49,14 +49,9 @@ class FieldYearCell:
     def __post_init__(self) -> None:
         if not self.sorted_citations:
             raise ValueError(f"empty cell ({self.category!r}, {self.year})")
-        if any(
-            a > b
-            for a, b in zip(self.sorted_citations, self.sorted_citations[1:])
-        ):
-            raise ValueError(f"cell ({self.category!r}, {self.year}) not sorted")
-        object.__setattr__(
-            self, "mean_citations", sum(self.sorted_citations) / self.n
-        )
+        counts = tuple(sorted(self.sorted_citations))
+        object.__setattr__(self, "sorted_citations", counts)
+        object.__setattr__(self, "mean_citations", sum(counts) / len(counts))
 
     @property
     def n(self) -> int:
@@ -77,9 +72,9 @@ def compute_baselines(corpus: Corpus) -> BaselineTable:
     """Build the cell table in one pass over the papers, in corpus order.
 
     Counts are collected per (journal, year) first, then added to each of the
-    journal's categories once per key. Each cell's counts are sorted and its
-    mean is an exact integer sum over n, so the order in which papers are
-    visited cannot change a cell.
+    journal's categories once per key. A cell sorts its counts and its mean
+    is an exact integer sum over n, so the order in which papers are visited
+    cannot change a cell.
     """
     per_key: dict[tuple[str, int], list[int]] = {}
     cited_by = corpus.cited_by
@@ -95,11 +90,7 @@ def compute_baselines(corpus: Corpus) -> BaselineTable:
     for (journal_id, year), counts in per_key.items():
         for category in journals[journal_id].categories:
             per_cell.setdefault((category, year), []).extend(counts)
-    cells = {
-        (category, year): FieldYearCell(category, year, tuple(sorted(counts)))
-        for (category, year), counts in per_cell.items()
-    }
-    return BaselineTable(cells)
+    return BaselineTable({key: FieldYearCell(*key, counts) for key, counts in per_cell.items()})
 
 
 def expected_citations_with_reason(
@@ -130,6 +121,32 @@ def expected_citations_with_reason(
     if value == 0.0:  # possible only when every cell mean is zero
         return None, _zero_baseline_reason(zero_cells, year)
     return value, None
+
+
+def percentile_rank(cell: FieldYearCell, citations: int) -> float:
+    """Position of a citation count within its cell, in (0, 100].
+
+    Ties split evenly: with L cell papers strictly below and T papers tied
+    (the paper itself included), the rank is 100 * (L + T/2) / n. A tie-free
+    odd cell therefore puts its median paper at exactly 50.
+    """
+    counts = cell.sorted_citations
+    below = bisect_left(counts, citations)
+    tied = bisect_right(counts, citations) - below
+    if tied == 0:
+        raise ValueError(
+            f"citation count {citations} not in cell ({cell.category!r}, {cell.year})"
+        )
+    return 100.0 * (below + 0.5 * tied) / cell.n
+
+
+def combined_percentile(
+    table: BaselineTable, categories: Sequence[str], year: int, count: int
+) -> float:
+    """Equal-weight mean of the percentile ranks of a citation count in the
+    ``(category, year)`` cell of each of ``categories``."""
+    ranks = [percentile_rank(table.cell(category, year), count) for category in categories]
+    return math.fsum(ranks) / len(ranks)
 
 
 def _zero_baseline_reason(zero_cells: list[str], year: int) -> str:

@@ -12,7 +12,9 @@ Subcommand grammar::
                     --papers OUT --journals OUT
     crown diagnose  consistency | indexer | ranksum [flags]
 
-All report-producing subcommands take ``--format tsv|json`` and ``--out PATH``.
+All report-producing subcommands take ``--format tsv|json`` and ``--out PATH``;
+an ``--out`` that resolves to one of the run's input files is rejected before
+anything is read.
 Every report starts with the full effective configuration, including a SHA-256
 content hash of each input file, taken from the single read that was parsed,
 so a result is always traceable to its exact inputs; identical inputs and
@@ -24,7 +26,9 @@ A degenerate run still emits a coverage report under the same configuration
 header, input hashes included.
 
 Group files list one paper id per line; blank lines and ``#`` comments are
-ignored; the group is named after the file stem.
+ignored; the group is named after the file stem, which may hold no tab, CR or
+LF. Paper ids and categories hold none of those three either (``Paper`` and
+``Journal`` check them), so no such value can forge a report row.
 
 The score report TSV carries the columns group, n_total, n_scorable,
 cpp_fcsm, mncs, mdncs, pp_top<x> (``pp_top1`` at the default ``--top-x 1``),
@@ -51,6 +55,8 @@ from .corpus import (
     CitationWindow,
     Corpus,
     CorpusError,
+    is_tsv_field,
+    listed_id,
     load_corpus,
     parse_journals,
     read_hashed,
@@ -71,10 +77,15 @@ from .indicators import (
     scorable_papers,
     score_group,
     score_papers,
-    top_label,
 )
 
 T = TypeVar("T")
+
+# The columns a score row and a degenerate run's coverage row both start with.
+_COVERAGE = ("group", "n_total", "n_scorable")
+# Input-file flags, in the order a report header lists them; ``--journals-b``
+# comes last, as ``scheme_b``.
+_INPUTS = ("papers", "journals", "group", "group_a", "group_b")
 
 
 @dataclass(frozen=True)
@@ -135,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     score = sub.add_parser("score", help="score a group file into an indicator report")
     _add_corpus_flags(score)
-    score.add_argument("--group", required=True, help="group file, one paper id per line")
+    score.add_argument("--group", required=True, type=_group_file,
+                       help="group file, one paper id per line")
     _add_scoring_flags(score)
     _add_output_flags(score)
     score.set_defaults(handler=_cmd_score)
@@ -184,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         "indexer", help="rescore a group under two category schemes and report the shifts"
     )
     _add_corpus_flags(indexer)
-    indexer.add_argument("--group", required=True, help="group file, one paper id per line")
+    indexer.add_argument("--group", required=True, type=_group_file,
+                         help="group file, one paper id per line")
     indexer.add_argument(
         "--journals-b",
         default=None,
@@ -198,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
         "ranksum", help="Mann-Whitney rank-sum test between two groups' normalized scores"
     )
     _add_corpus_flags(ranksum)
-    ranksum.add_argument("--group-a", required=True, help="first group file")
-    ranksum.add_argument("--group-b", required=True, help="second group file")
+    ranksum.add_argument("--group-a", required=True, type=_group_file, help="first group file")
+    ranksum.add_argument("--group-b", required=True, type=_group_file, help="second group file")
     _add_scoring_flags(ranksum, top_x=False)
     _add_output_flags(ranksum)
     ranksum.set_defaults(handler=_cmd_ranksum)
@@ -247,6 +260,15 @@ def _number(name: str, convert: Callable[[str], T]) -> Callable[[str], T]:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
+
+
+def _group_file(path: str) -> str:
+    """argparse ``type=`` for a group file: its stem names the group in the
+    report's ``group`` column, so it may hold no tab, CR or LF."""
+    name = Path(path).stem
+    if not is_tsv_field(name):
+        raise argparse.ArgumentTypeError(f"group name {name!r} holds a tab, CR or LF")
+    return path
 
 
 def _window(text: str) -> CitationWindow:
@@ -303,6 +325,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         shown: set[str] = set()
         warnings.showwarning = lambda message, *_: _warn_once(str(message), shown)
         try:
+            _check_out(args)
             try:
                 report = args.handler(args, digests)
             except DegenerateGroupError as exc:
@@ -318,6 +341,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"crown: error: {exc}", file=sys.stderr)
             return 1
     return code
+
+
+def _check_out(args: argparse.Namespace) -> None:
+    """Refuse an ``--out`` that resolves to an input file, which writing the
+    report would overwrite, before anything is read."""
+    out = getattr(args, "out", None)
+    if out is None:
+        return
+    for key in (*_INPUTS, "journals_b"):
+        path = getattr(args, key, None)
+        if path is not None and Path(path).resolve() == Path(out).resolve():
+            flag = key.replace("_", "-")
+            raise ValueError(f"--out and --{flag} are the same file {out!r}")
 
 
 def _warn_once(message: str, shown: set[str]) -> None:
@@ -371,12 +407,10 @@ def _cmd_score(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     corpus = _load(args, digests)
     group = _read_group(args.group, corpus, digests)
     report = score_group(corpus, group, Weighting(args.weighting), top_x=args.top_x)
-    columns = ("group", "n_total", "n_scorable", "cpp_fcsm", "mncs", "mdncs",
-               top_label(report.top_x), "mean_fractional")
-    row = (report.group, report.n_total, report.n_scorable, report.cpp_fcsm,
-           report.mncs, report.mdncs, report.pp_top, report.mean_fractional)
+    statistics = report.statistics
+    row = (*(getattr(report, column) for column in _COVERAGE), *statistics.values())
     return Report(
-        "score", _settings(args, digests), columns, [row],
+        "score", _settings(args, digests), (*_COVERAGE, *statistics), [row],
         _unscorable_notes(report.unscorable),
         {"report": report.payload()},
     )
@@ -497,12 +531,11 @@ def _coverage_report(
 ) -> Report:
     """Coverage report for a run that had nothing to compute on."""
     command = " ".join(filter(None, (args.command, getattr(args, "diagnostic", None))))
-    columns = ("group", "n_total", "n_scorable")
-    row = (exc.group, exc.n_total, exc.n_scorable)
-    coverage = dict(zip(columns, row))
+    row = tuple(getattr(exc, column) for column in _COVERAGE)
+    coverage = dict(zip(_COVERAGE, row))
     coverage["unscorable"] = [list(item) for item in exc.unscorable]
     return Report(
-        command, _settings(args, digests), columns, [row],
+        command, _settings(args, digests), _COVERAGE, [row],
         [f"degenerate: {exc}", *_unscorable_notes(exc.unscorable)],
         {"degenerate": str(exc), "coverage": coverage},
     )
@@ -516,7 +549,7 @@ def _settings(
     flags = vars(args)
     settings = [
         (key, _input(flags[key], digests))
-        for key in ("papers", "journals", "group", "group_a", "group_b")
+        for key in _INPUTS
         if key in flags
     ]
     if "weighting" in flags:
@@ -561,13 +594,12 @@ def _read_group(path: str, corpus: Corpus, digests: dict[str, str]) -> GroupSele
 
 
 def _group_lines(lines: Iterable[str]) -> Iterator[tuple[int, str | None]]:
-    """(line number, id) for each line of a group file, the id stripped of
-    surrounding whitespace, or None on a blank or ``#`` comment line. A
-    zero-byte file reads as one blank line."""
+    """(line number, ``listed_id(line)``) for each line of a group file: the
+    id stripped of surrounding whitespace, or None on a blank or ``#`` comment
+    line. A zero-byte file reads as one blank line."""
     line_no = 0
     for line_no, raw_line in enumerate(lines, start=1):
-        paper_id = raw_line.strip()
-        yield line_no, (paper_id if paper_id and not paper_id.startswith("#") else None)
+        yield line_no, listed_id(raw_line)
     if not line_no:
         yield 1, None
 

@@ -72,6 +72,20 @@ class ParseError(CorpusError):
         self.line_no = line_no
 
 
+def listed_id(line: str) -> str | None:
+    """The paper id a group-file line lists: the line without surrounding
+    whitespace, or None when that is empty or a ``#`` comment. ``Paper``
+    takes only ids that this returns unchanged, so any paper can be listed."""
+    paper_id = line.strip()
+    return paper_id if paper_id and not paper_id.startswith("#") else None
+
+
+def is_tsv_field(text: str) -> bool:
+    """True when ``text`` holds no tab, CR or LF, so that it is one field of
+    one line in a TSV report."""
+    return "\t" not in text and "\r" not in text and "\n" not in text
+
+
 class _PaperFields(NamedTuple):
     id: str
     year: int
@@ -82,6 +96,10 @@ class _PaperFields(NamedTuple):
 
 class Paper(_PaperFields):
     """One paper record; its own invariants are checked on construction.
+
+    The id is what a report row and a group file line carry: it has no
+    surrounding whitespace, does not start with ``#`` and holds no tab, CR
+    or LF.
 
     A named tuple: it compares equal to the tuple of its fields and unpacks
     like one. Every way of building one (a call, ``_make``, ``_replace``,
@@ -98,8 +116,13 @@ class Paper(_PaperFields):
         references: tuple[str, ...] = (),
         raw_citation_count: int | None = None,
     ) -> Paper:
-        if not id:
+        if type(id) is not str or not id:
             raise CorpusError("paper id must be a non-empty string")
+        if listed_id(id) != id:
+            raise CorpusError(f"paper id {id!r} has surrounding whitespace or "
+                              "starts with '#', so no group file can list it")
+        if not is_tsv_field(id):
+            raise CorpusError(f"paper id {id!r} holds a tab, CR or LF")
         if not YEAR_MIN <= year <= YEAR_MAX:
             raise CorpusError(
                 f"paper {id!r}: year {year} outside [{YEAR_MIN}, {YEAR_MAX}]"
@@ -133,6 +156,11 @@ class Journal:
             raise CorpusError(f"journal {self.id!r} has an empty categories field")
         if len(set(self.categories)) != len(self.categories):
             raise CorpusError(f"journal {self.id!r} repeats a category")
+        for category in self.categories:  # each is a field of a baselines row
+            if not is_tsv_field(category):
+                raise CorpusError(
+                    f"journal {self.id!r}: category {category!r} holds a tab, CR or LF"
+                )
 
     @property
     def primary_category(self) -> str:

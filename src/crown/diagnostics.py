@@ -32,7 +32,6 @@ from .indicators import (
     group_report,
     mncs,
     score_papers,
-    top_label,
 )
 
 Pair = tuple[int, int]
@@ -262,14 +261,9 @@ class SensitivityReport:
 
     @property
     def group_deltas(self) -> dict[str, float]:
-        return {
-            "cpp_fcsm": self.report_b.cpp_fcsm - self.report_a.cpp_fcsm,
-            "mncs": self.report_b.mncs - self.report_a.mncs,
-            "mdncs": self.report_b.mdncs - self.report_a.mdncs,
-            top_label(self.report_a.top_x): self.report_b.pp_top - self.report_a.pp_top,
-            "mean_fractional": self.report_b.mean_fractional
-            - self.report_a.mean_fractional,
-        }
+        """Scheme B minus scheme A for each group statistic, by output name."""
+        a, b = self.report_a.statistics, self.report_b.statistics
+        return {name: b[name] - a[name] for name in a}
 
 
 def primary_only_scheme(journals: Sequence[Journal]) -> list[Journal]:

@@ -15,12 +15,11 @@ none; ``group_report`` builds each column once from its result. The scorable
 and total counts are reported side by side, and papers are accumulated in
 ascending paper-id order so results are reproducible bit for bit.
 
-A score pass reads the corpus's own table, ``Corpus.baselines``, and computes
-the expected value (and its unscorable reason) once per (categories, year)
-and the combined percentile once per (categories, year, citation count):
-those are the helpers' arguments, so caching on them is correct by
-construction. ``fractional_score`` runs per paper and alone withholds a score
-from papers with a citation override. The caches are local to one pass, and
+A score pass reads the corpus's own table, ``Corpus.baselines``, and takes a
+paper's expected value and combined percentile from ``crown.baselines``,
+which owns the multi-category rule, once per distinct argument tuple.
+``fractional_score`` runs per paper and alone withholds a score from papers
+with a citation override. The caches are local to one pass, and
 two corpora, for example under two category schemes, share no table.
 Each paper's scores are a ``ScoredPaper`` named tuple, which compares equal
 to the tuple of its fields and unpacks like one.
@@ -31,14 +30,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-import statistics
 import warnings
-from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
+from statistics import median
 from typing import NamedTuple
 
-from .baselines import BaselineTable, FieldYearCell, Weighting, expected_citations_with_reason
+from .baselines import Weighting, combined_percentile, expected_citations_with_reason
 from .corpus import CitationWindow, Corpus, CorpusError, ParseError
 
 
@@ -130,11 +128,25 @@ class IndicatorReport:
     top_x: float
     unscorable: tuple[tuple[str, str], ...] = ()
 
+    @property
+    def statistics(self) -> dict[str, float]:
+        """Group statistics by output name, in report order: ``pp_top`` is
+        named ``top_label(top_x)``. The score row, ``payload()`` and the
+        indexer's group deltas all read it."""
+        return {
+            "cpp_fcsm": self.cpp_fcsm,
+            "mncs": self.mncs,
+            "mdncs": self.mdncs,
+            top_label(self.top_x): self.pp_top,
+            "mean_fractional": self.mean_fractional,
+        }
+
     def payload(self) -> dict:
-        """The report as a JSON-ready dict; the top-x share is keyed
-        ``top_label(top_x)`` and each unscorable pair is a list."""
+        """The report as a JSON-ready dict: its fields, with the statistics
+        under their output names and each unscorable pair as a list."""
         payload = {field.name: getattr(self, field.name) for field in fields(self)}
-        payload[top_label(self.top_x)] = payload.pop("pp_top")
+        del payload["pp_top"]
+        payload.update(self.statistics)
         payload["unscorable"] = [list(item) for item in self.unscorable]
         return payload
 
@@ -155,7 +167,7 @@ def mncs(ncs: Sequence[float]) -> float:
 
 def mdncs(ncs: Sequence[float]) -> float:
     """Median normalized score; even counts take the central-pair midpoint."""
-    return statistics.median(ncs)
+    return median(ncs)
 
 
 def top_label(x: float) -> str:
@@ -174,32 +186,6 @@ def pp_top(percentiles: Sequence[float], x: float) -> float:
     """Share of papers at or above the (100 - x)th percentile."""
     threshold = 100.0 - check_top_x(x)
     return sum(percentile >= threshold for percentile in percentiles) / len(percentiles)
-
-
-def percentile_rank(cell: FieldYearCell, citations: int) -> float:
-    """Position of a citation count within its cell, in (0, 100].
-
-    Ties split evenly: with L cell papers strictly below and T papers tied
-    (the paper itself included), the rank is 100 * (L + T/2) / n. A tie-free
-    odd cell therefore puts its median paper at exactly 50.
-    """
-    counts = cell.sorted_citations
-    below = bisect_left(counts, citations)
-    tied = bisect_right(counts, citations) - below
-    if tied == 0:
-        raise ValueError(
-            f"citation count {citations} not in cell ({cell.category!r}, {cell.year})"
-        )
-    return 100.0 * (below + 0.5 * tied) / cell.n
-
-
-def combined_percentile(
-    table: BaselineTable, categories: Sequence[str], year: int, count: int
-) -> float:
-    """Equal-weight mean of the percentile ranks of a citation count in the
-    ``(category, year)`` cell of each of ``categories``."""
-    ranks = [percentile_rank(table.cell(category, year), count) for category in categories]
-    return math.fsum(ranks) / len(ranks)
 
 
 def fractional_score(corpus: Corpus, paper_id: str) -> float | None:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .corpus import YEAR_MAX, YEAR_MIN
 
 _SAMPLE_RETRIES = 8
-_FORBIDDEN_NAME_CHARS = set(',|"\n\r')
+_FORBIDDEN_NAME_CHARS = set(',|"\t\n\r')
 
 # Largest corpus generated. The generator holds every paper line in memory.
 # Two generations of 10^5 papers (two fields, 2000-2009) with 5.5e5 and 5.5e6

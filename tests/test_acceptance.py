@@ -13,7 +13,7 @@ import math
 import time
 from itertools import combinations
 
-from crown.baselines import Weighting, compute_baselines
+from crown.baselines import Weighting, compute_baselines, percentile_rank
 from crown.cli import main
 from crown.corpus import Journal, Paper, build_corpus
 from crown.diagnostics import (
@@ -29,7 +29,6 @@ from crown.indicators import (
     fractional_score,
     mdncs,
     mncs,
-    percentile_rank,
     score_papers,
 )
 from crown.synth import FieldSpec, SynthConfig

@@ -54,6 +54,13 @@ def test_cell_statistics_direct_mean() -> None:
     assert "mean_citations" not in repr(cell)
 
 
+def test_cell_sorts_the_counts_it_is_given() -> None:
+    assert FieldYearCell("F", 2005, (3, 1, 2)) == FieldYearCell("F", 2005, (1, 2, 3))
+    assert FieldYearCell("F", 2005, [2, 0, 2]).sorted_citations == (0, 2, 2)
+    with pytest.raises(ValueError, match=r"^empty cell \('F', 2005\)$"):
+        FieldYearCell("F", 2005, ())
+
+
 def test_multi_category_paper_lands_in_each_cell() -> None:
     papers = [Paper("p1", 2005, "jboth", ())]
     journals = [Journal("jboth", "J", ("F", "G"))]

@@ -289,20 +289,71 @@ def test_top_x_reads_plain_numbers(demo, capsys, x, echoed) -> None:
     assert f"# top_x: {echoed}\n" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--group", "g", "--weighting", "bogus"],
+SCORE_MISSING = ["score", "--papers", "missing", "--journals", "missing"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*SCORE_MISSING, "--group", "g", "--weighting", "bogus"],
      "argument --weighting: invalid choice: 'bogus'"),
-    (["--group", "g", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
-    ([], "the following arguments are required: --group"),
-    (["--group", "g", "--nope"], "unrecognized arguments: --nope"),
-], ids=["bad-choice", "bad-format", "missing-flag", "unknown-flag"])
-def test_rejected_flag_is_one_error_line(tmp_path, capsys, flags, message) -> None:
-    missing = str(tmp_path / "missing")
-    assert main(["score", "--papers", missing, "--journals", missing, *flags]) == 1
+    ([*SCORE_MISSING, "--group", "g", "--format", "xml"],
+     "argument --format: invalid choice: 'xml'"),
+    (SCORE_MISSING, "the following arguments are required: --group"),
+    ([*SCORE_MISSING, "--group", "g", "--nope"], "unrecognized arguments: --nope"),
+    ([*SYNTH_OUTPUTS, "--fields", "a:3"],
+     "argument --fields: bad field spec 'a:3': expected NAME:MEAN:PER_YEAR\n"),
+    # the stem is the report's group column: a tab or line break would forge fields
+    ([*SCORE_MISSING, "--group", "a\tb.txt"],
+     "argument --group: group name 'a\\tb' holds a tab, CR or LF\n"),
+    (["diagnose", "ranksum", "--papers", "missing", "--journals", "missing",
+      "--group-a", "g", "--group-b", "x\ny.txt"],
+     "argument --group-b: group name 'x\\ny' holds a tab, CR or LF\n"),
+    ([*SCORE_MISSING, "--group", "g", "--out", "missing"],
+     "--out and --papers are the same file "),
+], ids=["bad-choice", "bad-format", "missing-flag", "unknown-flag", "bad-field-spec",
+        "tab-in-group-name", "line-break-in-group-name", "out-names-an-input"])
+def test_rejected_flag_is_one_error_line(tmp_path, capsys, argv, message) -> None:
+    argv = [str(tmp_path / arg) if arg == "missing" else arg for arg in argv]
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"crown: error: {message}")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert captured.out == ""
+    assert not any(tmp_path.iterdir())  # nothing read, nothing written
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("ingest", "--papers"),
+    ("baselines", "--journals"),
+    ("score", "--papers"),
+    ("score", "--group"),
+    ("diagnose indexer", "--journals-b"),
+    ("diagnose ranksum", "--group-a"),
+    ("diagnose ranksum", "--group-b"),
+])
+@pytest.mark.parametrize("spelling", ["dot", "symlink"])
+def test_out_never_overwrites_an_input(tmp_path, capsys, command, flag, spelling) -> None:
+    paths = _write_small_inputs(tmp_path)
+    other = tmp_path / "other"
+    other.write_bytes(b"p3\n")
+    inputs = {"--papers": paths["papers"], "--journals": paths["journals"]}
+    if command in ("score", "diagnose indexer"):
+        inputs["--group"] = paths["group"]
+    if command == "diagnose indexer":
+        inputs["--journals-b"] = paths["journals-b"]
+    if command == "diagnose ranksum":
+        inputs.update({"--group-a": paths["group"], "--group-b": other})
+    if spelling == "dot":
+        out = f"{tmp_path}/./{inputs[flag].name}"
+    else:
+        out = str(tmp_path / "link")
+        (tmp_path / "link").symlink_to(inputs[flag])
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    argv = [*command.split(), *(arg for pair in inputs.items() for arg in map(str, pair))]
+    assert main([*argv, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"crown: error: --out and {flag} are the same file {out!r}\n"
+    assert captured.out == ""
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_window_flag_reaches_the_graph(demo, capsys) -> None:
@@ -579,6 +630,10 @@ def test_malformed_csv_is_input_error_with_line_number(tmp_path, row, message) -
     assert result.stdout == ""
 
 
+# Line 2's id, p2, holds a tab, or starts with '#' and so reads as a comment
+# in a group file.
+_TAB_ID_PAPERS = b"".join(SMALL_INPUT_LINES["papers"]).replace(b'"p2"', b'"p\\t2"', 1)
+_COMMENT_ID_PAPERS = b"".join(SMALL_INPUT_LINES["papers"]).replace(b'"p2"', b'"#x"', 1)
 _UNRESOLVED_JOURNAL_PAPERS = b"".join(
     line.replace(b'"journal":"j"', b'"journal":"zz"') if line.startswith(b'{"id":"p3"')
     else line
@@ -600,15 +655,24 @@ _UNRESOLVED_JOURNAL_PAPERS = b"".join(
     # journal k is first used by p2, on line 2 of the papers file
     ("diagnose indexer", {"journals-b": b"id,title,categories\nj,J,a\n"},
      "line 2: paper 'p2' has unresolved journal 'k'"),
+    # values that would forge a report field, or that a group file cannot list
+    ("diagnose indexer", {"papers": _TAB_ID_PAPERS},
+     "line 2: paper id 'p\\t2' holds a tab, CR or LF"),
+    ("score", {"papers": _COMMENT_ID_PAPERS, "group": b"p1\n#x\n"},
+     "line 2: paper id '#x' has surrounding whitespace or starts with '#', "
+     "so no group file can list it"),
+    ("baselines", {"journals": b'id,title,categories\nj,J,"a\nfake\t1999\t5\t9.0"\nk,K,b\n'},
+     "line 3: journal 'j': category 'a\\nfake\\t1999\\t5\\t9.0' holds a tab, CR or LF"),
 ], ids=["ingest-unresolved-journal", "score-unresolved-journal",
         "score-unknown-group-id", "score-repeated-group-id",
         "score-zero-byte-group", "score-comments-only-group",
-        "indexer-journals-b-missing-a-journal"])
+        "indexer-journals-b-missing-a-journal", "indexer-tab-in-paper-id",
+        "score-comment-paper-id", "baselines-line-break-in-category"])
 def test_cross_record_error_names_its_line(tmp_path, command, replaced, message) -> None:
     paths = _write_small_inputs(tmp_path, replaced)
     argv = [*command.split(), "--papers", str(paths["papers"]),
             "--journals", str(paths["journals"])]
-    if command != "ingest":
+    if command not in ("ingest", "baselines"):
         argv += ["--group", str(paths["group"])]
     if command == "diagnose indexer":
         argv += ["--journals-b", str(paths["journals-b"])]

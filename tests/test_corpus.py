@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,8 @@ from crown.corpus import (
     Paper,
     ParseError,
     build_corpus,
+    is_tsv_field,
+    listed_id,
     load_corpus,
     parse_journals,
     parse_papers,
@@ -71,6 +74,29 @@ def test_parse_papers_rejects_self_reference() -> None:
         ('{"id":"p1","year":2005,"journal":"j1","references":[3]}', "list of strings"),
         ('{"id":"p1","year":2005,"journal":"j1","references":[],"citations":-1}', "non-negative"),
         ("[1,2]", "expected a JSON object"),
+        ('{"id":1,"year":2005,"journal":"j1","references":[]}',
+         "^line 1: field 'id' must be a string$"),
+        ('{"id":"p1","year":2005,"journal":"","references":[]}',
+         "^line 1: field 'journal' must be a non-empty string$"),
+        ('{"id":"p1","year":2005,"journal":"j1","references":[],"citations":"3"}',
+         "^line 1: field 'citations' must be an integer$"),
+        pytest.param("[" * 100_000, r"^line 1: malformed JSON \(nested too deeply\)$",
+                     id="nested-too-deeply"),
+        pytest.param(
+            '{"id":"p1","year":' + "1" * 5000 + ',"journal":"j1","references":[]}',
+            r"^line 1: unreadable JSON value \(",
+            id="5000-digit-year",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="this interpreter has no integer digit limit",
+            ),
+        ),
+        ('{"id":"p\\t2","year":2005,"journal":"j1","references":[]}',
+         r"^line 1: paper id 'p\\t2' holds a tab, CR or LF$"),
+        ('{"id":"#x","year":2005,"journal":"j1","references":[]}',
+         "^line 1: paper id '#x' has surrounding whitespace or starts with '#'"),
+        ('{"id":"p1 ","year":2005,"journal":"j1","references":[]}',
+         "^line 1: paper id 'p1 ' has surrounding whitespace"),
         ('{"id":"p1","id":"p9","year":2005,"journal":"j1","references":[]}',
          "^line 1: duplicate key 'id'$"),
         ('{"id":"p1","year":2005,"journal":"j1","references":[],"x":{"a":1,"a":2}}',
@@ -89,10 +115,14 @@ def test_parse_papers_aborts_on_bad_records(line: str, match: str) -> None:
         (lambda: Paper("p1", 1899, "j1"), "outside"),
         (lambda: Paper("p1", 2005, "j1", ("p1",)), "references itself"),
         (lambda: Paper("p1", 2005, "j1", (), raw_citation_count=-1), "non-negative"),
+        (lambda: Paper(5, 2005, "j1"), "^paper id must be a non-empty string$"),
+        (lambda: Paper("p\r1", 2005, "j1"), "holds a tab, CR or LF"),
+        (lambda: Paper("\u3000p1", 2005, "j1"), "no group file can list it"),
         (lambda: Journal("", "J", ("cat",)), "empty journal id"),
         (lambda: Journal("j1", "J", ()), "empty categories"),
         (lambda: Journal("j1", "J", ("x", "")), "empty categories"),
         (lambda: Journal("j1", "J", ("x", "x")), "repeats a category"),
+        (lambda: Journal("j1", "J", ("x", "a\tb")), r"category 'a\\tb' holds a tab"),
     ],
 )
 def test_records_check_their_invariants_on_construction(make, match: str) -> None:
@@ -111,10 +141,13 @@ def test_record_invariant_errors_carry_the_line_number() -> None:
     assert exc_info.value.line_no == 3
 
 
-# Each flaw breaks one of the four ``Paper`` invariants, with its message.
+# Each flaw breaks one of the ``Paper`` invariants, with its message.
 PAPER_FLAWS = {
     None: None,
     "empty id": "^paper id must be a non-empty string$",
+    "unlisted id": "^paper id .+ has surrounding whitespace or starts with '#', "
+                   "so no group file can list it$",
+    "tsv break in id": "^paper id .+ holds a tab, CR or LF$",
     "year": r"^paper .+: year -?\d+ outside \[1900, 2100\]$",
     "self reference": "^paper .+ references itself$",
     "negative override": "^paper .+: citation override must be non-negative$",
@@ -124,7 +157,11 @@ PAPER_FLAWS = {
 @st.composite
 def paper_fields(draw):
     """Five field values, valid or with one flaw; returns (fields, flaw)."""
-    paper_id = draw(st.text(min_size=1, max_size=6))
+    paper_id = draw(
+        st.text(min_size=1, max_size=6).filter(
+            lambda text: listed_id(text) == text and is_tsv_field(text)
+        )
+    )
     year = draw(st.integers(min_value=YEAR_MIN, max_value=YEAR_MAX))
     journal_id = draw(st.text(min_size=1, max_size=4))
     references = [
@@ -134,6 +171,13 @@ def paper_fields(draw):
     flaw = draw(st.sampled_from(list(PAPER_FLAWS)))
     if flaw == "empty id":
         paper_id = ""
+    elif flaw == "unlisted id":
+        # what a group file line would lose: surrounding whitespace or a
+        # leading '#', which makes the line a comment
+        space = draw(st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000"))
+        paper_id = draw(st.sampled_from([f"#{paper_id}", space + paper_id, paper_id + space]))
+    elif flaw == "tsv break in id":
+        paper_id = paper_id + draw(st.sampled_from("\t\r\n")) + paper_id
     elif flaw == "year":
         year = draw(
             st.one_of(
@@ -219,6 +263,8 @@ def test_parse_journals_cardiology_fixture() -> None:
         (["id,title,categories", "j1,A,x||y"], "empty categories"),
         (["wrong,header,here", "j1,A,x"], "expected header"),
         (["id,title,categories", "j1,A"], "expected 3 fields"),
+        (["id,title,categories", 'j1,A,"x|a\n', 'fake\t1999\t5\t9.0"'],
+         r"^line 3: journal 'j1': category 'a\\nfake\\t1999\\t5\\t9.0' holds a tab"),
     ],
 )
 def test_parse_journals_rejects_bad_rows(rows: list[str], match: str) -> None:

@@ -14,20 +14,20 @@ from crown import indicators
 from crown.baselines import (
     FieldYearCell,
     Weighting,
+    combined_percentile,
     compute_baselines,
     expected_citations_with_reason,
+    percentile_rank,
 )
 from crown.corpus import CitationWindow, Journal, Paper, build_corpus
 from crown.indicators import (
     DegenerateGroupError,
     GroupSelection,
     ScoredPaper,
-    combined_percentile,
     cpp_fcsm,
     fractional_score,
     mdncs,
     mncs,
-    percentile_rank,
     pp_top,
     score_group,
     scorable_papers,

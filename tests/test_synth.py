@@ -186,6 +186,7 @@ def test_generation_memory_does_not_grow_with_the_field_count() -> None:
         {"skew_fraction": 2.0},
         {"skew_fraction": math.nan},
         {"seed": -1},
+        {"fields": (FieldSpec("a\tb", 5.0, 5),)},  # a tab would split a baselines field
     ],
 )
 def test_degenerate_configs_are_rejected(kwargs) -> None:
