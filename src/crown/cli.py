@@ -28,7 +28,9 @@ header, input hashes included.
 Group files list one paper id per line; blank lines and ``#`` comments are
 ignored; the group is named after the file stem, which may hold no tab, CR or
 LF. Paper ids and categories hold none of those three either (``Paper`` and
-``Journal`` check them), so no such value can forge a report row.
+``Journal`` check them), so no such value can forge a report row. A path that
+a header echoes (every input file, and synth's two outputs) may hold no CR or
+LF, so it cannot forge a header line.
 
 The score report TSV carries the columns group, n_total, n_scorable,
 cpp_fcsm, mncs, mdncs, pp_top<x> (``pp_top1`` at the default ``--top-x 1``),
@@ -170,8 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="share of journals given 2-3 categories (default 0)")
     synth.add_argument("--skew", type=_number("skew", float), default=0.0, metavar="F",
                        help="share of references redirected to the most-cited decile (default 0)")
-    synth.add_argument("--papers", required=True, help="output path for papers.jsonl")
-    synth.add_argument("--journals", required=True, help="output path for journals.csv")
+    synth.add_argument("--papers", required=True, type=_echoed_path,
+                       help="output path for papers.jsonl")
+    synth.add_argument("--journals", required=True, type=_echoed_path,
+                       help="output path for journals.csv")
     synth.set_defaults(handler=_cmd_synth)
 
     diagnose = sub.add_parser("diagnose", help="run one of the indicator diagnostics")
@@ -201,6 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     indexer.add_argument(
         "--journals-b",
         default=None,
+        type=_echoed_path,
         help="second category scheme (default: primary-category-only derivation of --journals)",
     )
     _add_scoring_flags(indexer)
@@ -221,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--papers", required=True, help="papers.jsonl path")
-    parser.add_argument("--journals", required=True, help="journals.csv path")
+    parser.add_argument("--papers", required=True, type=_echoed_path, help="papers.jsonl path")
+    parser.add_argument("--journals", required=True, type=_echoed_path,
+                        help="journals.csv path")
     parser.add_argument("--window", type=_window, default="all",
                         help="citation window: all or yearsN (default all)")
 
@@ -262,13 +268,22 @@ def _number(name: str, convert: Callable[[str], T]) -> Callable[[str], T]:
     return parse
 
 
+def _echoed_path(path: str) -> str:
+    """argparse ``type=`` for a path that a report header echoes: a CR or LF
+    would end its ``# key:`` line and start a forged one."""
+    if "\r" in path or "\n" in path:
+        raise argparse.ArgumentTypeError(f"path {path!r} holds a CR or LF")
+    return path
+
+
 def _group_file(path: str) -> str:
-    """argparse ``type=`` for a group file: its stem names the group in the
-    report's ``group`` column, so it may hold no tab, CR or LF."""
+    """argparse ``type=`` for a group file: an echoed path whose stem names
+    the group in the report's ``group`` column, so it may hold no tab, CR or
+    LF."""
     name = Path(path).stem
     if not is_tsv_field(name):
         raise argparse.ArgumentTypeError(f"group name {name!r} holds a tab, CR or LF")
-    return path
+    return _echoed_path(path)
 
 
 def _window(text: str) -> CitationWindow:

@@ -12,9 +12,13 @@ then papers year by year, fields in configuration order, papers in index
 order; per paper one Poisson draw (Knuth multiplication method, one uniform
 per iteration) for the reference count, then per reference a cross-field
 uniform, a skew uniform (only when skew_fraction > 0), and up to 8 target
-draws to find an unused target. Reference targets always have strictly
-earlier publication years, so generated graphs are cycle-free, and all
-references resolve inside the corpus.
+draws to find an unused target. A target draw from a pool of n papers takes
+``getrandbits(n.bit_length())`` until the value is below n, and the value
+indexes the pool. A field's same-field pool is its papers of earlier years in
+id order; its other-field pool is the other fields' papers of earlier years,
+fields in configuration order, each in id order. Reference targets always
+have strictly earlier publication years, so generated graphs are cycle-free,
+and all references resolve inside the corpus.
 
 The skew knob redirects a share of references to the top-decile
 most-cited-so-far papers of the eligible pool; the decile is snapshotted once
@@ -23,9 +27,12 @@ per (year, field, pool) rather than per reference.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import random
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .corpus import YEAR_MAX, YEAR_MIN
@@ -34,11 +41,11 @@ _SAMPLE_RETRIES = 8
 _FORBIDDEN_NAME_CHARS = set(',|"\t\n\r')
 
 # Largest corpus generated. The generator holds every paper line in memory.
-# Two generations of 10^5 papers (two fields, 2000-2009) with 5.5e5 and 5.5e6
-# expected references took 2.4 s and 14.6 s and peaked 50 MB and 180 MB above
-# the interpreter under CPython 3.11 on a 2-vCPU x86 host: about 11 us and
-# 340 B per paper plus 2.5 us and 29 B per reference. By those rates a config
-# at both caps takes about 70 s and 1.3 GB. Larger configs are rejected before
+# Two generations of 10^5 papers (two fields, 2000-2009) with 4.9e5 and 4.9e6
+# references took 1.2 s and 7.8 s and peaked 45 MB and 173 MB above the
+# interpreter under CPython 3.11 on a 2-vCPU x86 host: about 4.4 us and 320 B
+# per paper plus 1.5 us and 30 B per reference. By those rates a config at
+# both caps takes about 40 s and 1.3 GB. Larger configs are rejected before
 # anything is built.
 MAX_PAPERS = 2 * 10**6
 MAX_REFERENCES = 2 * 10**7
@@ -134,6 +141,7 @@ def generate_corpus(config: SynthConfig) -> tuple[bytes, bytes]:
         field.papers_per_year for field in config.fields
     )
     id_width = max(6, len(str(total)))
+    skewed = config.skew_fraction > 0.0
 
     # Papers cite only earlier years: by_field holds each field's papers of
     # the years before the current one, which is its same-field pool. A
@@ -149,52 +157,68 @@ def generate_corpus(config: SynthConfig) -> tuple[bytes, bytes]:
         year_tallies: dict[str, int] = {}
         for field in config.fields:
             same_pool = by_field[field.name]
-            # Built while this field's papers are drawn, so only one field's
-            # other-field pool is held at a time.
-            other_pool = [
-                pid
-                for other in field_names
-                if other != field.name
-                for pid in by_field[other]
-            ]
+            # Read in place: copying the other fields' papers every year
+            # would cost fields x papers.
+            others = [by_field[other] for other in field_names if other != field.name]
+            other_pool = others[0] if len(others) == 1 else _Joined(others)
             top_pools: dict[bool, list[str]] = {}
-            if config.skew_fraction > 0.0:
+            if skewed:
                 top_pools[False] = _top_decile(same_pool, tallies)
                 top_pools[True] = _top_decile(other_pool, tallies)
+            # Each line is the record json.dumps would write, compact. Ids
+            # are "p" plus digits and need no escaping; the journal id is
+            # encoded once per field and year.
+            journal = json.dumps(journal_ids[field.name])
+            middle = f'","year":{year},"journal":{journal},"references":['
+            new_ids = year_ids[field.name]
             for _ in range(field.papers_per_year):
                 paper_id = f"p{serial:0{id_width}d}"
                 serial += 1
                 references = _draw_references(
                     rng, config, field, same_pool, other_pool, top_pools
                 )
-                for ref in references:
-                    year_tallies[ref] = year_tallies.get(ref, 0) + 1
-                year_ids[field.name].append(paper_id)
-                paper_lines.append(
-                    json.dumps(
-                        {
-                            "id": paper_id,
-                            "year": year,
-                            "journal": journal_ids[field.name],
-                            "references": references,
-                        },
-                        separators=(",", ":"),
-                    )
-                )
+                if skewed:
+                    for ref in references:
+                        year_tallies[ref] = year_tallies.get(ref, 0) + 1
+                new_ids.append(paper_id)
+                cited = '"' + '","'.join(references) + '"' if references else ""
+                paper_lines.append('{"id":"' + paper_id + middle + cited + "]}")
         for name, ids in year_ids.items():
             by_field[name].extend(ids)
         for ref, count in year_tallies.items():
             tallies[ref] = tallies.get(ref, 0) + count
-    papers_jsonl = ("\n".join(paper_lines) + "\n").encode("utf-8")
-    return papers_jsonl, journals_csv
+    # The empty last line gives the text its final newline, so the text is
+    # built once; the lines are released before it is encoded.
+    paper_lines.append("")
+    papers_text = "\n".join(paper_lines)
+    del paper_lines
+    return papers_text.encode("utf-8"), journals_csv
+
+
+class _Joined(Sequence[str]):
+    """Read-only concatenation of lists that are not extended while it is read."""
+
+    def __init__(self, parts: list[list[str]]) -> None:
+        self._parts = parts
+        self._starts = list(itertools.accumulate((len(part) for part in parts), initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, index: int) -> str:
+        part = bisect.bisect_right(self._starts, index) - 1
+        return self._parts[part][index - self._starts[part]]
+
+    def __iter__(self) -> Iterator[str]:
+        return itertools.chain.from_iterable(self._parts)
 
 
 def _draw_references(
     rng: random.Random,
     config: SynthConfig,
     field: FieldSpec,
-    same_pool: list[str],
-    other_pool: list[str],
+    same_pool: Sequence[str],
+    other_pool: Sequence[str],
     top_pools: dict[bool, list[str]],
 ) -> list[str]:
     wanted = _poisson(rng, field.mean_references)
@@ -207,10 +231,16 @@ def _draw_references(
             top = top_pools[cross]
             if top:
                 pool = top
-        if not pool:
+        size = len(pool)
+        if not size:
             continue
+        bits = size.bit_length()
         for _ in range(_SAMPLE_RETRIES):
-            candidate = pool[rng.randrange(len(pool))]
+            # randrange(size) as CPython 3.10-3.13 compute it
+            index = rng.getrandbits(bits)
+            while index >= size:
+                index = rng.getrandbits(bits)
+            candidate = pool[index]
             if candidate not in chosen:
                 chosen.add(candidate)
                 references.append(candidate)
@@ -229,7 +259,7 @@ def _poisson(rng: random.Random, mean: float) -> int:
         count += 1
 
 
-def _top_decile(pool: list[str], tallies: dict[str, int]) -> list[str]:
+def _top_decile(pool: Sequence[str], tallies: dict[str, int]) -> list[str]:
     if not pool:
         return []
     size = max(1, len(pool) // 10)

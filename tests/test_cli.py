@@ -324,6 +324,53 @@ def test_rejected_flag_is_one_error_line(tmp_path, capsys, argv, message) -> Non
 @pytest.mark.parametrize("command, flag", [
     ("ingest", "--papers"),
     ("baselines", "--journals"),
+    ("score", "--group"),
+    ("diagnose indexer", "--journals-b"),
+    ("diagnose ranksum", "--group-a"),
+    ("diagnose ranksum", "--group-b"),
+    ("synth", "--papers"),
+    ("synth", "--journals"),
+])
+@pytest.mark.parametrize("line_break", ["\n", "\r"])
+def test_line_break_in_an_echoed_path_is_rejected(tmp_path, capsys, command, flag,
+                                                  line_break) -> None:
+    # The header echoes each of these paths after '# key: '; a line break in
+    # one would start a report line of its own. The bad path names a real
+    # file, or a directory for a group, so only the check can refuse it.
+    paths = _write_small_inputs(tmp_path)
+    other = tmp_path / "other"
+    other.write_bytes(b"p3\n")
+    if command == "synth":
+        inputs = {"--fields": "a:3:2", "--years": "2000-2001",
+                  "--papers": tmp_path / "papers.out", "--journals": tmp_path / "journals.out"}
+    else:
+        inputs = {"--papers": paths["papers"], "--journals": paths["journals"]}
+    if command in ("score", "diagnose indexer"):
+        inputs["--group"] = paths["group"]
+    if command == "diagnose indexer":
+        inputs["--journals-b"] = paths["journals-b"]
+    if command == "diagnose ranksum":
+        inputs.update({"--group-a": paths["group"], "--group-b": other})
+    bad = tmp_path / f"fake{line_break}row"
+    if flag.startswith("--group"):
+        bad.mkdir()
+        bad = bad / "g.txt"
+        bad.write_bytes(Path(inputs[flag]).read_bytes())
+    elif command != "synth":
+        bad.write_bytes(Path(inputs[flag]).read_bytes())
+    inputs[flag] = bad
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    argv = [*command.split(), *(arg for pair in inputs.items() for arg in map(str, pair))]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"crown: error: argument {flag}: path {str(bad)!r} holds a CR or LF\n"
+    assert captured.out == ""
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("ingest", "--papers"),
+    ("baselines", "--journals"),
     ("score", "--papers"),
     ("score", "--group"),
     ("diagnose indexer", "--journals-b"),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import statistics
@@ -9,7 +10,14 @@ import pytest
 
 from crown.cli import main
 from crown.corpus import parse_journals, parse_papers
-from crown.synth import MAX_PAPERS, MAX_REFERENCES, FieldSpec, SynthConfig, generate_corpus
+from crown.synth import (
+    MAX_PAPERS,
+    MAX_REFERENCES,
+    FieldSpec,
+    SynthConfig,
+    _Joined,
+    generate_corpus,
+)
 
 from conftest import corpus_from_synth, journal_of
 
@@ -25,6 +33,91 @@ def test_same_seed_same_bytes() -> None:
     first = generate_corpus(DENSITY_CONFIG)
     second = generate_corpus(DENSITY_CONFIG)
     assert first == second
+
+
+def _two_fields(per_year: int) -> tuple[FieldSpec, ...]:
+    return (FieldSpec("sparse", 3.0, per_year), FieldSpec("dense", 8.0, per_year))
+
+
+# sha256 of (papers.jsonl, journals.csv) for each config. The three benchmark
+# shapes at small scale, then one config per branch of the generator: skew,
+# one field (no other-field pool), many fields, a field name that JSON must
+# escape, each end of the cross-field range and the largest seed.
+PINNED_CONFIGS = {
+    "load-shape": SynthConfig(_two_fields(300), (2000, 2009), 0.2, 1.0, seed=42),
+    "score-all-shape": SynthConfig(_two_fields(60), (2000, 2009), 0.2, 1.0, seed=7),
+    "diagnose-shape": SynthConfig(
+        tuple(FieldSpec(name, float(refs), 20) for name, refs in (
+            ("algebra", 4), ("ecology", 7), ("neurology", 10),
+            ("oncology", 15), ("immunology", 25))),
+        (2000, 2019), 0.15, 0.8, seed=42),
+    "skew-0.4": SynthConfig(_two_fields(80), (2000, 2009), 0.2, 0.5, 0.4, seed=5),
+    "skew-1.0": SynthConfig(_two_fields(80), (2000, 2009), 0.3, 0.0, 1.0, seed=6),
+    "one-field": SynthConfig(
+        (FieldSpec("f", 12.0, 150),), (2000, 2011), 0.5, 1.0, 0.2, seed=9),
+    "forty-fields": SynthConfig(
+        tuple(FieldSpec(f"f{i}", 2.0 + i % 5, 10) for i in range(40)),
+        (2000, 2006), 0.3, 0.6, seed=11),
+    "non-ascii-and-backslash": SynthConfig(
+        (FieldSpec("bio\\m\u00e9d", 5.0, 40), FieldSpec("\u6570\u5b66", 2.5, 40)),
+        (2000, 2009), 0.25, 1.0, seed=13),
+    "cross-0": SynthConfig(_two_fields(80), (2000, 2009), 0.0, 0.0, seed=17),
+    "cross-1": SynthConfig(_two_fields(80), (2000, 2009), 1.0, 1.0, seed=19),
+    "seed-max": SynthConfig(_two_fields(80), (2000, 2009), 0.2, 1.0, seed=2**64 - 1),
+}
+PINNED_SHA256 = {
+    "load-shape": (
+        "698adaa415bd64e17064bfa5466d22fe00cd3c5f86e500fef07d1ea23bf81c4b",
+        "665503a59233b9faa6a9b2eca11e1ac8cf34d05ed0b8363a676579c6cbc771e2",
+    ),
+    "score-all-shape": (
+        "ec62815f2f1509ecf0a9f4cba210cbe351d7dad046dcf0fe7702ddfc63d41944",
+        "665503a59233b9faa6a9b2eca11e1ac8cf34d05ed0b8363a676579c6cbc771e2",
+    ),
+    "diagnose-shape": (
+        "646f3ea4f317151e86426e0f483120433e3109fcaef8a070a86bc4b421ef4af6",
+        "f7ae27b95a8878f90bf34f0772740a00211cfd1d4b5332a2ba808aefa4188967",
+    ),
+    "skew-0.4": (
+        "401595570d25b70075d78bee2a674e687526042c8a6d8dc51d70dcebd1aa0f34",
+        "3856da4791d0cb6ee0c7098f5a71a86676df3f3ff7236d77007cf8ad9288812f",
+    ),
+    "skew-1.0": (
+        "d8e219c9e9ecb11c5dcbd5ea2241ae1cb5458425f2f890cd502eac5b94a82ecd",
+        "3856da4791d0cb6ee0c7098f5a71a86676df3f3ff7236d77007cf8ad9288812f",
+    ),
+    "one-field": (
+        "16db778695790b5c95be999dae5cf5f745ffe9acdca366ef2c4f8044cb822720",
+        "ff35b6c6e9b97a22fa5c2f7d120fd1ab1b6d8450b780b05723d3d3caa151dd2e",
+    ),
+    "forty-fields": (
+        "992daeeb2acf7357fe43a360c3799321021925ffba45837dab1679776ec305cf",
+        "58f8b81284ed89e616f9430ace9db55cf5e99c30f9519029e78a5c992a7795d3",
+    ),
+    "non-ascii-and-backslash": (
+        "77aeee351d29cc0b1c9254d7e7b2f169732747c67f74a0bf97011c944ed639ba",
+        "c97654f4ddf49992d338eff64bbf9e24966793f692808a34dc086dafe0905439",
+    ),
+    "cross-0": (
+        "4df948d490c6123e4dc258b30c93fc6b99c2906395d4a021a0433629c37244c9",
+        "3856da4791d0cb6ee0c7098f5a71a86676df3f3ff7236d77007cf8ad9288812f",
+    ),
+    "cross-1": (
+        "1d88c9a06e1baee821eb8f386491aea60663ddd4cb7c3c7613efc6a36e3ac0b6",
+        "665503a59233b9faa6a9b2eca11e1ac8cf34d05ed0b8363a676579c6cbc771e2",
+    ),
+    "seed-max": (
+        "e1e1b34215d251cad78c69a16aa3896f35fe30587011f3eb0e121c25bd9dd443",
+        "665503a59233b9faa6a9b2eca11e1ac8cf34d05ed0b8363a676579c6cbc771e2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CONFIGS)
+def test_generated_bytes_are_pinned(name) -> None:
+    papers, journals = generate_corpus(PINNED_CONFIGS[name])
+    digests = (hashlib.sha256(papers).hexdigest(), hashlib.sha256(journals).hexdigest())
+    assert digests == PINNED_SHA256[name]
 
 
 def test_different_seed_different_bytes() -> None:
@@ -159,10 +252,20 @@ def _generation_peak(n_fields: int) -> int:
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("sizes", [(), (0,), (3,), (0, 2, 0, 0, 3, 0), (1, 1, 1), (4, 0)])
+def test_joined_pool_reads_like_the_concatenation(sizes) -> None:
+    parts = [[f"{i}-{j}" for j in range(size)] for i, size in enumerate(sizes)]
+    flat = [pid for part in parts for pid in part]
+    pool = _Joined(parts)
+    assert len(pool) == len(flat)
+    assert list(pool) == flat
+    assert [pool[index] for index in range(len(flat))] == flat
+
+
 def test_generation_memory_does_not_grow_with_the_field_count() -> None:
-    # Only the drawing field's pool of the other fields' earlier papers is
-    # held. One such pool per field grows with fields x papers: here, 40
-    # fields would peak at about 1.75 times the 2-field peak.
+    # The other fields' earlier papers are read in place, never copied. One
+    # copied pool per field grows with fields x papers: here, 40 fields
+    # would peak at about 1.75 times the 2-field peak.
     assert _generation_peak(40) <= 1.5 * _generation_peak(2)
 
 
