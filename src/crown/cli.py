@@ -26,11 +26,12 @@ A degenerate run still emits a coverage report under the same configuration
 header, input hashes included.
 
 Group files list one paper id per line; blank lines and ``#`` comments are
-ignored; the group is named after the file stem, which may hold no tab, CR or
-LF. Paper ids and categories hold none of those three either (``Paper`` and
-``Journal`` check them), so no such value can forge a report row. A path that
-a header echoes (every input file, and synth's two outputs) may hold no CR or
-LF, so it cannot forge a header line.
+ignored; the group is named after the file stem. A line break is any
+character ``str.splitlines()`` ends a line at. The group name, paper ids and
+categories hold no tab or line break (``corpus.is_tsv_field``, which
+``Paper`` and ``Journal`` run), so no such value can forge a report row. A
+path that a header echoes (every input file, and synth's two outputs) holds
+no line break (``corpus.is_one_line``), so it cannot forge a header line.
 
 The score report TSV carries the columns group, n_total, n_scorable,
 cpp_fcsm, mncs, mdncs, pp_top<x> (``pp_top1`` at the default ``--top-x 1``),
@@ -42,7 +43,6 @@ report under ``report`` next to ``config``.
 from __future__ import annotations
 
 import argparse
-import gc
 import hashlib
 import json
 import sys
@@ -57,6 +57,8 @@ from .corpus import (
     CitationWindow,
     Corpus,
     CorpusError,
+    collector_paused,
+    is_one_line,
     is_tsv_field,
     listed_id,
     load_corpus,
@@ -269,20 +271,20 @@ def _number(name: str, convert: Callable[[str], T]) -> Callable[[str], T]:
 
 
 def _echoed_path(path: str) -> str:
-    """argparse ``type=`` for a path that a report header echoes: a CR or LF
-    would end its ``# key:`` line and start a forged one."""
-    if "\r" in path or "\n" in path:
-        raise argparse.ArgumentTypeError(f"path {path!r} holds a CR or LF")
+    """argparse ``type=`` for a path that a report header echoes: a line
+    break would end its ``# key:`` line and start a forged one."""
+    if not is_one_line(path):
+        raise argparse.ArgumentTypeError(f"path {path!r} holds a line break")
     return path
 
 
 def _group_file(path: str) -> str:
     """argparse ``type=`` for a group file: an echoed path whose stem names
-    the group in the report's ``group`` column, so it may hold no tab, CR or
-    LF."""
+    the group in the report's ``group`` column, so it may hold no tab or line
+    break."""
     name = Path(path).stem
     if not is_tsv_field(name):
-        raise argparse.ArgumentTypeError(f"group name {name!r} holds a tab, CR or LF")
+        raise argparse.ArgumentTypeError(f"group name {name!r} holds a tab or a line break")
     return _echoed_path(path)
 
 
@@ -341,17 +343,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         warnings.showwarning = lambda message, *_: _warn_once(str(message), shown)
         try:
             _check_out(args)
-            try:
-                report = args.handler(args, digests)
-            except DegenerateGroupError as exc:
-                print(f"crown: degenerate: {exc}", file=sys.stderr)
-                report, code = _coverage_report(args, digests, exc), 2
-            text = report.render(getattr(args, "format", "tsv"))
-            out = getattr(args, "out", None)
-            if out is None:
-                sys.stdout.write(text)
-            else:
-                Path(out).write_bytes(text.encode("utf-8"))
+            # The corpus lives for the whole run and holds no cycles.
+            with collector_paused():
+                try:
+                    report = args.handler(args, digests)
+                except DegenerateGroupError as exc:
+                    print(f"crown: degenerate: {exc}", file=sys.stderr)
+                    report, code = _coverage_report(args, digests, exc), 2
+                text = report.render(getattr(args, "format", "tsv"))
+                out = getattr(args, "out", None)
+                if out is None:
+                    sys.stdout.write(text)
+                else:
+                    Path(out).write_bytes(text.encode("utf-8"))
         except (CorpusError, ValueError, OSError) as exc:
             print(f"crown: error: {exc}", file=sys.stderr)
             return 1
@@ -594,10 +598,7 @@ def _records(columns: Sequence[str], rows: Iterable[Sequence[object]]) -> list[d
 
 
 def _load(args: argparse.Namespace, digests: dict[str, str]) -> Corpus:
-    corpus = load_corpus(args.papers, args.journals, args.window, digests)
-    # The corpus lives until the process exits: keep the collector off it.
-    gc.freeze()
-    return corpus
+    return load_corpus(args.papers, args.journals, args.window, digests)
 
 
 def _read_group(path: str, corpus: Corpus, digests: dict[str, str]) -> GroupSelection:

@@ -18,12 +18,16 @@ but still count toward the citing paper's reference-list length, which is the
 denominator used by fractional counting. Parse errors abort the run rather
 than skipping records, so an evaluation never silently drops input.
 
+A report echoes paper ids and categories as fields, so they hold no tab and
+no line break (``is_tsv_field``); ``LINE_BREAKS`` are the characters that
+``str.splitlines()`` ends a line at.
+
 Loading allocates a few objects per record and per reference and frees
 almost none of them, and the finished graph holds no reference cycles, so
 the cyclic garbage collector has nothing to find in it. ``load_corpus``
-therefore pauses the collector while it reads and builds, instead of letting
-it rescan the growing corpus every few hundred allocations, and restores the
-caller's setting afterwards. Within one parse, every occurrence of a paper id
+therefore reads and builds inside ``collector_paused()``, instead of letting
+the collector rescan the growing corpus every few hundred allocations.
+Within one parse, every occurrence of a paper id
 (as an id or as a reference key) is the same string object, which saves
 memory and lets the graph build match keys by identity. Every record of one
 journal shares one journal-id string, and every record of one year one year
@@ -41,6 +45,7 @@ one, and ``_replace`` checks the new record like a call does.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import gc
@@ -80,10 +85,23 @@ def listed_id(line: str) -> str | None:
     return paper_id if paper_id and not paper_id.startswith("#") else None
 
 
+# Every character ``str.splitlines()`` ends a line at. A report that echoes
+# one would split a line for any reader that splits that way.
+LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+# ``str.isprintable()`` is False for a tab and for every line break, so it
+# settles the common case at C speed; ``Paper`` runs the rule on every record.
+def is_one_line(text: str) -> bool:
+    """True when ``text`` holds no line break, so that it stays on one line
+    of a report: a ``# key: value`` header value."""
+    return text.isprintable() or LINE_BREAKS.isdisjoint(text)
+
+
 def is_tsv_field(text: str) -> bool:
-    """True when ``text`` holds no tab, CR or LF, so that it is one field of
-    one line in a TSV report."""
-    return "\t" not in text and "\r" not in text and "\n" not in text
+    """True when ``text`` holds no tab and no line break, so that it is one
+    field of one line in a TSV report."""
+    return text.isprintable() or ("\t" not in text and LINE_BREAKS.isdisjoint(text))
 
 
 class _PaperFields(NamedTuple):
@@ -98,8 +116,10 @@ class Paper(_PaperFields):
     """One paper record; its own invariants are checked on construction.
 
     The id is what a report row and a group file line carry: it has no
-    surrounding whitespace, does not start with ``#`` and holds no tab, CR
-    or LF.
+    surrounding whitespace, does not start with ``#`` and holds no tab or
+    line break. The year is an ``int``, the journal id a non-empty ``str``,
+    the references a ``tuple`` and the citation override ``None`` or an
+    ``int``; a ``bool`` is not an ``int`` here.
 
     A named tuple: it compares equal to the tuple of its fields and unpacks
     like one. Every way of building one (a call, ``_make``, ``_replace``,
@@ -122,15 +142,24 @@ class Paper(_PaperFields):
             raise CorpusError(f"paper id {id!r} has surrounding whitespace or "
                               "starts with '#', so no group file can list it")
         if not is_tsv_field(id):
-            raise CorpusError(f"paper id {id!r} holds a tab, CR or LF")
+            raise CorpusError(f"paper id {id!r} holds a tab or a line break")
+        if type(year) is not int:
+            raise CorpusError(f"paper {id!r}: year must be an integer")
         if not YEAR_MIN <= year <= YEAR_MAX:
             raise CorpusError(
                 f"paper {id!r}: year {year} outside [{YEAR_MIN}, {YEAR_MAX}]"
             )
+        if type(journal_id) is not str or not journal_id:
+            raise CorpusError(f"paper {id!r}: journal id must be a non-empty string")
+        if type(references) is not tuple:
+            raise CorpusError(f"paper {id!r}: references must be a tuple")
         if id in references:
             raise CorpusError(f"paper {id!r} references itself")
-        if raw_citation_count is not None and raw_citation_count < 0:
-            raise CorpusError(f"paper {id!r}: citation override must be non-negative")
+        if raw_citation_count is not None:
+            if type(raw_citation_count) is not int:
+                raise CorpusError(f"paper {id!r}: citation override must be an integer")
+            if raw_citation_count < 0:
+                raise CorpusError(f"paper {id!r}: citation override must be non-negative")
         return tuple.__new__(cls, (id, year, journal_id, references, raw_citation_count))
 
     @classmethod
@@ -159,7 +188,7 @@ class Journal:
         for category in self.categories:  # each is a field of a baselines row
             if not is_tsv_field(category):
                 raise CorpusError(
-                    f"journal {self.id!r}: category {category!r} holds a tab, CR or LF"
+                    f"journal {self.id!r}: category {category!r} holds a tab or a line break"
                 )
 
     @property
@@ -311,8 +340,10 @@ def _paper_from_record(record: dict, line_no: int, canon: dict) -> Paper:
         references = record["references"]
     except KeyError as exc:
         raise ParseError(line_no, f"missing required field {exc.args[0]!r}") from exc
-    # A decoded JSON value has an exact type, so ``type(x) is int`` also
-    # rejects a bool.
+    # ``Paper`` checks these types too, but they must be checked here,
+    # before ``canon`` replaces a value by its first-seen equal: a 2005.0
+    # year would collapse onto a shared int 2005. A decoded JSON value has
+    # an exact type, so ``type(x) is int`` also rejects a bool.
     if type(paper_id) is not str:
         raise ParseError(line_no, "field 'id' must be a string")
     if type(year) is not int:
@@ -435,26 +466,26 @@ def load_corpus(
     When ``digests`` is given, it receives the hex SHA-256 of the bytes each
     file was parsed from, keyed by ``str(path)``.
 
-    The cyclic garbage collector is paused for the whole load, because the
-    corpus holds no reference cycles and scanning it while it grows finds
-    nothing to free; whether the collector was on is restored on return and
-    on error. Once the collector is back on, its first collections still scan
-    every object the load allocated. A process that keeps the corpus to the
-    end, like the ``crown`` CLI (``cli._load``), skips that by calling
-    ``gc.freeze()`` right after this call. This function does not freeze:
-    frozen objects are left out of every later collection, so a long-lived
-    process that loads many corpora would never free cyclic garbage
-    allocated before each freeze.
+    The load runs inside ``collector_paused()``: the corpus holds no
+    reference cycles, so scanning it while it grows finds nothing to free.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         papers, papers_digest = read_hashed(papers_path, parse_papers)
         journals, journals_digest = read_hashed(journals_path, parse_journals)
         if digests is not None:
             digests[str(papers_path)] = papers_digest
             digests[str(journals_path)] = journals_digest
         return build_corpus(papers, journals, window)
+
+
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the block; whether it was on is
+    restored on exit and on error, so a caller gets it back as it left it."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
     finally:
         if was_enabled:
             gc.enable()

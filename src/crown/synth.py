@@ -20,6 +20,10 @@ fields in configuration order, each in id order. Reference targets always
 have strictly earlier publication years, so generated graphs are cycle-free,
 and all references resolve inside the corpus.
 
+Each field's name is its journal's category, written unquoted into
+journals.csv, so it may hold none of ``,|"`` or NUL, and, like every category,
+no tab or line break (``corpus.is_tsv_field``).
+
 The skew knob redirects a share of references to the top-decile
 most-cited-so-far papers of the eligible pool; the decile is snapshotted once
 per (year, field, pool) rather than per reference.
@@ -35,10 +39,11 @@ import random
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .corpus import YEAR_MAX, YEAR_MIN
+from .corpus import YEAR_MAX, YEAR_MIN, is_tsv_field
 
 _SAMPLE_RETRIES = 8
-_FORBIDDEN_NAME_CHARS = set(',|"\t\n\r')
+# The csv module before CPython 3.11 refuses a NUL.
+_CSV_NAME_CHARS = frozenset(',|"\0')
 
 # Largest corpus generated. The generator holds every paper line in memory.
 # Two generations of 10^5 papers (two fields, 2000-2009) with 4.9e5 and 4.9e6
@@ -71,8 +76,10 @@ class SynthConfig:
         if not self.fields:
             raise ValueError("need at least one field")
         for field in self.fields:
-            if not field.name or _FORBIDDEN_NAME_CHARS & set(field.name):
+            if not field.name or not _CSV_NAME_CHARS.isdisjoint(field.name):
                 raise ValueError(f"bad field name {field.name!r}")
+            if not is_tsv_field(field.name):  # it is a category of the corpus
+                raise ValueError(f"field name {field.name!r} holds a tab or a line break")
             if not math.isfinite(field.mean_references) or field.mean_references <= 0:
                 # NaN would pass both range checks and never end the Poisson loop
                 raise ValueError(

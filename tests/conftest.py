@@ -20,6 +20,15 @@ from crown.diagnostics import (
 )
 from crown.synth import SynthConfig, generate_corpus
 
+# Every character ``str.splitlines()`` ends a line at, found by splitting the
+# text of all code points rather than read from ``crown.corpus``. Each piece
+# but the last ends in one break: CR LF, the one two-character break, does
+# not occur in code-point order.
+_ALL_CODE_POINTS = "".join(map(chr, range(0x110000)))
+LINE_BREAKS = tuple(
+    piece[-1] for piece in _ALL_CODE_POINTS.splitlines(keepends=True)[:-1]
+)
+
 # The three cardiology-adjacent journals whose category assignments motivate
 # the indexer diagnostic: two, three, and one subject categories.
 CARDIOLOGY_JOURNALS_CSV = (

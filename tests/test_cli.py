@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import gc
 import hashlib
 import io
@@ -16,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crown import baselines
+from crown import baselines, cli
 from crown.baselines import compute_baselines
 from crown.cli import main
 
-from conftest import CARDIOLOGY_JOURNALS_CSV
+from conftest import CARDIOLOGY_JOURNALS_CSV, LINE_BREAKS
 
 SYNTH_ARGS = [
     "synth",
@@ -303,10 +304,10 @@ SCORE_MISSING = ["score", "--papers", "missing", "--journals", "missing"]
      "argument --fields: bad field spec 'a:3': expected NAME:MEAN:PER_YEAR\n"),
     # the stem is the report's group column: a tab or line break would forge fields
     ([*SCORE_MISSING, "--group", "a\tb.txt"],
-     "argument --group: group name 'a\\tb' holds a tab, CR or LF\n"),
+     "argument --group: group name 'a\\tb' holds a tab or a line break\n"),
     (["diagnose", "ranksum", "--papers", "missing", "--journals", "missing",
       "--group-a", "g", "--group-b", "x\ny.txt"],
-     "argument --group-b: group name 'x\\ny' holds a tab, CR or LF\n"),
+     "argument --group-b: group name 'x\\ny' holds a tab or a line break\n"),
     ([*SCORE_MISSING, "--group", "g", "--out", "missing"],
      "--out and --papers are the same file "),
 ], ids=["bad-choice", "bad-format", "missing-flag", "unknown-flag", "bad-field-spec",
@@ -331,7 +332,7 @@ def test_rejected_flag_is_one_error_line(tmp_path, capsys, argv, message) -> Non
     ("synth", "--papers"),
     ("synth", "--journals"),
 ])
-@pytest.mark.parametrize("line_break", ["\n", "\r"])
+@pytest.mark.parametrize("line_break", LINE_BREAKS)
 def test_line_break_in_an_echoed_path_is_rejected(tmp_path, capsys, command, flag,
                                                   line_break) -> None:
     # The header echoes each of these paths after '# key: '; a line break in
@@ -363,7 +364,54 @@ def test_line_break_in_an_echoed_path_is_rejected(tmp_path, capsys, command, fla
     argv = [*command.split(), *(arg for pair in inputs.items() for arg in map(str, pair))]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"crown: error: argument {flag}: path {str(bad)!r} holds a CR or LF\n"
+    assert captured.err == f"crown: error: argument {flag}: path {str(bad)!r} holds a line break\n"
+    assert captured.out == ""
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
+@pytest.mark.parametrize("site", ["paper-id", "category", "--group", "--group-a", "--group-b",
+                                  "synth-field"])
+@pytest.mark.parametrize("line_break", LINE_BREAKS)
+def test_line_break_at_an_echo_site_is_rejected(tmp_path, capsys, site, line_break) -> None:
+    # Each site is outside text that a report row echoes; without the line
+    # break, every run below exits 0.
+    paths = _write_small_inputs(tmp_path)
+    corpus = ["--papers", str(paths["papers"]), "--journals", str(paths["journals"])]
+    if site == "paper-id":
+        paper_id = f"p{line_break}2"
+        papers = paths["papers"].read_bytes()
+        paths["papers"].write_bytes(papers.replace(b'"p2"', json.dumps(paper_id).encode(), 1))
+        argv = ["ingest", *corpus]
+        message = f"line 2: paper id {paper_id!r} holds a tab or a line break"
+    elif site == "category":
+        category = f"a{line_break}b"
+        paths["journals"].write_bytes(
+            f'id,title,categories\nj,J,"{category}"\nk,K,b\n'.encode("utf-8")
+        )
+        argv = ["baselines", *corpus]
+        line_no = 3 if line_break == "\n" else 2  # the record's last line
+        message = (f"line {line_no}: journal 'j': category {category!r} "
+                   "holds a tab or a line break")
+    elif site == "synth-field":
+        name = f"a{line_break}b"
+        argv = ["synth", "--fields", f"{name}:3:2", "--years", "2000-2001",
+                "--papers", str(tmp_path / "sp"), "--journals", str(tmp_path / "sj")]
+        message = f"field name {name!r} holds a tab or a line break"
+    else:
+        stem = f"g{line_break}x"
+        groups = {"--group-a": paths["group"], "--group-b": paths["group"],
+                  site: tmp_path / f"{stem}.txt"}
+        groups[site].write_bytes(paths["group"].read_bytes())
+        if site == "--group":
+            argv = ["score", *corpus, "--group", str(groups[site])]
+        else:
+            argv = ["diagnose", "ranksum", *corpus,
+                    "--group-a", str(groups["--group-a"]), "--group-b", str(groups["--group-b"])]
+        message = f"argument {site}: group name {stem!r} holds a tab or a line break"
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"crown: error: {message}\n"
     assert captured.out == ""
     assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
@@ -704,12 +752,12 @@ _UNRESOLVED_JOURNAL_PAPERS = b"".join(
      "line 2: paper 'p2' has unresolved journal 'k'"),
     # values that would forge a report field, or that a group file cannot list
     ("diagnose indexer", {"papers": _TAB_ID_PAPERS},
-     "line 2: paper id 'p\\t2' holds a tab, CR or LF"),
+     "line 2: paper id 'p\\t2' holds a tab or a line break"),
     ("score", {"papers": _COMMENT_ID_PAPERS, "group": b"p1\n#x\n"},
      "line 2: paper id '#x' has surrounding whitespace or starts with '#', "
      "so no group file can list it"),
     ("baselines", {"journals": b'id,title,categories\nj,J,"a\nfake\t1999\t5\t9.0"\nk,K,b\n'},
-     "line 3: journal 'j': category 'a\\nfake\\t1999\\t5\\t9.0' holds a tab, CR or LF"),
+     "line 3: journal 'j': category 'a\\nfake\\t1999\\t5\\t9.0' holds a tab or a line break"),
 ], ids=["ingest-unresolved-journal", "score-unresolved-journal",
         "score-unknown-group-id", "score-repeated-group-id",
         "score-zero-byte-group", "score-comments-only-group",
@@ -1078,11 +1126,8 @@ def _main_in_process(
     if corpus:
         argv += ["--out", str(paths["papers"].with_name("out"))]
     stderr = io.StringIO()
-    try:
-        with contextlib.redirect_stderr(stderr):
-            code = main(argv)
-    finally:
-        gc.unfreeze()  # main() freezes each loaded corpus; let this process collect
+    with contextlib.redirect_stderr(stderr):
+        code = main(argv)
     return code, stderr.getvalue()
 
 
@@ -1097,6 +1142,77 @@ def test_small_corpus_runs_cleanly_in_process(tmp_path) -> None:
     paths = _write_small_inputs(tmp_path)
     for command in FUZZ_COMMANDS:
         assert _main_in_process(paths, command) == (0, "")
+
+
+def test_main_gives_the_collector_back_as_it_found_it(tmp_path, monkeypatch) -> None:
+    # The run scores with the collector paused, and freezes nothing.
+    paths = _write_small_inputs(tmp_path)
+    paused = []
+    score_group = cli.score_group
+
+    def spy(*args, **kwargs):
+        paused.append(not gc.isenabled())
+        return score_group(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "score_group", spy)
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            frozen = gc.get_freeze_count()
+            for command in FUZZ_COMMANDS:
+                assert _main_in_process(paths, command) == (0, "")
+                assert gc.isenabled() is enabled
+                assert gc.get_freeze_count() == frozen
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert paused == [True, True]
+
+
+def _echo_text(exclude: str = "") -> st.SearchStrategy[str]:
+    """Short text from all of Unicode, with tabs and line breaks drawn often."""
+    return st.text(
+        st.one_of(st.sampled_from(("\t", *LINE_BREAKS)),
+                  st.characters(blacklist_categories=("Cs",), blacklist_characters=exclude)),
+        min_size=1, max_size=6,
+    )
+
+
+ECHO_COMMANDS = (
+    ("baselines",),
+    ("score", "--group", "group"),
+    ("diagnose", "indexer", "--group", "group", "--journals-b", "journals-b"),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(paper_id=_echo_text(), category=_echo_text(), group_name=_echo_text("/\0"))
+def test_report_rows_are_never_split(paper_id, category, group_name, tmp_path_factory) -> None:
+    # p2's id, journal j's category and the group name are drawn; the group
+    # lists p1 and p2.
+    directory = tmp_path_factory.mktemp("echo")
+    journals = io.StringIO()
+    csv.writer(journals, lineterminator="\n").writerows(
+        [("id", "title", "categories"), ("j", "J", category), ("k", "K", "b")]
+    )
+    papers = b"".join(SMALL_INPUT_LINES["papers"])
+    paths = _write_small_inputs(directory, {
+        "papers": papers.replace(b'"p2"', json.dumps(paper_id).encode(), 1),
+        "journals": journals.getvalue().encode("utf-8"),
+    })
+    paths["group"] = directory / f"{group_name}.txt"
+    paths["group"].write_text(f"p1\n{paper_id}\n", encoding="utf-8")
+    out = directory / "out"
+    for command in ECHO_COMMANDS:
+        out.unlink(missing_ok=True)
+        code, stderr = _main_in_process(paths, command)
+        _assert_clean_outcome(code, stderr)
+        if code == 1:
+            continue
+        lines = out.read_bytes().decode("utf-8").splitlines()
+        columns = next(line for line in lines if not line.startswith("#"))
+        for line in lines:
+            assert line.startswith("#") or line.count("\t") == columns.count("\t"), line
 
 
 @settings(max_examples=300, deadline=None)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from crown.baselines import Weighting, compute_baselines
 from crown.corpus import (
+    LINE_BREAKS,
     YEAR_MAX,
     YEAR_MIN,
     CitationWindow,
@@ -20,6 +21,7 @@ from crown.corpus import (
     Paper,
     ParseError,
     build_corpus,
+    is_one_line,
     is_tsv_field,
     listed_id,
     load_corpus,
@@ -30,6 +32,7 @@ from crown.corpus import (
 from crown.diagnostics import primary_only_scheme
 from crown.indicators import score_papers
 
+import conftest
 from conftest import CARDIOLOGY_JOURNALS_CSV, categories_of
 
 
@@ -92,7 +95,7 @@ def test_parse_papers_rejects_self_reference() -> None:
             ),
         ),
         ('{"id":"p\\t2","year":2005,"journal":"j1","references":[]}',
-         r"^line 1: paper id 'p\\t2' holds a tab, CR or LF$"),
+         r"^line 1: paper id 'p\\t2' holds a tab or a line break$"),
         ('{"id":"#x","year":2005,"journal":"j1","references":[]}',
          "^line 1: paper id '#x' has surrounding whitespace or starts with '#'"),
         ('{"id":"p1 ","year":2005,"journal":"j1","references":[]}',
@@ -116,8 +119,19 @@ def test_parse_papers_aborts_on_bad_records(line: str, match: str) -> None:
         (lambda: Paper("p1", 2005, "j1", ("p1",)), "references itself"),
         (lambda: Paper("p1", 2005, "j1", (), raw_citation_count=-1), "non-negative"),
         (lambda: Paper(5, 2005, "j1"), "^paper id must be a non-empty string$"),
-        (lambda: Paper("p\r1", 2005, "j1"), "holds a tab, CR or LF"),
+        (lambda: Paper("p\r1", 2005, "j1"), "holds a tab or a line break"),
         (lambda: Paper("\u3000p1", 2005, "j1"), "no group file can list it"),
+        (lambda: Paper("p1", "2005", "j1"), "^paper 'p1': year must be an integer$"),
+        (lambda: Paper("p1", 2005.5, "j1"), "^paper 'p1': year must be an integer$"),
+        (lambda: Paper("p1", True, "j1"), "^paper 'p1': year must be an integer$"),
+        (lambda: Paper("p1", 2005, 5), "^paper 'p1': journal id must be a non-empty string$"),
+        (lambda: Paper("p1", 2005, ""), "^paper 'p1': journal id must be a non-empty string$"),
+        (lambda: Paper("p1", 2005, "j1", "ab"), "^paper 'p1': references must be a tuple$"),
+        (lambda: Paper("p1", 2005, "j1", ["x"]), "^paper 'p1': references must be a tuple$"),
+        (lambda: Paper("p1", 2005, "j1", (), "5"),
+         "^paper 'p1': citation override must be an integer$"),
+        (lambda: Paper("p1", 2005, "j1", (), True),
+         "^paper 'p1': citation override must be an integer$"),
         (lambda: Journal("", "J", ("cat",)), "empty journal id"),
         (lambda: Journal("j1", "J", ()), "empty categories"),
         (lambda: Journal("j1", "J", ("x", "")), "empty categories"),
@@ -141,15 +155,32 @@ def test_record_invariant_errors_carry_the_line_number() -> None:
     assert exc_info.value.line_no == 3
 
 
+def test_line_breaks_are_those_splitlines_honours() -> None:
+    assert LINE_BREAKS == frozenset(conftest.LINE_BREAKS)
+    assert len(conftest.LINE_BREAKS) == 10
+
+
+@given(st.text(st.one_of(st.sampled_from(("\t", *conftest.LINE_BREAKS)), st.characters())))
+@settings(max_examples=300)
+def test_echo_rules_match_splitlines(text) -> None:
+    one_line = len(f"x{text}x".splitlines()) == 1
+    assert is_one_line(text) is one_line
+    assert is_tsv_field(text) is (one_line and "\t" not in text)
+
+
 # Each flaw breaks one of the ``Paper`` invariants, with its message.
 PAPER_FLAWS = {
     None: None,
     "empty id": "^paper id must be a non-empty string$",
     "unlisted id": "^paper id .+ has surrounding whitespace or starts with '#', "
                    "so no group file can list it$",
-    "tsv break in id": "^paper id .+ holds a tab, CR or LF$",
+    "tsv break in id": "^paper id .+ holds a tab or a line break$",
+    "year type": "^paper .+: year must be an integer$",
     "year": r"^paper .+: year -?\d+ outside \[1900, 2100\]$",
+    "journal id": "^paper .+: journal id must be a non-empty string$",
+    "references type": "^paper .+: references must be a tuple$",
     "self reference": "^paper .+ references itself$",
+    "override type": "^paper .+: citation override must be an integer$",
     "negative override": "^paper .+: citation override must be non-negative$",
 }
 
@@ -177,7 +208,19 @@ def paper_fields(draw):
         space = draw(st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000"))
         paper_id = draw(st.sampled_from([f"#{paper_id}", space + paper_id, paper_id + space]))
     elif flaw == "tsv break in id":
-        paper_id = paper_id + draw(st.sampled_from("\t\r\n")) + paper_id
+        paper_id = paper_id + draw(st.sampled_from(("\t", *conftest.LINE_BREAKS))) + paper_id
+    elif flaw == "year type":
+        # a float, a bool or a string, even one equal to a valid year
+        year = draw(st.one_of(st.floats(YEAR_MIN, YEAR_MAX), st.booleans(),
+                              st.just(str(year))))
+    elif flaw == "journal id":
+        journal_id = draw(st.one_of(st.just(""), st.integers(), st.none(),
+                                    st.just(journal_id.encode())))
+    elif flaw == "references type":
+        # a list would be a mutable part of an immutable record, and a string
+        # would read as one reference per character
+        not_a_tuple = draw(st.sampled_from([references, "".join(references)]))
+        return (paper_id, year, journal_id, not_a_tuple, override), flaw
     elif flaw == "year":
         year = draw(
             st.one_of(
@@ -186,6 +229,8 @@ def paper_fields(draw):
         )
     elif flaw == "self reference":
         references.insert(draw(st.integers(0, len(references))), paper_id)
+    elif flaw == "override type":
+        override = draw(st.one_of(st.floats(0, 50), st.booleans(), st.just(str(override))))
     elif flaw == "negative override":
         override = draw(st.integers(max_value=-1))
     return (paper_id, year, journal_id, tuple(references), override), flaw

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import statistics
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crown.cli import main
-from crown.corpus import parse_journals, parse_papers
+from crown.corpus import CorpusError, Journal, parse_journals, parse_papers
 from crown.synth import (
     MAX_PAPERS,
     MAX_REFERENCES,
@@ -19,7 +22,7 @@ from crown.synth import (
     generate_corpus,
 )
 
-from conftest import corpus_from_synth, journal_of
+from conftest import LINE_BREAKS, corpus_from_synth, journal_of
 
 DENSITY_CONFIG = SynthConfig(
     fields=(FieldSpec("math", 6.0, 50), FieldSpec("biomed", 40.0, 50)),
@@ -290,6 +293,7 @@ def test_generation_memory_does_not_grow_with_the_field_count() -> None:
         {"skew_fraction": math.nan},
         {"seed": -1},
         {"fields": (FieldSpec("a\tb", 5.0, 5),)},  # a tab would split a baselines field
+        {"fields": (FieldSpec("a\0b", 5.0, 5),)},  # the csv module of CPython 3.10 refuses NUL
     ],
 )
 def test_degenerate_configs_are_rejected(kwargs) -> None:
@@ -332,3 +336,37 @@ def test_synth_over_the_cap_is_one_error_line(tmp_path, capsys) -> None:
         f"crown: error: 201000000000 papers exceed the limit of {MAX_PAPERS}\n"
     )
     assert not papers.exists() and not journals.exists()
+
+
+# Field names from all of Unicode but the surrogates, which UTF-8 cannot
+# encode, with tabs, line breaks and the CSV characters drawn often.
+FIELD_NAMES = st.lists(
+    st.text(st.one_of(st.sampled_from(("\t", ",", "|", '"', "\0", *LINE_BREAKS)),
+                      st.characters(blacklist_categories=("Cs",))),
+            max_size=6),
+    min_size=1, max_size=3, unique=True,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(names=FIELD_NAMES)
+def test_synth_and_corpus_agree_on_field_names(names) -> None:
+    try:
+        config = SynthConfig(
+            fields=tuple(FieldSpec(name, 1.0, 1) for name in names),
+            years=(2000, 2000),
+            multi_category_journal_fraction=1.0,
+        )
+    except ValueError:
+        config = None
+    if config is not None:
+        # read as ``crown`` reads a file: split at LF only
+        _, journals_bytes = generate_corpus(config)
+        journals = parse_journals(line.decode("utf-8") for line in io.BytesIO(journals_bytes))
+        assert [journal.categories[0] for journal in journals] == names
+        assert all(set(journal.categories) <= set(names) for journal in journals)
+    for name in names:
+        if "\t" in name or any(line_break in name for line_break in LINE_BREAKS):
+            assert config is None
+            with pytest.raises(CorpusError, match=" holds a tab or a line break$"):
+                Journal("j", "J", (name,))
