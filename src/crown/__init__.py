@@ -16,13 +16,8 @@ corpus generator are imported from their modules (``crown.baselines``,
 """
 
 from .baselines import Weighting
-from .corpus import CitationWindow, CorpusError, ParseError, load_corpus
-from .indicators import (
-    DegenerateGroupError,
-    GroupSelection,
-    IndicatorReport,
-    score_group,
-)
+from .corpus import CitationWindow, CorpusError, GroupSelection, ParseError, load_corpus
+from .indicators import DegenerateGroupError, IndicatorReport, score_group
 
 __version__ = "0.1.0"
 

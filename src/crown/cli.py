@@ -25,13 +25,10 @@ line on stderr.
 A degenerate run still emits a coverage report under the same configuration
 header, input hashes included.
 
-Group files list one paper id per line; blank lines and ``#`` comments are
-ignored; the group is named after the file stem. A line break is any
-character ``str.splitlines()`` ends a line at. The group name, paper ids and
-categories hold no tab or line break (``corpus.is_tsv_field``, which
-``Paper`` and ``Journal`` run), so no such value can forge a report row. A
-path that a header echoes (every input file, and synth's two outputs) holds
-no line break (``corpus.is_one_line``), so it cannot forge a header line.
+The input formats, the group file's included, are stated in the
+``crown.corpus`` docstring. Every text a report echoes passes
+``corpus.check_echoed``; a path or group name that fails it is rejected
+while the flags are parsed, before any file is read or written.
 
 The score report TSV carries the columns group, n_total, n_scorable,
 cpp_fcsm, mncs, mdncs, pp_top<x> (``pp_top1`` at the default ``--top-x 1``),
@@ -47,7 +44,7 @@ import hashlib
 import json
 import sys
 import warnings
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TypeVar
@@ -56,11 +53,11 @@ from .baselines import Weighting
 from .corpus import (
     CitationWindow,
     Corpus,
-    CorpusError,
+    GroupSelection,
+    check_echoed,
     collector_paused,
-    is_one_line,
-    is_tsv_field,
-    listed_id,
+    group_name,
+    is_utf8,
     load_corpus,
     parse_journals,
     read_hashed,
@@ -76,7 +73,6 @@ from .diagnostics import (
 )
 from .indicators import (
     DegenerateGroupError,
-    GroupSelection,
     check_top_x,
     scorable_papers,
     score_group,
@@ -247,10 +243,21 @@ def _add_scoring_flags(parser: argparse.ArgumentParser, top_x: bool = True) -> N
                             help="top-x%% membership threshold, 0 < X < 100 (default 1.0)")
 
 
+def _flag(check: Callable[[str], T]) -> Callable[[str], T]:
+    """argparse ``type=`` that runs ``check`` while the flags are parsed;
+    its ValueError, a ``CorpusError`` included, is the flag's error."""
+
+    def parse(text: str) -> T:
+        try:
+            return check(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
 def _number(name: str, convert: Callable[[str], T]) -> Callable[[str], T]:
-    """argparse ``type=`` that reads one number with ``convert``, so that a
-    bad value is rejected while the flags are parsed; any ValueError is the
-    flag's error.
+    """argparse ``type=`` that reads one number with ``convert``.
 
     Every number on the command line is written in ASCII, without ``_`` and
     without surrounding whitespace. ``int()`` and ``float()`` also read
@@ -258,42 +265,26 @@ def _number(name: str, convert: Callable[[str], T]) -> Callable[[str], T]:
     different spelling; those are rejected as a bad ``name``."""
 
     def parse(text: str) -> T:
-        try:
-            if not text.isascii() or "_" in text or text != text.strip():
-                raise ValueError(
-                    f"bad {name} {text!r}: expected an ASCII number without '_' or spaces"
-                )
-            return convert(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not text.isascii() or "_" in text or text != text.strip():
+            raise ValueError(
+                f"bad {name} {text!r}: expected an ASCII number without '_' or spaces"
+            )
+        return convert(text)
 
-    return parse
+    return _flag(parse)
 
 
-def _echoed_path(path: str) -> str:
-    """argparse ``type=`` for a path that a report header echoes: a line
-    break would end its ``# key:`` line and start a forged one."""
-    if not is_one_line(path):
-        raise argparse.ArgumentTypeError(f"path {path!r} holds a line break")
-    return path
+# A path that a report header echoes, after its ``# key: ``.
+_echoed_path = _flag(lambda path: check_echoed(path, "path", tab=False))
+_window = _flag(CitationWindow.parse)
 
 
+@_flag
 def _group_file(path: str) -> str:
     """argparse ``type=`` for a group file: an echoed path whose stem names
-    the group in the report's ``group`` column, so it may hold no tab or line
-    break."""
-    name = Path(path).stem
-    if not is_tsv_field(name):
-        raise argparse.ArgumentTypeError(f"group name {name!r} holds a tab or a line break")
+    the group (``corpus.group_name``)."""
+    group_name(path)
     return _echoed_path(path)
-
-
-def _window(text: str) -> CitationWindow:
-    """argparse ``type=`` for ``--window``: a bad spelling is the flag's error."""
-    try:
-        return CitationWindow.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 _top_x = _number("top-x", lambda text: check_top_x(float(text)))
@@ -302,16 +293,18 @@ _per_year = _number("per-year count", int)
 _year = _number("year", int)
 
 
+@_flag
 def _fields(text: str) -> tuple[str, tuple[tuple[str, float, int], ...]]:
     """``--fields`` as its text, which the synth header echoes, and its
-    (name, mean references, papers per year) triplets."""
+    (name, mean references, papers per year) triplets. A lone surrogate in a
+    name is refused here, any other bad name by ``SynthConfig``."""
     specs = []
     for triplet in text.split(","):
         parts = triplet.split(":")
         if len(parts) != 3:
-            raise argparse.ArgumentTypeError(
-                f"bad field spec {triplet!r}: expected NAME:MEAN:PER_YEAR"
-            )
+            raise ValueError(f"bad field spec {triplet!r}: expected NAME:MEAN:PER_YEAR")
+        if not is_utf8(parts[0]):
+            check_echoed(parts[0], "field name")
         specs.append((parts[0], _mean(parts[1]), _per_year(parts[2])))
     return text, tuple(specs)
 
@@ -356,7 +349,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     sys.stdout.write(text)
                 else:
                     Path(out).write_bytes(text.encode("utf-8"))
-        except (CorpusError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:  # a CorpusError is a ValueError
             print(f"crown: error: {exc}", file=sys.stderr)
             return 1
     return code
@@ -389,17 +382,11 @@ def run() -> None:
 def _cmd_ingest(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     corpus = _load(args, digests)
     years = [paper.year for paper in corpus.papers.values()]
-    external = sum(
-        1
-        for paper in corpus.papers.values()
-        for ref in paper.references
-        if ref not in corpus.papers
-    )
     rows = [
         ("papers", len(corpus.papers)),
         ("journals", len(corpus.journals)),
         ("citation_edges", corpus.n_edges),
-        ("external_references", external),
+        ("external_references", corpus.n_external),
         ("year_min", min(years)),
         ("year_max", max(years)),
     ]
@@ -424,7 +411,7 @@ def _cmd_baselines(args: argparse.Namespace, digests: dict[str, str]) -> Report:
 
 def _cmd_score(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     corpus = _load(args, digests)
-    group = _read_group(args.group, corpus, digests)
+    group = GroupSelection.read(args.group, corpus, digests)
     report = score_group(corpus, group, Weighting(args.weighting), top_x=args.top_x)
     statistics = report.statistics
     row = (*(getattr(report, column) for column in _COVERAGE), *statistics.values())
@@ -495,7 +482,7 @@ def _cmd_consistency(args: argparse.Namespace, digests: dict[str, str]) -> Repor
 
 def _cmd_indexer(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     corpus = _load(args, digests)
-    group = _read_group(args.group, corpus, digests)
+    group = GroupSelection.read(args.group, corpus, digests)
     if args.journals_b is None:
         scheme_b = primary_only_scheme(list(corpus.journals.values()))
     else:
@@ -529,7 +516,7 @@ def _cmd_indexer(args: argparse.Namespace, digests: dict[str, str]) -> Report:
 def _cmd_ranksum(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     corpus = _load(args, digests)
     weighting = Weighting(args.weighting)
-    groups = [_read_group(path, corpus, digests) for path in (args.group_a, args.group_b)]
+    groups = [GroupSelection.read(path, corpus, digests) for path in (args.group_a, args.group_b)]
     samples = []
     for group in groups:
         scored = score_papers(corpus, group.paper_ids, weighting)
@@ -599,25 +586,6 @@ def _records(columns: Sequence[str], rows: Iterable[Sequence[object]]) -> list[d
 
 def _load(args: argparse.Namespace, digests: dict[str, str]) -> Corpus:
     return load_corpus(args.papers, args.journals, args.window, digests)
-
-
-def _read_group(path: str, corpus: Corpus, digests: dict[str, str]) -> GroupSelection:
-    name = Path(path).stem
-    group, digests[path] = read_hashed(
-        path, lambda lines: GroupSelection.resolve_numbered(name, _group_lines(lines), corpus)
-    )
-    return group
-
-
-def _group_lines(lines: Iterable[str]) -> Iterator[tuple[int, str | None]]:
-    """(line number, ``listed_id(line)``) for each line of a group file: the
-    id stripped of surrounding whitespace, or None on a blank or ``#`` comment
-    line. A zero-byte file reads as one blank line."""
-    line_no = 0
-    for line_no, raw_line in enumerate(lines, start=1):
-        yield line_no, listed_id(raw_line)
-    if not line_no:
-        yield 1, None
 
 
 def _fmt(value: object) -> str:

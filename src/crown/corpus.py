@@ -6,6 +6,9 @@ Input formats:
                     "references": [str], "citations": int (optional)}
     journals.csv   header ``id,title,categories``; categories pipe-separated,
                    first category is the journal's primary category.
+    group file     one paper id per line (``listed_id``), blank lines and
+                   ``#`` comments ignored, named after its stem
+                   (``group_name``); read by ``GroupSelection.read``.
 
 Every input file is UTF-8 and is read by ``read_hashed``, one line at a time.
 Lines end in LF or CRLF; a bare CR does not end a line. A line that is not
@@ -18,9 +21,12 @@ but still count toward the citing paper's reference-list length, which is the
 denominator used by fractional counting. Parse errors abort the run rather
 than skipping records, so an evaluation never silently drops input.
 
-A report echoes paper ids and categories as fields, so they hold no tab and
-no line break (``is_tsv_field``); ``LINE_BREAKS`` are the characters that
-``str.splitlines()`` ends a line at.
+A report echoes paper ids, categories and group names as fields, so they
+hold no tab and no line break (``is_tsv_field``); ``LINE_BREAKS`` are the
+characters that ``str.splitlines()`` ends a line at. No echoed text holds a
+lone surrogate (``is_utf8``), which UTF-8 cannot encode: a command-line byte
+that is not UTF-8 reads as one, and so does a JSON ``\ud800`` escape.
+``check_echoed`` names what a refused text holds.
 
 Loading allocates a few objects per record and per reference and frees
 almost none of them, and the finished graph holds no reference cycles, so
@@ -51,6 +57,7 @@ import functools
 import gc
 import hashlib
 import json
+import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -85,23 +92,46 @@ def listed_id(line: str) -> str | None:
     return paper_id if paper_id and not paper_id.startswith("#") else None
 
 
+def group_name(path: str | Path) -> str:
+    """The name of the group a group file lists: the file's stem, which a
+    report echoes as a row field (``check_echoed``)."""
+    return check_echoed(Path(path).stem, "group name")
+
+
 # Every character ``str.splitlines()`` ends a line at. A report that echoes
 # one would split a line for any reader that splits that way.
 LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-# ``str.isprintable()`` is False for a tab and for every line break, so it
-# settles the common case at C speed; ``Paper`` runs the rule on every record.
+def is_utf8(text: str) -> bool:
+    """True when ``text`` holds no lone surrogate, so that it can be written
+    as UTF-8."""
+    return _SURROGATE.search(text) is None
+
+
+# ``str.isprintable()`` is False for a tab, a line break and a surrogate, so
+# it settles the common case at C speed; ``Paper`` runs the rule on every record.
 def is_one_line(text: str) -> bool:
-    """True when ``text`` holds no line break, so that it stays on one line
-    of a report: a ``# key: value`` header value."""
-    return text.isprintable() or LINE_BREAKS.isdisjoint(text)
+    """True when ``text`` holds no line break and no lone surrogate, so that
+    it stays on one line of a report: a ``# key: value`` header value."""
+    return text.isprintable() or (LINE_BREAKS.isdisjoint(text) and is_utf8(text))
 
 
 def is_tsv_field(text: str) -> bool:
-    """True when ``text`` holds no tab and no line break, so that it is one
-    field of one line in a TSV report."""
-    return text.isprintable() or ("\t" not in text and LINE_BREAKS.isdisjoint(text))
+    """True when ``text`` holds no tab, no line break and no lone surrogate,
+    so that it is one field of one line in a TSV report."""
+    return text.isprintable() or ("\t" not in text and is_one_line(text))
+
+
+def check_echoed(text: str, label: str, tab: bool = True) -> str:
+    """``text`` itself when a report can echo it as a TSV field, or, when not
+    ``tab``, as a header value; else ``CorpusError`` "<label> <text!r> holds ..."."""
+    if text.isprintable() or (is_tsv_field(text) if tab else is_one_line(text)):
+        return text
+    fault = ("a lone surrogate, which UTF-8 cannot encode" if not is_utf8(text)
+             else "a tab or a line break" if tab else "a line break")
+    raise CorpusError(f"{label} {text!r} holds {fault}")
 
 
 class _PaperFields(NamedTuple):
@@ -141,8 +171,7 @@ class Paper(_PaperFields):
         if listed_id(id) != id:
             raise CorpusError(f"paper id {id!r} has surrounding whitespace or "
                               "starts with '#', so no group file can list it")
-        if not is_tsv_field(id):
-            raise CorpusError(f"paper id {id!r} holds a tab or a line break")
+        check_echoed(id, "paper id")
         if type(year) is not int:
             raise CorpusError(f"paper {id!r}: year must be an integer")
         if not YEAR_MIN <= year <= YEAR_MAX:
@@ -186,10 +215,7 @@ class Journal:
         if len(set(self.categories)) != len(self.categories):
             raise CorpusError(f"journal {self.id!r} repeats a category")
         for category in self.categories:  # each is a field of a baselines row
-            if not is_tsv_field(category):
-                raise CorpusError(
-                    f"journal {self.id!r}: category {category!r} holds a tab or a line break"
-                )
+            check_echoed(category, f"journal {self.id!r}: category")
 
     @property
     def primary_category(self) -> str:
@@ -269,6 +295,13 @@ class Corpus:
     @property
     def n_edges(self) -> int:
         return sum(len(citers) for citers in self.cited_by.values())
+
+    @property
+    def n_external(self) -> int:
+        """Reference keys that name no corpus paper, every occurrence counted,
+        whatever the window."""
+        papers = self.papers
+        return sum(ref not in papers for paper in papers.values() for ref in paper.references)
 
     @functools.cached_property
     def baselines(self) -> BaselineTable:
@@ -408,6 +441,58 @@ def _journals_from_rows(reader) -> list[Journal]:
     return journals
 
 
+@dataclass(frozen=True)
+class GroupSelection:
+    """The set of corpus papers being evaluated as one unit."""
+
+    name: str
+    paper_ids: tuple[str, ...]
+
+    @classmethod
+    def resolve(cls, name: str, paper_ids: Iterable[str], corpus: Corpus) -> GroupSelection:
+        """The group of ``paper_ids``, in order. The first id not in the
+        corpus, or listed twice, raises ``ParseError`` numbered by its 1-based
+        position; no ids at all raise ``CorpusError``."""
+        return cls._select(name, corpus, False, paper_ids)
+
+    @classmethod
+    def read(
+        cls, path: str | Path, corpus: Corpus, digests: dict[str, str] | None = None
+    ) -> GroupSelection:
+        """The group a group file lists, named ``group_name(path)``: each line
+        lists ``listed_id(line)``. Errors are ``resolve``'s, numbered by file
+        line, an empty group by the last (1 for no bytes). ``digests``, when
+        given, receives the file's SHA-256 under ``str(path)``."""
+        digests = {} if digests is None else digests
+        select = functools.partial(cls._select, group_name(path), corpus, True)
+        group, digests[str(path)] = read_hashed(path, select)
+        return group
+
+    @classmethod
+    def _select(
+        cls, name: str, corpus: Corpus, lines: bool, items: Iterable[str]
+    ) -> GroupSelection:
+        """The unknown, repeated and empty rules over ``items``: paper ids, or
+        group-file lines when ``lines``, numbered from 1; a line that lists
+        no id (``listed_id`` gives None) is skipped."""
+        first_line: dict[str, int] = {}
+        line_no = 0
+        for line_no, paper_id in enumerate(map(listed_id, items) if lines else items, 1):
+            if paper_id is None and lines:
+                continue
+            if paper_id not in corpus.papers:
+                raise ParseError(line_no, f"group {name!r}: unknown paper {paper_id!r}")
+            if paper_id in first_line:
+                raise ParseError(line_no, f"group {name!r} lists paper {paper_id!r} "
+                                          f"twice (first on line {first_line[paper_id]})")
+            first_line[paper_id] = line_no
+        if not first_line:
+            if lines:
+                raise ParseError(line_no or 1, f"group {name!r} is empty")
+            raise CorpusError(f"group {name!r} is empty")
+        return cls(name, tuple(first_line))
+
+
 def build_corpus(
     papers: Sequence[Paper],
     journals: Sequence[Journal],
@@ -469,12 +554,10 @@ def load_corpus(
     The load runs inside ``collector_paused()``: the corpus holds no
     reference cycles, so scanning it while it grows finds nothing to free.
     """
+    digests = {} if digests is None else digests
     with collector_paused():
-        papers, papers_digest = read_hashed(papers_path, parse_papers)
-        journals, journals_digest = read_hashed(journals_path, parse_journals)
-        if digests is not None:
-            digests[str(papers_path)] = papers_digest
-            digests[str(journals_path)] = journals_digest
+        papers, digests[str(papers_path)] = read_hashed(papers_path, parse_papers)
+        journals, digests[str(journals_path)] = read_hashed(journals_path, parse_journals)
         return build_corpus(papers, journals, window)
 
 

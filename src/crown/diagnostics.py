@@ -24,15 +24,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .baselines import Weighting
-from .corpus import Corpus, Journal
-from .indicators import (
-    GroupSelection,
-    IndicatorReport,
-    cpp_fcsm,
-    group_report,
-    mncs,
-    score_papers,
-)
+from .corpus import Corpus, GroupSelection, Journal
+from .indicators import IndicatorReport, cpp_fcsm, group_report, mncs, score_papers
 
 Pair = tuple[int, int]
 

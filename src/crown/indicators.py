@@ -37,7 +37,7 @@ from statistics import median
 from typing import NamedTuple
 
 from .baselines import Weighting, combined_percentile, expected_citations_with_reason
-from .corpus import CitationWindow, Corpus, CorpusError, ParseError
+from .corpus import CitationWindow, Corpus, GroupSelection
 
 
 class DegenerateGroupError(RuntimeError):
@@ -57,46 +57,6 @@ class DegenerateGroupError(RuntimeError):
         self.n_total = n_total
         self.unscorable = tuple(unscorable)
         self.n_scorable = n_scorable
-
-
-@dataclass(frozen=True)
-class GroupSelection:
-    """The set of corpus papers being evaluated as one unit."""
-
-    name: str
-    paper_ids: tuple[str, ...]
-
-    @classmethod
-    def resolve(cls, name: str, paper_ids: Iterable[str], corpus: Corpus) -> GroupSelection:
-        """``resolve_numbered`` with each id numbered by its 1-based position."""
-        return cls.resolve_numbered(name, enumerate(paper_ids, start=1), corpus)
-
-    @classmethod
-    def resolve_numbered(
-        cls, name: str, numbered_ids: Iterable[tuple[int, str | None]], corpus: Corpus
-    ) -> GroupSelection:
-        """The group of the ids in ``(number, id)`` pairs, in order; an id of
-        None numbers a line that lists no paper, like a group file's blank and
-        comment lines. The first id not in the corpus, or listed twice, raises
-        ``ParseError`` with its number. No ids at all raise ``ParseError``
-        with the last number, or ``CorpusError`` when there was no pair."""
-        first_line: dict[str, int] = {}
-        line_no = 0
-        for line_no, paper_id in numbered_ids:
-            if paper_id is None:
-                continue
-            if paper_id not in corpus.papers:
-                raise ParseError(line_no, f"group {name!r}: unknown paper {paper_id!r}")
-            if paper_id in first_line:
-                first = first_line[paper_id]
-                raise ParseError(line_no, f"group {name!r} lists paper {paper_id!r} "
-                                          f"twice (first on line {first})")
-            first_line[paper_id] = line_no
-        if not first_line:
-            if line_no:
-                raise ParseError(line_no, f"group {name!r} is empty")
-            raise CorpusError(f"group {name!r} is empty")
-        return cls(name, tuple(first_line))
 
 
 class ScoredPaper(NamedTuple):

@@ -22,7 +22,7 @@ and all references resolve inside the corpus.
 
 Each field's name is its journal's category, written unquoted into
 journals.csv, so it may hold none of ``,|"`` or NUL, and, like every category,
-no tab or line break (``corpus.is_tsv_field``).
+no tab, line break or lone surrogate (``corpus.check_echoed``).
 
 The skew knob redirects a share of references to the top-decile
 most-cited-so-far papers of the eligible pool; the decile is snapshotted once
@@ -39,7 +39,7 @@ import random
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .corpus import YEAR_MAX, YEAR_MIN, is_tsv_field
+from .corpus import YEAR_MAX, YEAR_MIN, check_echoed
 
 _SAMPLE_RETRIES = 8
 # The csv module before CPython 3.11 refuses a NUL.
@@ -78,8 +78,7 @@ class SynthConfig:
         for field in self.fields:
             if not field.name or not _CSV_NAME_CHARS.isdisjoint(field.name):
                 raise ValueError(f"bad field name {field.name!r}")
-            if not is_tsv_field(field.name):  # it is a category of the corpus
-                raise ValueError(f"field name {field.name!r} holds a tab or a line break")
+            check_echoed(field.name, "field name")  # it is a category of the corpus
             if not math.isfinite(field.mean_references) or field.mean_references <= 0:
                 # NaN would pass both range checks and never end the Poisson loop
                 raise ValueError(

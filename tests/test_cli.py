@@ -1317,3 +1317,106 @@ def test_main_survives_arbitrary_flag_values(drawn, tmp_path_factory) -> None:
     _assert_clean_outcome(code, stderr)
     if misspelled:
         assert code == 1, stderr
+
+
+SURROGATE_FAULT = "holds a lone surrogate, which UTF-8 cannot encode"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("ingest", "--papers"),
+    ("baselines", "--journals"),
+    ("diagnose indexer", "--journals-b"),
+    ("score", "--group"),
+    ("diagnose ranksum", "--group-a"),
+    ("diagnose ranksum", "--group-b"),
+    ("synth", "--papers"),
+    ("synth", "--journals"),
+    ("synth", "--fields"),
+])
+def test_lone_surrogate_in_a_flag_is_rejected_before_any_file_is_read(
+    tmp_path, capsys, command, flag
+) -> None:
+    # Python reads a command-line byte that is not UTF-8 as a lone surrogate,
+    # which no report written as UTF-8 can echo. The bad path names a real
+    # file, so only the check can refuse it.
+    paths = _write_small_inputs(tmp_path)
+    if command == "synth":
+        inputs = {"--fields": "a:3:2", "--years": "2000-2001",
+                  "--papers": tmp_path / "papers.out", "--journals": tmp_path / "journals.out"}
+    else:
+        inputs = {"--papers": paths["papers"], "--journals": paths["journals"],
+                  "--out": tmp_path / "report.out"}
+    if command in ("score", "diagnose indexer"):
+        inputs["--group"] = paths["group"]
+    if command == "diagnose indexer":
+        inputs["--journals-b"] = paths["journals-b"]
+    if command == "diagnose ranksum":
+        inputs.update({"--group-a": paths["group"], "--group-b": paths["group"]})
+    if flag == "--fields":
+        inputs[flag] = "\udcff:3:2"
+        echoed = "field name '\\udcff'"
+    else:
+        bad = tmp_path / "x\udcff.txt"
+        if command != "synth":
+            bad.write_bytes(Path(inputs[flag]).read_bytes())
+        inputs[flag] = bad
+        echoed = "group name 'x\\udcff'" if flag.startswith("--group") else f"path {str(bad)!r}"
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    argv = [*command.split(), *(arg for pair in inputs.items() for arg in map(str, pair))]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"crown: error: argument {flag}: {echoed} {SURROGATE_FAULT}\n"
+    assert captured.out == ""
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
+def test_non_utf8_argv_byte_is_one_flag_error(tmp_path) -> None:
+    paths = _write_small_inputs(tmp_path)
+    papers = tmp_path / "x\udcff.jsonl"  # the file name's byte 0xff
+    papers.write_bytes(paths["papers"].read_bytes())
+    before = sorted(tmp_path.iterdir())
+    for argv, flag in [
+        (("ingest", "--papers", str(papers), "--journals", str(paths["journals"]),
+          "--out", str(tmp_path / "report.tsv")), "--papers"),
+        (("synth", "--fields", "\udcff:3:2", "--years", "2000-2001",
+          "--papers", str(tmp_path / "o.jsonl"), "--journals", str(tmp_path / "o.csv")),
+         "--fields"),
+    ]:
+        result = _crown_subprocess(*argv)
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"crown: error: argument {flag}: ")
+        assert result.stderr.endswith(f" {SURROGATE_FAULT}\n")
+        assert result.stderr.count("\n") == 1
+        assert result.stdout == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_json_escaped_surrogate_id_is_rejected_at_its_line(tmp_path, capsys) -> None:
+    replaced = b'{"id":"p\\ud800","year":2005,"journal":"k","references":["p1","x:1"]}\r\n'
+    papers = list(SMALL_INPUT_LINES["papers"])
+    papers[1] = replaced
+    paths = _write_small_inputs(tmp_path, {"papers": b"".join(papers)})
+    assert main(["ingest", "--papers", str(paths["papers"]),
+                 "--journals", str(paths["journals"])]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"crown: error: line 2: paper id 'p\\ud800' {SURROGATE_FAULT}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("window, edges", [("all", 2), ("years1", 1)])
+def test_ingest_counts_every_external_key_whatever_the_window(
+    tmp_path, capsys, window, edges
+) -> None:
+    papers = tmp_path / "papers.jsonl"
+    papers.write_text(
+        '{"id":"p1","year":2000,"journal":"j","references":[]}\n'
+        '{"id":"p2","year":2005,"journal":"j","references":["p1","doi:x","doi:y","doi:x"]}\n'
+        '{"id":"p3","year":2005,"journal":"j","references":["doi:x","p2"]}\n'
+    )
+    journals = tmp_path / "journals.csv"
+    journals.write_text("id,title,categories\nj,J,a\n")
+    argv = ["ingest", "--papers", str(papers), "--journals", str(journals), "--window", window]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[-6:]
+    assert rows == ["papers\t3", "journals\t1", f"citation_edges\t{edges}",
+                    "external_references\t4", "year_min\t2000", "year_max\t2005"]

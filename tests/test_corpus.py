@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import pickle
+import re
 import sys
 
 import pytest
@@ -17,12 +18,16 @@ from crown.corpus import (
     YEAR_MIN,
     CitationWindow,
     CorpusError,
+    GroupSelection,
     Journal,
     Paper,
     ParseError,
     build_corpus,
+    check_echoed,
+    group_name,
     is_one_line,
     is_tsv_field,
+    is_utf8,
     listed_id,
     load_corpus,
     parse_journals,
@@ -758,3 +763,132 @@ def test_load_corpus_parses_and_builds_with_the_collector_paused(
         ("parse_papers", False), ("parse_journals", False), ("build_corpus", False)
     ]
     assert gc.isenabled()
+
+
+def test_external_keys_count_every_occurrence_whatever_the_window() -> None:
+    papers = [
+        Paper("p1", 2000, "j1", ()),
+        Paper("p2", 2005, "j1", ("p1", "doi:x", "doi:y", "doi:x")),
+        Paper("p3", 2005, "j1", ("doi:x", "p2")),
+    ]
+    corpus = build_corpus(papers, [Journal("j1", "J", ("cat",))], CitationWindow.fixed_years(1))
+    assert corpus.cited_by == {"p1": (), "p2": ("p3",), "p3": ()}
+    assert corpus.n_external == 4
+
+
+_SURROGATE = "a lone surrogate, which UTF-8 cannot encode"
+
+
+@given(st.text(), st.integers(0xD800, 0xDFFF).map(chr), st.text())
+@settings(max_examples=100)
+def test_echo_rules_refuse_a_lone_surrogate(head, surrogate, tail) -> None:
+    text = head + surrogate + tail
+    assert not is_utf8(text) and not is_one_line(text) and not is_tsv_field(text)
+    for tab in (True, False):
+        with pytest.raises(CorpusError, match=f"^x {re.escape(repr(text))} holds {_SURROGATE}$"):
+            check_echoed(text, "x", tab)
+    assert is_utf8(head + tail)
+
+
+def test_a_lone_surrogate_is_rejected_at_every_echo_site() -> None:
+    message = f"holds {_SURROGATE}$"
+    with pytest.raises(CorpusError, match=r"^paper id 'p\\ud800' " + message):
+        Paper("p\ud800", 2000, "j1")
+    with pytest.raises(CorpusError, match=r"^journal 'j': category 'a\\udcff' " + message):
+        Journal("j", "J", ("a\udcff",))
+    with pytest.raises(CorpusError, match=r"^group name 'g\\udcff' " + message):
+        group_name("dir/g\udcff.txt")
+    assert group_name("dir/g \u00e9.txt") == "g \u00e9"
+    # a JSON escape decodes to a lone surrogate; the record's line is named
+    good = '{"id":"p1","year":2005,"journal":"j1","references":[]}'
+    bad = '{"id":"p\\ud800","year":2005,"journal":"j1","references":[]}'
+    with pytest.raises(ParseError, match=r"^line 2: paper id 'p\\ud800' " + message):
+        parse_papers([good, bad])
+    # an escaped surrogate pair is one code point, which UTF-8 encodes
+    pair = '{"id":"p\\ud83d\\ude00","year":2005,"journal":"j1","references":[]}'
+    (paper,) = parse_papers([pair])
+    assert paper.id == "p\U0001f600"
+
+
+GROUP_IDS = ("p0", "p1", "p2", "a b", "\u00e9", "x#y")
+GROUP_CORPUS = build_corpus(
+    [Paper(paper_id, 2000, "j1") for paper_id in GROUP_IDS], [Journal("j1", "J", ("cat",))]
+)
+
+
+@st.composite
+def group_file(draw):
+    """Group-file text listing distinct corpus ids, with blank, comment and
+    padded lines, and, for some files, one unknown or repeated id; returns
+    (text, listed ids, (line, message) of the expected error or None)."""
+    ids = draw(st.lists(st.sampled_from(GROUP_IDS), unique=True, max_size=len(GROUP_IDS)))
+    filler = st.sampled_from(["", "  ", "\t", "#", "# p1", "  #p2", "#\tcomment"])
+    pad = st.sampled_from(["", " ", "\t", "\u3000"])
+    lines, first_line = [], {}
+    for paper_id in ids:
+        lines.extend(draw(st.lists(filler, max_size=2)))
+        lines.append(draw(pad) + paper_id + draw(pad))
+        first_line[paper_id] = len(lines)
+    lines.extend(draw(st.lists(filler, max_size=2)))
+    error = None
+    fault = draw(st.sampled_from([None, "unknown", "repeated"]))
+    if fault == "unknown" or (fault == "repeated" and ids):
+        position = draw(st.integers(0, len(lines)))
+        earlier = [paper_id for paper_id in ids if first_line[paper_id] <= position]
+        if fault == "unknown":
+            bad, message = "ghost", "group 'g': unknown paper 'ghost'"
+        elif earlier:
+            bad = draw(st.sampled_from(earlier))
+            message = (f"group 'g' lists paper {bad!r} twice "
+                       f"(first on line {first_line[bad]})")
+        if fault == "unknown" or earlier:
+            lines.insert(position, draw(pad) + bad)
+            error = (position + 1, message)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = draw(st.sampled_from(["", "\ufeff"])) + ending.join(lines)
+    text += draw(st.sampled_from(["", ending]))
+    if error is None and not ids:
+        # a last line is one that holds a byte; a file with none is line 1
+        last_line = text.count("\n") + (not text.endswith("\n") and text != "")
+        error = (max(last_line, 1), "group 'g' is empty")
+    return text, ids, error
+
+
+@given(group_file())
+@settings(max_examples=300)
+def test_reading_a_group_file_resolves_the_ids_it_lists(tmp_path_factory, case) -> None:
+    text, ids, error = case
+    path = tmp_path_factory.mktemp("group") / "g.txt"
+    path.write_bytes(text.encode("utf-8"))
+    digests: dict[str, str] = {}
+    if error is None:
+        group = GroupSelection.read(path, GROUP_CORPUS, digests)
+        assert group == GroupSelection.resolve("g", ids, GROUP_CORPUS)
+        assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+    else:
+        line_no, message = error
+        with pytest.raises(ParseError) as exc_info:
+            GroupSelection.read(path, GROUP_CORPUS, digests)
+        assert exc_info.value.line_no == line_no
+        assert str(exc_info.value) == f"line {line_no}: {message}"
+
+
+def test_a_group_file_without_bytes_is_empty_at_line_one(tmp_path) -> None:
+    path = tmp_path / "none.txt"
+    path.write_bytes(b"")
+    with pytest.raises(ParseError, match="^line 1: group 'none' is empty$"):
+        GroupSelection.read(path, GROUP_CORPUS)
+
+
+def test_resolve_lists_every_item_it_is_given() -> None:
+    # only a group-file line can list nothing; None is no paper id
+    with pytest.raises(ParseError, match="^line 2: group 'g': unknown paper None$"):
+        GroupSelection.resolve("g", ["p0", None, "p1"], GROUP_CORPUS)
+
+
+def test_group_selection_keeps_its_import_paths() -> None:
+    import crown
+    import crown.indicators
+
+    assert crown.GroupSelection is GroupSelection is crown.indicators.GroupSelection
+    assert not hasattr(GroupSelection, "resolve_numbered")

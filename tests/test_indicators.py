@@ -468,7 +468,7 @@ def test_group_selection_validates_membership_and_duplicates() -> None:
         GroupSelection.resolve("g", [], corpus)
 
 
-def test_group_selection_errors_name_the_position_of_the_id() -> None:
+def test_group_selection_errors_name_the_position_of_the_id(tmp_path) -> None:
     corpus = _scored_corpus()
     from crown.corpus import ParseError
 
@@ -480,10 +480,13 @@ def test_group_selection_errors_name_the_position_of_the_id() -> None:
         GroupSelection.resolve("g", ["q1", "p1", "p2", "p1"], corpus)
     group = GroupSelection.resolve("g", ["q1", "p1", "p2"], corpus)
     assert group.paper_ids == ("q1", "p1", "p2")
-    # a None id numbers a line that lists no paper
+    # a blank or comment line of a group file lists no paper but is numbered
+    group_file = tmp_path / "g.txt"
+    group_file.write_text("\n# p1\n")
     with pytest.raises(ParseError, match="^line 2: group 'g' is empty$"):
-        GroupSelection.resolve_numbered("g", [(1, None), (2, None)], corpus)
-    group = GroupSelection.resolve_numbered("g", [(1, None), (2, "p1")], corpus)
+        GroupSelection.read(group_file, corpus)
+    group_file.write_text("\np1\n")
+    group = GroupSelection.read(group_file, corpus)
     assert group.paper_ids == ("p1",)
 
 
