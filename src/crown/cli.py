@@ -27,8 +27,8 @@ header, input hashes included.
 
 The input formats, the group file's included, are stated in the
 ``crown.corpus`` docstring. Every text a report echoes passes
-``corpus.check_echoed``; a path or group name that fails it is rejected
-while the flags are parsed, before any file is read or written.
+``corpus.check_echoed``; a path, group or ``--fields`` name that fails it
+is rejected while the flags are parsed, before any file is read or written.
 
 The score report TSV carries the columns group, n_total, n_scorable,
 cpp_fcsm, mncs, mdncs, pp_top<x> (``pp_top1`` at the default ``--top-x 1``),
@@ -47,7 +47,7 @@ import warnings
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TypeVar
+from typing import TYPE_CHECKING, TypeVar
 
 from .baselines import Weighting
 from .corpus import (
@@ -57,7 +57,6 @@ from .corpus import (
     check_echoed,
     collector_paused,
     group_name,
-    is_utf8,
     load_corpus,
     parse_journals,
     read_hashed,
@@ -78,6 +77,9 @@ from .indicators import (
     score_group,
     score_papers,
 )
+
+if TYPE_CHECKING:
+    from .synth import FieldSpec
 
 T = TypeVar("T")
 
@@ -294,18 +296,18 @@ _year = _number("year", int)
 
 
 @_flag
-def _fields(text: str) -> tuple[str, tuple[tuple[str, float, int], ...]]:
+def _fields(text: str) -> tuple[str, tuple[FieldSpec, ...]]:
     """``--fields`` as its text, which the synth header echoes, and its
-    (name, mean references, papers per year) triplets. A lone surrogate in a
-    name is refused here, any other bad name by ``SynthConfig``."""
+    fields, one ``FieldSpec`` per NAME:MEAN:PER_YEAR triplet, so that a bad
+    name or number is this flag's error."""
+    from .synth import FieldSpec  # ``import crown.cli`` does not load synth
+
     specs = []
     for triplet in text.split(","):
         parts = triplet.split(":")
         if len(parts) != 3:
             raise ValueError(f"bad field spec {triplet!r}: expected NAME:MEAN:PER_YEAR")
-        if not is_utf8(parts[0]):
-            check_echoed(parts[0], "field name")
-        specs.append((parts[0], _mean(parts[1]), _per_year(parts[2])))
+        specs.append(FieldSpec(parts[0], _mean(parts[1]), _per_year(parts[2])))
     return text, tuple(specs)
 
 
@@ -423,13 +425,13 @@ def _cmd_score(args: argparse.Namespace, digests: dict[str, str]) -> Report:
 
 
 def _cmd_synth(args: argparse.Namespace, digests: dict[str, str]) -> Report:
-    from .synth import FieldSpec, SynthConfig, generate_corpus
+    from .synth import SynthConfig, generate_corpus
 
     (fields_text, fields), (years_text, years) = args.fields, args.years
     if Path(args.papers).resolve() == Path(args.journals).resolve():
         raise ValueError(f"--papers and --journals are the same file {args.journals!r}")
     config = SynthConfig(
-        fields=tuple(FieldSpec(*spec) for spec in fields),
+        fields=fields,
         years=years,
         cross_field_fraction=args.cross_field,
         multi_category_journal_fraction=args.multi_cat,

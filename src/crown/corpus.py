@@ -22,11 +22,12 @@ denominator used by fractional counting. Parse errors abort the run rather
 than skipping records, so an evaluation never silently drops input.
 
 A report echoes paper ids, categories and group names as fields, so they
-hold no tab and no line break (``is_tsv_field``); ``LINE_BREAKS`` are the
-characters that ``str.splitlines()`` ends a line at. No echoed text holds a
-lone surrogate (``is_utf8``), which UTF-8 cannot encode: a command-line byte
-that is not UTF-8 reads as one, and so does a JSON ``\ud800`` escape.
-``check_echoed`` names what a refused text holds.
+hold no tab and no line break, and start with no ``#``, which would make a row
+read as a comment line; ``LINE_BREAKS`` are the characters that
+``str.splitlines()`` ends a line at. No echoed text holds a lone surrogate,
+which UTF-8 cannot encode: a command-line byte that is not UTF-8 reads as one,
+and so does a JSON ``\ud800`` escape. ``check_echoed`` is the one test of
+echoed text; it names what a refused text holds.
 
 Loading allocates a few objects per record and per reference and frees
 almost none of them, and the finished graph holds no reference cycles, so
@@ -104,34 +105,24 @@ LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def is_utf8(text: str) -> bool:
-    """True when ``text`` holds no lone surrogate, so that it can be written
-    as UTF-8."""
-    return _SURROGATE.search(text) is None
-
-
-# ``str.isprintable()`` is False for a tab, a line break and a surrogate, so
-# it settles the common case at C speed; ``Paper`` runs the rule on every record.
-def is_one_line(text: str) -> bool:
-    """True when ``text`` holds no line break and no lone surrogate, so that
-    it stays on one line of a report: a ``# key: value`` header value."""
-    return text.isprintable() or (LINE_BREAKS.isdisjoint(text) and is_utf8(text))
-
-
-def is_tsv_field(text: str) -> bool:
-    """True when ``text`` holds no tab, no line break and no lone surrogate,
-    so that it is one field of one line in a TSV report."""
-    return text.isprintable() or ("\t" not in text and is_one_line(text))
-
-
 def check_echoed(text: str, label: str, tab: bool = True) -> str:
     """``text`` itself when a report can echo it as a TSV field, or, when not
-    ``tab``, as a header value; else ``CorpusError`` "<label> <text!r> holds ..."."""
-    if text.isprintable() or (is_tsv_field(text) if tab else is_one_line(text)):
+    ``tab``, as a header value; else ``CorpusError`` "<label> <text!r> ..."
+    naming its first fault: a lone surrogate, a line break or a tab, then, in
+    a field, a leading ``#``, which would make a row read as a comment."""
+    # ``str.isprintable()`` is False for a tab, a line break and a surrogate,
+    # so it settles the common case at C speed; ``Paper`` runs this on every record.
+    if text.isprintable() and text[:1] != "#":
         return text
-    fault = ("a lone surrogate, which UTF-8 cannot encode" if not is_utf8(text)
-             else "a tab or a line break" if tab else "a line break")
-    raise CorpusError(f"{label} {text!r} holds {fault}")
+    if _SURROGATE.search(text):
+        fault = "holds a lone surrogate, which UTF-8 cannot encode"
+    elif not LINE_BREAKS.isdisjoint(text) or (tab and "\t" in text):
+        fault = "holds a tab or a line break" if tab else "holds a line break"
+    elif tab and text[:1] == "#":
+        fault = "starts with '#', which marks a comment line"
+    else:
+        return text
+    raise CorpusError(f"{label} {text!r} {fault}")
 
 
 class _PaperFields(NamedTuple):

@@ -22,7 +22,7 @@ and all references resolve inside the corpus.
 
 Each field's name is its journal's category, written unquoted into
 journals.csv, so it may hold none of ``,|"`` or NUL, and, like every category,
-no tab, line break or lone surrogate (``corpus.check_echoed``).
+no tab, line break, lone surrogate or leading ``#`` (``corpus.check_echoed``).
 
 The skew knob redirects a share of references to the top-decile
 most-cited-so-far papers of the eligible pool; the decile is snapshotted once
@@ -58,9 +58,27 @@ MAX_REFERENCES = 2 * 10**7
 
 @dataclass(frozen=True)
 class FieldSpec:
+    """One field of a synthetic corpus, checked as it is built; ``SynthConfig``
+    checks what spans fields."""
+
     name: str
     mean_references: float
     papers_per_year: int
+
+    def __post_init__(self) -> None:
+        if not self.name or not _CSV_NAME_CHARS.isdisjoint(self.name):
+            raise ValueError(f"bad field name {self.name!r}")
+        check_echoed(self.name, "field name")  # it is a category of the corpus
+        if not math.isfinite(self.mean_references) or self.mean_references <= 0:
+            # NaN would pass both range checks and never end the Poisson loop
+            raise ValueError(
+                f"field {self.name!r}: mean references must be positive and finite"
+            )
+        if self.mean_references > 700:
+            # exp(-mean) underflows past this, breaking the Poisson sampler
+            raise ValueError(f"field {self.name!r}: mean references above 700")
+        if self.papers_per_year < 1:
+            raise ValueError(f"field {self.name!r}: papers per year must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -75,20 +93,6 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if not self.fields:
             raise ValueError("need at least one field")
-        for field in self.fields:
-            if not field.name or not _CSV_NAME_CHARS.isdisjoint(field.name):
-                raise ValueError(f"bad field name {field.name!r}")
-            check_echoed(field.name, "field name")  # it is a category of the corpus
-            if not math.isfinite(field.mean_references) or field.mean_references <= 0:
-                # NaN would pass both range checks and never end the Poisson loop
-                raise ValueError(
-                    f"field {field.name!r}: mean references must be positive and finite"
-                )
-            if field.mean_references > 700:
-                # exp(-mean) underflows past this, breaking the Poisson sampler
-                raise ValueError(f"field {field.name!r}: mean references above 700")
-            if field.papers_per_year < 1:
-                raise ValueError(f"field {field.name!r}: papers per year must be >= 1")
         if len({field.name for field in self.fields}) != len(self.fields):
             raise ValueError("field names must be unique")
         first, last = self.years

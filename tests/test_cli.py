@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from crown import baselines, cli
 from crown.baselines import compute_baselines
 from crown.cli import main
+from crown.corpus import listed_id
 
 from conftest import CARDIOLOGY_JOURNALS_CSV, LINE_BREAKS
 
@@ -322,6 +323,33 @@ def test_rejected_flag_is_one_error_line(tmp_path, capsys, argv, message) -> Non
     assert not any(tmp_path.iterdir())  # nothing read, nothing written
 
 
+COMMENT_FAULT = "starts with '#', which marks a comment line"
+
+
+@pytest.mark.parametrize("field, message", [
+    (":3:2", "bad field name ''"),
+    ("a|b:3:2", "bad field name 'a|b'"),
+    ('a"b:3:2', "bad field name 'a\"b'"),
+    ("#a:3:2", f"field name '#a' {COMMENT_FAULT}"),
+    ("a\u2028b:3:2", "field name 'a\\u2028b' holds a tab or a line break"),
+    ("a\udcffb:3:2", "field name 'a\\udcffb' holds a lone surrogate, which UTF-8 cannot encode"),
+    ("a:0:2", "field 'a': mean references must be positive and finite"),
+    ("a:701:2", "field 'a': mean references above 700"),
+    ("a:3:0", "field 'a': papers per year must be >= 1"),
+], ids=["empty-name", "pipe", "quote", "leading-hash", "u2028", "surrogate", "mean-0",
+        "mean-701", "per-year-0"])
+def test_bad_field_is_a_fields_flag_error(tmp_path, capsys, field, message) -> None:
+    # The bad field follows a good one; nothing is generated or written.
+    argv = ["synth", "--fields", f"ok:3:2,{field}", "--years", "2000-2001",
+            "--papers", str(tmp_path / "papers.jsonl"),
+            "--journals", str(tmp_path / "journals.csv")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"crown: error: argument --fields: {message}\n"
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command, flag", [
     ("ingest", "--papers"),
     ("baselines", "--journals"),
@@ -396,7 +424,7 @@ def test_line_break_at_an_echo_site_is_rejected(tmp_path, capsys, site, line_bre
         name = f"a{line_break}b"
         argv = ["synth", "--fields", f"{name}:3:2", "--years", "2000-2001",
                 "--papers", str(tmp_path / "sp"), "--journals", str(tmp_path / "sj")]
-        message = f"field name {name!r} holds a tab or a line break"
+        message = f"argument --fields: field name {name!r} holds a tab or a line break"
     else:
         stem = f"g{line_break}x"
         groups = {"--group-a": paths["group"], "--group-b": paths["group"],
@@ -1170,12 +1198,56 @@ def test_main_gives_the_collector_back_as_it_found_it(tmp_path, monkeypatch) -> 
 
 
 def _echo_text(exclude: str = "") -> st.SearchStrategy[str]:
-    """Short text from all of Unicode, with tabs and line breaks drawn often."""
-    return st.text(
-        st.one_of(st.sampled_from(("\t", *LINE_BREAKS)),
-                  st.characters(blacklist_categories=("Cs",), blacklist_characters=exclude)),
-        min_size=1, max_size=6,
+    """Short text from all of Unicode, half the time with tabs and line breaks
+    drawn often, led by a '#' a third of the time."""
+    chars = st.characters(blacklist_categories=("Cs",), blacklist_characters=exclude)
+    text = st.one_of(
+        st.text(chars, min_size=1, max_size=6),
+        st.text(st.one_of(st.sampled_from(("\t", *LINE_BREAKS)), chars), min_size=1, max_size=6),
     )
+    return st.tuples(st.sampled_from(("", "", "#")), text).map("".join)
+
+
+def _one_field(text: str) -> bool:
+    """Whether ``text`` holds no tab and no line break."""
+    return "\t" not in text and len(f"x{text}x".splitlines()) == 1
+
+
+def _leading_hash_error(command: Sequence[str], paper_id: str, category: str,
+                        group_name: str) -> str | None:
+    """The error a run of ``command`` in ``test_report_rows_are_never_split``
+    names when the first drawn text it refuses starts with '#' and is refused
+    for that; None when no text is, or when the '#' may hide another fault."""
+    # The sites in the order a run reads them: the group name while the flags
+    # are parsed, then p2's line, then j's line. Each is (text, the error for
+    # a leading '#' or None, whether the text is clean).
+    sites = [
+        # a paper id is checked for a leading '#' before anything else; p2
+        # lists p1 and x:1 as references
+        (paper_id,
+         f"line 2: paper id {paper_id!r} has surrounding whitespace or starts with '#', "
+         "so no group file can list it",
+         listed_id(paper_id) == paper_id and _one_field(paper_id)
+         and paper_id not in ("p1", "x:1")),
+        # a categories field with no '|' holds one category
+        (category,
+         f"line 2: journal 'j': category {category!r} {COMMENT_FAULT}"
+         if "|" not in category and _one_field(category) else None,
+         True),
+    ]
+    if "--group" in command:
+        sites.insert(0, (
+            group_name,
+            f"argument --group: group name {group_name!r} {COMMENT_FAULT}"
+            if _one_field(group_name) else None,
+            _one_field(group_name),
+        ))
+    for text, error, clean in sites:
+        if text.startswith("#"):
+            return error
+        if not clean:
+            return None
+    return None
 
 
 ECHO_COMMANDS = (
@@ -1203,16 +1275,24 @@ def test_report_rows_are_never_split(paper_id, category, group_name, tmp_path_fa
     paths["group"] = directory / f"{group_name}.txt"
     paths["group"].write_text(f"p1\n{paper_id}\n", encoding="utf-8")
     out = directory / "out"
+    # rows of a run that exits 0: a cell per category of j or k, and year
+    rows = {"baselines": 2 * len({*category.split("|"), "b"}), "score": 1, "diagnose": 2}
     for command in ECHO_COMMANDS:
         out.unlink(missing_ok=True)
         code, stderr = _main_in_process(paths, command)
         _assert_clean_outcome(code, stderr)
+        error = _leading_hash_error(command, paper_id, category, group_name)
+        if error is not None:
+            assert (code, stderr) == (1, f"crown: error: {error}\n")
         if code == 1:
             continue
+        # A report line that does not start with '#' is the column line or a
+        # row; a degenerate run (exit 2) has one coverage row.
         lines = out.read_bytes().decode("utf-8").splitlines()
-        columns = next(line for line in lines if not line.startswith("#"))
-        for line in lines:
-            assert line.startswith("#") or line.count("\t") == columns.count("\t"), line
+        table = [line for line in lines if not line.startswith("#")]
+        assert len(table) == 1 + (1 if code == 2 else rows[command[0]]), lines
+        for line in table:
+            assert line.count("\t") == table[0].count("\t"), line
 
 
 @settings(max_examples=300, deadline=None)

@@ -25,9 +25,6 @@ from crown.corpus import (
     build_corpus,
     check_echoed,
     group_name,
-    is_one_line,
-    is_tsv_field,
-    is_utf8,
     listed_id,
     load_corpus,
     parse_journals,
@@ -165,12 +162,37 @@ def test_line_breaks_are_those_splitlines_honours() -> None:
     assert len(conftest.LINE_BREAKS) == 10
 
 
-@given(st.text(st.one_of(st.sampled_from(("\t", *conftest.LINE_BREAKS)), st.characters())))
+def _echo_fault(text: str, tab: bool) -> str | None:
+    """What ``check_echoed(text, "x", tab)`` says ``text`` does, or None when
+    it returns ``text``."""
+    try:
+        echoed = check_echoed(text, "x", tab)
+    except CorpusError as exc:
+        message = str(exc)
+        assert message.startswith(f"x {text!r} ")
+        return message.removeprefix(f"x {text!r} ")
+    assert echoed is text
+    return None
+
+
+@given(st.text(st.one_of(st.sampled_from(("\t", "#", *conftest.LINE_BREAKS)), st.characters())))
 @settings(max_examples=300)
 def test_echo_rules_match_splitlines(text) -> None:
+    # The first fault is named: a lone surrogate, a line break or a tab, then,
+    # in a field, a leading '#'.
     one_line = len(f"x{text}x".splitlines()) == 1
-    assert is_one_line(text) is one_line
-    assert is_tsv_field(text) is (one_line and "\t" not in text)
+    if any("\ud800" <= char <= "\udfff" for char in text):
+        header = field = f"holds {_SURROGATE}"
+    else:
+        header = None if one_line else "holds a line break"
+        if not one_line or "\t" in text:
+            field = "holds a tab or a line break"
+        elif text.startswith("#"):
+            field = "starts with '#', which marks a comment line"
+        else:
+            field = None
+    assert _echo_fault(text, tab=False) == header
+    assert _echo_fault(text, tab=True) == field
 
 
 # Each flaw breaks one of the ``Paper`` invariants, with its message.
@@ -195,7 +217,7 @@ def paper_fields(draw):
     """Five field values, valid or with one flaw; returns (fields, flaw)."""
     paper_id = draw(
         st.text(min_size=1, max_size=6).filter(
-            lambda text: listed_id(text) == text and is_tsv_field(text)
+            lambda text: listed_id(text) == text and _echo_fault(text, tab=True) is None
         )
     )
     year = draw(st.integers(min_value=YEAR_MIN, max_value=YEAR_MAX))
@@ -783,11 +805,24 @@ _SURROGATE = "a lone surrogate, which UTF-8 cannot encode"
 @settings(max_examples=100)
 def test_echo_rules_refuse_a_lone_surrogate(head, surrogate, tail) -> None:
     text = head + surrogate + tail
-    assert not is_utf8(text) and not is_one_line(text) and not is_tsv_field(text)
     for tab in (True, False):
         with pytest.raises(CorpusError, match=f"^x {re.escape(repr(text))} holds {_SURROGATE}$"):
             check_echoed(text, "x", tab)
-    assert is_utf8(head + tail)
+        assert _echo_fault(head + tail, tab) != f"holds {_SURROGATE}"
+
+
+def test_a_leading_hash_is_rejected_where_a_report_row_starts() -> None:
+    # A baselines row starts with a category and a score row with a group
+    # name; a reader that skips '#' lines would skip that row.
+    comment = "starts with '#', which marks a comment line$"
+    with pytest.raises(ParseError, match="^line 3: journal 'k': category '#b' " + comment):
+        parse_journals(["id,title,categories", "j,J,a", "k,K,a|#b"])
+    with pytest.raises(CorpusError, match="^group name '#g' " + comment):
+        group_name("dir/#g.txt")
+    # elsewhere in a field, and in a header value, a '#' is plain text
+    assert Journal("j", "J", ("a#b",)).categories == ("a#b",)
+    assert group_name("#dir/g#.txt") == "g#"
+    assert check_echoed("#x", "path", tab=False) == "#x"
 
 
 def test_a_lone_surrogate_is_rejected_at_every_echo_site() -> None:

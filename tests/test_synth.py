@@ -276,12 +276,12 @@ def test_generation_memory_does_not_grow_with_the_field_count() -> None:
     "kwargs",
     [
         {"fields": ()},
-        {"fields": (FieldSpec("a", 0.0, 5),)},
-        {"fields": (FieldSpec("a", 800.0, 5),)},
-        {"fields": (FieldSpec("a", math.nan, 5),)},
-        {"fields": (FieldSpec("a", 5.0, 0),)},
-        {"fields": (FieldSpec("a", 5.0, 5), FieldSpec("a", 3.0, 5))},
-        {"fields": (FieldSpec("a,b", 5.0, 5),)},
+        {"fields": (("a", 0.0, 5),)},
+        {"fields": (("a", 800.0, 5),)},
+        {"fields": (("a", math.nan, 5),)},
+        {"fields": (("a", 5.0, 0),)},
+        {"fields": (("a", 5.0, 5), ("a", 3.0, 5))},
+        {"fields": (("a,b", 5.0, 5),)},
         {"years": (2005, 2000)},
         {"years": (1850, 1851)},
         {"years": (1899, 2000)},
@@ -292,17 +292,18 @@ def test_generation_memory_does_not_grow_with_the_field_count() -> None:
         {"skew_fraction": 2.0},
         {"skew_fraction": math.nan},
         {"seed": -1},
-        {"fields": (FieldSpec("a\tb", 5.0, 5),)},  # a tab would split a baselines field
-        {"fields": (FieldSpec("a\0b", 5.0, 5),)},  # the csv module of CPython 3.10 refuses NUL
+        {"fields": (("a\tb", 5.0, 5),)},  # a tab would split a baselines field
+        {"fields": (("a\0b", 5.0, 5),)},  # the csv module of CPython 3.10 refuses NUL
+        {"fields": (("#a", 5.0, 5),)},  # a baselines row would read as a comment line
     ],
 )
 def test_degenerate_configs_are_rejected(kwargs) -> None:
-    base = {
-        "fields": (FieldSpec("a", 5.0, 5),),
-        "years": (2000, 2005),
-    }
+    # Fields are given as (name, mean, per year): a bad one raises when its
+    # FieldSpec is built, so each is built inside the check.
+    config = {"fields": (("a", 5.0, 5),), "years": (2000, 2005), **kwargs}
     with pytest.raises(ValueError):
-        SynthConfig(**{**base, **kwargs})
+        fields = tuple(FieldSpec(*field) for field in config.pop("fields"))
+        SynthConfig(fields, **config)
 
 
 # Configs at and just over each cap, over ten years, and the 10^6-paper
@@ -339,9 +340,9 @@ def test_synth_over_the_cap_is_one_error_line(tmp_path, capsys) -> None:
 
 
 # Field names from all of Unicode but the surrogates, which UTF-8 cannot
-# encode, with tabs, line breaks and the CSV characters drawn often.
+# encode, with tabs, line breaks, '#' and the CSV characters drawn often.
 FIELD_NAMES = st.lists(
-    st.text(st.one_of(st.sampled_from(("\t", ",", "|", '"', "\0", *LINE_BREAKS)),
+    st.text(st.one_of(st.sampled_from(("\t", "#", ",", "|", '"', "\0", *LINE_BREAKS)),
                       st.characters(blacklist_categories=("Cs",))),
             max_size=6),
     min_size=1, max_size=3, unique=True,
