@@ -77,9 +77,11 @@ def compute_baselines(corpus: Corpus) -> BaselineTable:
     cannot change a cell.
     """
     per_key: dict[tuple[str, int], list[int]] = {}
-    cited_by = corpus.cited_by
-    for paper_id, year, journal_id, _, override in corpus.papers.values():
-        count = len(cited_by[paper_id]) if override is None else override
+    # ``cited_by`` has the key order of ``papers``, so they walk together.
+    for (_, year, journal_id, _, override), citers in zip(
+        corpus.papers.values(), corpus.cited_by.values()
+    ):
+        count = len(citers) if override is None else override
         counts = per_key.get((journal_id, year))
         if counts is None:
             per_key[(journal_id, year)] = [count]

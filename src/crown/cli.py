@@ -299,8 +299,8 @@ _year = _number("year", int)
 def _fields(text: str) -> tuple[str, tuple[FieldSpec, ...]]:
     """``--fields`` as its text, which the synth header echoes, and its
     fields, one ``FieldSpec`` per NAME:MEAN:PER_YEAR triplet, so that a bad
-    name or number is this flag's error."""
-    from .synth import FieldSpec  # ``import crown.cli`` does not load synth
+    or repeated name or a bad number is this flag's error."""
+    from .synth import FieldSpec, unique_fields  # ``import crown.cli`` does not load synth
 
     specs = []
     for triplet in text.split(","):
@@ -308,7 +308,7 @@ def _fields(text: str) -> tuple[str, tuple[FieldSpec, ...]]:
         if len(parts) != 3:
             raise ValueError(f"bad field spec {triplet!r}: expected NAME:MEAN:PER_YEAR")
         specs.append(FieldSpec(parts[0], _mean(parts[1]), _per_year(parts[2])))
-    return text, tuple(specs)
+    return text, unique_fields(specs)
 
 
 def _years(text: str) -> tuple[str, tuple[int, int]]:

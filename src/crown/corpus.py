@@ -15,6 +15,13 @@ Lines end in LF or CRLF; a bare CR does not end a line. A line that is not
 UTF-8, a JSON key repeated within one object and malformed CSV are rejected
 with the line number, like any other malformed line.
 
+A papers line is read with one ``raw_decode`` from its first character, and
+the record is kept when nothing but the line end (LF, CRLF or none) follows
+it. Every other line takes the full ``decode``, which skips whitespace
+around the value and words every error: a padded line, two values on one
+line, and any line ``raw_decode`` refuses. So each line is decoded on its
+own, and no record or error can carry over from one line to the next.
+
 Reference keys that match a paper id become citation edges, subject to the
 citation window. Keys that do not resolve stay external: they produce no edge
 but still count toward the citing paper's reference-list length, which is the
@@ -26,7 +33,7 @@ hold no tab and no line break, and start with no ``#``, which would make a row
 read as a comment line; ``LINE_BREAKS`` are the characters that
 ``str.splitlines()`` ends a line at. No echoed text holds a lone surrogate,
 which UTF-8 cannot encode: a command-line byte that is not UTF-8 reads as one,
-and so does a JSON ``\ud800`` escape. ``check_echoed`` is the one test of
+and so does a JSON ``\\ud800`` escape. ``check_echoed`` is the one test of
 echoed text; it names what a refused text holds.
 
 Loading allocates a few objects per record and per reference and frees
@@ -40,10 +47,11 @@ memory and lets the graph build match keys by identity. Every record of one
 journal shares one journal-id string, and every record of one year one year
 int, so a corpus holds one such object per distinct value, not one per record.
 
-The build also computes 1/R once per citing paper, R being the length of its
-reference list, and keeps it as ``Corpus.citing_weight``: the weight of each
+The build also computes 1/R once per distinct reference-list length R, and
+keeps it per citing paper as ``Corpus.citing_weight``: the weight of each
 citation that paper makes under fractional counting, read on every
-fractional score instead of measuring R again per edge.
+fractional score instead of measuring R again per edge. Papers with equal R
+share one float object.
 
 ``Paper`` is a named tuple, the cheapest immutable record to build once per
 input line: it compares equal to the tuple of its fields and unpacks like
@@ -58,8 +66,9 @@ import functools
 import gc
 import hashlib
 import json
+import operator
 import re
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, NamedTuple, TypeVar
@@ -159,10 +168,14 @@ class Paper(_PaperFields):
     ) -> Paper:
         if type(id) is not str or not id:
             raise CorpusError("paper id must be a non-empty string")
-        if listed_id(id) != id:
-            raise CorpusError(f"paper id {id!r} has surrounding whitespace or "
-                              "starts with '#', so no group file can list it")
-        check_echoed(id, "paper id")
+        # A space is the only printable whitespace, so a printable id that
+        # neither starts with '#' or a space nor ends in one passes both
+        # checks below; this settles the common case at C speed.
+        if not (id.isprintable() and id[0] not in "# " and id[-1] != " "):
+            if listed_id(id) != id:
+                raise CorpusError(f"paper id {id!r} has surrounding whitespace or "
+                                  "starts with '#', so no group file can list it")
+            check_echoed(id, "paper id")
         if type(year) is not int:
             raise CorpusError(f"paper {id!r}: year must be an integer")
         if not YEAR_MIN <= year <= YEAR_MAX:
@@ -265,11 +278,12 @@ class Corpus:
     """Resolved, immutable collection of papers, journals and citation edges.
 
     ``cited_by`` maps every paper id to the ids of the papers that cite it
-    inside the window, in input order. ``citing_weight`` maps every paper
+    inside the window, in input order, and has the key order of ``papers``,
+    so the two can be walked in step. ``citing_weight`` maps every paper
     with a non-empty reference list to ``1.0 / len(references)``, so it
-    covers every citer. Both are graph data: they do not depend on
-    ``journals``. Within one parse, equal ids, journal ids and years are
-    each one shared object.
+    covers every citer; papers with equal lengths share one float. Both are
+    graph data: they do not depend on ``journals``. Within one parse, equal
+    ids, journal ids and years are each one shared object.
 
     Dict insertion order matches input order everywhere, so two corpora built
     from identical input bytes are identical including all list orderings.
@@ -312,21 +326,38 @@ def parse_papers(lines: Iterable[str]) -> list[Paper]:
     the checks across records are ``build_corpus``'s."""
     papers: list[Paper] = []
     canon: dict = {}  # one object per distinct id, key, journal id or year
+    raw_decode = _JSON.raw_decode
     for line_no, line in enumerate(lines, start=1):
         try:
-            record = _JSON.decode(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_no, f"malformed JSON ({exc.msg})") from exc
-        except _DuplicateKeyError as exc:
-            raise ParseError(line_no, f"duplicate key {exc.args[0]!r}") from exc
-        except ValueError as exc:  # an integer past the interpreter's digit limit
-            raise ParseError(line_no, f"unreadable JSON value ({exc})") from exc
-        except RecursionError as exc:
-            raise ParseError(line_no, "malformed JSON (nested too deeply)") from exc
+            record, end = raw_decode(line)
+        except (ValueError, RecursionError):  # the full decode words the error
+            end = -1
+        if end < 0 or line[end:] not in _LINE_ENDS:
+            record = _decode(line, line_no)
         if not isinstance(record, dict):
             raise ParseError(line_no, "expected a JSON object")
         papers.append(_paper_from_record(record, line_no, canon))
     return papers
+
+
+# What may follow a value that ``raw_decode`` read from the start of a line
+# for the line to be that value alone.
+_LINE_ENDS = ("\n", "", "\r\n")
+
+
+def _decode(line: str, line_no: int) -> object:
+    """The JSON value a whole line holds, between optional whitespace, or
+    ``ParseError`` numbered ``line_no``."""
+    try:
+        return _JSON.decode(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(line_no, f"malformed JSON ({exc.msg})") from exc
+    except _DuplicateKeyError as exc:
+        raise ParseError(line_no, f"duplicate key {exc.args[0]!r}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ParseError(line_no, f"unreadable JSON value ({exc})") from exc
+    except RecursionError as exc:
+        raise ParseError(line_no, "malformed JSON (nested too deeply)") from exc
 
 
 class _DuplicateKeyError(ValueError):
@@ -504,19 +535,22 @@ def build_corpus(
     """
     if not papers:
         raise CorpusError("corpus has no papers")
-    paper_map: dict[str, Paper] = {}
-    for line_no, paper in enumerate(papers, start=1):
-        if paper.id in paper_map:
-            raise ParseError(line_no, f"duplicate paper id {paper.id!r}")
-        paper_map[paper.id] = paper
+    paper_map = dict(zip(map(operator.itemgetter(0), papers), papers))
+    if len(paper_map) != len(papers):
+        seen: set[str] = set()
+        for line_no, paper in enumerate(papers, start=1):
+            if paper.id in seen:
+                raise ParseError(line_no, f"duplicate paper id {paper.id!r}")
+            seen.add(paper.id)
     journal_map = _journal_map(journals, paper_map.values())
     # Each citer list becomes a tuple in place once the edges are in.
     cited_by: dict = {pid: [] for pid in paper_map}
     citing_weight: dict[str, float] = {}
+    inverse = _Inverses()
     every_year = window.years is None
     for citing_id, citing_year, _, references, _ in paper_map.values():
         if references:
-            citing_weight[citing_id] = 1.0 / len(references)
+            citing_weight[citing_id] = inverse[len(references)]
         for ref in references:
             citers = cited_by.get(ref)
             # A repeated key finds this paper already last in its citer list.
@@ -599,7 +633,7 @@ def _decoded_lines(
         yield line
 
 
-def _journal_map(journals: Sequence[Journal], papers: Iterable[Paper]) -> dict[str, Journal]:
+def _journal_map(journals: Sequence[Journal], papers: Collection[Paper]) -> dict[str, Journal]:
     """Journals by id; the first repeated journal, else the first of ``papers``
     whose journal is missing, raises ``ParseError`` with its 1-based position."""
     journal_map: dict[str, Journal] = {}
@@ -607,9 +641,19 @@ def _journal_map(journals: Sequence[Journal], papers: Iterable[Paper]) -> dict[s
         if journal.id in journal_map:
             raise ParseError(position, f"duplicate journal id {journal.id!r}")
         journal_map[journal.id] = journal
-    for line_no, (paper_id, _, journal_id, _, _) in enumerate(papers, start=1):
-        if journal_id not in journal_map:
-            raise ParseError(
-                line_no, f"paper {paper_id!r} has unresolved journal {journal_id!r}"
-            )
+    if not journal_map.keys() >= set(map(operator.itemgetter(2), papers)):
+        for line_no, (paper_id, _, journal_id, _, _) in enumerate(papers, start=1):
+            if journal_id not in journal_map:
+                raise ParseError(
+                    line_no, f"paper {paper_id!r} has unresolved journal {journal_id!r}"
+                )
     return journal_map
+
+
+class _Inverses(dict):
+    """``1.0 / n`` by ``n``, each computed on first use and then shared, so a
+    corpus holds one weight object per distinct reference-list length."""
+
+    def __missing__(self, n: int) -> float:
+        self[n] = weight = 1.0 / n
+        return weight

@@ -81,6 +81,14 @@ class FieldSpec:
             raise ValueError(f"field {self.name!r}: papers per year must be >= 1")
 
 
+def unique_fields(fields: Sequence[FieldSpec]) -> tuple[FieldSpec, ...]:
+    """``fields`` as a tuple, or ValueError when two share a name: each name
+    is a category of the corpus. ``SynthConfig`` and ``--fields`` check it."""
+    if len({field.name for field in fields}) != len(fields):
+        raise ValueError("field names must be unique")
+    return tuple(fields)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     fields: tuple[FieldSpec, ...]
@@ -93,8 +101,7 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if not self.fields:
             raise ValueError("need at least one field")
-        if len({field.name for field in self.fields}) != len(self.fields):
-            raise ValueError("field names must be unique")
+        unique_fields(self.fields)
         first, last = self.years
         if last < first:
             raise ValueError(f"empty year range {self.years}")

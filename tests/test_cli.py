@@ -336,8 +336,9 @@ COMMENT_FAULT = "starts with '#', which marks a comment line"
     ("a:0:2", "field 'a': mean references must be positive and finite"),
     ("a:701:2", "field 'a': mean references above 700"),
     ("a:3:0", "field 'a': papers per year must be >= 1"),
+    ("ok:4:5", "field names must be unique"),
 ], ids=["empty-name", "pipe", "quote", "leading-hash", "u2028", "surrogate", "mean-0",
-        "mean-701", "per-year-0"])
+        "mean-701", "per-year-0", "repeated-name"])
 def test_bad_field_is_a_fields_flag_error(tmp_path, capsys, field, message) -> None:
     # The bad field follows a good one; nothing is generated or written.
     argv = ["synth", "--fields", f"ok:3:2,{field}", "--years", "2000-2001",

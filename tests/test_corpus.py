@@ -139,6 +139,7 @@ def test_parse_papers_aborts_on_bad_records(line: str, match: str) -> None:
         (lambda: Journal("j1", "J", ("x", "")), "empty categories"),
         (lambda: Journal("j1", "J", ("x", "x")), "repeats a category"),
         (lambda: Journal("j1", "J", ("x", "a\tb")), r"category 'a\\tb' holds a tab"),
+        (lambda: Paper(" p1", 2005, "j1"), "^paper id ' p1' has surrounding whitespace"),
     ],
 )
 def test_records_check_their_invariants_on_construction(make, match: str) -> None:
@@ -422,6 +423,20 @@ def test_build_corpus_errors_name_the_position_of_the_paper() -> None:
         build_corpus([first, Paper("p2", 2000, "nope", ())], journals)
     with pytest.raises(ParseError, match="^line 2: duplicate paper id 'p1'$"):
         build_corpus([first, first], journals)
+    # two ids repeat: the first repeat is named, not the first id that repeats
+    second = Paper("p2", 2000, "j1", ())
+    with pytest.raises(ParseError, match="^line 3: duplicate paper id 'p2'$"):
+        build_corpus([first, second, second, first], journals)
+    with pytest.raises(ParseError, match="^line 3: duplicate paper id 'p1'$"):
+        build_corpus([first, second, first, second], journals)
+
+
+def test_a_space_is_the_only_printable_whitespace() -> None:
+    # ``Paper`` takes an id that is printable and neither starts nor ends with
+    # a space as free of surrounding whitespace, which rests on this.
+    both = [chr(code) for code in range(sys.maxunicode + 1)
+            if chr(code).isprintable() and chr(code).isspace()]
+    assert both == [" "]
 
 
 def test_repeated_journal_id_names_the_position_of_the_journal() -> None:
@@ -660,6 +675,14 @@ def test_build_matches_the_reference_build(case) -> None:
         assert all(type(citers) is tuple for citers in corpus.cited_by.values())
         assert corpus.n_edges == sum(len(citers) for citers in expected.values())
         assert corpus.citing_weight == weights
+        # ``compute_baselines`` walks these two in step
+        assert list(corpus.cited_by) == list(corpus.papers)
+        # one weight object per reference-list length
+        shared: dict[int, float] = {}
+        for paper in papers:
+            if paper.references:
+                weight = corpus.citing_weight[paper.id]
+                assert weight is shared.setdefault(len(paper.references), weight)
         rescheme = corpus.with_journals(GRAPH_JOURNALS[::-1])
         assert rescheme.cited_by is corpus.cited_by
         assert rescheme.citing_weight is corpus.citing_weight
@@ -927,3 +950,130 @@ def test_group_selection_keeps_its_import_paths() -> None:
 
     assert crown.GroupSelection is GroupSelection is crown.indicators.GroupSelection
     assert not hasattr(GroupSelection, "resolve_numbered")
+
+
+# ``parse_papers`` against the plain per-line decode: every line through
+# ``JSONDecoder.decode`` with its own duplicate-key hook and error wording.
+class _RepeatedKey(Exception):
+    pass
+
+
+def _reference_object(pairs: list) -> dict:
+    keys = [key for key, _ in pairs]
+    for index, key in enumerate(keys):
+        if key in keys[:index]:
+            raise _RepeatedKey(key)
+    return dict(pairs)
+
+
+_REFERENCE_JSON = json.JSONDecoder(object_pairs_hook=_reference_object)
+
+
+def _reference_parse(lines) -> list[Paper]:
+    from crown.corpus import _paper_from_record  # the record checks, not the decode
+
+    papers: list[Paper] = []
+    canon: dict = {}
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            record = _REFERENCE_JSON.decode(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(line_no, f"malformed JSON ({exc.msg})") from exc
+        except _RepeatedKey as exc:
+            raise ParseError(line_no, f"duplicate key {exc.args[0]!r}") from exc
+        except ValueError as exc:
+            raise ParseError(line_no, f"unreadable JSON value ({exc})") from exc
+        except RecursionError as exc:
+            raise ParseError(line_no, "malformed JSON (nested too deeply)") from exc
+        if not isinstance(record, dict):
+            raise ParseError(line_no, "expected a JSON object")
+        papers.append(_paper_from_record(record, line_no, canon))
+    return papers
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+_SEPARATORS = st.sampled_from([(",", ":"), (", ", ": "), (",\r", ":\r"), (" ,\t", " : ")])
+_PADDING = st.sampled_from(["", " ", "\t", "  \t", "\r", " \r"])
+
+
+@st.composite
+def _spelled_record(draw) -> str:
+    """One valid papers record as one line's text, without a line end: keys
+    permuted, some spelled with ``\\u`` escapes, an unknown key that may nest,
+    and JSON whitespace (a bare CR included) between tokens."""
+    record: dict = {
+        "id": draw(st.sampled_from(["p1", "p2", "a b", "é", "x#y", "doi:10.1/x"])),
+        "year": draw(st.integers(2000, 2003)),
+        "journal": draw(st.sampled_from(["j1", "j2"])),
+        "references": draw(st.lists(st.sampled_from(["q1", "q2", "ext:a"]), max_size=3)),
+    }
+    if draw(st.booleans()):
+        record["citations"] = draw(st.integers(0, 9))
+    if draw(st.booleans()):
+        record[draw(st.sampled_from(["extra", "x", "ü"]))] = draw(_JSON_VALUES)
+    items, (comma, colon) = draw(st.permutations(list(record.items()))), draw(_SEPARATORS)
+    ascii_only = draw(st.booleans())
+    members = []
+    for key, value in items:
+        if draw(st.booleans()):
+            name = '"' + "".join(f"\\u{ord(char):04x}" for char in key) + '"'
+        else:
+            name = json.dumps(key, ensure_ascii=ascii_only)
+        text = json.dumps(value, separators=(comma, colon), ensure_ascii=ascii_only)
+        members.append(name + colon + text)
+    return "{" + comma.join(members) + "}"
+
+
+def _faulty_lines(record: str) -> list[str]:
+    """Lines that break the decode, each built around a valid record's text."""
+    body = record[:-1] + ","
+    return [
+        record + record,  # two objects
+        record + " " + record,
+        record + "x",  # trailing garbage
+        record + ",",
+        "[" + record + "]",  # not an object
+        "3", '"p1"', "null", "[]",
+        "", "  \t",  # blank
+        body + '"year":2001}',  # a top-level key repeated
+        '{"\\u0069d":"z",' + record[1:],  # spelled two ways
+        body + '"x2":{"a":1,"\\u0061":2}}',  # repeated inside a nested object
+        body + '"big":' + "1" * 5000 + "}",  # past the integer digit limit
+        body + '"deep":' + "[" * 100_000 + "}",  # nested too deeply
+        record[:-1],  # unterminated
+    ]
+
+
+@st.composite
+def papers_file(draw) -> bytes:
+    """A papers file in any spelling ``parse_papers`` reads, and for most
+    files one faulty line, often right after a valid one."""
+    records = draw(st.lists(_spelled_record(), min_size=1, max_size=4))
+    lines = [draw(_PADDING) + record + draw(_PADDING) for record in records]
+    if draw(st.integers(0, 3)):
+        faults = _faulty_lines(draw(st.sampled_from(records)))
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(faults)))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    ends[-1] = draw(st.sampled_from(["", "\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return (bom + "".join(map(str.__add__, lines, ends))).encode("utf-8")
+
+
+def _parsed_or_error(path, parse):
+    try:
+        return read_hashed(path, parse)[0]
+    except ParseError as exc:
+        return exc.line_no, str(exc)
+
+
+@given(papers_file())
+@settings(max_examples=400, deadline=None)
+def test_parse_papers_reads_every_line_as_the_plain_decode_does(tmp_path_factory, data) -> None:
+    path = tmp_path_factory.mktemp("papers") / "papers.jsonl"
+    path.write_bytes(data)
+    assert _parsed_or_error(path, parse_papers) == _parsed_or_error(path, _reference_parse)
