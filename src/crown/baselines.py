@@ -11,6 +11,9 @@ keeps mean-of-ratios group statistics consistent), and its percentile the
 mean of its cell ranks. Both depend only on what their functions take (the
 categories, the year and, for the percentile, the count), so a score pass
 caches them on those arguments.
+
+``FieldYearCell`` and ``BaselineTable`` are named tuples, like every record
+of the package; a cell checks and sorts its counts however it is built.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ import enum
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
-from .corpus import Corpus
+from .corpus import CheckedRecord, Corpus, refuse_assignment
 
 
 class Weighting(enum.Enum):
@@ -34,32 +38,37 @@ class Weighting(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class FieldYearCell:
-    """All citation counts of one category-year population, sorted on
-    construction. ``mean_citations`` is computed then too and takes no part
-    in equality: it is a function of ``sorted_citations``.
-    """
-
+class _CellFields(NamedTuple):
     category: str
     year: int
     sorted_citations: tuple[int, ...]
-    mean_citations: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.sorted_citations:
-            raise ValueError(f"empty cell ({self.category!r}, {self.year})")
-        counts = tuple(sorted(self.sorted_citations))
-        object.__setattr__(self, "sorted_citations", counts)
-        object.__setattr__(self, "mean_citations", sum(counts) / len(counts))
+
+class FieldYearCell(CheckedRecord, _CellFields):
+    """All citation counts of one category-year population, sorted on
+    construction. ``mean_citations`` is computed on first use and kept in the
+    instance ``__dict__``; it is a function of ``sorted_citations``, so it
+    takes no part in equality and is not in the repr.
+    """
+
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __new__(cls, category: str, year: int, sorted_citations: Sequence[int]) -> FieldYearCell:
+        if not sorted_citations:
+            raise ValueError(f"empty cell ({category!r}, {year})")
+        return tuple.__new__(cls, (category, year, tuple(sorted(sorted_citations))))
+
+    @cached_property
+    def mean_citations(self) -> float:
+        counts = self.sorted_citations
+        return sum(counts) / len(counts)
 
     @property
     def n(self) -> int:
         return len(self.sorted_citations)
 
 
-@dataclass(frozen=True)
-class BaselineTable:
+class BaselineTable(NamedTuple):
     """Cells for every (category, year) pair occurring in the corpus."""
 
     cells: dict[tuple[str, int], FieldYearCell]

@@ -45,9 +45,8 @@ import json
 import sys
 import warnings
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, TypeVar
+from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
 from .baselines import Weighting
 from .corpus import (
@@ -90,13 +89,13 @@ _COVERAGE = ("group", "n_total", "n_scorable")
 _INPUTS = ("papers", "journals", "group", "group_a", "group_b")
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """One run's output: its configuration, one table and the JSON body.
 
     TSV is the ``# crown <command>`` line, one ``# key: value`` line per
     setting, the column line, one tab-joined line per row and one ``# `` line
-    per note. JSON is ``{"config": ..., **body}`` with sorted keys.
+    per note. JSON is ``{"config": ..., **body}`` with sorted keys. A named
+    tuple, like every record of the package.
     """
 
     command: str
@@ -104,7 +103,7 @@ class Report:
     columns: Sequence[str] = ()
     rows: Sequence[Sequence[object]] = ()
     notes: Sequence[str] = ()
-    body: dict = field(default_factory=dict)
+    body: dict = {}  # shared by every report built without one, and only read
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -478,7 +477,7 @@ def _cmd_consistency(args: argparse.Namespace, digests: dict[str, str]) -> Repor
         ),
         columns,
         [row],
-        body={"counterexample": None if found is None else asdict(found)},
+        body={"counterexample": None if found is None else found._asdict()},
     )
 
 

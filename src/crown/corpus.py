@@ -53,9 +53,14 @@ citation that paper makes under fractional counting, read on every
 fractional score instead of measuring R again per edge. Papers with equal R
 share one float object.
 
-``Paper`` is a named tuple, the cheapest immutable record to build once per
-input line: it compares equal to the tuple of its fields and unpacks like
-one, and ``_replace`` checks the new record like a call does.
+Every record of the package (``Paper``, ``Journal``, ``CitationWindow``,
+``Corpus``, ``GroupSelection`` here, and those of the other modules) is a
+named tuple: immutable, and the cheapest record to build and to import. It
+compares equal to the tuple of its fields and unpacks like one;
+``_replace``, ``_fields`` and ``_asdict`` stand where ``dataclasses``
+would offer ``replace``, ``fields`` and ``asdict``. A record with checks is a
+``CheckedRecord``, so ``_replace``, ``_make`` and unpickling run them like a
+call does.
 """
 
 from __future__ import annotations
@@ -69,7 +74,6 @@ import json
 import operator
 import re
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, NamedTuple, TypeVar
 
@@ -134,6 +138,38 @@ def check_echoed(text: str, label: str, tab: bool = True) -> str:
     raise CorpusError(f"{label} {text!r} {fault}")
 
 
+class CheckedRecord:
+    """Mixin for a named tuple with invariants, listed before it among the
+    bases: ``_check`` runs on every record built, through a call, ``_make``
+    (and so ``_replace``, which goes through it) or unpickling under every
+    protocol. A record that normalises a field, or that is built too often
+    to afford the extra calls (``Paper``), checks in its own ``__new__``
+    instead, which builds through ``tuple.__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        record = super().__new__(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        return cls(*iterable)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self)
+
+
+def refuse_assignment(self: object, name: str, *value: object) -> None:
+    """``__setattr__`` and ``__delattr__`` of a record that keeps values in
+    an instance ``__dict__`` (a ``functools.cached_property``): the record
+    stays immutable, while the property still fills its ``__dict__``."""
+    raise AttributeError(f"cannot assign to or delete {name!r}: "
+                         f"{type(self).__name__} is immutable")
+
+
 class _PaperFields(NamedTuple):
     id: str
     year: int
@@ -142,7 +178,7 @@ class _PaperFields(NamedTuple):
     raw_citation_count: int | None = None
 
 
-class Paper(_PaperFields):
+class Paper(CheckedRecord, _PaperFields):
     """One paper record; its own invariants are checked on construction.
 
     The id is what a report row and a group file line carry: it has no
@@ -153,7 +189,8 @@ class Paper(_PaperFields):
 
     A named tuple: it compares equal to the tuple of its fields and unpacks
     like one. Every way of building one (a call, ``_make``, ``_replace``,
-    unpickling) goes through ``__new__`` and so runs the checks.
+    unpickling) goes through ``__new__`` and so runs the checks; the papers
+    parse builds a record that it has seen pass them without the call.
     """
 
     __slots__ = ()
@@ -195,23 +232,19 @@ class Paper(_PaperFields):
                 raise CorpusError(f"paper {id!r}: citation override must be non-negative")
         return tuple.__new__(cls, (id, year, journal_id, references, raw_citation_count))
 
-    @classmethod
-    def _make(cls, iterable: Iterable) -> Paper:
-        return cls(*iterable)
 
-    def __reduce__(self) -> tuple:
-        return type(self), tuple(self)
-
-
-@dataclass(frozen=True)
-class Journal:
-    """One journal record; its own invariants are checked on construction."""
-
+class _JournalFields(NamedTuple):
     id: str
     title: str
     categories: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+
+class Journal(CheckedRecord, _JournalFields):
+    """One journal record; its own invariants are checked on construction."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.id:
             raise CorpusError("empty journal id")
         if not self.categories or not all(self.categories):
@@ -226,8 +259,11 @@ class Journal:
         return self.categories[0]
 
 
-@dataclass(frozen=True)
-class CitationWindow:
+class _WindowFields(NamedTuple):
+    years: int | None = None
+
+
+class CitationWindow(CheckedRecord, _WindowFields):
     """Which citing papers count toward a paper's citation total.
 
     ``all`` admits every citing paper. ``fixed_years(n)`` admits only citing
@@ -236,9 +272,9 @@ class CitationWindow:
     citations only).
     """
 
-    years: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.years is not None and self.years < 1:
             raise ValueError("fixed-years window requires n >= 1")
 
@@ -273,8 +309,15 @@ class CitationWindow:
         return "all" if self.years is None else f"years{self.years}"
 
 
-@dataclass(frozen=True)
-class Corpus:
+class _CorpusFields(NamedTuple):
+    papers: dict[str, Paper]
+    journals: dict[str, Journal]
+    cited_by: dict[str, tuple[str, ...]]
+    citing_weight: dict[str, float]
+    window: CitationWindow
+
+
+class Corpus(_CorpusFields):
     """Resolved, immutable collection of papers, journals and citation edges.
 
     ``cited_by`` maps every paper id to the ids of the papers that cite it
@@ -288,14 +331,12 @@ class Corpus:
     Dict insertion order matches input order everywhere, so two corpora built
     from identical input bytes are identical including all list orderings.
     Safe to share across readers; the one value set after construction is
-    ``baselines``, the corpus's own baseline table, built on first use.
+    ``baselines``, the corpus's own baseline table, built on first use and
+    kept in the instance ``__dict__``, which is why a corpus, unlike the
+    other records, has one.
     """
 
-    papers: dict[str, Paper]
-    journals: dict[str, Journal]
-    cited_by: dict[str, tuple[str, ...]]
-    citing_weight: dict[str, float]
-    window: CitationWindow
+    __setattr__ = __delattr__ = refuse_assignment
 
     @property
     def n_edges(self) -> int:
@@ -318,7 +359,7 @@ class Corpus:
         """Same papers and citation graph, ``citing_weight`` included, under a
         different category scheme, which must cover every paper's journal,
         checked as in ``build_corpus``."""
-        return replace(self, journals=_journal_map(journals, self.papers.values()))
+        return self._replace(journals=_journal_map(journals, self.papers.values()))
 
 
 def parse_papers(lines: Iterable[str]) -> list[Paper]:
@@ -380,7 +421,7 @@ _JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def _paper_from_record(record: dict, line_no: int, canon: dict) -> Paper:
-    """Check the JSON shape of one record; ``Paper`` checks the values.
+    """Check the JSON shape of one record; ``Paper``'s checks judge the values.
 
     The id, the journal id, the year and the reference keys are replaced by
     their first-seen equal value in ``canon``, so that each distinct value is
@@ -416,6 +457,19 @@ def _paper_from_record(record: dict, line_no: int, canon: dict) -> Paper:
     year = canon.setdefault(year, year)
     journal_id = canon.setdefault(journal_id, journal_id)
     references = tuple(map(canon.setdefault, references, references))
+    # The types are checked above; when the values pass the rest of
+    # ``Paper.__new__``'s checks (the id test is its fast one), the record is
+    # built without them. Any other record takes the call, which words its
+    # first fault.
+    if (
+        paper_id.isprintable()
+        and paper_id[:1] not in ("", "#", " ")
+        and paper_id[-1] != " "
+        and YEAR_MIN <= year <= YEAR_MAX
+        and paper_id not in references
+        and (citations is None or citations >= 0)
+    ):
+        return tuple.__new__(Paper, (paper_id, year, journal_id, references, citations))
     try:
         return Paper(paper_id, year, journal_id, references, citations)
     except CorpusError as exc:
@@ -463,8 +517,7 @@ def _journals_from_rows(reader) -> list[Journal]:
     return journals
 
 
-@dataclass(frozen=True)
-class GroupSelection:
+class GroupSelection(NamedTuple):
     """The set of corpus papers being evaluated as one unit."""
 
     name: str
@@ -547,7 +600,10 @@ def build_corpus(
     cited_by: dict = {pid: [] for pid in paper_map}
     citing_weight: dict[str, float] = {}
     inverse = _Inverses()
-    every_year = window.years is None
+    # ``window.admits``, inline: a call per resolved reference costs more
+    # than the test.
+    n_years = window.years
+    every_year = n_years is None
     for citing_id, citing_year, _, references, _ in paper_map.values():
         if references:
             citing_weight[citing_id] = inverse[len(references)]
@@ -557,7 +613,7 @@ def build_corpus(
             if (
                 citers is not None
                 and (not citers or citers[-1] is not citing_id)
-                and (every_year or window.admits(paper_map[ref].year, citing_year))
+                and (every_year or 0 <= citing_year - paper_map[ref].year < n_years)
             ):
                 citers.append(citing_id)
     for pid, citers in cited_by.items():

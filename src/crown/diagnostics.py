@@ -14,17 +14,20 @@ Three diagnostics:
 * rank-sum test: Mann-Whitney U with midranks and tie-corrected normal
   approximation, for comparing two groups' score distributions without
   assuming anything about their shape.
+
+Every result is a named tuple; ``SearchBounds`` and ``SensitivityReport``
+check their fields however they are built (``corpus.CheckedRecord``).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from .baselines import Weighting
-from .corpus import Corpus, GroupSelection, Journal
+from .corpus import CheckedRecord, Corpus, GroupSelection, Journal
 from .indicators import IndicatorReport, cpp_fcsm, group_report, mncs, score_papers
 
 Pair = tuple[int, int]
@@ -45,17 +48,20 @@ INDICATORS: dict[str, Callable[[Sequence[Pair]], float]] = {
 MAX_INSTANCES = 10**8
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    """Instance space for the consistency search: equal-size groups of
-    integer (citations, expected) pairs with citations in [0, max_citations]
-    and expected in [1, max_expected]."""
-
+class _BoundsFields(NamedTuple):
     max_group_size: int
     max_citations: int
     max_expected: int
 
-    def __post_init__(self) -> None:
+
+class SearchBounds(CheckedRecord, _BoundsFields):
+    """Instance space for the consistency search: equal-size groups of
+    integer (citations, expected) pairs with citations in [0, max_citations]
+    and expected in [1, max_expected]."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.max_group_size < 1 or self.max_citations < 0 or self.max_expected < 1:
             raise ValueError(f"degenerate search bounds {self}")
         if self.instance_count() > MAX_INSTANCES:
@@ -85,8 +91,7 @@ class SearchBounds:
         return total
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """A ranking flip: A beats B, yet after adding the same paper to both,
     B beats A."""
 
@@ -214,8 +219,7 @@ def _search_ratio_of_sums(
     return None
 
 
-@dataclass(frozen=True)
-class PaperSensitivity:
+class PaperSensitivity(NamedTuple):
     paper_id: str
     ncs_a: float | None
     ncs_b: float | None
@@ -230,8 +234,15 @@ class PaperSensitivity:
         return self.ncs_b - self.ncs_a
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
+class _SensitivityFields(NamedTuple):
+    group: str
+    weighting: str
+    papers: tuple[PaperSensitivity, ...]
+    report_a: IndicatorReport
+    report_b: IndicatorReport
+
+
+class SensitivityReport(CheckedRecord, _SensitivityFields):
     """Per-paper and group-level shifts between two category schemes.
 
     Deltas are scheme B minus scheme A. Fractional deltas are asserted to be
@@ -239,13 +250,9 @@ class SensitivityReport:
     category scheme, so any nonzero delta is a bug, not a finding.
     """
 
-    group: str
-    weighting: str
-    papers: tuple[PaperSensitivity, ...]
-    report_a: IndicatorReport
-    report_b: IndicatorReport
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         bad = [p.paper_id for p in self.papers if p.fractional_delta != 0.0]
         if bad:
             raise AssertionError(
@@ -305,8 +312,7 @@ def indexer_sensitivity(
     )
 
 
-@dataclass(frozen=True)
-class RankSumResult:
+class RankSumResult(NamedTuple):
     """Mann-Whitney U for the first sample, with tie-corrected normal z.
 
     ``degenerate`` marks the all-tied case, where the rank variance is zero

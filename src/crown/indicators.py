@@ -21,8 +21,9 @@ which owns the multi-category rule, once per distinct argument tuple.
 ``fractional_score`` runs per paper and alone withholds a score from papers
 with a citation override. The caches are local to one pass, and
 two corpora, for example under two category schemes, share no table.
-Each paper's scores are a ``ScoredPaper`` named tuple, which compares equal
-to the tuple of its fields and unpacks like one.
+Each paper's scores are a ``ScoredPaper`` named tuple and a group's an
+``IndicatorReport`` named tuple: each compares equal to the tuple of its
+fields and unpacks like one.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ import json
 import math
 import warnings
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, fields
-from statistics import median
 from typing import NamedTuple
 
 from .baselines import Weighting, combined_percentile, expected_citations_with_reason
@@ -73,8 +72,7 @@ class ScoredPaper(NamedTuple):
     unscorable_reason: str | None = None
 
 
-@dataclass(frozen=True)
-class IndicatorReport:
+class IndicatorReport(NamedTuple):
     group: str
     n_total: int
     n_scorable: int
@@ -104,7 +102,7 @@ class IndicatorReport:
     def payload(self) -> dict:
         """The report as a JSON-ready dict: its fields, with the statistics
         under their output names and each unscorable pair as a list."""
-        payload = {field.name: getattr(self, field.name) for field in fields(self)}
+        payload = self._asdict()
         del payload["pp_top"]
         payload.update(self.statistics)
         payload["unscorable"] = [list(item) for item in self.unscorable]
@@ -126,8 +124,14 @@ def mncs(ncs: Sequence[float]) -> float:
 
 
 def mdncs(ncs: Sequence[float]) -> float:
-    """Median normalized score; even counts take the central-pair midpoint."""
-    return median(ncs)
+    """Median normalized score; even counts take the central-pair midpoint,
+    computed as ``statistics.median`` computes it, so the value is the same to
+    the bit."""
+    ordered = sorted(ncs)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
 
 
 def top_label(x: float) -> str:

@@ -27,6 +27,9 @@ no tab, line break, lone surrogate or leading ``#`` (``corpus.check_echoed``).
 The skew knob redirects a share of references to the top-decile
 most-cited-so-far papers of the eligible pool; the decile is snapshotted once
 per (year, field, pool) rather than per reference.
+
+``FieldSpec`` and ``SynthConfig`` are named tuples, like every record of the
+package, and run their checks however they are built.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ import json
 import math
 import random
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .corpus import YEAR_MAX, YEAR_MIN, check_echoed
+from .corpus import YEAR_MAX, YEAR_MIN, CheckedRecord, check_echoed
 
 _SAMPLE_RETRIES = 8
 # The csv module before CPython 3.11 refuses a NUL.
@@ -56,16 +59,19 @@ MAX_PAPERS = 2 * 10**6
 MAX_REFERENCES = 2 * 10**7
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """One field of a synthetic corpus, checked as it is built; ``SynthConfig``
-    checks what spans fields."""
-
+class _FieldSpecFields(NamedTuple):
     name: str
     mean_references: float
     papers_per_year: int
 
-    def __post_init__(self) -> None:
+
+class FieldSpec(CheckedRecord, _FieldSpecFields):
+    """One field of a synthetic corpus, checked as it is built; ``SynthConfig``
+    checks what spans fields."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.name or not _CSV_NAME_CHARS.isdisjoint(self.name):
             raise ValueError(f"bad field name {self.name!r}")
         check_echoed(self.name, "field name")  # it is a category of the corpus
@@ -89,8 +95,7 @@ def unique_fields(fields: Sequence[FieldSpec]) -> tuple[FieldSpec, ...]:
     return tuple(fields)
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class _SynthConfigFields(NamedTuple):
     fields: tuple[FieldSpec, ...]
     years: tuple[int, int]
     cross_field_fraction: float = 0.0
@@ -98,7 +103,14 @@ class SynthConfig:
     skew_fraction: float = 0.0
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class SynthConfig(CheckedRecord, _SynthConfigFields):
+    """A whole synthetic corpus: its fields, years, knobs and seed, checked
+    as it is built."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.fields:
             raise ValueError("need at least one field")
         unique_fields(self.fields)

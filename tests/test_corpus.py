@@ -8,7 +8,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crown.baselines import Weighting, compute_baselines
@@ -302,6 +302,41 @@ def test_every_way_of_building_a_paper_runs_its_checks(case) -> None:
                 builder(fields)
             messages.add(str(exc_info.value))
     assert len(messages) == (flaw is not None)
+
+
+# The flaws a papers record can carry past the parse's JSON shape checks:
+# the values have the right types, and only ``Paper``'s own checks are left.
+VALUE_FLAWS = {
+    None, "empty id", "unlisted id", "tsv break in id", "year", "self reference",
+    "negative override",
+}
+
+
+@given(paper_fields().filter(lambda case: case[1] in VALUE_FLAWS), st.booleans())
+@example((("p\ud800", 2005, "j", (), None), "lone surrogate"), False)
+@example((("\x00", 2005, "j", (), None), "unprintable but echoable"), False)
+@example(((" p", 2005, "j", (), None), "unlisted id"), False)
+@example((("p ", 2005, "j", (), None), "unlisted id"), False)
+@example((("#p", 2005, "j", (), None), "unlisted id"), False)
+@settings(max_examples=300)
+def test_parse_builds_the_paper_a_call_builds(case, spell_none) -> None:
+    from crown.corpus import _paper_from_record  # its fast path skips the call
+
+    (paper_id, year, journal_id, references, override), _ = case
+    record = {"id": paper_id, "year": year, "journal": journal_id,
+              "references": list(references)}
+    if override is not None or spell_none:
+        record["citations"] = override
+    try:
+        expected = Paper(paper_id, year, journal_id, references, override)
+    except CorpusError as exc:
+        with pytest.raises(ParseError) as exc_info:
+            _paper_from_record(record, 7, {})
+        assert str(exc_info.value) == f"line 7: {exc}"
+    else:
+        paper = _paper_from_record(record, 7, {})
+        assert type(paper) is Paper
+        assert paper == Paper(*paper) == expected
 
 
 def test_paper_is_immutable_and_keeps_the_dataclass_repr() -> None:

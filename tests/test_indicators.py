@@ -3,11 +3,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import statistics
 import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crown import indicators
@@ -106,6 +107,21 @@ def test_median_resists_skew_that_drags_the_mean() -> None:
 def test_even_count_median_is_central_midpoint() -> None:
     _, _, ncs = _columns([(1, 1), (2, 1), (3, 1), (4, 1)])
     assert mdncs(ncs) == 2.5
+
+
+# A few shared values make ties common; the rest are any finite floats.
+_NCS_VALUES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(_NCS_VALUES, min_size=1, max_size=40))
+@example([2.0])
+@example([2.0, 2.0])
+@example([0.1, 0.7, 0.2, 0.4])
+@example([1e308, 1.7e308])
+@settings(max_examples=300)
+def test_mdncs_is_statistics_median_to_the_bit(ncs) -> None:
+    assert mdncs(ncs).hex() == statistics.median(ncs).hex()
 
 
 def test_empty_scorable_set_is_degenerate() -> None:
@@ -392,9 +408,7 @@ def test_score_group_weighting_is_irrelevant_on_single_category_corpus() -> None
     group = GroupSelection.resolve("g", list(corpus.papers), corpus)
     harmonic = score_group(corpus, group, Weighting.HARMONIC)
     arithmetic = score_group(corpus, group, Weighting.ARITHMETIC)
-    assert harmonic == arithmetic.__class__(
-        **{**arithmetic.__dict__, "weighting": "harmonic"}
-    )
+    assert harmonic == arithmetic._replace(weighting="harmonic")
 
 
 def test_whole_cell_group_normalizes_to_one() -> None:

@@ -67,16 +67,33 @@ def test_public_api_is_the_documented_surface() -> None:
         assert hasattr(crown, name)
 
 
-def test_import_crown_loads_only_the_scoring_layers() -> None:
+# Standard modules no crown import needs, each costly at interpreter start:
+# ``dataclasses`` loads ``inspect`` (and with it ``ast``, ``dis`` and
+# ``tokenize``), and ``statistics`` loads ``fractions``, ``decimal`` and
+# ``random``.
+_START_COSTS = ("dataclasses", "inspect", "statistics")
+
+
+def _fresh_import(module: str) -> list[str]:
+    """The sorted ``sys.modules`` names of a new interpreter that has
+    imported ``module`` from this checkout's ``src``."""
     src = str(Path(crown.__file__).resolve().parent.parent)
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import crown; "
-        "print(sorted(name for name in sys.modules if name.startswith('crown')))"
+        f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
+        "print(sorted(sys.modules))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code, src],
         capture_output=True, text=True, timeout=30, check=True,
     )
-    assert ast.literal_eval(result.stdout) == [
+    return ast.literal_eval(result.stdout)
+
+
+def test_import_crown_loads_only_the_scoring_layers() -> None:
+    assert [name for name in _fresh_import("crown") if name.startswith("crown")] == [
         "crown", "crown.baselines", "crown.corpus", "crown.indicators",
     ]
+    for module in ("crown", "crown.cli", "crown.synth"):
+        loaded = _fresh_import(module)
+        assert module in loaded
+        assert not set(_START_COSTS) & set(loaded), module
