@@ -21,11 +21,10 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
-from functools import cached_property
+from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
-from .corpus import CheckedRecord, Corpus, refuse_assignment
+from .corpus import CheckedRecord, Corpus
 
 
 class Weighting(enum.Enum):
@@ -46,19 +45,19 @@ class _CellFields(NamedTuple):
 
 class FieldYearCell(CheckedRecord, _CellFields):
     """All citation counts of one category-year population, sorted on
-    construction. ``mean_citations`` is computed on first use and kept in the
-    instance ``__dict__``; it is a function of ``sorted_citations``, so it
-    takes no part in equality and is not in the repr.
+    construction. ``mean_citations`` is a function of ``sorted_citations``,
+    computed on each read, so it is not a field and not in the repr.
     """
 
-    __setattr__ = __delattr__ = refuse_assignment
+    __slots__ = ()
 
-    def __new__(cls, category: str, year: int, sorted_citations: Sequence[int]) -> FieldYearCell:
-        if not sorted_citations:
+    def __new__(cls, category: str, year: int, sorted_citations: Iterable[int]) -> FieldYearCell:
+        counts = tuple(sorted(sorted_citations))
+        if not counts:
             raise ValueError(f"empty cell ({category!r}, {year})")
-        return tuple.__new__(cls, (category, year, tuple(sorted(sorted_citations))))
+        return tuple.__new__(cls, (category, year, counts))
 
-    @cached_property
+    @property
     def mean_citations(self) -> float:
         counts = self.sorted_citations
         return sum(counts) / len(counts)
@@ -114,24 +113,20 @@ def expected_citations_with_reason(
     with the reason when undefined.
 
     Returns ``(e, None)``, or ``(None, reason)`` for the zero-baseline
-    degeneracies: a zero cell mean under the harmonic weighting, or a
-    combined value of zero (which would make c / e undefined). Callers must
-    exclude such papers from group statistics and report them, never score
-    them as zero or infinity.
+    degeneracies: a zero cell mean under the harmonic weighting, or every
+    cell mean zero (which would make c / e undefined). Callers must exclude
+    such papers from group statistics and report them, never score them as
+    zero or infinity.
     """
     means = [table.cell(category, year).mean_citations for category in categories]
-    m = len(means)
-    zero_cells = [
-        category for category, mean in zip(categories, means) if mean == 0.0
-    ]
+    if 0.0 in means and (weighting is Weighting.HARMONIC or not any(means)):
+        cells = ", ".join(
+            f"({category}, {year})" for category, mean in zip(categories, means) if mean == 0.0
+        )
+        return None, f"zero baseline in cell {cells}"
     if weighting is Weighting.HARMONIC:
-        if zero_cells:
-            return None, _zero_baseline_reason(zero_cells, year)
-        return m / math.fsum(1.0 / mean for mean in means), None
-    value = math.fsum(means) / m
-    if value == 0.0:  # possible only when every cell mean is zero
-        return None, _zero_baseline_reason(zero_cells, year)
-    return value, None
+        return len(means) / math.fsum(1.0 / mean for mean in means), None
+    return math.fsum(means) / len(means), None
 
 
 def percentile_rank(cell: FieldYearCell, citations: int) -> float:
@@ -158,9 +153,4 @@ def combined_percentile(
     ``(category, year)`` cell of each of ``categories``."""
     ranks = [percentile_rank(table.cell(category, year), count) for category in categories]
     return math.fsum(ranks) / len(ranks)
-
-
-def _zero_baseline_reason(zero_cells: list[str], year: int) -> str:
-    cells = ", ".join(f"({category}, {year})" for category in zero_cells)
-    return f"zero baseline in cell {cells}"
 

@@ -123,10 +123,6 @@ def check_echoed(text: str, label: str, tab: bool = True) -> str:
     ``tab``, as a header value; else ``CorpusError`` "<label> <text!r> ..."
     naming its first fault: a lone surrogate, a line break or a tab, then, in
     a field, a leading ``#``, which would make a row read as a comment."""
-    # ``str.isprintable()`` is False for a tab, a line break and a surrogate,
-    # so it settles the common case at C speed; ``Paper`` runs this on every record.
-    if text.isprintable() and text[:1] != "#":
-        return text
     if _SURROGATE.search(text):
         fault = "holds a lone surrogate, which UTF-8 cannot encode"
     elif not LINE_BREAKS.isdisjoint(text) or (tab and "\t" in text):
@@ -142,9 +138,8 @@ class CheckedRecord:
     """Mixin for a named tuple with invariants, listed before it among the
     bases: ``_check`` runs on every record built, through a call, ``_make``
     (and so ``_replace``, which goes through it) or unpickling under every
-    protocol. A record that normalises a field, or that is built too often
-    to afford the extra calls (``Paper``), checks in its own ``__new__``
-    instead, which builds through ``tuple.__new__``.
+    protocol. Only ``FieldYearCell``, which sorts its counts, checks in its
+    own ``__new__`` instead, which builds through ``tuple.__new__``.
     """
 
     __slots__ = ()
@@ -189,48 +184,37 @@ class Paper(CheckedRecord, _PaperFields):
 
     A named tuple: it compares equal to the tuple of its fields and unpacks
     like one. Every way of building one (a call, ``_make``, ``_replace``,
-    unpickling) goes through ``__new__`` and so runs the checks; the papers
-    parse builds a record that it has seen pass them without the call.
+    unpickling) runs the checks; the papers parse builds a record that it
+    has seen pass them without the call.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        id: str,
-        year: int,
-        journal_id: str,
-        references: tuple[str, ...] = (),
-        raw_citation_count: int | None = None,
-    ) -> Paper:
-        if type(id) is not str or not id:
+    def _check(self) -> None:
+        paper_id, year, journal_id, references, override = self
+        if type(paper_id) is not str or not paper_id:
             raise CorpusError("paper id must be a non-empty string")
-        # A space is the only printable whitespace, so a printable id that
-        # neither starts with '#' or a space nor ends in one passes both
-        # checks below; this settles the common case at C speed.
-        if not (id.isprintable() and id[0] not in "# " and id[-1] != " "):
-            if listed_id(id) != id:
-                raise CorpusError(f"paper id {id!r} has surrounding whitespace or "
-                                  "starts with '#', so no group file can list it")
-            check_echoed(id, "paper id")
+        if listed_id(paper_id) != paper_id:
+            raise CorpusError(f"paper id {paper_id!r} has surrounding whitespace or "
+                              "starts with '#', so no group file can list it")
+        check_echoed(paper_id, "paper id")
         if type(year) is not int:
-            raise CorpusError(f"paper {id!r}: year must be an integer")
+            raise CorpusError(f"paper {paper_id!r}: year must be an integer")
         if not YEAR_MIN <= year <= YEAR_MAX:
             raise CorpusError(
-                f"paper {id!r}: year {year} outside [{YEAR_MIN}, {YEAR_MAX}]"
+                f"paper {paper_id!r}: year {year} outside [{YEAR_MIN}, {YEAR_MAX}]"
             )
         if type(journal_id) is not str or not journal_id:
-            raise CorpusError(f"paper {id!r}: journal id must be a non-empty string")
+            raise CorpusError(f"paper {paper_id!r}: journal id must be a non-empty string")
         if type(references) is not tuple:
-            raise CorpusError(f"paper {id!r}: references must be a tuple")
-        if id in references:
-            raise CorpusError(f"paper {id!r} references itself")
-        if raw_citation_count is not None:
-            if type(raw_citation_count) is not int:
-                raise CorpusError(f"paper {id!r}: citation override must be an integer")
-            if raw_citation_count < 0:
-                raise CorpusError(f"paper {id!r}: citation override must be non-negative")
-        return tuple.__new__(cls, (id, year, journal_id, references, raw_citation_count))
+            raise CorpusError(f"paper {paper_id!r}: references must be a tuple")
+        if paper_id in references:
+            raise CorpusError(f"paper {paper_id!r} references itself")
+        if override is not None:
+            if type(override) is not int:
+                raise CorpusError(f"paper {paper_id!r}: citation override must be an integer")
+            if override < 0:
+                raise CorpusError(f"paper {paper_id!r}: citation override must be non-negative")
 
 
 class _JournalFields(NamedTuple):
@@ -247,6 +231,8 @@ class Journal(CheckedRecord, _JournalFields):
     def _check(self) -> None:
         if not self.id:
             raise CorpusError("empty journal id")
+        if type(self.categories) is not tuple:
+            raise CorpusError(f"journal {self.id!r}: categories must be a tuple")
         if not self.categories or not all(self.categories):
             raise CorpusError(f"journal {self.id!r} has an empty categories field")
         if len(set(self.categories)) != len(self.categories):
@@ -275,7 +261,11 @@ class CitationWindow(CheckedRecord, _WindowFields):
     __slots__ = ()
 
     def _check(self) -> None:
-        if self.years is not None and self.years < 1:
+        if self.years is None:
+            return
+        if type(self.years) is not int:  # a bool is not an int here
+            raise ValueError(f"fixed-years window requires an integer n, got {self.years!r}")
+        if self.years < 1:
             raise ValueError("fixed-years window requires n >= 1")
 
     @classmethod
@@ -458,9 +448,10 @@ def _paper_from_record(record: dict, line_no: int, canon: dict) -> Paper:
     journal_id = canon.setdefault(journal_id, journal_id)
     references = tuple(map(canon.setdefault, references, references))
     # The types are checked above; when the values pass the rest of
-    # ``Paper.__new__``'s checks (the id test is its fast one), the record is
-    # built without them. Any other record takes the call, which words its
-    # first fault.
+    # ``Paper``'s checks, the record is built without them. Any other record
+    # takes the call, which words its first fault. A space is the only
+    # printable whitespace, so a printable id that neither starts with '#'
+    # or a space nor ends in one is an id ``Paper`` takes.
     if (
         paper_id.isprintable()
         and paper_id[:1] not in ("", "#", " ")

@@ -15,6 +15,7 @@ from crown.baselines import BaselineTable, FieldYearCell
 from crown.cli import Report
 from crown.corpus import (
     CitationWindow,
+    Corpus,
     CorpusError,
     GroupSelection,
     Journal,
@@ -28,7 +29,7 @@ from crown.diagnostics import (
     SearchBounds,
     SensitivityReport,
 )
-from crown.indicators import IndicatorReport
+from crown.indicators import IndicatorReport, ScoredPaper
 from crown.synth import FieldSpec, SynthConfig
 
 CELL = FieldYearCell("a", 2005, (3, 1, 2))
@@ -129,30 +130,51 @@ def test_record_keeps_its_repr_and_is_immutable(name) -> None:
 
 
 def test_a_record_with_a_cached_value_stays_immutable() -> None:
-    cell = FieldYearCell("a", 2005, (3, 1, 2))
-    for record, cached in ((cell, "mean_citations"), (CORPUS, "baselines")):
-        before = getattr(record, cached)
-        assert getattr(record, cached) is before  # computed once
-        for change in (lambda: setattr(record, cached, None),
-                       lambda: delattr(record, cached),
-                       lambda: setattr(record, "extra", 1)):
-            with pytest.raises(AttributeError, match="is immutable$"):
-                change()
-        assert getattr(record, cached) is before
-    # the cached mean is not a field: not compared, not in the repr
-    assert cell == ("a", 2005, (1, 2, 3))
-    assert cell.mean_citations == 2.0
+    before = CORPUS.baselines
+    assert CORPUS.baselines is before  # computed once
+    for change in (lambda: setattr(CORPUS, "baselines", None),
+                   lambda: delattr(CORPUS, "baselines"),
+                   lambda: setattr(CORPUS, "extra", 1)):
+        with pytest.raises(AttributeError, match="is immutable$"):
+            change()
+    assert CORPUS.baselines is before
+
+
+def test_no_record_but_the_corpus_has_an_instance_dict() -> None:
+    records = [record for record, _ in REPRS.values()] + [
+        Paper("p1", 2005, "j", ("p0",)),
+        ScoredPaper("p1", 3, 2.0, 1.5, 50.0, 1.0, True),
+    ]
+    for record in records:
+        assert hasattr(record, "__dict__") == (type(record) is Corpus), type(record).__name__
+    # so a cell's mean is read, not kept, and no attribute can be added
+    with pytest.raises(AttributeError):
+        CELL.extra = 1
+    assert CELL.mean_citations == 2.0
 
 
 # Each checked record: valid fields, then flawed fields with the error the
 # checks raise for them.
 CHECKED = {
+    "Paper": (Paper, ("p1", 2005, "j", ("p0",)), ("p1", 2005, "j", ("p1",)),
+              CorpusError, "^paper 'p1' references itself$"),
     "Journal": (Journal, ("j", "J", ("a",)), ("j", "J", ("a", "a")),
                 CorpusError, "^journal 'j' repeats a category$"),
+    "Journal categories": (Journal, ("j", "J", ("math",)), ("j", "J", "math"),
+                           CorpusError, "^journal 'j': categories must be a tuple$"),
     "CitationWindow": (CitationWindow, (5,), (0,),
                        ValueError, "^fixed-years window requires n >= 1$"),
+    "CitationWindow bool": (CitationWindow, (1,), (True,), ValueError,
+                            "^fixed-years window requires an integer n, got True$"),
+    "CitationWindow float": (CitationWindow, (5,), (2.5,), ValueError,
+                             r"^fixed-years window requires an integer n, got 2\.5$"),
+    "CitationWindow str": (CitationWindow, (5,), ("3",), ValueError,
+                           "^fixed-years window requires an integer n, got '3'$"),
     "FieldYearCell": (FieldYearCell, ("a", 2005, (3, 1, 2)), ("a", 2005, ()),
                       ValueError, r"^empty cell \('a', 2005\)$"),
+    # an iterator is truthy however many counts it yields
+    "FieldYearCell iterator": (FieldYearCell, ("a", 2005, (3, 1, 2)), ("a", 2005, iter(())),
+                               ValueError, r"^empty cell \('a', 2005\)$"),
     "SearchBounds": (SearchBounds, (2, 4, 4), (0, 4, 4), ValueError,
                      r"^degenerate search bounds SearchBounds\(max_group_size=0, "
                      r"max_citations=4, max_expected=4\)$"),
