@@ -55,6 +55,8 @@ class FieldYearCell(CheckedRecord, _CellFields):
         counts = tuple(sorted(sorted_citations))
         if not counts:
             raise ValueError(f"empty cell ({category!r}, {year})")
+        if counts[0] < 0:
+            raise ValueError(f"negative citation count {counts[0]} in cell ({category!r}, {year})")
         return tuple.__new__(cls, (category, year, counts))
 
     @property
@@ -129,6 +131,14 @@ def expected_citations_with_reason(
     return math.fsum(means) / len(means), None
 
 
+def below_and_tied(ordered: Sequence[float], value: float) -> tuple[int, int]:
+    """How many items of the ascending ``ordered`` lie below ``value``, and
+    how many equal it: the tie rule of every rank in the package, where an
+    item counts 1 when below and 1/2 when tied."""
+    below = bisect_left(ordered, value)
+    return below, bisect_right(ordered, value, below) - below
+
+
 def percentile_rank(cell: FieldYearCell, citations: int) -> float:
     """Position of a citation count within its cell, in (0, 100].
 
@@ -136,9 +146,7 @@ def percentile_rank(cell: FieldYearCell, citations: int) -> float:
     (the paper itself included), the rank is 100 * (L + T/2) / n. A tie-free
     odd cell therefore puts its median paper at exactly 50.
     """
-    counts = cell.sorted_citations
-    below = bisect_left(counts, citations)
-    tied = bisect_right(counts, citations) - below
+    below, tied = below_and_tied(cell.sorted_citations, citations)
     if tied == 0:
         raise ValueError(
             f"citation count {citations} not in cell ({cell.category!r}, {cell.year})"

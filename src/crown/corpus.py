@@ -224,15 +224,25 @@ class _JournalFields(NamedTuple):
 
 
 class Journal(CheckedRecord, _JournalFields):
-    """One journal record; its own invariants are checked on construction."""
+    """One journal record; its own invariants are checked on construction.
+
+    The id and title are ``str`` and the categories a ``tuple`` of distinct,
+    non-empty ``str``, each one a report can echo as a field.
+    """
 
     __slots__ = ()
 
     def _check(self) -> None:
+        if type(self.id) is not str:
+            raise CorpusError(f"journal id must be a string, got {self.id!r}")
         if not self.id:
             raise CorpusError("empty journal id")
+        if type(self.title) is not str:
+            raise CorpusError(f"journal {self.id!r}: title must be a string")
         if type(self.categories) is not tuple:
             raise CorpusError(f"journal {self.id!r}: categories must be a tuple")
+        if not all(type(category) is str for category in self.categories):
+            raise CorpusError(f"journal {self.id!r}: categories must be strings")
         if not self.categories or not all(self.categories):
             raise CorpusError(f"journal {self.id!r} has an empty categories field")
         if len(set(self.categories)) != len(self.categories):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crown import diagnostics, indicators
@@ -301,6 +301,16 @@ def test_rejects_empty_or_tiny_samples() -> None:
         rank_sum_test([1.0], [2.0])
 
 
+def test_a_nan_score_is_refused_naming_its_sample() -> None:
+    # NaN has no rank: no U can count it
+    with pytest.raises(ValueError, match="^sample a holds a NaN score, which has no rank$"):
+        rank_sum_test([1.0, math.nan, 2.0], [math.nan, 3.0])
+    with pytest.raises(ValueError, match="^sample b holds a NaN score, which has no rank$"):
+        rank_sum_test([1.0, 2.0], [3.0, math.nan])
+    # the infinities still rank: inf beats both, 1.0 beats -inf
+    assert rank_sum_test([math.inf, 1.0], [2.0, -math.inf]).u_statistic == 3.0
+
+
 def _exact_two_sided_p(sample_a: list[float], sample_b: list[float]) -> float:
     """Permutation oracle: enumerate every assignment of pooled ranks."""
     n_a = len(sample_a)
@@ -362,19 +372,6 @@ def test_small_sample_matches_exact_enumeration_ordering() -> None:
     assert exact[0] == pytest.approx(0.2)
 
 
-def test_u_statistic_for_first_sample_counts_wins() -> None:
-    # U equals the number of (a, b) pairs with a > b, ties counting half
-    sample_a = [1.0, 5.0, 5.0]
-    sample_b = [2.0, 5.0]
-    result = rank_sum_test(sample_a, sample_b)
-    wins = sum(
-        1.0 if a > b else 0.5 if a == b else 0.0
-        for a in sample_a
-        for b in sample_b
-    )
-    assert result.u_statistic == wins
-
-
 floats_for_ranks = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False).map(
         lambda value: round(value, 1)
@@ -382,6 +379,21 @@ floats_for_ranks = st.lists(
     min_size=2,
     max_size=12,
 )
+
+
+@given(floats_for_ranks, floats_for_ranks)
+@example([1.0, 5.0, 5.0], [2.0, 5.0])
+@settings(max_examples=200)
+def test_u_statistic_for_first_sample_counts_wins(sample_a, sample_b) -> None:
+    # U equals the number of (a, b) pairs with a > b, ties counting half,
+    # exactly: every term is a half-integer
+    result = rank_sum_test(sample_a, sample_b)
+    wins = sum(
+        1.0 if a > b else 0.5 if a == b else 0.0
+        for a in sample_a
+        for b in sample_b
+    )
+    assert result.u_statistic == wins
 
 
 @given(floats_for_ranks, floats_for_ranks)

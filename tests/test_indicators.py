@@ -15,6 +15,7 @@ from crown import indicators
 from crown.baselines import (
     FieldYearCell,
     Weighting,
+    below_and_tied,
     combined_percentile,
     compute_baselines,
     expected_citations_with_reason,
@@ -214,6 +215,21 @@ def test_percentile_matches_brute_force_and_bounds(values, data) -> None:
     rank = percentile_rank(_cell(values), member)
     assert rank == brute_percentile(values, member)
     assert 0.0 < rank <= 100.0
+
+
+tie_prone_floats = st.sampled_from([-0.0, 0.0, 1.0, 2.0, -math.inf, math.inf]) | st.floats(
+    allow_nan=False
+)
+
+
+@given(st.lists(tie_prone_floats, min_size=1, max_size=30), st.data())
+@settings(max_examples=300)
+def test_below_and_tied_matches_counting(values, data) -> None:
+    # the value is one of the sequence's or any other, absent ones included
+    value = data.draw(tie_prone_floats | st.sampled_from(values))
+    below = sum(item < value for item in values)
+    tied = sum(item == value for item in values)
+    assert below_and_tied(sorted(values), value) == (below, tied)
 
 
 @given(st.integers(min_value=1, max_value=50))

@@ -162,6 +162,13 @@ CHECKED = {
                 CorpusError, "^journal 'j' repeats a category$"),
     "Journal categories": (Journal, ("j", "J", ("math",)), ("j", "J", "math"),
                            CorpusError, "^journal 'j': categories must be a tuple$"),
+    "Journal id": (Journal, ("j", "J", ("a",)), (7, "J", ("a",)),
+                   CorpusError, "^journal id must be a string, got 7$"),
+    "Journal title": (Journal, ("j", "J", ("a",)), ("j", None, ("a",)),
+                      CorpusError, "^journal 'j': title must be a string$"),
+    # not a raw TypeError from the echo check
+    "Journal category": (Journal, ("j", "J", ("a",)), ("j", "J", (5,)),
+                         CorpusError, "^journal 'j': categories must be strings$"),
     "CitationWindow": (CitationWindow, (5,), (0,),
                        ValueError, "^fixed-years window requires n >= 1$"),
     "CitationWindow bool": (CitationWindow, (1,), (True,), ValueError,
@@ -175,6 +182,9 @@ CHECKED = {
     # an iterator is truthy however many counts it yields
     "FieldYearCell iterator": (FieldYearCell, ("a", 2005, (3, 1, 2)), ("a", 2005, iter(())),
                                ValueError, r"^empty cell \('a', 2005\)$"),
+    # a negative mean could cancel a positive one into a zero expected value
+    "FieldYearCell negative": (FieldYearCell, ("a", 2005, (3, 1, 2)), ("a", 2005, (2, -3)),
+                               ValueError, r"^negative citation count -3 in cell \('a', 2005\)$"),
     "SearchBounds": (SearchBounds, (2, 4, 4), (0, 4, 4), ValueError,
                      r"^degenerate search bounds SearchBounds\(max_group_size=0, "
                      r"max_citations=4, max_expected=4\)$"),
