@@ -47,17 +47,29 @@ class FieldYearCell(CheckedRecord, _CellFields):
     """All citation counts of one category-year population, sorted on
     construction. ``mean_citations`` is a function of ``sorted_citations``,
     computed on each read, so it is not a field and not in the repr.
+
+    The category is a ``str``, the year and every count an ``int``, never a
+    ``bool``; any other type is a ``ValueError``, raised before the sort.
     """
 
     __slots__ = ()
 
     def __new__(cls, category: str, year: int, sorted_citations: Iterable[int]) -> FieldYearCell:
-        counts = tuple(sorted(sorted_citations))
+        if type(category) is not str or type(year) is not int:
+            raise ValueError(
+                f"bad cell ({category!r}, {year!r}): "
+                "the category must be a string and the year an integer"
+            )
+        counts = list(sorted_citations)
         if not counts:
             raise ValueError(f"empty cell ({category!r}, {year})")
+        # one C-level pass, stopping at the first type that is not ``int``
+        if not {int}.issuperset(map(type, counts)):
+            raise ValueError(f"citation counts in cell ({category!r}, {year}) must be integers")
+        counts.sort()
         if counts[0] < 0:
             raise ValueError(f"negative citation count {counts[0]} in cell ({category!r}, {year})")
-        return tuple.__new__(cls, (category, year, counts))
+        return tuple.__new__(cls, (category, year, tuple(counts)))
 
     @property
     def mean_citations(self) -> float:

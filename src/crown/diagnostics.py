@@ -58,11 +58,14 @@ class _BoundsFields(NamedTuple):
 class SearchBounds(CheckedRecord, _BoundsFields):
     """Instance space for the consistency search: equal-size groups of
     integer (citations, expected) pairs with citations in [0, max_citations]
-    and expected in [1, max_expected]."""
+    and expected in [1, max_expected]. Each bound is an ``int``, never a
+    ``bool``; any other type is a ``ValueError``."""
 
     __slots__ = ()
 
     def _check(self) -> None:
+        if not all(type(bound) is int for bound in self):
+            raise ValueError(f"search bounds must be integers, got {self}")
         if self.max_group_size < 1 or self.max_citations < 0 or self.max_expected < 1:
             raise ValueError(f"degenerate search bounds {self}")
         if self.instance_count() > MAX_INSTANCES:

@@ -47,6 +47,8 @@ from .corpus import YEAR_MAX, YEAR_MIN, CheckedRecord, check_echoed
 _SAMPLE_RETRIES = 8
 # The csv module before CPython 3.11 refuses a NUL.
 _CSV_NAME_CHARS = frozenset(',|"\0')
+# A mean or a fraction; exact types, so a bool is refused.
+_NUMBER_TYPES = (int, float)
 
 # Largest corpus generated. The generator holds every paper line in memory.
 # Two generations of 10^5 papers (two fields, 2000-2009) with 4.9e5 and 4.9e6
@@ -67,14 +69,22 @@ class _FieldSpecFields(NamedTuple):
 
 class FieldSpec(CheckedRecord, _FieldSpecFields):
     """One field of a synthetic corpus, checked as it is built; ``SynthConfig``
-    checks what spans fields."""
+    checks what spans fields. The name is a ``str``, the mean an ``int`` or a
+    ``float`` and the per-year count an ``int``, never a ``bool``: any other
+    type is a ``ValueError``, not a raw ``TypeError`` from a later check."""
 
     __slots__ = ()
 
     def _check(self) -> None:
-        if not self.name or not _CSV_NAME_CHARS.isdisjoint(self.name):
+        if (
+            type(self.name) is not str
+            or not self.name
+            or not _CSV_NAME_CHARS.isdisjoint(self.name)
+        ):
             raise ValueError(f"bad field name {self.name!r}")
         check_echoed(self.name, "field name")  # it is a category of the corpus
+        if type(self.mean_references) not in _NUMBER_TYPES:
+            raise ValueError(f"field {self.name!r}: mean references must be a number")
         if not math.isfinite(self.mean_references) or self.mean_references <= 0:
             # NaN would pass both range checks and never end the Poisson loop
             raise ValueError(
@@ -83,6 +93,8 @@ class FieldSpec(CheckedRecord, _FieldSpecFields):
         if self.mean_references > 700:
             # exp(-mean) underflows past this, breaking the Poisson sampler
             raise ValueError(f"field {self.name!r}: mean references above 700")
+        if type(self.papers_per_year) is not int:
+            raise ValueError(f"field {self.name!r}: papers per year must be an integer")
         if self.papers_per_year < 1:
             raise ValueError(f"field {self.name!r}: papers per year must be >= 1")
 
@@ -106,14 +118,24 @@ class _SynthConfigFields(NamedTuple):
 
 class SynthConfig(CheckedRecord, _SynthConfigFields):
     """A whole synthetic corpus: its fields, years, knobs and seed, checked
-    as it is built."""
+    as it is built. ``fields`` is a tuple of ``FieldSpec``, ``years`` a tuple
+    of two ``int``, the seed an ``int`` and each fraction an ``int`` or a
+    ``float``, never a ``bool``; any other type is a ``ValueError``."""
 
     __slots__ = ()
 
     def _check(self) -> None:
+        if type(self.fields) is not tuple or not all(
+            isinstance(field, FieldSpec) for field in self.fields
+        ):
+            raise ValueError("fields must be a tuple of FieldSpec")
         if not self.fields:
             raise ValueError("need at least one field")
         unique_fields(self.fields)
+        if type(self.years) is not tuple or len(self.years) != 2 or not all(
+            type(year) is int for year in self.years
+        ):
+            raise ValueError(f"years must be a pair of integers, got {self.years!r}")
         first, last = self.years
         if last < first:
             raise ValueError(f"empty year range {self.years}")
@@ -137,8 +159,12 @@ class SynthConfig(CheckedRecord, _SynthConfigFields):
             ("multi_category_journal_fraction", self.multi_category_journal_fraction),
             ("skew_fraction", self.skew_fraction),
         ):
+            if type(fraction) not in _NUMBER_TYPES:
+                raise ValueError(f"{name} must be a number")
             if not math.isfinite(fraction) or not 0.0 <= fraction <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
+        if type(self.seed) is not int:
+            raise ValueError("seed must be an integer")
         if self.seed < 0 or self.seed >= 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import json
 import math
+from collections.abc import Iterable
 from itertools import combinations_with_replacement
+
+from hypothesis import strategies as st
 
 from crown.corpus import (
     CitationWindow,
     Corpus,
     Journal,
+    Paper,
     build_corpus,
     parse_journals,
     parse_papers,
@@ -37,6 +42,51 @@ CARDIOLOGY_JOURNALS_CSV = (
     "circ,Circulation,cardiac and cardiovascular systems|hematology|peripheral vascular diseases\n"
     "ajc,American Journal of Cardiology,cardiac and cardiovascular systems\n"
 )
+
+
+# The journals of every small corpus: 1, 2, 1, 3 and 2 categories, and j2
+# and j5 carry the same ones, so they share every cell key.
+SMALL_JOURNALS = (
+    Journal("j1", "One", ("a",)),
+    Journal("j2", "Two", ("b", "a")),
+    Journal("j3", "Three", ("c",)),
+    Journal("j4", "Four", ("a", "b", "c")),
+    Journal("j5", "Five", ("b", "a")),
+)
+_SMALL_WINDOWS = (CitationWindow.all(), *map(CitationWindow.fixed_years, range(1, 6)))
+
+
+@st.composite
+def small_corpus(draw) -> tuple[list[Paper], CitationWindow]:
+    """Papers over ``SMALL_JOURNALS`` and a window to build them with: 1-12
+    papers over a span of 1-8 years from 2000, each with up to 6 reference
+    keys drawn from the ids and two external keys. Repeated keys and forward
+    references are kept and self-references dropped; some papers carry a
+    citation override. Short lists over few years leave many cells at zero
+    mean, and the short windows drop edges."""
+    ids = [f"p{i:02d}" for i in range(draw(st.integers(min_value=1, max_value=12)))]
+    years = st.integers(min_value=2000, max_value=draw(st.integers(2000, 2007)))
+    journal_ids = st.sampled_from([journal.id for journal in SMALL_JOURNALS])
+    references = st.lists(st.sampled_from([*ids, "ext:a", "ext:b"]), max_size=6)
+    overrides = st.one_of(st.none(), st.none(), st.integers(0, 5))
+    papers = [
+        Paper(pid, draw(years), draw(journal_ids),
+              tuple(ref for ref in draw(references) if ref != pid), draw(overrides))
+        for pid in ids
+    ]
+    return papers, draw(st.sampled_from(_SMALL_WINDOWS))
+
+
+def jsonl_lines(papers: Iterable[Paper]) -> list[str]:
+    """The papers-file line of each paper, without its line end."""
+    lines = []
+    for paper in papers:
+        record = {"id": paper.id, "year": paper.year, "journal": paper.journal_id,
+                  "references": list(paper.references)}
+        if paper.raw_citation_count is not None:
+            record["citations"] = paper.raw_citation_count
+        lines.append(json.dumps(record))
+    return lines
 
 
 def corpus_from_text(

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -16,10 +15,11 @@ from crown.baselines import (
     expected_citations_with_reason,
 )
 from crown.cli import main
-from crown.corpus import CitationWindow, Journal, Paper, build_corpus
+from crown.corpus import Journal, Paper, build_corpus
 from crown.indicators import score_papers
 
-from conftest import categories_of, citation_count, corpus_from_text
+from conftest import (SMALL_JOURNALS, categories_of, citation_count, corpus_from_text,
+                      jsonl_lines, small_corpus)
 
 
 def _cell_corpus():
@@ -237,12 +237,7 @@ def test_tsv_export_shape(tmp_path) -> None:
     journals = tmp_path / "journals.csv"
     out = tmp_path / "baselines.tsv"
     papers.write_text(
-        "".join(
-            json.dumps({"id": p.id, "year": p.year, "journal": p.journal_id,
-                        "references": list(p.references)}) + "\n"
-            for p in corpus.papers.values()
-        ),
-        encoding="utf-8",
+        "".join(line + "\n" for line in jsonl_lines(corpus.papers.values())), encoding="utf-8"
     )
     journals.write_text("id,title,categories\nj1,J,F\n", encoding="utf-8")
     assert main(["baselines", "--papers", str(papers), "--journals", str(journals),
@@ -273,40 +268,11 @@ def _reference_cells(corpus) -> dict:
     }
 
 
-# Two of the four journals are in several categories and share categories
-# with the others; short reference lists, a narrow year span and the
-# one-year window leave many cells all zero; some papers carry an override.
-CELL_JOURNALS = [
-    Journal("j1", "One", ("a",)),
-    Journal("j2", "Two", ("b", "a")),
-    Journal("j3", "Three", ("c",)),
-    Journal("j4", "Four", ("c", "a", "b")),
-]
-
-
-@st.composite
-def cell_case(draw):
-    n = draw(st.integers(min_value=1, max_value=16))
-    ids = [f"p{i:02d}" for i in range(n)]
-    papers = []
-    for pid in ids:
-        refs = draw(st.lists(st.sampled_from(ids + ["ext:a"]), max_size=3))
-        papers.append(
-            Paper(
-                pid,
-                draw(st.integers(min_value=2000, max_value=2003)),
-                draw(st.sampled_from([journal.id for journal in CELL_JOURNALS])),
-                tuple(ref for ref in refs if ref != pid),
-                draw(st.one_of(st.none(), st.none(), st.integers(0, 3))),
-            )
-        )
-    window = draw(st.sampled_from([CitationWindow.all(), CitationWindow.fixed_years(1)]))
-    return build_corpus(papers, CELL_JOURNALS, window)
-
-
-@given(cell_case())
+@given(small_corpus())
 @settings(max_examples=300)
-def test_compute_baselines_matches_the_per_paper_reference_build(corpus) -> None:
+def test_compute_baselines_matches_the_per_paper_reference_build(case) -> None:
+    papers, window = case
+    corpus = build_corpus(papers, SMALL_JOURNALS, window)
     cells = compute_baselines(corpus).cells
     expected = _reference_cells(corpus)
     assert list(cells.items()) == list(expected.items())

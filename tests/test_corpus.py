@@ -8,7 +8,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from crown.baselines import Weighting, compute_baselines
@@ -35,7 +35,8 @@ from crown.diagnostics import primary_only_scheme
 from crown.indicators import score_papers
 
 import conftest
-from conftest import CARDIOLOGY_JOURNALS_CSV, categories_of
+from conftest import (CARDIOLOGY_JOURNALS_CSV, SMALL_JOURNALS, categories_of, jsonl_lines,
+                      small_corpus)
 
 
 def test_parse_papers_maps_fields_directly() -> None:
@@ -576,26 +577,51 @@ def test_read_hashed_covers_bytes_the_parser_left_unread(tmp_path) -> None:
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@st.composite
-def corpus_and_window(draw):
-    n = draw(st.integers(min_value=1, max_value=10))
-    ids = [f"p{i}" for i in range(n)]
-    papers = []
-    for pid in ids:
-        year = draw(st.integers(min_value=2000, max_value=2006))
-        refs = draw(
-            st.lists(st.sampled_from(ids + ["ext:a", "ext:b"]), max_size=6)
-        )
-        papers.append(Paper(pid, year, "j1", tuple(r for r in refs if r != pid)))
-    years = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=4)))
-    return papers, CitationWindow(years)
+_SMALL_CATEGORIES = {journal.id: journal.categories for journal in SMALL_JOURNALS}
+
+# What ``small_corpus`` must keep drawing, as predicates on (papers, window),
+# so that narrowing it fails here and not quietly in every property.
+SMALL_CORPUS_FEATURES = {
+    "an override": lambda ps, w: any(p.raw_citation_count is not None for p in ps),
+    "an external key": lambda ps, w: any(r.startswith("ext:") for p in ps for r in p.references),
+    "a repeated key": lambda ps, w: any(len(set(p.references)) < len(p.references) for p in ps),
+    # ids are p00, p01, ..., so a later line has a greater id
+    "a forward reference": lambda ps, w: any(p.id < r and not r.startswith("ext:")
+                                             for p in ps for r in p.references),
+    "a zero-mean cell with n > 1": lambda ps, w: any(
+        cell.n > 1 and cell.mean_citations == 0
+        for cell in compute_baselines(build_corpus(ps, SMALL_JOURNALS, w)).cells.values()
+    ),
+    "journals with 1 and with 3 categories": lambda ps, w: (
+        {1, 3} <= {len(_SMALL_CATEGORIES[p.journal_id]) for p in ps}
+    ),
+    # more (journal, year) pairs than (categories, year) keys
+    "two journals sharing a cell key in one year": lambda ps, w: (
+        len({(p.journal_id, p.year) for p in ps})
+        > len({(_SMALL_CATEGORIES[p.journal_id], p.year) for p in ps})
+    ),
+    "a window that drops an edge": lambda ps, w: (
+        build_corpus(ps, SMALL_JOURNALS, w).n_edges < build_corpus(ps, SMALL_JOURNALS).n_edges
+    ),
+    "an 8-year span": lambda ps, w: max(p.year for p in ps) - min(p.year for p in ps) == 7,
+}
 
 
-@given(corpus_and_window())
+def test_small_corpus_draws_every_feature() -> None:
+    # Generation only: shrinking the examples found would take minutes. The
+    # rarest feature, the 8-year span, took up to 437 draws over 60 random
+    # seeds, so the search may take 2000.
+    search = settings(max_examples=2000, phases=[Phase.generate], derandomize=True, database=None)
+    for feature, holds in SMALL_CORPUS_FEATURES.items():
+        papers, window = find(small_corpus(), lambda case: holds(*case), settings=search)
+        assert holds(papers, window), feature
+
+
+@given(small_corpus())
 @settings(max_examples=200)
 def test_edge_symmetry(case) -> None:
     papers, window = case
-    corpus = build_corpus(papers, [Journal("j1", "J", ("cat",))], window)
+    corpus = build_corpus(papers, SMALL_JOURNALS, window)
     by_id = {paper.id: paper for paper in papers}
     for cited_id, citers in corpus.cited_by.items():
         assert len(set(citers)) == len(citers)
@@ -610,11 +636,11 @@ def test_edge_symmetry(case) -> None:
                 assert paper.id in corpus.cited_by[ref]
 
 
-@given(corpus_and_window())
+@given(small_corpus())
 @settings(max_examples=200)
 def test_citation_total_equals_resolvable_pairs(case) -> None:
     papers, _ = case
-    corpus = build_corpus(papers, [Journal("j1", "J", ("cat",))], CitationWindow.all())
+    corpus = build_corpus(papers, SMALL_JOURNALS, CitationWindow.all())
     ids = {paper.id for paper in papers}
     pairs = {
         (paper.id, ref)
@@ -625,61 +651,14 @@ def test_citation_total_equals_resolvable_pairs(case) -> None:
     assert sum(len(corpus.cited_by[pid]) for pid in ids) == len(pairs)
 
 
-@given(corpus_and_window())
+@given(small_corpus())
 @settings(max_examples=50)
 def test_build_is_deterministic(case) -> None:
     papers, window = case
-    journals = [Journal("j1", "J", ("cat",))]
-    first = build_corpus(papers, journals, window)
-    second = build_corpus(list(papers), journals, window)
+    first = build_corpus(papers, SMALL_JOURNALS, window)
+    second = build_corpus(list(papers), SMALL_JOURNALS, window)
     assert first.cited_by == second.cited_by
     assert list(first.papers) == list(second.papers)
-
-
-# Three windows, three journals (one of them in two categories), and papers
-# whose reference lists repeat keys, name external keys, point forward to
-# later lines, and sometimes carry a citation override.
-GRAPH_WINDOWS = tuple(map(CitationWindow.parse, ("all", "years1", "years5")))
-GRAPH_JOURNALS = [
-    Journal("j1", "One", ("a",)),
-    Journal("j2", "Two", ("b", "a")),
-    Journal("j3", "Three", ("c",)),
-]
-
-
-@st.composite
-def graph_case(draw):
-    n = draw(st.integers(min_value=1, max_value=12))
-    ids = [f"p{i}" for i in range(n)]
-    keys = ids + ["ext:a", "ext:b"]
-    papers = []
-    for pid in ids:
-        refs = draw(st.lists(st.sampled_from(keys), max_size=8))
-        papers.append(
-            Paper(
-                pid,
-                draw(st.integers(min_value=2000, max_value=2007)),
-                draw(st.sampled_from(["j1", "j2", "j3"])),
-                tuple(ref for ref in refs if ref != pid),
-                draw(st.one_of(st.none(), st.integers(min_value=0, max_value=5))),
-            )
-        )
-    return papers, draw(st.sampled_from(GRAPH_WINDOWS))
-
-
-def _jsonl(papers: list[Paper]) -> list[str]:
-    lines = []
-    for paper in papers:
-        record = {
-            "id": paper.id,
-            "year": paper.year,
-            "journal": paper.journal_id,
-            "references": list(paper.references),
-        }
-        if paper.raw_citation_count is not None:
-            record["citations"] = paper.raw_citation_count
-        lines.append(json.dumps(record))
-    return lines
 
 
 def _reference_cited_by(papers: list[Paper], window: CitationWindow) -> dict:
@@ -698,14 +677,14 @@ def _reference_cited_by(papers: list[Paper], window: CitationWindow) -> dict:
     return {pid: tuple(citers) for pid, citers in cited_by.items()}
 
 
-@given(graph_case())
+@given(small_corpus())
 @settings(max_examples=300)
 def test_build_matches_the_reference_build(case) -> None:
     papers, window = case
     expected = _reference_cited_by(papers, window)
     weights = {paper.id: 1 / len(paper.references) for paper in papers if paper.references}
-    for source in (papers, parse_papers(_jsonl(papers))):
-        corpus = build_corpus(source, GRAPH_JOURNALS, window)
+    for source in (papers, parse_papers(jsonl_lines(papers))):
+        corpus = build_corpus(source, SMALL_JOURNALS, window)
         assert list(corpus.cited_by.items()) == list(expected.items())
         assert all(type(citers) is tuple for citers in corpus.cited_by.values())
         assert corpus.n_edges == sum(len(citers) for citers in expected.values())
@@ -718,18 +697,18 @@ def test_build_matches_the_reference_build(case) -> None:
             if paper.references:
                 weight = corpus.citing_weight[paper.id]
                 assert weight is shared.setdefault(len(paper.references), weight)
-        rescheme = corpus.with_journals(GRAPH_JOURNALS[::-1])
+        rescheme = corpus.with_journals(SMALL_JOURNALS[::-1])
         assert rescheme.cited_by is corpus.cited_by
         assert rescheme.citing_weight is corpus.citing_weight
 
 
-@given(graph_case())
+@given(small_corpus())
 @settings(max_examples=100)
 def test_parse_shares_one_string_per_key(case) -> None:
     papers, _ = case
-    parsed = parse_papers(_jsonl(papers))
+    parsed = parse_papers(jsonl_lines(papers))
     assert parsed == papers
-    corpus = build_corpus(parsed, GRAPH_JOURNALS)
+    corpus = build_corpus(parsed, SMALL_JOURNALS)
     first_seen: dict[str, str] = {}
     for paper in parsed:
         for key in (paper.id, *paper.references):
@@ -746,14 +725,14 @@ def test_parse_shares_one_string_per_key(case) -> None:
         assert paper.year is first_year.setdefault(paper.year, paper.year)
 
 
-@given(graph_case(), st.randoms(use_true_random=False))
+@given(small_corpus(), st.randoms(use_true_random=False))
 @settings(max_examples=100)
 def test_baselines_do_not_depend_on_paper_order(case, rng) -> None:
     papers, window = case
     shuffled = list(papers)
     rng.shuffle(shuffled)
-    first = compute_baselines(build_corpus(papers, GRAPH_JOURNALS, window))
-    second = compute_baselines(build_corpus(shuffled, GRAPH_JOURNALS, window))
+    first = compute_baselines(build_corpus(papers, SMALL_JOURNALS, window))
+    second = compute_baselines(build_corpus(shuffled, SMALL_JOURNALS, window))
     assert first.cells == second.cells
 
 

@@ -38,7 +38,8 @@ from crown.indicators import (
 )
 from crown.synth import FieldSpec, SynthConfig
 
-from conftest import categories_of, citation_count, corpus_from_synth, corpus_from_text
+from conftest import (SMALL_JOURNALS, categories_of, citation_count, corpus_from_synth,
+                      corpus_from_text, small_corpus)
 
 
 # --- ratio-of-sums vs mean-of-ratios -------------------------------------
@@ -570,51 +571,14 @@ def _reference_score_papers(corpus, paper_ids, weighting) -> list:
     return scored
 
 
-# Five journals, three of them in several categories and two (j2, j5) in the
-# same ones, over a narrow span of years and small reference lists, so that
-# zero-mean cells, repeated (categories, year, count) keys, keys shared by two
-# journals and citation overrides all come up often.
-PASS_JOURNALS = [
-    Journal("j1", "One", ("a",)),
-    Journal("j2", "Two", ("b", "a")),
-    Journal("j3", "Three", ("c",)),
-    Journal("j4", "Four", ("a", "b", "c")),
-    Journal("j5", "Five", ("b", "a")),
-]
-PASS_WINDOWS = tuple(map(CitationWindow.parse, ("all", "years1", "years5")))
-
-
-@st.composite
-def score_pass_case(draw):
-    n = draw(st.integers(min_value=1, max_value=16))
-    ids = [f"p{i:02d}" for i in range(n)]
-    keys = ids + ["ext:a"]
-    papers = []
-    for pid in ids:
-        refs = draw(st.lists(st.sampled_from(keys), max_size=4))
-        papers.append(
-            Paper(
-                pid,
-                draw(st.integers(min_value=2000, max_value=2003)),
-                draw(st.sampled_from([journal.id for journal in PASS_JOURNALS])),
-                tuple(ref for ref in refs if ref != pid),
-                draw(st.one_of(st.none(), st.none(), st.integers(0, 3))),
-            )
-        )
-    group = draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
-    return (
-        papers,
-        group,
-        draw(st.sampled_from(list(Weighting))),
-        draw(st.sampled_from(PASS_WINDOWS)),
-    )
-
-
-@given(score_pass_case())
+@given(small_corpus(), st.sampled_from(list(Weighting)), st.data())
 @settings(max_examples=300)
-def test_score_papers_matches_the_per_paper_reference_pass(case) -> None:
-    papers, group, weighting, window = case
-    corpus = build_corpus(papers, PASS_JOURNALS, window)
+def test_score_papers_matches_the_per_paper_reference_pass(case, weighting, data) -> None:
+    papers, window = case
+    group = data.draw(
+        st.lists(st.sampled_from([paper.id for paper in papers]), min_size=1, unique=True)
+    )
+    corpus = build_corpus(papers, SMALL_JOURNALS, window)
     scored = score_papers(corpus, group, weighting)
     expected = _reference_score_papers(corpus, group, weighting)
     assert scored == expected

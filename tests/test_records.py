@@ -185,6 +185,10 @@ CHECKED = {
     # a negative mean could cancel a positive one into a zero expected value
     "FieldYearCell negative": (FieldYearCell, ("a", 2005, (3, 1, 2)), ("a", 2005, (2, -3)),
                                ValueError, r"^negative citation count -3 in cell \('a', 2005\)$"),
+    # a bound of another type would leak a raw TypeError from the range checks
+    "SearchBounds type": (SearchBounds, (2, 4, 4), ("2", 4, 4), ValueError,
+                          r"^search bounds must be integers, got SearchBounds\("
+                          r"max_group_size='2', max_citations=4, max_expected=4\)$"),
     "SearchBounds": (SearchBounds, (2, 4, 4), (0, 4, 4), ValueError,
                      r"^degenerate search bounds SearchBounds\(max_group_size=0, "
                      r"max_citations=4, max_expected=4\)$"),
@@ -192,6 +196,15 @@ CHECKED = {
                            r"^search bounds SearchBounds\(max_group_size=1000000, "
                            r"max_citations=4, max_expected=4\) exceed the limit of "
                            r"100000000 instances$"),
+    # checked before the sort, which would raise a raw TypeError on ("1", 2)
+    "FieldYearCell count": (FieldYearCell, ("a", 2005, (3, 1, 2)), ("a", 2005, ("1", 2)),
+                            ValueError, r"^citation counts in cell \('a', 2005\) must be integers$"),
+    # a bool is an int to ``isinstance``, but not to these checks
+    "FieldYearCell year": (FieldYearCell, ("a", 2005, (3, 1, 2)), ("a", True, (1,)), ValueError,
+                           r"^bad cell \('a', True\): the category must be a string and the "
+                           "year an integer$"),
+    "FieldYearCell category": (FieldYearCell, ("a", 2005, (1,)), (3, 2005, (1,)),
+                               ValueError, r"^bad cell \(3, 2005\): "),
     "SensitivityReport": (
         SensitivityReport, ("g", "harmonic", (SENSITIVITY,), REPORT, REPORT),
         ("g", "harmonic", (SENSITIVITY._replace(fractional_delta=0.5),), REPORT, REPORT),
@@ -199,9 +212,19 @@ CHECKED = {
     ),
     "FieldSpec": (FieldSpec, ("math", 6.0, 50), ("math", 6.0, 0),
                   ValueError, "^field 'math': papers per year must be >= 1$"),
+    # a float count would fail only in ``generate_corpus``, a bool not at all
+    "FieldSpec per year": (FieldSpec, ("math", 6.0, 50), ("math", 6.0, 2.5),
+                           ValueError, "^field 'math': papers per year must be an integer$"),
+    "FieldSpec name": (FieldSpec, ("math", 6.0, 50), (5, 6.0, 50),
+                       ValueError, "^bad field name 5$"),
     "SynthConfig": (SynthConfig, ((FIELD,), (2000, 2001), 0.1, 1.0, 0.0, 42),
                     ((FIELD, FIELD), (2000, 2001), 0.1, 1.0, 0.0, 42),
                     ValueError, "^field names must be unique$"),
+    # a float seed would generate; test_synth checks the other fields' types
+    "SynthConfig seed": (SynthConfig, ((FIELD,), (2000, 2001)), ((FIELD,), (2000, 2001), 0, 0, 0, 1.5),
+                         ValueError, "^seed must be an integer$"),
+    "SynthConfig fields": (SynthConfig, ((FIELD,), (2000, 2001)), ([FIELD], (2000, 2001)),
+                           ValueError, "^fields must be a tuple of FieldSpec$"),
 }
 
 

@@ -295,6 +295,14 @@ def test_generation_memory_does_not_grow_with_the_field_count() -> None:
         {"fields": (("a\tb", 5.0, 5),)},  # a tab would split a baselines field
         {"fields": (("a\0b", 5.0, 5),)},  # the csv module of CPython 3.10 refuses NUL
         {"fields": (("#a", 5.0, 5),)},  # a baselines row would read as a comment line
+        # a wrong type is a ValueError too, not a TypeError from a later check
+        {"fields": (("a", "5", 5),)},
+        {"fields": (("a", True, 5),)},
+        {"years": (2000.0, 2005)},
+        {"years": 2000},
+        {"cross_field_fraction": "0.1"},
+        {"skew_fraction": False},
+        {"seed": True},
     ],
 )
 def test_degenerate_configs_are_rejected(kwargs) -> None:
