@@ -521,8 +521,20 @@ def _cmd_ranksum(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     samples = []
     for group in groups:
         scored = score_papers(corpus, group.paper_ids, weighting)
-        scorable, _ = scorable_papers(group.name, scored)
+        scorable, unscorable = scorable_papers(group.name, scored)
         samples.append([paper.ncs for paper in scorable])
+    if sum(map(len, samples)) < 3:
+        # scorable_papers found one scorable paper in each group; the
+        # coverage row is that of group B, the last one scored.
+        name_a, name_b = (group.name for group in groups)
+        raise DegenerateGroupError(
+            f"groups {name_a!r} and {name_b!r}: one scorable paper each, "
+            "fewer than the 3 observations a rank-sum test needs",
+            group=name_b,
+            n_total=len(scored),
+            unscorable=unscorable,
+            n_scorable=len(scorable),
+        )
     result = rank_sum_test(*samples)
     columns = ("n_a", "n_b", "u_statistic", "z", "p_two_sided", "degenerate")
     row = (result.n_a, result.n_b, result.u_statistic, result.z,

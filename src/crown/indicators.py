@@ -9,9 +9,11 @@ one report makes their disagreements observable instead of hidden.
 
 The group statistics (``cpp_fcsm``, ``mncs``, ``mdncs``, ``pp_top``) are
 functions of plain, non-empty columns: citations and expected values, ncs
-values, or percentiles. ``scorable_papers`` is the one filter that picks the
-scorable papers of a score pass, and the one place that finds a group with
-none; ``group_report`` builds each column once from its result. The scorable
+values, or percentiles. Each raises a ValueError that names it for an empty
+column, and ``cpp_fcsm`` for two columns of unequal length.
+``scorable_papers`` is the one filter that picks the scorable papers of a
+score pass, and the one place that finds a group with none;
+``group_report`` builds each column once from its result. The scorable
 and total counts are reported side by side, and papers are accumulated in
 ascending paper-id order so results are reproducible bit for bit.
 
@@ -113,13 +115,26 @@ class IndicatorReport(NamedTuple):
         return json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
 
 
+def _check_column(name: str, column: Sequence[float]) -> None:
+    """ValueError, naming the statistic, for an empty column."""
+    if not column:
+        raise ValueError(f"{name} needs a non-empty column")
+
+
 def cpp_fcsm(citations: Sequence[int], expected: Sequence[float]) -> float:
-    """Ratio of sums: total citations over total expected citations."""
+    """Ratio of sums: total citations over total expected citations, from
+    two non-empty columns of equal length; ValueError otherwise."""
+    if not citations or len(citations) != len(expected):
+        raise ValueError(
+            "cpp_fcsm needs two non-empty columns of equal length, "
+            f"got {len(citations)} and {len(expected)}"
+        )
     return sum(citations) / math.fsum(expected)
 
 
 def mncs(ncs: Sequence[float]) -> float:
     """Mean of ratios: arithmetic mean of the per-paper normalized scores."""
+    _check_column("mncs", ncs)
     return math.fsum(ncs) / len(ncs)
 
 
@@ -128,6 +143,7 @@ def mdncs(ncs: Sequence[float]) -> float:
     computed as ``statistics.median`` computes it, so the value is the same to
     the bit."""
     ordered = sorted(ncs)
+    _check_column("mdncs", ordered)
     middle = len(ordered) // 2
     if len(ordered) % 2:
         return ordered[middle]
@@ -140,7 +156,10 @@ def top_label(x: float) -> str:
 
 
 def check_top_x(x: float) -> float:
-    """``x`` itself if it names a top-x% share, 0 < x < 100; ValueError otherwise."""
+    """``x`` itself if it names a top-x% share, an ``int`` or ``float`` with
+    0 < x < 100; ValueError otherwise, for a ``bool`` too."""
+    if type(x) not in (int, float):
+        raise ValueError(f"top-x share must be a number, got {x!r}")
     if not 0.0 < x < 100.0:
         raise ValueError(f"top-x share needs 0 < x < 100, got {x}")
     return x
@@ -149,6 +168,7 @@ def check_top_x(x: float) -> float:
 def pp_top(percentiles: Sequence[float], x: float) -> float:
     """Share of papers at or above the (100 - x)th percentile."""
     threshold = 100.0 - check_top_x(x)
+    _check_column("pp_top", percentiles)
     return sum(percentile >= threshold for percentile in percentiles) / len(percentiles)
 
 

@@ -292,6 +292,7 @@ def test_top_x_reads_plain_numbers(demo, capsys, x, echoed) -> None:
 
 
 SCORE_MISSING = ["score", "--papers", "missing", "--journals", "missing"]
+COMMENT_FAULT = "starts with '#', which marks a comment line"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -311,8 +312,14 @@ SCORE_MISSING = ["score", "--papers", "missing", "--journals", "missing"]
      "argument --group-b: group name 'x\\ny' holds a tab or a line break\n"),
     ([*SCORE_MISSING, "--group", "g", "--out", "missing"],
      "--out and --papers are the same file "),
+    # a group name leads its score row, which would then read as a comment
+    ([*SCORE_MISSING, "--group", "#g.txt"],
+     f"argument --group: group name '#g' {COMMENT_FAULT}\n"),
+    # a year range with its last year left out
+    ([*SYNTH_OUTPUTS, "--years", "2000-"], "argument --years: "),
 ], ids=["bad-choice", "bad-format", "missing-flag", "unknown-flag", "bad-field-spec",
-        "tab-in-group-name", "line-break-in-group-name", "out-names-an-input"])
+        "tab-in-group-name", "line-break-in-group-name", "out-names-an-input",
+        "leading-hash-in-group-name", "empty-year"])
 def test_rejected_flag_is_one_error_line(tmp_path, capsys, argv, message) -> None:
     argv = [str(tmp_path / arg) if arg == "missing" else arg for arg in argv]
     assert main(argv) == 1
@@ -321,9 +328,6 @@ def test_rejected_flag_is_one_error_line(tmp_path, capsys, argv, message) -> Non
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert captured.out == ""
     assert not any(tmp_path.iterdir())  # nothing read, nothing written
-
-
-COMMENT_FAULT = "starts with '#', which marks a comment line"
 
 
 @pytest.mark.parametrize("field, message", [
@@ -648,14 +652,20 @@ def test_help_exits_zero(capsys) -> None:
     assert main(["score", "--help"]) == 0
 
 
-def test_synth_nan_mean_is_input_error_not_hang(tmp_path) -> None:
+def _crown_subprocess(*argv: str, timeout: float = 30) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run(
-        [sys.executable, "-m", "crown", "synth", "--fields", "a:nan:5",
-         "--years", "2000-2001", "--papers", str(tmp_path / "p.jsonl"),
-         "--journals", str(tmp_path / "j.csv")],
-        capture_output=True, text=True, env=env, timeout=10,
+    return subprocess.run(
+        [sys.executable, "-m", "crown", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+def test_synth_nan_mean_is_input_error_not_hang(tmp_path) -> None:
+    result = _crown_subprocess(
+        "synth", "--fields", "a:nan:5", "--years", "2000-2001",
+        "--papers", str(tmp_path / "p.jsonl"), "--journals", str(tmp_path / "j.csv"),
+        timeout=10,
     )
     assert result.returncode == 1
     assert result.stderr.startswith("crown: error: ")
@@ -670,26 +680,11 @@ def test_undecodable_papers_line_is_input_error_with_line_number(tmp_path, line)
     papers, journals = tmp_path / "p.jsonl", tmp_path / "j.csv"
     papers.write_text(line + "\n", encoding="utf-8")
     journals.write_text("id,title,categories\nj,J,a\n", encoding="utf-8")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run(
-        [sys.executable, "-m", "crown", "ingest",
-         "--papers", str(papers), "--journals", str(journals)],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
+    result = _crown_subprocess("ingest", "--papers", str(papers), "--journals", str(journals))
     assert result.returncode == 1
     assert result.stderr.startswith("crown: error: line 1: ")
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
-
-
-def _crown_subprocess(*argv: str) -> subprocess.CompletedProcess:
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run(
-        [sys.executable, "-m", "crown", *argv],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
 
 
 # A small valid corpus, one bytes object per line, named like the files the
@@ -787,11 +782,15 @@ _UNRESOLVED_JOURNAL_PAPERS = b"".join(
      "so no group file can list it"),
     ("baselines", {"journals": b'id,title,categories\nj,J,"a\nfake\t1999\t5\t9.0"\nk,K,b\n'},
      "line 3: journal 'j': category 'a\\nfake\\t1999\\t5\\t9.0' holds a tab or a line break"),
+    # a category leads its baselines rows, which would then read as comments
+    ("baselines", {"journals": b"id,title,categories\nj,J,#x\nk,K,b\n"},
+     f"line 2: journal 'j': category '#x' {COMMENT_FAULT}"),
 ], ids=["ingest-unresolved-journal", "score-unresolved-journal",
         "score-unknown-group-id", "score-repeated-group-id",
         "score-zero-byte-group", "score-comments-only-group",
         "indexer-journals-b-missing-a-journal", "indexer-tab-in-paper-id",
-        "score-comment-paper-id", "baselines-line-break-in-category"])
+        "score-comment-paper-id", "baselines-line-break-in-category",
+        "baselines-leading-hash-in-category"])
 def test_cross_record_error_names_its_line(tmp_path, command, replaced, message) -> None:
     paths = _write_small_inputs(tmp_path, replaced)
     argv = [*command.split(), "--papers", str(paths["papers"]),
@@ -1032,6 +1031,36 @@ def test_degenerate_report_carries_the_full_header(command, pinned_inputs, capsy
     assert payload["degenerate"] == "group 'dead': no scorable papers"
 
 
+def test_ranksum_with_one_scorable_paper_each_is_degenerate(pinned_inputs, capsys) -> None:
+    # Two observations, where the rank-sum test needs three; each group file
+    # is read, so each is hashed, and the coverage row is group B's.
+    Path("one.txt").write_text("a1\n", encoding="utf-8")
+    Path("two.txt").write_text("d1\nb2\n", encoding="utf-8")
+    argv = ["diagnose", "ranksum", *CORPUS, "--group-a", "one.txt", "--group-b", "two.txt"]
+    message = ("groups 'one' and 'two': one scorable paper each, "
+               "fewer than the 3 observations a rank-sum test needs")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"crown: degenerate: {message}\n"
+    lines = captured.out.splitlines()
+    assert lines[0] == "# crown diagnose ranksum"
+    for key, name in (("group_a", "one.txt"), ("group_b", "two.txt")):
+        assert f"# {key}: {name} sha256={_sha256(Path(name))}" in lines
+    assert lines[-4:] == [
+        "group\tn_total\tn_scorable",
+        "two\t2\t1",
+        f"# degenerate: {message}",
+        "# unscorable: d1\tzero baseline in cell (vascular, 2008), (physiology, 2008)",
+    ]
+    assert main([*argv, "--format", "json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["degenerate"] == message
+    assert payload["coverage"] == {
+        "group": "two", "n_total": 2, "n_scorable": 1,
+        "unscorable": [["d1", "zero baseline in cell (vascular, 2008), (physiology, 2008)"]],
+    }
+
+
 def test_top_x_share_is_named_after_x(pinned_inputs, capsys) -> None:
     argv = ["score", *CORPUS, "--group", "unit.txt", "--top-x", "10"]
     assert main(argv) == 0
@@ -1049,12 +1078,7 @@ def test_top_x_share_is_named_after_x(pinned_inputs, capsys) -> None:
     ("--max-size", "1000000000000", "--max-c", "0", "--max-e", "1"),
 ])
 def test_consistency_search_over_the_limit_is_input_error(bounds) -> None:
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run(
-        [sys.executable, "-m", "crown", "diagnose", "consistency", *bounds],
-        capture_output=True, text=True, env=env, timeout=10,
-    )
+    result = _crown_subprocess("diagnose", "consistency", *bounds, timeout=10)
     assert result.returncode == 1
     assert result.stderr.startswith("crown: error: ")
     assert "Traceback" not in result.stderr

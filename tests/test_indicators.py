@@ -286,6 +286,25 @@ def test_pp_top_rejects_silly_thresholds() -> None:
     for x in (0.0, 100.0, -3.0, math.nan, math.inf):
         with pytest.raises(ValueError, match=r"^top-x share needs 0 < x < 100, got "):
             pp_top([50.0], x)
+    for x in (True, "5", None):
+        with pytest.raises(ValueError, match=r"^top-x share must be a number, got "):
+            pp_top([50.0], x)
+
+
+CPP_FCSM_FAULT = "cpp_fcsm needs two non-empty columns of equal length, got"
+
+
+@pytest.mark.parametrize("statistic, columns, message", [
+    (cpp_fcsm, ([], []), f"{CPP_FCSM_FAULT} 0 and 0"),
+    (cpp_fcsm, ([1, 2], [1.0]), f"{CPP_FCSM_FAULT} 2 and 1"),
+    (mncs, ([],), "mncs needs a non-empty column"),
+    (mdncs, ([],), "mdncs needs a non-empty column"),
+    (pp_top, ([], 1.0), "pp_top needs a non-empty column"),
+], ids=["cpp_fcsm-empty", "cpp_fcsm-unequal", "mncs-empty", "mdncs-empty", "pp_top-empty"])
+def test_column_statistics_refuse_empty_and_unequal_columns(statistic, columns, message) -> None:
+    with pytest.raises(ValueError) as exc_info:
+        statistic(*columns)
+    assert str(exc_info.value) == message
 
 
 # --- fractional counting ---------------------------------------------------

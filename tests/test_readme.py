@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import crown
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -74,26 +76,53 @@ def test_public_api_is_the_documented_surface() -> None:
 _START_COSTS = ("dataclasses", "inspect", "statistics")
 
 
-def _fresh_import(module: str) -> list[str]:
-    """The sorted ``sys.modules`` names of a new interpreter that has
-    imported ``module`` from this checkout's ``src``."""
+def _fresh_modules(statement: str, *argv: str) -> list[str]:
+    """The sorted ``sys.modules`` names of a new interpreter that has run
+    ``statement``, with this checkout's ``src`` first on ``sys.path`` and
+    ``argv`` as ``sys.argv[2:]``."""
     src = str(Path(crown.__file__).resolve().parent.parent)
     code = (
-        f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
+        f"import sys; sys.path.insert(0, sys.argv[1]); {statement}; "
         "print(sorted(sys.modules))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code, src],
+        [sys.executable, "-c", code, src, *argv],
         capture_output=True, text=True, timeout=30, check=True,
     )
     return ast.literal_eval(result.stdout)
 
 
 def test_import_crown_loads_only_the_scoring_layers() -> None:
-    assert [name for name in _fresh_import("crown") if name.startswith("crown")] == [
+    assert [name for name in _fresh_modules("import crown") if name.startswith("crown")] == [
         "crown", "crown.baselines", "crown.corpus", "crown.indicators",
     ]
     for module in ("crown", "crown.cli", "crown.synth"):
-        loaded = _fresh_import(module)
+        loaded = _fresh_modules(f"import {module}")
         assert module in loaded
         assert not set(_START_COSTS) & set(loaded), module
+
+
+@pytest.mark.parametrize("command", [
+    "diagnose consistency",
+    "score --papers p.jsonl --journals j.csv --group g.txt",
+    "diagnose ranksum --papers p.jsonl --journals j.csv --group-a g.txt --group-b g.txt",
+], ids=["consistency", "score", "ranksum"])
+def test_a_run_loads_none_of_the_start_costs(tmp_path, monkeypatch, command) -> None:
+    # A module imported inside a function is loaded only when a run calls
+    # it, so importing crown.cli alone cannot show it.
+    (tmp_path / "p.jsonl").write_text(
+        '{"id":"p1","year":2005,"journal":"j","references":[]}\n'
+        '{"id":"p2","year":2005,"journal":"j","references":["p1"]}\n'
+        '{"id":"p3","year":2006,"journal":"j","references":["p1","p2"]}\n',
+        encoding="utf-8",
+    )
+    (tmp_path / "j.csv").write_text("id,title,categories\nj,J,a\n", encoding="utf-8")
+    (tmp_path / "g.txt").write_text("p1\np2\np3\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    loaded = _fresh_modules(
+        "from crown.cli import main; assert main(sys.argv[2:]) == 0",
+        *command.split(), "--out", "report.tsv",
+    )
+    report = (tmp_path / "report.tsv").read_text(encoding="utf-8")
+    assert report.startswith(f"# crown {command.split(' --')[0]}\n")
+    assert not set(_START_COSTS) & set(loaded)
