@@ -48,7 +48,7 @@ from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
-from .baselines import Weighting
+from .baselines import Weighting, compute_baselines
 from .corpus import (
     CitationWindow,
     Corpus,
@@ -257,20 +257,28 @@ def _flag(check: Callable[[str], T]) -> Callable[[str], T]:
     return parse
 
 
-def _number(name: str, convert: Callable[[str], T]) -> Callable[[str], T]:
-    """argparse ``type=`` that reads one number with ``convert``.
+def _number(
+    name: str, convert: Callable[[str], T], check: Callable[[T], T] | None = None
+) -> Callable[[str], T]:
+    """argparse ``type=`` that reads one number with ``convert``, then, when
+    given, runs ``check`` on it.
 
     Every number on the command line is written in ASCII, without ``_`` and
     without surrounding whitespace. ``int()`` and ``float()`` also read
     ``1_0``, non-ASCII digits and padded text, which a header would echo as a
-    different spelling; those are rejected as a bad ``name``."""
+    different spelling; those, and any text ``convert`` cannot read, are
+    rejected as a bad ``name``, in words of the flag's own, not Python's."""
 
     def parse(text: str) -> T:
-        if not text.isascii() or "_" in text or text != text.strip():
+        try:
+            if not text.isascii() or "_" in text or text != text.strip():
+                raise ValueError
+            number = convert(text)
+        except ValueError:
             raise ValueError(
                 f"bad {name} {text!r}: expected an ASCII number without '_' or spaces"
-            )
-        return convert(text)
+            ) from None
+        return number if check is None else check(number)
 
     return _flag(parse)
 
@@ -288,7 +296,7 @@ def _group_file(path: str) -> str:
     return _echoed_path(path)
 
 
-_top_x = _number("top-x", lambda text: check_top_x(float(text)))
+_top_x = _number("top-x", float, check_top_x)
 _mean = _number("mean", float)
 _per_year = _number("per-year count", int)
 _year = _number("year", int)
@@ -402,7 +410,7 @@ def _cmd_baselines(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     columns = ("category", "year", "n", "mean_citations")
     rows = [
         (cell.category, cell.year, cell.n, cell.mean_citations)
-        for _, cell in sorted(corpus.baselines.cells.items())
+        for _, cell in sorted(compute_baselines(corpus).cells.items())
     ]
     return Report(
         "baselines", _settings(args, digests), columns, rows,
@@ -517,20 +525,25 @@ def _cmd_indexer(args: argparse.Namespace, digests: dict[str, str]) -> Report:
 def _cmd_ranksum(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     corpus = _load(args, digests)
     weighting = Weighting(args.weighting)
-    groups = [GroupSelection.read(path, corpus, digests) for path in (args.group_a, args.group_b)]
+    group_a, group_b = (
+        GroupSelection.read(path, corpus, digests) for path in (args.group_a, args.group_b)
+    )
+    # One score pass over the union; each group takes its own papers from it,
+    # in the ascending id order a pass of its own would give them.
+    union = score_papers(corpus, dict.fromkeys(group_a.paper_ids + group_b.paper_ids), weighting)
     samples = []
-    for group in groups:
-        scored = score_papers(corpus, group.paper_ids, weighting)
+    for group in (group_a, group_b):
+        members = set(group.paper_ids)
+        scored = [paper for paper in union if paper.paper_id in members]
         scorable, unscorable = scorable_papers(group.name, scored)
         samples.append([paper.ncs for paper in scorable])
     if sum(map(len, samples)) < 3:
         # scorable_papers found one scorable paper in each group; the
         # coverage row is that of group B, the last one scored.
-        name_a, name_b = (group.name for group in groups)
         raise DegenerateGroupError(
-            f"groups {name_a!r} and {name_b!r}: one scorable paper each, "
+            f"groups {group_a.name!r} and {group_b.name!r}: one scorable paper each, "
             "fewer than the 3 observations a rank-sum test needs",
-            group=name_b,
+            group=group_b.name,
             n_total=len(scored),
             unscorable=unscorable,
             n_scorable=len(scorable),

@@ -75,10 +75,7 @@ import operator
 import re
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, NamedTuple, TypeVar
-
-if TYPE_CHECKING:
-    from .baselines import BaselineTable
+from typing import BinaryIO, NamedTuple, TypeVar
 
 _T = TypeVar("_T")
 
@@ -155,14 +152,6 @@ class CheckedRecord:
 
     def __reduce__(self) -> tuple:
         return type(self), tuple(self)
-
-
-def refuse_assignment(self: object, name: str, *value: object) -> None:
-    """``__setattr__`` and ``__delattr__`` of a record that keeps values in
-    an instance ``__dict__`` (a ``functools.cached_property``): the record
-    stays immutable, while the property still fills its ``__dict__``."""
-    raise AttributeError(f"cannot assign to or delete {name!r}: "
-                         f"{type(self).__name__} is immutable")
 
 
 class _PaperFields(NamedTuple):
@@ -330,13 +319,12 @@ class Corpus(_CorpusFields):
 
     Dict insertion order matches input order everywhere, so two corpora built
     from identical input bytes are identical including all list orderings.
-    Safe to share across readers; the one value set after construction is
-    ``baselines``, the corpus's own baseline table, built on first use and
-    kept in the instance ``__dict__``, which is why a corpus, unlike the
-    other records, has one.
+    Nothing is set after construction, so a corpus is safe to share across
+    readers. It keeps no baseline table: each score pass builds the table of
+    the corpus it scores (``crown.indicators.score_papers``).
     """
 
-    __setattr__ = __delattr__ = refuse_assignment
+    __slots__ = ()
 
     @property
     def n_edges(self) -> int:
@@ -348,12 +336,6 @@ class Corpus(_CorpusFields):
         whatever the window."""
         papers = self.papers
         return sum(ref not in papers for paper in papers.values() for ref in paper.references)
-
-    @functools.cached_property
-    def baselines(self) -> BaselineTable:
-        """This corpus's (category, year) baseline table, built on first use."""
-        from .baselines import compute_baselines  # baselines imports corpus
-        return compute_baselines(self)
 
     def with_journals(self, journals: Sequence[Journal]) -> Corpus:
         """Same papers and citation graph, ``citing_weight`` included, under a
@@ -527,8 +509,9 @@ class GroupSelection(NamedTuple):
     @classmethod
     def resolve(cls, name: str, paper_ids: Iterable[str], corpus: Corpus) -> GroupSelection:
         """The group of ``paper_ids``, in order. The first id not in the
-        corpus, or listed twice, raises ``ParseError`` numbered by its 1-based
-        position; no ids at all raise ``CorpusError``."""
+        corpus (an item that is not a ``str`` included), or listed twice,
+        raises ``ParseError`` numbered by its 1-based position; no ids at all
+        raise ``CorpusError``."""
         return cls._select(name, corpus, False, paper_ids)
 
     @classmethod
@@ -556,7 +539,8 @@ class GroupSelection(NamedTuple):
         for line_no, paper_id in enumerate(map(listed_id, items) if lines else items, 1):
             if paper_id is None and lines:
                 continue
-            if paper_id not in corpus.papers:
+            # an item that is not a ``str`` names no paper, and may not hash
+            if not isinstance(paper_id, str) or paper_id not in corpus.papers:
                 raise ParseError(line_no, f"group {name!r}: unknown paper {paper_id!r}")
             if paper_id in first_line:
                 raise ParseError(line_no, f"group {name!r} lists paper {paper_id!r} "

@@ -10,19 +10,22 @@ one report makes their disagreements observable instead of hidden.
 The group statistics (``cpp_fcsm``, ``mncs``, ``mdncs``, ``pp_top``) are
 functions of plain, non-empty columns: citations and expected values, ncs
 values, or percentiles. Each raises a ValueError that names it for an empty
-column, and ``cpp_fcsm`` for two columns of unequal length.
+column, and ``cpp_fcsm`` for two columns of unequal length or an expected
+total that is not positive.
 ``scorable_papers`` is the one filter that picks the scorable papers of a
 score pass, and the one place that finds a group with none;
 ``group_report`` builds each column once from its result. The scorable
 and total counts are reported side by side, and papers are accumulated in
 ascending paper-id order so results are reproducible bit for bit.
 
-A score pass reads the corpus's own table, ``Corpus.baselines``, and takes a
-paper's expected value and combined percentile from ``crown.baselines``,
-which owns the multi-category rule, once per distinct argument tuple.
-``fractional_score`` runs per paper and alone withholds a score from papers
-with a citation override. The caches are local to one pass, and
-two corpora, for example under two category schemes, share no table.
+A score pass builds the baseline table of the corpus it scores, once, and
+takes a paper's expected value and combined percentile from
+``crown.baselines``, which owns the multi-category rule, once per distinct
+argument tuple. ``fractional_score`` runs per paper and alone withholds a
+score from papers with a citation override. The table and the caches live
+for one pass, so two corpora, for example under two category schemes, share
+no table. To score many groups against one corpus, run one pass over their
+union and ``group_report`` per group, as ``diagnose ranksum`` does.
 Each paper's scores are a ``ScoredPaper`` named tuple and a group's an
 ``IndicatorReport`` named tuple: each compares equal to the tuple of its
 fields and unpacks like one.
@@ -37,7 +40,12 @@ import warnings
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
-from .baselines import Weighting, combined_percentile, expected_citations_with_reason
+from .baselines import (
+    Weighting,
+    combined_percentile,
+    compute_baselines,
+    expected_citations_with_reason,
+)
 from .corpus import CitationWindow, Corpus, GroupSelection
 
 
@@ -123,13 +131,17 @@ def _check_column(name: str, column: Sequence[float]) -> None:
 
 def cpp_fcsm(citations: Sequence[int], expected: Sequence[float]) -> float:
     """Ratio of sums: total citations over total expected citations, from
-    two non-empty columns of equal length; ValueError otherwise."""
+    two non-empty columns of equal length whose expected total is positive;
+    ValueError otherwise."""
     if not citations or len(citations) != len(expected):
         raise ValueError(
             "cpp_fcsm needs two non-empty columns of equal length, "
             f"got {len(citations)} and {len(expected)}"
         )
-    return sum(citations) / math.fsum(expected)
+    total = math.fsum(expected)
+    if not total > 0.0:  # also true for NaN
+        raise ValueError(f"cpp_fcsm needs a positive expected total, got {total!r}")
+    return sum(citations) / total
 
 
 def mncs(ncs: Sequence[float]) -> float:
@@ -148,6 +160,14 @@ def mdncs(ncs: Sequence[float]) -> float:
     if len(ordered) % 2:
         return ordered[middle]
     return (ordered[middle - 1] + ordered[middle]) / 2
+
+
+def _check_weighting(weighting: Weighting) -> None:
+    """ValueError for a ``weighting`` that is not a ``Weighting``, its value
+    spelled as a string included: the combination tests for
+    ``Weighting.HARMONIC`` by identity."""
+    if type(weighting) is not Weighting:
+        raise ValueError(f"weighting must be a Weighting, got {weighting!r}")
 
 
 def top_label(x: float) -> str:
@@ -192,14 +212,17 @@ def fractional_score(corpus: Corpus, paper_id: str) -> float | None:
 def score_papers(
     corpus: Corpus, paper_ids: Iterable[str], weighting: Weighting
 ) -> list[ScoredPaper]:
-    """Per-paper scores in ascending paper-id order, against ``corpus.baselines``.
+    """Per-paper scores in ascending paper-id order, against the baseline
+    table of ``corpus``, built once for this pass; ValueError for a
+    ``weighting`` that is not a ``Weighting``.
 
     The expected value and the combined percentile come from caches that
     live for this one pass and are keyed on their helper's own arguments
     (the table and ``weighting`` are fixed for the pass); ``fractional_score``
     runs once per paper.
     """
-    table = corpus.baselines
+    _check_weighting(weighting)
+    table = compute_baselines(corpus)
     papers = corpus.papers
     journals = corpus.journals
     cited_by = corpus.cited_by
@@ -272,10 +295,11 @@ def group_report(
 ) -> IndicatorReport:
     """Aggregate an existing score pass into the group report.
 
-    Checks ``top_x`` first, so a bad share is a ValueError even for a
-    degenerate group. Warns once when override papers were left out of
-    fractional counting; raises when nothing is scorable.
+    Checks ``weighting`` and ``top_x`` first, so a bad one is a ValueError
+    even for a degenerate group. Warns once when override papers were left
+    out of fractional counting; raises when nothing is scorable.
     """
+    _check_weighting(weighting)
     check_top_x(top_x)
     scorable, unscorable = scorable_papers(name, scored)
     overridden = [p.paper_id for p in scored if p.fractional is None]

@@ -17,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crown import baselines, cli
-from crown.baselines import compute_baselines
+from crown import cli, indicators
+from crown.baselines import Weighting, compute_baselines
 from crown.cli import main
-from crown.corpus import listed_id
+from crown.corpus import GroupSelection, listed_id, load_corpus
+from crown.diagnostics import rank_sum_test
+from crown.indicators import score_papers
 
 from conftest import CARDIOLOGY_JOURNALS_CSV, LINE_BREAKS
 
@@ -293,6 +295,7 @@ def test_top_x_reads_plain_numbers(demo, capsys, x, echoed) -> None:
 
 SCORE_MISSING = ["score", "--papers", "missing", "--journals", "missing"]
 COMMENT_FAULT = "starts with '#', which marks a comment line"
+NUMBER_FAULT = "expected an ASCII number without '_' or spaces\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -316,10 +319,16 @@ COMMENT_FAULT = "starts with '#', which marks a comment line"
     ([*SCORE_MISSING, "--group", "#g.txt"],
      f"argument --group: group name '#g' {COMMENT_FAULT}\n"),
     # a year range with its last year left out
-    ([*SYNTH_OUTPUTS, "--years", "2000-"], "argument --years: "),
+    ([*SYNTH_OUTPUTS, "--years", "2000-"], f"argument --years: bad year '': {NUMBER_FAULT}"),
+    # a number int() or float() cannot read is worded like a misspelled one
+    ([*SYNTH_OUTPUTS, "--seed", "abc"], f"argument --seed: bad seed 'abc': {NUMBER_FAULT}"),
+    ([*SCORE_MISSING, "--group", "g", "--top-x", "abc"],
+     f"argument --top-x: bad top-x 'abc': {NUMBER_FAULT}"),
+    ([*SYNTH_OUTPUTS, "--fields", "a:x:2"], f"argument --fields: bad mean 'x': {NUMBER_FAULT}"),
 ], ids=["bad-choice", "bad-format", "missing-flag", "unknown-flag", "bad-field-spec",
         "tab-in-group-name", "line-break-in-group-name", "out-names-an-input",
-        "leading-hash-in-group-name", "empty-year"])
+        "leading-hash-in-group-name", "empty-year", "word-seed", "word-top-x",
+        "word-in-fields"])
 def test_rejected_flag_is_one_error_line(tmp_path, capsys, argv, message) -> None:
     argv = [str(tmp_path / arg) if arg == "missing" else arg for arg in argv]
     assert main(argv) == 1
@@ -628,13 +637,39 @@ def test_each_corpus_builds_its_baseline_table_once(
         built.append(corpus)
         return compute_baselines(corpus)
 
-    monkeypatch.setattr(baselines, "compute_baselines", counting_compute_baselines)
+    monkeypatch.setattr(indicators, "compute_baselines", counting_compute_baselines)
     argv = [arg.format(group=group) for arg in command]
     assert main([*argv, "--papers", str(papers), "--journals", str(journals)]) == 0
     capsys.readouterr()
-    # ranksum scores two groups on one corpus; indexer scores one group on
-    # two corpora, one per category scheme
+    # each score pass builds one table: ranksum scores both groups in one
+    # pass over their union; indexer scores one group on two corpora, one
+    # per category scheme
     assert len(built) == tables
+
+
+@pytest.mark.parametrize("count_b", [30, 15], ids=["a-within-b", "a-equals-b"])
+def test_ranksum_of_overlapping_groups_matches_one_pass_per_group(
+    demo, tmp_path, capsys, count_b
+) -> None:
+    # group A is the first 15 papers; B lists the first count_b in reverse
+    papers, journals, group_a = demo
+    ids_b = [json.loads(line)["id"] for line in papers.read_text().splitlines()[:count_b]]
+    group_b = tmp_path / "gb.txt"
+    group_b.write_text("\n".join(reversed(ids_b)) + "\n", encoding="utf-8")
+    assert main(
+        ["diagnose", "ranksum", "--papers", str(papers), "--journals", str(journals),
+         "--group-a", str(group_a), "--group-b", str(group_b), "--format", "json"]
+    ) == 0
+    payload = json.loads(capsys.readouterr().out)["ranksum"]
+    corpus = load_corpus(papers, journals)
+    samples = [
+        [paper.ncs
+         for paper in score_papers(corpus, GroupSelection.read(path, corpus).paper_ids,
+                                   Weighting.HARMONIC)
+         if paper.scorable]
+        for path in (group_a, group_b)
+    ]
+    assert payload == rank_sum_test(*samples)._asdict()
 
 
 def test_group_file_comments_and_blanks_are_ignored(demo, capsys) -> None:

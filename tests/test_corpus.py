@@ -736,19 +736,17 @@ def test_baselines_do_not_depend_on_paper_order(case, rng) -> None:
     assert first.cells == second.cells
 
 
-def test_corpus_keeps_its_own_baseline_table_per_scheme() -> None:
+def test_with_journals_builds_the_baseline_table_of_its_own_scheme() -> None:
     papers = parse_papers([
         '{"id":"p1","year":2005,"journal":"circ","references":[]}',
         '{"id":"p2","year":2005,"journal":"jvr","references":["p1"]}',
         '{"id":"p3","year":2006,"journal":"ajc","references":["p1","p2"]}',
     ])
     corpus = build_corpus(papers, parse_journals(CARDIOLOGY_JOURNALS_CSV.splitlines()))
-    assert corpus.baselines is corpus.baselines
-    assert corpus.baselines == compute_baselines(corpus)
     primary = corpus.with_journals(primary_only_scheme(list(corpus.journals.values())))
-    assert primary.baselines != corpus.baselines
-    assert primary.baselines == compute_baselines(primary)
-    assert set(primary.baselines.cells) < set(corpus.baselines.cells)
+    table, primary_table = compute_baselines(corpus), compute_baselines(primary)
+    assert primary_table != table
+    assert set(primary_table.cells) < set(table.cells)
 
 
 def _set_gc(enabled: bool) -> None:
@@ -956,6 +954,9 @@ def test_resolve_lists_every_item_it_is_given() -> None:
     # only a group-file line can list nothing; None is no paper id
     with pytest.raises(ParseError, match="^line 2: group 'g': unknown paper None$"):
         GroupSelection.resolve("g", ["p0", None, "p1"], GROUP_CORPUS)
+    # an unhashable item too, not a raw TypeError from the lookup
+    with pytest.raises(ParseError, match=r"^line 1: group 'g': unknown paper \['p1'\]$"):
+        GroupSelection.resolve("g", [["p1"]], GROUP_CORPUS)
 
 
 def test_group_selection_keeps_its_import_paths() -> None:

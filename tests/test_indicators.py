@@ -36,6 +36,7 @@ from crown.indicators import (
     score_papers,
     top_label,
 )
+from crown.diagnostics import indexer_sensitivity
 from crown.synth import FieldSpec, SynthConfig
 
 from conftest import (SMALL_JOURNALS, categories_of, citation_count, corpus_from_synth,
@@ -300,7 +301,9 @@ CPP_FCSM_FAULT = "cpp_fcsm needs two non-empty columns of equal length, got"
     (mncs, ([],), "mncs needs a non-empty column"),
     (mdncs, ([],), "mdncs needs a non-empty column"),
     (pp_top, ([], 1.0), "pp_top needs a non-empty column"),
-], ids=["cpp_fcsm-empty", "cpp_fcsm-unequal", "mncs-empty", "mdncs-empty", "pp_top-empty"])
+    (cpp_fcsm, ([1], [0.0]), "cpp_fcsm needs a positive expected total, got 0.0"),
+], ids=["cpp_fcsm-empty", "cpp_fcsm-unequal", "mncs-empty", "mdncs-empty", "pp_top-empty",
+        "cpp_fcsm-zero-expected"])
 def test_column_statistics_refuse_empty_and_unequal_columns(statistic, columns, message) -> None:
     with pytest.raises(ValueError) as exc_info:
         statistic(*columns)
@@ -445,6 +448,30 @@ def test_score_group_weighting_is_irrelevant_on_single_category_corpus() -> None
     harmonic = score_group(corpus, group, Weighting.HARMONIC)
     arithmetic = score_group(corpus, group, Weighting.ARITHMETIC)
     assert harmonic == arithmetic._replace(weighting="harmonic")
+
+
+# Each library entry point that takes a weighting, called with one.
+WEIGHTED_CALLS = {
+    "score_group": lambda corpus, group, weighting: score_group(corpus, group, weighting),
+    "score_papers": lambda corpus, group, weighting: score_papers(
+        corpus, group.paper_ids, weighting),
+    "group_report": lambda corpus, group, weighting: indicators.group_report(
+        group.name, score_papers(corpus, group.paper_ids, Weighting.HARMONIC), weighting,
+        corpus.window),
+    "indexer_sensitivity": lambda corpus, group, weighting: indexer_sensitivity(
+        corpus, group, list(corpus.journals.values()), weighting),
+}
+
+
+@pytest.mark.parametrize("weighting", ["harmonic", "bogus", None])
+@pytest.mark.parametrize("call", WEIGHTED_CALLS)
+def test_a_weighting_that_is_not_a_weighting_is_refused(call, weighting) -> None:
+    # "harmonic" would score as arithmetic under the harmonic label
+    corpus = _scored_corpus()
+    group = GroupSelection.resolve("g", ["p1", "q1"], corpus)
+    with pytest.raises(ValueError) as exc_info:
+        WEIGHTED_CALLS[call](corpus, group, weighting)
+    assert str(exc_info.value) == f"weighting must be a Weighting, got {weighting!r}"
 
 
 def test_whole_cell_group_normalizes_to_one() -> None:
