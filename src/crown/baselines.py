@@ -37,6 +37,14 @@ class Weighting(enum.Enum):
         return self.value
 
 
+def check_weighting(weighting: Weighting) -> None:
+    """ValueError for a ``weighting`` that is not a ``Weighting``, its value
+    spelled as a string included: the combination tests for
+    ``Weighting.HARMONIC`` by identity."""
+    if type(weighting) is not Weighting:
+        raise ValueError(f"weighting must be a Weighting, got {weighting!r}")
+
+
 class _CellFields(NamedTuple):
     category: str
     year: int
@@ -130,8 +138,10 @@ def expected_citations_with_reason(
     degeneracies: a zero cell mean under the harmonic weighting, or every
     cell mean zero (which would make c / e undefined). Callers must exclude
     such papers from group statistics and report them, never score them as
-    zero or infinity.
+    zero or infinity. ValueError for a ``weighting`` that is not a
+    ``Weighting``.
     """
+    check_weighting(weighting)
     means = [table.cell(category, year).mean_citations for category in categories]
     if 0.0 in means and (weighting is Weighting.HARMONIC or not any(means)):
         cells = ", ".join(

@@ -40,13 +40,15 @@ report under ``report`` next to ``config``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
+import os
 import sys
 import warnings
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, BinaryIO, NamedTuple, TypeVar
 
 from .baselines import Weighting, compute_baselines
 from .corpus import (
@@ -445,9 +447,9 @@ def _cmd_synth(args: argparse.Namespace, digests: dict[str, str]) -> Report:
         skew_fraction=args.skew,
         seed=args.seed,
     )
-    papers_bytes, journals_bytes = generate_corpus(config)
-    Path(args.papers).write_bytes(papers_bytes)
-    Path(args.journals).write_bytes(journals_bytes)
+    with _output_files(args.papers, args.journals) as (papers, journals):
+        written, journals_bytes = generate_corpus(config, papers.write)
+        journals.write(journals_bytes)
     return Report(
         "synth",
         (
@@ -457,10 +459,31 @@ def _cmd_synth(args: argparse.Namespace, digests: dict[str, str]) -> Report:
             ("multi_cat", _fmt(args.multi_cat)),
             ("skew", _fmt(args.skew)),
             ("seed", str(args.seed)),
-            ("papers", f"{args.papers} sha256={hashlib.sha256(papers_bytes).hexdigest()}"),
+            ("papers", f"{args.papers} sha256={written.sha256}"),
             ("journals", f"{args.journals} sha256={hashlib.sha256(journals_bytes).hexdigest()}"),
         ),
     )
+
+
+@contextlib.contextmanager
+def _output_files(*paths: str) -> Iterator[list[BinaryIO]]:
+    """Binary files at ``paths``, each open for writing before the body runs.
+
+    A file that exists is truncated only once every path has opened. When a
+    path cannot be opened, or the body fails, the files this call created
+    are removed, so a failed run leaves no partial output behind."""
+    created = [path for path in paths if not os.path.lexists(path)]
+    try:
+        with contextlib.ExitStack() as stack:
+            # append mode opens without truncating
+            files = [stack.enter_context(open(path, "ab")) for path in paths]
+            for file in files:
+                file.truncate(0)
+            yield files
+    except BaseException:
+        for path in created:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _cmd_consistency(args: argparse.Namespace, digests: dict[str, str]) -> Report:

@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 from .baselines import (
     Weighting,
+    check_weighting,
     combined_percentile,
     compute_baselines,
     expected_citations_with_reason,
@@ -162,14 +163,6 @@ def mdncs(ncs: Sequence[float]) -> float:
     return (ordered[middle - 1] + ordered[middle]) / 2
 
 
-def _check_weighting(weighting: Weighting) -> None:
-    """ValueError for a ``weighting`` that is not a ``Weighting``, its value
-    spelled as a string included: the combination tests for
-    ``Weighting.HARMONIC`` by identity."""
-    if type(weighting) is not Weighting:
-        raise ValueError(f"weighting must be a Weighting, got {weighting!r}")
-
-
 def top_label(x: float) -> str:
     """Name of the top-x% share: ``pp_top1``, ``pp_top10``, ``pp_top0.5``."""
     return "pp_top" + repr(float(x)).removesuffix(".0")
@@ -221,7 +214,7 @@ def score_papers(
     (the table and ``weighting`` are fixed for the pass); ``fractional_score``
     runs once per paper.
     """
-    _check_weighting(weighting)
+    check_weighting(weighting)
     table = compute_baselines(corpus)
     papers = corpus.papers
     journals = corpus.journals
@@ -299,7 +292,7 @@ def group_report(
     even for a degenerate group. Warns once when override papers were left
     out of fractional counting; raises when nothing is scorable.
     """
-    _check_weighting(weighting)
+    check_weighting(weighting)
     check_top_x(top_x)
     scorable, unscorable = scorable_papers(name, scored)
     overridden = [p.paper_id for p in scored if p.fractional is None]

@@ -5,6 +5,11 @@ licensed citation data: a sparse field citing ~6 references per paper and a
 dense one citing ~40 reproduce the classic mathematics-versus-biomedicine
 contrast. Output is byte-deterministic for a fixed seed.
 
+The papers text is drawn and emitted one (year, field) block at a time.
+``generate_corpus`` joins the blocks into one ``bytes``, or passes each to a
+writer as it is drawn, as ``crown synth`` does, so the text is never held
+whole; the bytes are the same either way.
+
 Determinism contract: one ``random.Random(seed)`` stream (Mersenne Twister,
 stable across CPython releases) drives everything, consumed in a fixed order:
 journal category assignments first (one journal per field, in field order),
@@ -28,18 +33,20 @@ The skew knob redirects a share of references to the top-decile
 most-cited-so-far papers of the eligible pool; the decile is snapshotted once
 per (year, field, pool) rather than per reference.
 
-``FieldSpec`` and ``SynthConfig`` are named tuples, like every record of the
-package, and run their checks however they are built.
+``FieldSpec``, ``SynthConfig`` and ``Written`` are named tuples, like every
+record of the package; the first two run their checks however they are built.
 """
 
 from __future__ import annotations
 
 import bisect
+import hashlib
 import itertools
 import json
 import math
 import random
-from collections.abc import Iterator, Sequence
+from collections import Counter
+from collections.abc import Callable, Iterator, Sequence
 from typing import NamedTuple
 
 from .corpus import YEAR_MAX, YEAR_MIN, CheckedRecord, check_echoed
@@ -50,13 +57,14 @@ _CSV_NAME_CHARS = frozenset(',|"\0')
 # A mean or a fraction; exact types, so a bool is refused.
 _NUMBER_TYPES = (int, float)
 
-# Largest corpus generated. The generator holds every paper line in memory.
-# Two generations of 10^5 papers (two fields, 2000-2009) with 4.9e5 and 4.9e6
-# references took 1.2 s and 7.8 s and peaked 45 MB and 173 MB above the
-# interpreter under CPython 3.11 on a 2-vCPU x86 host: about 4.4 us and 320 B
-# per paper plus 1.5 us and 30 B per reference. By those rates a config at
-# both caps takes about 40 s and 1.3 GB. Larger configs are rejected before
-# anything is built.
+# Largest corpus generated. The generator holds every paper id, for the
+# citation pools, and one (year, field) block of text. Two ``crown synth``
+# runs of 10^5 papers (two fields, 2000-2009) with 4.9e5 and 4.9e6 references
+# took 0.58 s and 3.9 s and peaked 10 MB and 25 MB above the interpreter
+# under CPython 3.11 on a 2-vCPU x86 host: about 2.1 us and 85 B per paper,
+# 0.75 us per reference and 35 B per reference of the largest block. By
+# those rates a config at both caps (one field over ten years) takes about
+# 19 s and 240 MB. Larger configs are rejected before anything is built.
 MAX_PAPERS = 2 * 10**6
 MAX_REFERENCES = 2 * 10**7
 
@@ -144,7 +152,7 @@ class SynthConfig(CheckedRecord, _SynthConfigFields):
             raise ValueError(
                 f"year range {self.years} outside [{YEAR_MIN}, {YEAR_MAX}]"
             )
-        papers = (last - first + 1) * sum(field.papers_per_year for field in self.fields)
+        papers = _paper_count(self)
         if papers > MAX_PAPERS:
             raise ValueError(f"{papers} papers exceed the limit of {MAX_PAPERS}")
         references = (last - first + 1) * sum(
@@ -169,8 +177,32 @@ class SynthConfig(CheckedRecord, _SynthConfigFields):
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
-def generate_corpus(config: SynthConfig) -> tuple[bytes, bytes]:
-    """Generate (papers.jsonl bytes, journals.csv bytes) for the config."""
+class Written(NamedTuple):
+    """What ``generate_corpus`` wrote when given ``write``: the sha256 (hex)
+    of the papers text and its line count, one line per paper."""
+
+    sha256: str
+    papers: int
+
+    def count(self, sub: bytes) -> int:  # type: ignore[override]
+        """``bytes.count`` over the written text, for ``b"\\n"`` alone: a
+        caller that counts papers as lines, as perfbench/tracer.py does,
+        reads either result of ``generate_corpus`` alike. ValueError for
+        any other ``sub``."""
+        if sub != b"\n":
+            raise ValueError(f"only line breaks are counted, not {sub!r}")
+        return self.papers
+
+
+def generate_corpus(
+    config: SynthConfig, write: Callable[[bytes], object] | None = None
+) -> tuple[bytes | Written, bytes]:
+    """Generate (papers.jsonl bytes, journals.csv bytes) for the config.
+
+    With ``write``, each block of the papers text goes to ``write`` as it is
+    drawn and is then released, so the text is never held whole; the first
+    item is then its ``Written`` summary. The bytes are the same either way.
+    """
     rng = random.Random(config.seed)
     field_names = [field.name for field in config.fields]
 
@@ -192,62 +224,105 @@ def generate_corpus(config: SynthConfig) -> tuple[bytes, bytes]:
         )
     journals_csv = ("\n".join(journal_rows) + "\n").encode("utf-8")
 
-    total = (config.years[1] - config.years[0] + 1) * sum(
-        field.papers_per_year for field in config.fields
-    )
-    id_width = max(6, len(str(total)))
-    skewed = config.skew_fraction > 0.0
+    blocks = _paper_blocks(config, rng, journal_ids)
+    if write is None:
+        return b"".join(blocks), journals_csv
+    digest = hashlib.sha256()
+    for block in blocks:
+        write(block)
+        digest.update(block)
+    return Written(digest.hexdigest(), _paper_count(config)), journals_csv
+
+
+def _paper_count(config: SynthConfig) -> int:
+    first, last = config.years
+    return (last - first + 1) * sum(field.papers_per_year for field in config.fields)
+
+
+def _paper_blocks(
+    config: SynthConfig, rng: random.Random, journal_ids: dict[str, str]
+) -> Iterator[bytes]:
+    """The papers text, one encoded block per (year, field), drawn from
+    ``rng`` after the journals in the order the module docstring states."""
+    field_names = [field.name for field in config.fields]
+    id_format = f"p%0{max(6, len(str(_paper_count(config))))}d"
+    cross_fraction = config.cross_field_fraction
+    skew_fraction = config.skew_fraction
+    skewed = skew_fraction > 0.0
+    random_ = rng.random
+    getrandbits = rng.getrandbits
+    sep = '","'
 
     # Papers cite only earlier years: by_field holds each field's papers of
     # the years before the current one, which is its same-field pool. A
     # year's papers, and the citations they make, which rank the skew
     # deciles, are added when the year ends.
     by_field: dict[str, list[str]] = {name: [] for name in field_names}
-    tallies: dict[str, int] = {}
-    paper_lines: list[str] = []
+    tallies: Counter[str] = Counter()
     serial = 0
 
     for year in range(config.years[0], config.years[1] + 1):
-        year_ids: dict[str, list[str]] = {name: [] for name in field_names}
-        year_tallies: dict[str, int] = {}
+        year_ids: dict[str, list[str]] = {}
+        year_citations: list[str] = []
         for field in config.fields:
             same_pool = by_field[field.name]
             # Read in place: copying the other fields' papers every year
             # would cost fields x papers.
             others = [by_field[other] for other in field_names if other != field.name]
             other_pool = others[0] if len(others) == 1 else _Joined(others)
-            top_pools: dict[bool, list[str]] = {}
+            # Indexed by the cross-field flag, plain and skewed: the skewed
+            # pool is the top decile, empty only when its pool is.
+            pools = (_sized(same_pool), _sized(other_pool))
+            top_pools = pools
             if skewed:
-                top_pools[False] = _top_decile(same_pool, tallies)
-                top_pools[True] = _top_decile(other_pool, tallies)
+                top_pools = tuple(_sized(_top_decile(pool, tallies)) for pool, _, _ in pools)
+            limit = math.exp(-field.mean_references)
             # Each line is the record json.dumps would write, compact. Ids
             # are "p" plus digits and need no escaping; the journal id is
-            # encoded once per field and year.
+            # encoded once per block.
             journal = json.dumps(journal_ids[field.name])
             middle = f'","year":{year},"journal":{journal},"references":['
-            new_ids = year_ids[field.name]
-            for _ in range(field.papers_per_year):
-                paper_id = f"p{serial:0{id_width}d}"
-                serial += 1
-                references = _draw_references(
-                    rng, config, field, same_pool, other_pool, top_pools
-                )
-                if skewed:
-                    for ref in references:
-                        year_tallies[ref] = year_tallies.get(ref, 0) + 1
-                new_ids.append(paper_id)
-                cited = '"' + '","'.join(references) + '"' if references else ""
-                paper_lines.append('{"id":"' + paper_id + middle + cited + "]}")
+            ids = [id_format % number for number in range(serial, serial + field.papers_per_year)]
+            serial += field.papers_per_year
+            lines = []
+            for paper_id in ids:
+                # Poisson reference count, Knuth's multiplication method
+                product = random_()
+                wanted = 0
+                while product >= limit:
+                    wanted += 1
+                    product *= random_()
+                # a dict keeps the draw order and refuses a repeated target
+                chosen: dict[str, None] = {}
+                for _ in range(wanted):
+                    cross = random_() < cross_fraction
+                    pool, size, bits = (
+                        top_pools if skewed and random_() < skew_fraction else pools
+                    )[cross]
+                    if not size:
+                        continue
+                    tries = _SAMPLE_RETRIES
+                    while tries:
+                        # randrange(size) as CPython 3.10-3.13 compute it
+                        index = getrandbits(bits)
+                        while index >= size:
+                            index = getrandbits(bits)
+                        candidate = pool[index]
+                        if candidate not in chosen:
+                            chosen[candidate] = None
+                            break
+                        tries -= 1
+                if chosen:
+                    if skewed:
+                        year_citations.extend(chosen)
+                    lines.append(f'{{"id":"{paper_id}{middle}"{sep.join(chosen)}"]}}\n')
+                else:
+                    lines.append(f'{{"id":"{paper_id}{middle}]}}\n')
+            year_ids[field.name] = ids
+            yield "".join(lines).encode("utf-8")
         for name, ids in year_ids.items():
             by_field[name].extend(ids)
-        for ref, count in year_tallies.items():
-            tallies[ref] = tallies.get(ref, 0) + count
-    # The empty last line gives the text its final newline, so the text is
-    # built once; the lines are released before it is encoded.
-    paper_lines.append("")
-    papers_text = "\n".join(paper_lines)
-    del paper_lines
-    return papers_text.encode("utf-8"), journals_csv
+        tallies.update(year_citations)
 
 
 class _Joined(Sequence[str]):
@@ -268,50 +343,9 @@ class _Joined(Sequence[str]):
         return itertools.chain.from_iterable(self._parts)
 
 
-def _draw_references(
-    rng: random.Random,
-    config: SynthConfig,
-    field: FieldSpec,
-    same_pool: Sequence[str],
-    other_pool: Sequence[str],
-    top_pools: dict[bool, list[str]],
-) -> list[str]:
-    wanted = _poisson(rng, field.mean_references)
-    references: list[str] = []
-    chosen: set[str] = set()
-    for _ in range(wanted):
-        cross = rng.random() < config.cross_field_fraction
-        pool = other_pool if cross else same_pool
-        if config.skew_fraction > 0.0 and rng.random() < config.skew_fraction:
-            top = top_pools[cross]
-            if top:
-                pool = top
-        size = len(pool)
-        if not size:
-            continue
-        bits = size.bit_length()
-        for _ in range(_SAMPLE_RETRIES):
-            # randrange(size) as CPython 3.10-3.13 compute it
-            index = rng.getrandbits(bits)
-            while index >= size:
-                index = rng.getrandbits(bits)
-            candidate = pool[index]
-            if candidate not in chosen:
-                chosen.add(candidate)
-                references.append(candidate)
-                break
-    return references
-
-
-def _poisson(rng: random.Random, mean: float) -> int:
-    limit = math.exp(-mean)
-    count = 0
-    product = 1.0
-    while True:
-        product *= rng.random()
-        if product < limit:
-            return count
-        count += 1
+def _sized(pool: Sequence[str]) -> tuple[Sequence[str], int, int]:
+    """``pool`` with its size and the bit count a draw from it takes."""
+    return pool, len(pool), len(pool).bit_length()
 
 
 def _top_decile(pool: Sequence[str], tallies: dict[str, int]) -> list[str]:

@@ -887,6 +887,45 @@ def test_synth_refuses_one_path_for_both_outputs(tmp_path, capsys, journals) -> 
     assert not (tmp_path / "same.out").exists()
 
 
+@pytest.mark.parametrize("flag", ["--papers", "--journals"])
+def test_synth_to_a_path_it_cannot_write_leaves_no_file(tmp_path, capsys, flag) -> None:
+    outputs = {"--papers": tmp_path / "p.jsonl", "--journals": tmp_path / "j.csv"}
+    outputs[flag] = tmp_path / "nodir" / outputs[flag].name
+    argv = ["synth", "--fields", "a:3:20", "--years", "2000-2001", "--seed", "1"]
+    for name, path in outputs.items():
+        argv += [name, str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"crown: error: [Errno 2] No such file or directory: '{outputs[flag]}'\n"
+    )
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_that_fails_leaves_an_existing_output_as_it_was(tmp_path) -> None:
+    papers = tmp_path / "p.jsonl"
+    papers.write_bytes(b"older\n")
+    argv = ["synth", "--fields", "a:3:20", "--years", "2000-2001", "--seed", "1",
+            "--papers", str(papers), "--journals", str(tmp_path / "nodir" / "j.csv")]
+    assert main(argv) == 1
+    assert papers.read_bytes() == b"older\n"
+    assert list(tmp_path.iterdir()) == [papers]
+
+
+def test_synth_that_fails_while_writing_removes_its_outputs(tmp_path, capsys, monkeypatch) -> None:
+    def full_disk(config, write):
+        write(b"{}\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("crown.synth.generate_corpus", full_disk)
+    argv = ["synth", "--fields", "a:3:20", "--years", "2000-2001", "--seed", "1",
+            "--papers", str(tmp_path / "p.jsonl"), "--journals", str(tmp_path / "j.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "crown: error: [Errno 28] No space left on device\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_synth_years_at_the_corpus_range_edges_ingest(tmp_path) -> None:
     papers, journals = tmp_path / "p.jsonl", tmp_path / "j.csv"
     for years in ("1900-1901", "2099-2100"):

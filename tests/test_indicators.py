@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from crown import indicators
 from crown.baselines import (
+    BaselineTable,
     FieldYearCell,
     Weighting,
     below_and_tied,
@@ -460,6 +461,12 @@ WEIGHTED_CALLS = {
         corpus.window),
     "indexer_sensitivity": lambda corpus, group, weighting: indexer_sensitivity(
         corpus, group, list(corpus.journals.values()), weighting),
+    # cells of means 1 and 3, where "harmonic" would read 2.0, not 1.5
+    "expected_citations_with_reason": lambda corpus, group, weighting:
+        expected_citations_with_reason(
+            BaselineTable({(category, 2005): FieldYearCell(category, 2005, (count,))
+                           for category, count in (("a", 1), ("b", 3))}),
+            ("a", "b"), 2005, weighting),
 }
 
 

@@ -30,7 +30,7 @@ from crown.diagnostics import (
     SensitivityReport,
 )
 from crown.indicators import IndicatorReport, ScoredPaper
-from crown.synth import FieldSpec, SynthConfig
+from crown.synth import FieldSpec, SynthConfig, Written
 
 CELL = FieldYearCell("a", 2005, (3, 1, 2))
 REPORT = IndicatorReport("g", 2, 1, 1.0, 1.5, 1.25, 0.5, 0.75, "harmonic", "years5", 1.0,
@@ -115,6 +115,7 @@ REPRS = {
         f"SynthConfig(fields=({_FIELD_REPR},), years=(2000, 2001), cross_field_fraction=0.1, "
         "multi_category_journal_fraction=1.0, skew_fraction=0.0, seed=42)",
     ),
+    "Written": (Written("00", 2), "Written(sha256='00', papers=2)"),
 }
 
 

@@ -67,6 +67,16 @@ PINNED_CONFIGS = {
     "cross-0": SynthConfig(_two_fields(80), (2000, 2009), 0.0, 0.0, seed=17),
     "cross-1": SynthConfig(_two_fields(80), (2000, 2009), 1.0, 1.0, seed=19),
     "seed-max": SynthConfig(_two_fields(80), (2000, 2009), 0.2, 1.0, seed=2**64 - 1),
+    # a one-paper pool on which every retry after the first target collides
+    "one-paper-pool": SynthConfig((FieldSpec("f", 5.0, 1),), (2000, 2009), seed=23),
+    # every reference goes to the empty other-field pool and is dropped
+    "cross-1-one-field": SynthConfig((FieldSpec("f", 4.0, 30),), (2000, 2009), 1.0, seed=29),
+    # the other-field top decile is ranked over a joined pool of three fields
+    "skew-1.0-four-fields": SynthConfig(
+        tuple(FieldSpec(f"f{i}", 3.0 + 2 * i, 25) for i in range(4)),
+        (2000, 2009), 0.3, 0.5, 1.0, seed=31),
+    # no earlier year, so every pool is empty
+    "one-year": SynthConfig(_two_fields(50), (2005, 2005), 0.2, 1.0, 0.3, seed=37),
 }
 PINNED_SHA256 = {
     "load-shape": (
@@ -113,6 +123,22 @@ PINNED_SHA256 = {
         "e1e1b34215d251cad78c69a16aa3896f35fe30587011f3eb0e121c25bd9dd443",
         "665503a59233b9faa6a9b2eca11e1ac8cf34d05ed0b8363a676579c6cbc771e2",
     ),
+    "one-paper-pool": (
+        "07a5fb630bfda3d3fe79afc14893ebc1e1c6ab06b7c0fe774305ead3fba68116",
+        "ff35b6c6e9b97a22fa5c2f7d120fd1ab1b6d8450b780b05723d3d3caa151dd2e",
+    ),
+    "cross-1-one-field": (
+        "1e28b30c4b7d734c7029183ca97875d1fbc74438278a4d7c373d43a854a10ed7",
+        "ff35b6c6e9b97a22fa5c2f7d120fd1ab1b6d8450b780b05723d3d3caa151dd2e",
+    ),
+    "skew-1.0-four-fields": (
+        "cb7fa17abb4ef5c6844186ee4cc42ec904a5f448f7fbf550361f1494219c3e05",
+        "5cb4e433062ac863596f595ad1d47bdb1bf91aa71ee33b769c9060292e4b63ac",
+    ),
+    "one-year": (
+        "3b5c1ecd1f5400e50533d06a020e9abe2a993884afe7dec77122ff0c7f151df8",
+        "665503a59233b9faa6a9b2eca11e1ac8cf34d05ed0b8363a676579c6cbc771e2",
+    ),
 }
 
 
@@ -121,6 +147,53 @@ def test_generated_bytes_are_pinned(name) -> None:
     papers, journals = generate_corpus(PINNED_CONFIGS[name])
     digests = (hashlib.sha256(papers).hexdigest(), hashlib.sha256(journals).hexdigest())
     assert digests == PINNED_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["skew-0.4", "forty-fields"])
+def test_synth_header_hashes_the_file_it_streams(tmp_path, capsys, name) -> None:
+    config = PINNED_CONFIGS[name]
+    papers, journals = tmp_path / "p.jsonl", tmp_path / "j.csv"
+    papers.write_bytes(b"x" * 10**6)  # a longer older file is replaced whole
+    argv = [
+        "synth",
+        "--fields", ",".join(
+            f"{field.name}:{field.mean_references}:{field.papers_per_year}"
+            for field in config.fields),
+        "--years", "-".join(map(str, config.years)),
+        "--cross-field", str(config.cross_field_fraction),
+        "--multi-cat", str(config.multi_category_journal_fraction),
+        "--skew", str(config.skew_fraction),
+        "--seed", str(config.seed),
+        "--papers", str(papers), "--journals", str(journals),
+    ]
+    assert main(argv) == 0
+    header = capsys.readouterr().out
+    for path, generated, pinned in zip(
+        (papers, journals), generate_corpus(config), PINNED_SHA256[name]
+    ):
+        assert hashlib.sha256(generated).hexdigest() == pinned
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned
+        assert f" {path} sha256={pinned}\n" in header
+
+
+def test_streamed_generation_holds_under_half_its_text() -> None:
+    # 2x10^4 papers of 20 references; holding the whole text, as a join
+    # does, peaks at about twice its size.
+    config = SynthConfig(
+        (FieldSpec("a", 20.0, 500), FieldSpec("b", 20.0, 500)), (2000, 2019), 0.2, seed=3)
+    papers, journals = generate_corpus(config)
+    tracemalloc.start()
+    try:
+        written, streamed_journals = generate_corpus(config, lambda block: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(papers) / 2
+    assert written == (hashlib.sha256(papers).hexdigest(), 20_000)
+    assert written.count(b"\n") == papers.count(b"\n")
+    assert streamed_journals == journals
+    with pytest.raises(ValueError, match="^only line breaks are counted"):
+        written.count(b"p")
 
 
 def test_different_seed_different_bytes() -> None:
