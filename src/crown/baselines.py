@@ -107,11 +107,11 @@ def compute_baselines(corpus: Corpus) -> BaselineTable:
     cannot change a cell.
     """
     per_key: dict[tuple[str, int], list[int]] = {}
-    # ``cited_by`` has the key order of ``papers``, so they walk together.
-    for (_, year, journal_id, _, override), citers in zip(
-        corpus.papers.values(), corpus.cited_by.values()
+    # ``citation_counts`` has the key order of ``papers``, so they walk together.
+    for (_, year, journal_id, _, override), cited in zip(
+        corpus.papers.values(), corpus.citation_counts
     ):
-        count = len(citers) if override is None else override
+        count = cited if override is None else override
         counts = per_key.get((journal_id, year))
         if counts is None:
             per_key[(journal_id, year)] = [count]

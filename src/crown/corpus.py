@@ -47,11 +47,12 @@ memory and lets the graph build match keys by identity. Every record of one
 journal shares one journal-id string, and every record of one year one year
 int, so a corpus holds one such object per distinct value, not one per record.
 
-The build also computes 1/R once per distinct reference-list length R, and
-keeps it per citing paper as ``Corpus.citing_weight``: the weight of each
-citation that paper makes under fractional counting, read on every
-fractional score instead of measuring R again per edge. Papers with equal R
-share one float object.
+The build keeps one count column, ``Corpus.citation_counts``: per paper,
+the distinct papers citing it inside the window, taken by a C-level tally
+over the reference lists. It builds no per-paper container of citers. Who
+cites a paper is resolved only when asked, by ``Corpus.citers``, for the
+papers a score pass reads, in one walk over the reference lists that name
+one of them.
 
 Every record of the package (``Paper``, ``Journal``, ``CitationWindow``,
 ``Corpus``, ``GroupSelection`` here, and those of the other modules) is a
@@ -70,9 +71,11 @@ import csv
 import functools
 import gc
 import hashlib
+import itertools
 import json
 import operator
 import re
+from collections import Counter
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import BinaryIO, NamedTuple, TypeVar
@@ -289,10 +292,14 @@ class CitationWindow(CheckedRecord, _WindowFields):
                 pass
         raise ValueError(f"bad window {text!r}: expected 'all' or 'yearsN'")
 
-    def admits(self, cited_year: int, citing_year: int) -> bool:
+    def citing_years(self, cited_year: int) -> range:
+        """The publication years of the citing papers that count toward a
+        paper published in ``cited_year``: ``YEAR_MIN..YEAR_MAX`` for
+        ``all``, else the n years from ``cited_year``. The one statement of
+        the window rule; the count tally and ``Corpus.citers`` both read it."""
         if self.years is None:
-            return True
-        return 0 <= citing_year - cited_year < self.years
+            return range(YEAR_MIN, YEAR_MAX + 1)
+        return range(cited_year, cited_year + self.years)
 
     def __str__(self) -> str:
         return "all" if self.years is None else f"years{self.years}"
@@ -301,21 +308,21 @@ class CitationWindow(CheckedRecord, _WindowFields):
 class _CorpusFields(NamedTuple):
     papers: dict[str, Paper]
     journals: dict[str, Journal]
-    cited_by: dict[str, tuple[str, ...]]
-    citing_weight: dict[str, float]
+    citation_counts: tuple[int, ...]
+    n_external: int
     window: CitationWindow
 
 
 class Corpus(_CorpusFields):
-    """Resolved, immutable collection of papers, journals and citation edges.
+    """Resolved, immutable collection of papers, journals and citation counts.
 
-    ``cited_by`` maps every paper id to the ids of the papers that cite it
-    inside the window, in input order, and has the key order of ``papers``,
-    so the two can be walked in step. ``citing_weight`` maps every paper
-    with a non-empty reference list to ``1.0 / len(references)``, so it
-    covers every citer; papers with equal lengths share one float. Both are
-    graph data: they do not depend on ``journals``. Within one parse, equal
-    ids, journal ids and years are each one shared object.
+    ``citation_counts`` holds, per paper in the key order of ``papers``, how
+    many distinct papers cite it inside the window, so the two can be walked
+    in step. ``n_external`` counts the reference keys that name no corpus
+    paper, every occurrence, whatever the window. Both are graph data: they
+    do not depend on ``journals``. Who cites a paper is not stored: ``citers``
+    resolves it for the papers asked about. Within one parse, equal ids,
+    journal ids and years are each one shared object.
 
     Dict insertion order matches input order everywhere, so two corpora built
     from identical input bytes are identical including all list orderings.
@@ -328,20 +335,57 @@ class Corpus(_CorpusFields):
 
     @property
     def n_edges(self) -> int:
-        return sum(len(citers) for citers in self.cited_by.values())
+        return sum(self.citation_counts)
 
-    @property
-    def n_external(self) -> int:
-        """Reference keys that name no corpus paper, every occurrence counted,
-        whatever the window."""
+    def citers(self, paper_ids: Iterable[str]) -> dict[str, list[str]]:
+        """The ids of the papers citing each of ``paper_ids`` inside the
+        window, in ``papers`` order, keyed in input order; KeyError for an id
+        that names no paper.
+
+        One pass walks the reference lists that name a listed id, found at C
+        level, and no other list. A key repeated within one list adds its
+        citer once, so each list's length is that paper's count in
+        ``citation_counts``. The window is tested per key only for a citing
+        year that some listed paper's span leaves out.
+        """
         papers = self.papers
-        return sum(ref not in papers for paper in papers.values() for ref in paper.references)
+        # Keyed by the corpus's own id objects, which the reference keys
+        # share, so that each key finds its entry by identity.
+        found: dict[str, list[str]] = {papers[paper_id].id: [] for paper_id in paper_ids}
+        found_get = found.get
+        citing_years = self.window.citing_years
+        listed_years = set(map(_YEAR, map(papers.__getitem__, found)))
+        spans = {year: citing_years(year) for year in listed_years}
+        every_span_holds: dict[int, bool] = {}  # by citing year
+        listed = set(found)
+        names_one = map(operator.not_, map(listed.isdisjoint, map(_REFERENCES, papers.values())))
+        for citing_id, citing_year, _, references, _ in itertools.compress(
+            papers.values(), names_one
+        ):
+            admitted = every_span_holds.get(citing_year)
+            if admitted is None:
+                admitted = all(citing_year in span for span in spans.values())
+                every_span_holds[citing_year] = admitted
+            for key in references:
+                citers = found_get(key)
+                # A repeated key finds this paper already last in its list.
+                if (
+                    citers is not None
+                    and (not citers or citers[-1] is not citing_id)
+                    and (admitted or citing_year in spans[papers[key].year])
+                ):
+                    citers.append(citing_id)
+        return found
 
     def with_journals(self, journals: Sequence[Journal]) -> Corpus:
-        """Same papers and citation graph, ``citing_weight`` included, under a
+        """Same papers and citation counts, the one column shared, under a
         different category scheme, which must cover every paper's journal,
         checked as in ``build_corpus``."""
         return self._replace(journals=_journal_map(journals, self.papers.values()))
+
+
+_YEAR = operator.itemgetter(1)
+_REFERENCES = operator.itemgetter(3)
 
 
 def parse_papers(lines: Iterable[str]) -> list[Paper]:
@@ -558,19 +602,21 @@ def build_corpus(
     journals: Sequence[Journal],
     window: CitationWindow = CitationWindow.all(),
 ) -> Corpus:
-    """Resolve references into citation edges and index who cites whom.
+    """Resolve references into citation counts.
 
-    A reference key equal to a paper id becomes an edge if the window admits
-    the (cited year, citing year) pair; repeated keys within one reference
-    list yield at most one edge per citing paper. Unresolved keys are kept
-    only implicitly, through the citing paper's reference-list length R,
-    whose inverse ``citing_weight`` holds for every paper with R > 0.
+    A reference key equal to a paper id is a citation if the window admits
+    the citing paper's year (``CitationWindow.citing_years``); a key
+    repeated within one reference list counts one citing paper. Unresolved
+    keys are counted in ``n_external`` and still count toward the citing
+    paper's reference-list length R, the denominator of fractional counting.
 
-    The first repeated paper id, else the first repeated journal id, else the
-    first paper whose journal is not in ``journals``, raises ``ParseError``
+    ValueError for a ``window`` that is not a ``CitationWindow``. The first
+    repeated paper id, else the first repeated journal id, else the first
+    paper whose journal is not in ``journals``, raises ``ParseError``
     numbered by the item's 1-based position in its list; a paper's is its
     papers-file line when ``papers`` came from ``parse_papers``.
     """
+    check_window(window)
     if not papers:
         raise CorpusError("corpus has no papers")
     paper_map = dict(zip(map(operator.itemgetter(0), papers), papers))
@@ -581,29 +627,67 @@ def build_corpus(
                 raise ParseError(line_no, f"duplicate paper id {paper.id!r}")
             seen.add(paper.id)
     journal_map = _journal_map(journals, paper_map.values())
-    # Each citer list becomes a tuple in place once the edges are in.
-    cited_by: dict = {pid: [] for pid in paper_map}
-    citing_weight: dict[str, float] = {}
-    inverse = _Inverses()
-    # ``window.admits``, inline: a call per resolved reference costs more
-    # than the test.
-    n_years = window.years
-    every_year = n_years is None
-    for citing_id, citing_year, _, references, _ in paper_map.values():
-        if references:
-            citing_weight[citing_id] = inverse[len(references)]
-        for ref in references:
-            citers = cited_by.get(ref)
-            # A repeated key finds this paper already last in its citer list.
-            if (
-                citers is not None
-                and (not citers or citers[-1] is not citing_id)
-                and (every_year or 0 <= citing_year - paper_map[ref].year < n_years)
-            ):
-                citers.append(citing_id)
-    for pid, citers in cited_by.items():
-        cited_by[pid] = tuple(citers)
-    return Corpus(paper_map, journal_map, cited_by, citing_weight, window)
+    counts, n_external = _citation_counts(paper_map, window)
+    return Corpus(paper_map, journal_map, counts, n_external, window)
+
+
+def check_window(window: CitationWindow) -> None:
+    """ValueError for a ``window`` that is not a ``CitationWindow``, its CLI
+    spelling as a string included."""
+    if type(window) is not CitationWindow:
+        raise ValueError(f"window must be a CitationWindow, got {window!r}")
+
+
+def _citation_counts(
+    papers: dict[str, Paper], window: CitationWindow
+) -> tuple[tuple[int, ...], int]:
+    """``Corpus.citation_counts`` and ``Corpus.n_external`` of ``papers``.
+
+    When every paper admits citing papers of every corpus year (``all``),
+    one tally over all reference lists is read in key order. Otherwise the
+    lists are tallied per citing year, and each tally is added to the counts
+    of the cited years whose span holds that year.
+    """
+    spans = {year: window.citing_years(year) for year in set(map(_YEAR, papers.values()))}
+    if all(spans.keys() <= set(span) for span in spans.values()):
+        tally, n_external = _tally(list(map(_REFERENCES, papers.values())), papers)
+        return tuple(map(tally.get, papers, itertools.repeat(0))), n_external
+    ids_by_year: dict[int, list[str]] = {year: [] for year in spans}
+    lists_by_year: dict[int, list[tuple[str, ...]]] = {year: [] for year in spans}
+    for paper_id, year, _, references, _ in papers.values():
+        ids_by_year[year].append(paper_id)
+        lists_by_year[year].append(references)
+    counts = {year: [0] * len(ids) for year, ids in ids_by_year.items()}
+    n_external = 0
+    for citing_year, lists in lists_by_year.items():
+        tally, external = _tally(lists, papers)
+        n_external += external
+        for year, ids in ids_by_year.items():
+            if citing_year in spans[year]:
+                counts[year] = list(
+                    map(operator.add, counts[year], map(tally.get, ids, itertools.repeat(0)))
+                )
+    # Each year's counts are in key order, so taking the next count of each
+    # paper's year, in key order, gives the column.
+    by_year = {year: iter(year_counts) for year, year_counts in counts.items()}
+    column = map(next, map(by_year.__getitem__, map(_YEAR, papers.values())))
+    return tuple(column), n_external
+
+
+def _tally(
+    reference_lists: list[tuple[str, ...]], papers: dict[str, Paper]
+) -> tuple[Counter, int]:
+    """How many of ``reference_lists`` name each key, and how many keys,
+    every occurrence counted, name no paper in ``papers``."""
+    tally = Counter(itertools.chain.from_iterable(reference_lists))
+    n_external = sum(map(tally.__getitem__, itertools.filterfalse(papers.__contains__, tally)))
+    # A list that repeats a key is the rare one: a C-level test finds them,
+    # and each counts its keys once.
+    repeats = map(operator.ne, map(len, reference_lists), map(len, map(set, reference_lists)))
+    for references in itertools.compress(reference_lists, repeats):
+        tally.subtract(references)
+        tally.update(set(references))
+    return tally, n_external
 
 
 def load_corpus(
@@ -612,7 +696,9 @@ def load_corpus(
     window: CitationWindow = CitationWindow.all(),
     digests: dict[str, str] | None = None,
 ) -> Corpus:
-    """Read, parse and build a corpus, reading each file once.
+    """Read, parse and build a corpus, reading each file once; ValueError,
+    before any file is read, for a ``window`` that is not a
+    ``CitationWindow``.
 
     When ``digests`` is given, it receives the hex SHA-256 of the bytes each
     file was parsed from, keyed by ``str(path)``.
@@ -620,6 +706,7 @@ def load_corpus(
     The load runs inside ``collector_paused()``: the corpus holds no
     reference cycles, so scanning it while it grows finds nothing to free.
     """
+    check_window(window)
     digests = {} if digests is None else digests
     with collector_paused():
         papers, digests[str(papers_path)] = read_hashed(papers_path, parse_papers)
@@ -689,12 +776,3 @@ def _journal_map(journals: Sequence[Journal], papers: Collection[Paper]) -> dict
                     line_no, f"paper {paper_id!r} has unresolved journal {journal_id!r}"
                 )
     return journal_map
-
-
-class _Inverses(dict):
-    """``1.0 / n`` by ``n``, each computed on first use and then shared, so a
-    corpus holds one weight object per distinct reference-list length."""
-
-    def __missing__(self, n: int) -> float:
-        self[n] = weight = 1.0 / n
-        return weight

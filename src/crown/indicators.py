@@ -21,11 +21,14 @@ ascending paper-id order so results are reproducible bit for bit.
 A score pass builds the baseline table of the corpus it scores, once, and
 takes a paper's expected value and combined percentile from
 ``crown.baselines``, which owns the multi-category rule, once per distinct
-argument tuple. ``fractional_score`` runs per paper and alone withholds a
-score from papers with a citation override. The table and the caches live
-for one pass, so two corpora, for example under two category schemes, share
-no table. To score many groups against one corpus, run one pass over their
-union and ``group_report`` per group, as ``diagnose ranksum`` does.
+argument tuple. A paper's count is read from the corpus's count column,
+which the table is built from. ``fractional_scores`` runs once per pass,
+over the pass's papers, and alone withholds a score from papers with a
+citation override; it resolves the papers' citers once
+(``Corpus.citers``). The table and the caches live for one pass, so two
+corpora, for example under two category schemes, share no table. To score
+many groups against one corpus, run one pass over their union and
+``group_report`` per group, as ``diagnose ranksum`` does.
 Each paper's scores are a ``ScoredPaper`` named tuple and a group's an
 ``IndicatorReport`` named tuple: each compares equal to the tuple of its
 fields and unpacks like one.
@@ -34,6 +37,7 @@ fields and unpacks like one.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import warnings
@@ -47,7 +51,7 @@ from .baselines import (
     compute_baselines,
     expected_citations_with_reason,
 )
-from .corpus import CitationWindow, Corpus, GroupSelection
+from .corpus import CitationWindow, Corpus, GroupSelection, Paper
 
 
 class DegenerateGroupError(RuntimeError):
@@ -185,25 +189,60 @@ def pp_top(percentiles: Sequence[float], x: float) -> float:
     return sum(percentile >= threshold for percentile in percentiles) / len(percentiles)
 
 
-def fractional_score(corpus: Corpus, paper_id: str) -> float | None:
-    """Citing-side fractional citation count: sum of 1/R over citing papers.
+def fractional_scores(
+    corpus: Corpus,
+    paper_ids: Sequence[str],
+    citers: dict[str, list[str]] | None = None,
+) -> list[float | None]:
+    """Citing-side fractional citation count of each of ``paper_ids``, in
+    order: the sum of 1/R over the papers citing it.
 
     R is each citing paper's full reference-list length, so a citation from a
-    6-reference paper weighs 1/6 and one from a 40-reference paper 1/40. The
-    weights are ``corpus.citing_weight``, built once per corpus, and
-    ``math.fsum`` is correctly rounded, so the sum does not depend on the
-    order of the citers. The value depends only on the citation graph, never
-    on any category scheme. Papers whose citation count is a stored override
-    have no trustworthy citing-side records, so they get None;
-    ``group_report`` counts them and warns once per group.
+    6-reference paper weighs 1/6 and one from a 40-reference paper 1/40. Each
+    citing paper's 1/R is computed once per call, one float per distinct R,
+    and ``math.fsum`` is correctly rounded, so a value depends neither on the
+    order of the citers nor on the other papers listed. The citers are
+    ``corpus.citers(paper_ids)``, or ``citers`` when the caller has resolved
+    them over the same papers and window. A value depends only on the
+    citation graph, never on any category scheme. Papers whose citation count
+    is a stored override have no trustworthy citing-side records, so they get
+    None; ``group_report`` counts them and warns once per group.
     """
-    if corpus.papers[paper_id].raw_citation_count is not None:
-        return None
-    return math.fsum(map(corpus.citing_weight.__getitem__, corpus.cited_by[paper_id]))
+    papers = corpus.papers
+    if citers is None:
+        citers = corpus.citers(paper_ids)
+    weight = _Weights(papers)
+    return [
+        None
+        if papers[paper_id].raw_citation_count is not None
+        else math.fsum(map(weight.__getitem__, citers[paper_id]))
+        for paper_id in paper_ids
+    ]
+
+
+class _Weights(dict):
+    """The fractional weight 1/R of each citing paper, by id, R its
+    reference-list length: computed on first use, one float per distinct R,
+    shared, so a call makes one weight object per length."""
+
+    __slots__ = ("_papers", "_inverses")
+
+    def __init__(self, papers: dict[str, Paper]):
+        super().__init__()
+        self._papers = papers
+        self._inverses: dict[int, float] = {}
+
+    def __missing__(self, paper_id: str) -> float:
+        n = len(self._papers[paper_id].references)
+        self[paper_id] = weight = self._inverses.setdefault(n, 1.0 / n)
+        return weight
 
 
 def score_papers(
-    corpus: Corpus, paper_ids: Iterable[str], weighting: Weighting
+    corpus: Corpus,
+    paper_ids: Iterable[str],
+    weighting: Weighting,
+    citers: dict[str, list[str]] | None = None,
 ) -> list[ScoredPaper]:
     """Per-paper scores in ascending paper-id order, against the baseline
     table of ``corpus``, built once for this pass; ValueError for a
@@ -211,14 +250,21 @@ def score_papers(
 
     The expected value and the combined percentile come from caches that
     live for this one pass and are keyed on their helper's own arguments
-    (the table and ``weighting`` are fixed for the pass); ``fractional_score``
-    runs once per paper.
+    (the table and ``weighting`` are fixed for the pass). Each paper's count
+    is read from ``corpus.citation_counts``, the column its cells hold.
+    ``fractional_scores`` runs once over the pass's papers, resolving their
+    citers unless ``citers`` holds them for the same papers and window, as
+    it does for the indexer's two schemes.
     """
     check_weighting(weighting)
     table = compute_baselines(corpus)
     papers = corpus.papers
     journals = corpus.journals
-    cited_by = corpus.cited_by
+    ordered = sorted(paper_ids)
+    listed = set(ordered)
+    counts = dict(
+        itertools.compress(zip(papers, corpus.citation_counts), map(listed.__contains__, papers))
+    )
     expected_of = functools.cache(
         lambda categories, year: expected_citations_with_reason(table, categories, year, weighting)
     )
@@ -226,9 +272,9 @@ def score_papers(
         lambda categories, year, count: combined_percentile(table, categories, year, count)
     )
     scored = []
-    for paper_id in sorted(paper_ids):
+    for paper_id, fractional in zip(ordered, fractional_scores(corpus, ordered, citers)):
         _, year, journal_id, _, override = papers[paper_id]
-        citations = len(cited_by[paper_id]) if override is None else override
+        citations = counts[paper_id] if override is None else override
         categories = journals[journal_id].categories
         expected, reason = expected_of(categories, year)
         scored.append(
@@ -238,7 +284,7 @@ def score_papers(
                 expected,
                 None if expected is None else citations / expected,
                 percentile_of(categories, year, citations),
-                fractional_score(corpus, paper_id),
+                fractional,
                 expected is not None,
                 reason,
             )

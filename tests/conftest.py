@@ -110,11 +110,12 @@ def corpus_from_synth(
 
 def citation_count(corpus: Corpus, paper_id: str) -> int:
     """Oracle for the count rule: citations received within the window, a
-    stored override winning."""
+    stored override winning. It counts ``Corpus.citers``, not the count
+    column that the baseline table and the score pass read."""
     paper = corpus.papers[paper_id]
     if paper.raw_citation_count is not None:
         return paper.raw_citation_count
-    return len(corpus.cited_by[paper_id])
+    return len(corpus.citers([paper_id])[paper_id])
 
 
 def journal_of(corpus: Corpus, paper_id: str) -> Journal:

@@ -26,7 +26,7 @@ from crown.diagnostics import (
 )
 from crown.indicators import (
     cpp_fcsm,
-    fractional_score,
+    fractional_scores,
     mdncs,
     mncs,
     score_papers,
@@ -203,12 +203,13 @@ def test_criterion_04_fractional_anchor_and_conservation() -> None:
         ],
         [Journal("j1", "J", ("F",))],
     )
-    anchor = fractional_score(anchor_corpus, "t")
+    anchor = fractional_scores(anchor_corpus, ["t"])[0]
     anchor_ok = abs(anchor - (1 / 6 + 1 / 40)) <= 1e-15
 
     started = time.perf_counter()
     corpus = corpus_from_synth(INTERNAL_100K)
-    total = math.fsum(fractional_score(corpus, pid) for pid in corpus.papers)
+    # one call over every paper: each call walks every reference list once
+    total = math.fsum(fractional_scores(corpus, list(corpus.papers)))
     citing = sum(1 for paper in corpus.papers.values() if paper.references)
     elapsed = time.perf_counter() - started
     conservation_error = abs(total - citing)
@@ -236,9 +237,8 @@ def test_criterion_05_classification_independence() -> None:
     relabeled = corpus.with_journals(shuffled)
 
     def fractional_blob(which) -> bytes:
-        rows = [
-            f"{pid}\t{fractional_score(which, pid)!r}" for pid in sorted(which.papers)
-        ]
+        ids = sorted(which.papers)
+        rows = [f"{pid}\t{score!r}" for pid, score in zip(ids, fractional_scores(which, ids))]
         return ("\n".join(rows) + "\n").encode("utf-8")
 
     bytes_a = fractional_blob(corpus)

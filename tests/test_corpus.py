@@ -6,6 +6,7 @@ import json
 import pickle
 import re
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import Phase, example, find, given, settings
@@ -33,6 +34,7 @@ from crown.corpus import (
 )
 from crown.diagnostics import primary_only_scheme
 from crown.indicators import score_papers
+from crown.synth import FieldSpec, SynthConfig, generate_corpus
 
 import conftest
 from conftest import (CARDIOLOGY_JOURNALS_CSV, SMALL_JOURNALS, categories_of, jsonl_lines,
@@ -392,22 +394,22 @@ def _two_paper_corpus(citing_year: int, window: CitationWindow):
 
 def test_build_corpus_single_edge() -> None:
     corpus = _two_paper_corpus(2001, CitationWindow.all())
-    assert corpus.cited_by["p1"] == ("p2",)
-    assert len(corpus.cited_by["p1"]) == 1
+    assert corpus.citers(["p1"]) == {"p1": ["p2"]}
+    assert corpus.citation_counts == (1, 0)
 
 
 def test_build_corpus_window_excludes_late_citation() -> None:
     corpus = _two_paper_corpus(2010, CitationWindow.fixed_years(5))
-    assert corpus.cited_by["p1"] == ()
-    assert len(corpus.cited_by["p1"]) == 0
+    assert corpus.citers(["p1"]) == {"p1": []}
+    assert corpus.citation_counts == (0, 0)
 
 
 def test_window_includes_publication_year_span() -> None:
     window = CitationWindow.fixed_years(5)
-    assert window.admits(2000, 2000)
-    assert window.admits(2000, 2004)
-    assert not window.admits(2000, 2005)
-    assert not window.admits(2000, 1999)
+    # the publication year and the four after it
+    assert window.citing_years(2000) == range(2000, 2005)
+    # ``all`` spans every year a paper may carry, before and after its own
+    assert CitationWindow.all().citing_years(2000) == range(YEAR_MIN, YEAR_MAX + 1)
 
 
 def test_external_reference_counts_toward_reference_length() -> None:
@@ -416,9 +418,10 @@ def test_external_reference_counts_toward_reference_length() -> None:
         Paper("p2", 2001, "j1", ("doi:x",)),
     ]
     corpus = build_corpus(papers, [Journal("j1", "J", ("cat",))])
-    assert corpus.cited_by["p1"] == ()
+    assert corpus.citers(["p1"]) == {"p1": []}
     assert len(corpus.papers["p2"].references) == 1
     assert corpus.n_edges == 0
+    assert corpus.n_external == 1
 
 
 def test_duplicate_reference_keys_make_one_edge_but_count_twice() -> None:
@@ -427,7 +430,8 @@ def test_duplicate_reference_keys_make_one_edge_but_count_twice() -> None:
         Paper("p2", 2001, "j1", ("p1", "p1")),
     ]
     corpus = build_corpus(papers, [Journal("j1", "J", ("cat",))])
-    assert corpus.cited_by["p1"] == ("p2",)
+    assert corpus.citers(["p1"]) == {"p1": ["p2"]}
+    assert corpus.citation_counts == (1, 0)
     assert len(corpus.papers["p2"].references) == 2
 
 
@@ -438,7 +442,7 @@ def test_citation_count_override_beats_edges() -> None:
         Paper("q2", 2001, "j1", ("p1",)),
     ]
     corpus = build_corpus(papers, [Journal("j1", "J", ("cat",))])
-    assert len(corpus.cited_by["p1"]) == 2
+    assert corpus.citation_counts == (2, 0, 0)
     table = compute_baselines(corpus)
     scored = score_papers(corpus, ["q1", "p1"], Weighting.HARMONIC)
     assert scored[0].citations == 17
@@ -516,7 +520,8 @@ def test_with_journals_names_the_position_of_the_first_uncovered_paper() -> None
 def test_with_journals_keeps_graph() -> None:
     corpus = _two_paper_corpus(2001, CitationWindow.all())
     swapped = corpus.with_journals([Journal("j1", "J", ("newcat",))])
-    assert swapped.cited_by is corpus.cited_by
+    assert swapped.citation_counts is corpus.citation_counts
+    assert swapped.citers(["p1"]) == corpus.citers(["p1"]) == {"p1": ["p2"]}
     assert categories_of(swapped, "p1") == ("newcat",)
 
 
@@ -545,7 +550,7 @@ def test_load_corpus_reads_files(tmp_path) -> None:
     )
     digests: dict[str, str] = {}
     corpus = load_corpus(papers_path, journals_path, digests=digests)
-    assert len(corpus.cited_by["p1"]) == 1
+    assert corpus.citation_counts == (1, 0)
     assert len(corpus.journals) == 4
     assert corpus.journals["jx"].title == "Two\r\nLines"
     assert digests == {
@@ -623,17 +628,18 @@ def test_edge_symmetry(case) -> None:
     papers, window = case
     corpus = build_corpus(papers, SMALL_JOURNALS, window)
     by_id = {paper.id: paper for paper in papers}
-    for cited_id, citers in corpus.cited_by.items():
+    cited_by = corpus.citers(corpus.papers)
+    for cited_id, citers in cited_by.items():
         assert len(set(citers)) == len(citers)
         for citing_id in citers:
             assert cited_id in by_id[citing_id].references
-            assert window.admits(by_id[cited_id].year, by_id[citing_id].year)
+            assert by_id[citing_id].year in window.citing_years(by_id[cited_id].year)
     # and the other direction: every admitted resolvable reference is an edge
     for paper in papers:
         for ref in paper.references:
             target = by_id.get(ref)
-            if target is not None and window.admits(target.year, paper.year):
-                assert paper.id in corpus.cited_by[ref]
+            if target is not None and paper.year in window.citing_years(target.year):
+                assert paper.id in cited_by[ref]
 
 
 @given(small_corpus())
@@ -648,7 +654,8 @@ def test_citation_total_equals_resolvable_pairs(case) -> None:
         for ref in paper.references
         if ref in ids
     }
-    assert sum(len(corpus.cited_by[pid]) for pid in ids) == len(pairs)
+    assert sum(corpus.citation_counts) == len(pairs)
+    assert sum(map(len, corpus.citers(ids).values())) == len(pairs)
 
 
 @given(small_corpus())
@@ -657,7 +664,8 @@ def test_build_is_deterministic(case) -> None:
     papers, window = case
     first = build_corpus(papers, SMALL_JOURNALS, window)
     second = build_corpus(list(papers), SMALL_JOURNALS, window)
-    assert first.cited_by == second.cited_by
+    assert first.citation_counts == second.citation_counts
+    assert first.citers(first.papers) == second.citers(second.papers)
     assert list(first.papers) == list(second.papers)
 
 
@@ -672,34 +680,58 @@ def _reference_cited_by(papers: list[Paper], window: CitationWindow) -> dict:
             if cited is None or ref in resolved:
                 continue
             resolved.add(ref)
-            if window.admits(cited.year, citing.year):
+            if window.years is None or 0 <= citing.year - cited.year < window.years:
                 cited_by[ref].append(citing.id)
     return {pid: tuple(citers) for pid, citers in cited_by.items()}
 
 
-@given(small_corpus())
+@given(small_corpus(), st.data())
 @settings(max_examples=300)
-def test_build_matches_the_reference_build(case) -> None:
+def test_build_matches_the_reference_build(case, data) -> None:
     papers, window = case
     expected = _reference_cited_by(papers, window)
-    weights = {paper.id: 1 / len(paper.references) for paper in papers if paper.references}
+    ids = [paper.id for paper in papers]
+    subset = data.draw(st.lists(st.sampled_from(ids), unique=True), label="subset")
     for source in (papers, parse_papers(jsonl_lines(papers))):
         corpus = build_corpus(source, SMALL_JOURNALS, window)
-        assert list(corpus.cited_by.items()) == list(expected.items())
-        assert all(type(citers) is tuple for citers in corpus.cited_by.values())
+        # ``compute_baselines`` walks the counts and the papers in step
+        assert type(corpus.citation_counts) is tuple
+        assert len(corpus.citation_counts) == len(corpus.papers)
+        for paper_id, count in zip(corpus.papers, corpus.citation_counts):
+            assert count == len(expected[paper_id])
+        assert list(corpus.citers(subset).items()) == [
+            (paper_id, list(expected[paper_id])) for paper_id in subset
+        ]
+        assert corpus.citers(ids) == {pid: list(citers) for pid, citers in expected.items()}
         assert corpus.n_edges == sum(len(citers) for citers in expected.values())
-        assert corpus.citing_weight == weights
-        # ``compute_baselines`` walks these two in step
-        assert list(corpus.cited_by) == list(corpus.papers)
-        # one weight object per reference-list length
-        shared: dict[int, float] = {}
-        for paper in papers:
-            if paper.references:
-                weight = corpus.citing_weight[paper.id]
-                assert weight is shared.setdefault(len(paper.references), weight)
         rescheme = corpus.with_journals(SMALL_JOURNALS[::-1])
-        assert rescheme.cited_by is corpus.cited_by
-        assert rescheme.citing_weight is corpus.citing_weight
+        assert rescheme.citation_counts is corpus.citation_counts
+        assert rescheme.n_external == corpus.n_external
+
+
+def test_the_build_holds_no_per_paper_citer_container() -> None:
+    # 2x10^4 papers with about 5 references each. Measured on CPython
+    # 3.11: a build that kept a citer tuple and a 1/R weight per paper
+    # allocated 133 B net and peaked at 173 B per paper; the count column
+    # allocates 29 B net, its paper map and the column, and peaks at 61 B,
+    # with the tally. The bounds leave room for the larger dict entries of
+    # 3.10.
+    config = SynthConfig(
+        (FieldSpec("sparse", 3.0, 1000), FieldSpec("dense", 8.0, 1000)), (2000, 2009),
+        multi_category_journal_fraction=1.0, seed=42)
+    papers_bytes, journals_bytes = generate_corpus(config)
+    papers = parse_papers(papers_bytes.decode("utf-8").splitlines())
+    journals = parse_journals(journals_bytes.decode("utf-8").splitlines())
+    del papers_bytes
+    tracemalloc.start()
+    try:
+        corpus = build_corpus(papers, journals)
+        net, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corpus.papers) == 20_000 and corpus.n_edges > 90_000
+    assert net / len(papers) < 64
+    assert peak / len(papers) < 112
 
 
 @given(small_corpus())
@@ -715,7 +747,7 @@ def test_parse_shares_one_string_per_key(case) -> None:
             assert key is first_seen.setdefault(key, key)
             if key in corpus.papers:
                 assert key is corpus.papers[key].id
-    for cited_id, citers in corpus.cited_by.items():
+    for citers in corpus.citers(corpus.papers).values():
         for citing_id in citers:
             assert citing_id is corpus.papers[citing_id].id
     first_journal: dict[str, str] = {}
@@ -784,7 +816,7 @@ def test_load_corpus_restores_the_collector_state(tmp_path, gc_state, enabled) -
     _set_gc(enabled)
     corpus = load_corpus(papers_path, journals_path)
     assert gc.isenabled() is enabled
-    assert corpus.cited_by == {"p1": ("p2",), "p2": ("p1",)}
+    assert corpus.citers(["p1", "p2"]) == {"p1": ["p2"], "p2": ["p1"]}
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -829,8 +861,28 @@ def test_external_keys_count_every_occurrence_whatever_the_window() -> None:
         Paper("p3", 2005, "j1", ("doi:x", "p2")),
     ]
     corpus = build_corpus(papers, [Journal("j1", "J", ("cat",))], CitationWindow.fixed_years(1))
-    assert corpus.cited_by == {"p1": (), "p2": ("p3",), "p3": ()}
+    assert corpus.citers(["p1", "p2", "p3"]) == {"p1": [], "p2": ["p3"], "p3": []}
+    assert corpus.citation_counts == (0, 1, 0)
     assert corpus.n_external == 4
+
+
+@given(small_corpus())
+@settings(max_examples=200)
+def test_external_count_matches_a_rescan(case) -> None:
+    papers, window = case
+    ids = {paper.id for paper in papers}
+    rescan = sum(ref not in ids for paper in papers for ref in paper.references)
+    assert build_corpus(papers, SMALL_JOURNALS, window).n_external == rescan
+
+
+@pytest.mark.parametrize("window", ["all", None, 5])
+def test_a_window_that_is_not_a_citation_window_is_refused(tmp_path, window) -> None:
+    message = f"^window must be a CitationWindow, got {re.escape(repr(window))}$"
+    with pytest.raises(ValueError, match=message):
+        build_corpus([Paper("p1", 2000, "j1", ())], [Journal("j1", "J", ("cat",))], window)
+    # refused before either file is read: neither exists
+    with pytest.raises(ValueError, match=message):
+        load_corpus(tmp_path / "papers.jsonl", tmp_path / "journals.csv", window)
 
 
 _SURROGATE = "a lone surrogate, which UTF-8 cannot encode"

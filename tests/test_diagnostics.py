@@ -248,13 +248,15 @@ def test_fractional_scoring_that_reads_the_scheme_fails_the_check(monkeypatch) -
     corpus = _multi_scheme_corpus()
     group = GroupSelection.resolve("g", ["m1", "a1"], corpus)
     scheme_b = primary_only_scheme(list(corpus.journals.values()))
-    honest = indicators.fractional_score
+    honest = indicators.fractional_scores
 
-    def scheme_dependent(corpus, paper_id):
-        journal = corpus.journals[corpus.papers[paper_id].journal_id]
-        return honest(corpus, paper_id) + len(journal.categories)
+    def scheme_dependent(corpus, paper_ids, citers=None):
+        return [
+            score + len(corpus.journals[corpus.papers[paper_id].journal_id].categories)
+            for paper_id, score in zip(paper_ids, honest(corpus, paper_ids, citers))
+        ]
 
-    monkeypatch.setattr(indicators, "fractional_score", scheme_dependent)
+    monkeypatch.setattr(indicators, "fractional_scores", scheme_dependent)
     # m1's journal has categories A|B under scheme A and A alone under B
     with pytest.raises(AssertionError, match=r"moved with the category scheme: \['m1'\]"):
         indexer_sensitivity(corpus, group, scheme_b, Weighting.HARMONIC)

@@ -28,7 +28,7 @@ from crown.indicators import (
     GroupSelection,
     ScoredPaper,
     cpp_fcsm,
-    fractional_score,
+    fractional_scores,
     mdncs,
     mncs,
     pp_top,
@@ -331,17 +331,17 @@ def test_fractional_contrasting_densities() -> None:
     corpus = _fractional_fixture()
     assert len(corpus.papers["sparse"].references) == 6
     assert len(corpus.papers["dense"].references) == 40
-    assert fractional_score(corpus, "t") == pytest.approx(1 / 6 + 1 / 40, abs=1e-15)
+    assert fractional_scores(corpus, ["t"]) == [pytest.approx(1 / 6 + 1 / 40, abs=1e-15)]
 
 
 def test_fractional_uncited_paper_is_zero() -> None:
-    assert fractional_score(_fractional_fixture(), "u") == 0.0
+    assert fractional_scores(_fractional_fixture(), ["u"]) == [0.0]
 
 
 def test_fractional_single_reference_citer_gives_full_weight() -> None:
     papers = [Paper("t", 2000, "j1", ()), Paper("q", 2001, "j1", ("t",))]
     corpus = build_corpus(papers, [Journal("j1", "J", ("F",))])
-    assert fractional_score(corpus, "t") == 1.0
+    assert fractional_scores(corpus, ["t"]) == [1.0]
 
 
 def test_fractional_excludes_override_papers_with_warning() -> None:
@@ -350,10 +350,10 @@ def test_fractional_excludes_override_papers_with_warning() -> None:
         Paper("q", 2001, "j1", ("t",)),
     ]
     corpus = build_corpus(papers, [Journal("j1", "J", ("F",))])
-    # neither fractional_score nor the score pass warns per paper ...
+    # neither fractional_scores nor the score pass warns per paper ...
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert fractional_score(corpus, "t") is None
+        assert fractional_scores(corpus, ["t", "q"]) == [None, 0.0]
         scored = score_papers(corpus, ["t", "q"], Weighting.ARITHMETIC)
     assert {paper.paper_id: paper.fractional for paper in scored} == {"q": 0.0, "t": None}
     # ... and the group report warns exactly once for the whole group
@@ -393,14 +393,14 @@ def test_mean_fractional_conservation_on_internal_corpus() -> None:
         Paper("e", 2002, "j1", ("b",)),
     ]
     corpus = build_corpus(papers, [Journal("j1", "J", ("F",))])
-    total = math.fsum(fractional_score(corpus, pid) for pid in corpus.papers)
+    total = math.fsum(fractional_scores(corpus, list(corpus.papers)))
     citing = sum(1 for paper in papers if paper.references)
     assert total == pytest.approx(citing, abs=1e-12)
     # oracle: accumulate the exact weights by hand
     exact = sum(
         Fraction(1, len(corpus.papers[q].references))
         for pid in corpus.papers
-        for q in corpus.cited_by[pid]
+        for q in corpus.citers([pid])[pid]
     )
     assert exact == citing
 
@@ -408,8 +408,8 @@ def test_mean_fractional_conservation_on_internal_corpus() -> None:
 def test_fractional_ignores_category_scheme() -> None:
     corpus = _fractional_fixture()
     relabeled = corpus.with_journals([Journal("j1", "J", ("ZZZ",))])
-    for pid in corpus.papers:
-        assert fractional_score(corpus, pid) == fractional_score(relabeled, pid)
+    ids = list(corpus.papers)
+    assert fractional_scores(corpus, ids) == fractional_scores(relabeled, ids)
 
 
 # --- score_group and the report --------------------------------------------
@@ -606,7 +606,7 @@ def _reference_score_papers(corpus, paper_ids, weighting) -> list:
             table, categories, year, weighting
         )
         if corpus.papers[paper_id].raw_citation_count is None:
-            fractional = fractional_score(corpus, paper_id)
+            fractional = fractional_scores(corpus, [paper_id])[0]
         else:
             fractional = None
         scored.append(
@@ -667,7 +667,7 @@ def test_score_pass_computes_each_value_once_per_key(monkeypatch) -> None:
         indicators, "combined_percentile", counting("percentile", combined_percentile)
     )
     monkeypatch.setattr(
-        indicators, "fractional_score", counting("fractional", fractional_score)
+        indicators, "fractional_scores", counting("fractional", fractional_scores)
     )
     scored = score_papers(corpus, group, Weighting.HARMONIC)
     papers = [corpus.papers[pid] for pid in group]
@@ -679,8 +679,8 @@ def test_score_pass_computes_each_value_once_per_key(monkeypatch) -> None:
     assert len(year_keys) < len(count_keys) < len(group)
     assert calls["expected"] == len(year_keys)
     assert calls["percentile"] == len(count_keys)
-    # fractional_score stays per paper, and decides the overrides itself
-    assert calls["fractional"] == len(group)
+    # one fractional call for the whole pass, which decides the overrides itself
+    assert calls["fractional"] == 1
     monkeypatch.undo()
     assert scored == _reference_score_papers(corpus, group, Weighting.HARMONIC)
 
@@ -765,10 +765,9 @@ def test_relabelling_categories_leaves_fractional_scores_bit_identical(
         ]
     )
     ids = list(corpus.papers)
-    for pid in ids:
-        assert fractional_score(corpus, pid).hex() == fractional_score(
-            relabelled, pid
-        ).hex()
+    assert [score.hex() for score in fractional_scores(corpus, ids)] == [
+        score.hex() for score in fractional_scores(relabelled, ids)
+    ]
     passes = [
         score_papers(scheme, ids, Weighting.ARITHMETIC)
         for scheme in (corpus, relabelled)

@@ -67,8 +67,8 @@ REPRS = {
         "Corpus(papers={'p0': Paper(id='p0', year=2004, journal_id='j', references=(), "
         "raw_citation_count=None), 'p1': Paper(id='p1', year=2005, journal_id='j', "
         "references=('p0',), raw_citation_count=None)}, journals={'j': Journal(id='j', "
-        "title='J', categories=('a', 'b'))}, cited_by={'p0': ('p1',), 'p1': ()}, "
-        "citing_weight={'p1': 1.0}, window=CitationWindow(years=5))",
+        "title='J', categories=('a', 'b'))}, citation_counts=(1, 0), n_external=0, "
+        "window=CitationWindow(years=5))",
     ),
     "GroupSelection": (
         GroupSelection("g", ("p1",)), "GroupSelection(name='g', paper_ids=('p1',))"
