@@ -49,10 +49,11 @@ int, so a corpus holds one such object per distinct value, not one per record.
 
 The build keeps one count column, ``Corpus.citation_counts``: per paper,
 the distinct papers citing it inside the window, taken by a C-level tally
-over the reference lists. It builds no per-paper container of citers. Who
-cites a paper is resolved only when asked, by ``Corpus.citers``, for the
-papers a score pass reads, in one walk over the reference lists that name
-one of them.
+over the reference lists. It builds no per-paper container of citers; a
+score pass tallies the fractional counts of its own papers
+(``crown.indicators.fractional_scores``) in one walk over the reference
+lists that name one of them. A reference list holds at most
+``MAX_REFERENCES`` keys, so that tally is exact.
 
 Every record of the package (``Paper``, ``Journal``, ``CitationWindow``,
 ``Corpus``, ``GroupSelection`` here, and those of the other modules) is a
@@ -84,6 +85,9 @@ _T = TypeVar("_T")
 
 YEAR_MIN = 1900
 YEAR_MAX = 2100
+# The longest reference list: for R up to 2^27, 1/R as a double is an
+# integer multiple of 2^-80, which fractional counting sums exactly.
+MAX_REFERENCES = 2**27
 
 
 class CorpusError(ValueError):
@@ -171,8 +175,9 @@ class Paper(CheckedRecord, _PaperFields):
     The id is what a report row and a group file line carry: it has no
     surrounding whitespace, does not start with ``#`` and holds no tab or
     line break. The year is an ``int``, the journal id a non-empty ``str``,
-    the references a ``tuple`` and the citation override ``None`` or an
-    ``int``; a ``bool`` is not an ``int`` here.
+    the references a ``tuple`` of at most ``MAX_REFERENCES`` keys and the
+    citation override ``None`` or an ``int``; a ``bool`` is not an ``int``
+    here.
 
     A named tuple: it compares equal to the tuple of its fields and unpacks
     like one. Every way of building one (a call, ``_make``, ``_replace``,
@@ -202,6 +207,9 @@ class Paper(CheckedRecord, _PaperFields):
             raise CorpusError(f"paper {paper_id!r}: references must be a tuple")
         if paper_id in references:
             raise CorpusError(f"paper {paper_id!r} references itself")
+        if len(references) > MAX_REFERENCES:
+            raise CorpusError(f"paper {paper_id!r} has {len(references)} references, "
+                              f"more than the {MAX_REFERENCES} fractional counting sums exactly")
         if override is not None:
             if type(override) is not int:
                 raise CorpusError(f"paper {paper_id!r}: citation override must be an integer")
@@ -296,7 +304,8 @@ class CitationWindow(CheckedRecord, _WindowFields):
         """The publication years of the citing papers that count toward a
         paper published in ``cited_year``: ``YEAR_MIN..YEAR_MAX`` for
         ``all``, else the n years from ``cited_year``. The one statement of
-        the window rule; the count tally and ``Corpus.citers`` both read it."""
+        the window rule; the count tally and the fractional tally
+        (``crown.indicators.fractional_scores``) both read it."""
         if self.years is None:
             return range(YEAR_MIN, YEAR_MAX + 1)
         return range(cited_year, cited_year + self.years)
@@ -313,16 +322,20 @@ class _CorpusFields(NamedTuple):
     window: CitationWindow
 
 
-class Corpus(_CorpusFields):
+class Corpus(CheckedRecord, _CorpusFields):
     """Resolved, immutable collection of papers, journals and citation counts.
 
     ``citation_counts`` holds, per paper in the key order of ``papers``, how
     many distinct papers cite it inside the window, so the two can be walked
     in step. ``n_external`` counts the reference keys that name no corpus
     paper, every occurrence, whatever the window. Both are graph data: they
-    do not depend on ``journals``. Who cites a paper is not stored: ``citers``
-    resolves it for the papers asked about. Within one parse, equal ids,
-    journal ids and years are each one shared object.
+    do not depend on ``journals``. Who cites a paper is not stored: a score
+    pass tallies what it needs from the reference lists. Within one parse,
+    equal ids, journal ids and years are each one shared object.
+
+    Every way of building one checks that the window is a ``CitationWindow``,
+    the count column a tuple of ``len(papers)`` non-negative ints and
+    ``n_external`` a non-negative int; ValueError otherwise.
 
     Dict insertion order matches input order everywhere, so two corpora built
     from identical input bytes are identical including all list orderings.
@@ -333,49 +346,24 @@ class Corpus(_CorpusFields):
 
     __slots__ = ()
 
+    def _check(self) -> None:
+        check_window(self.window)
+        counts = self.citation_counts
+        if (
+            type(counts) is not tuple
+            or len(counts) != len(self.papers)
+            or not set(map(type, counts)) <= {int}
+            or min(counts, default=0) < 0
+        ):
+            raise ValueError(
+                f"citation counts must be a tuple of {len(self.papers)} non-negative ints"
+            )
+        if type(self.n_external) is not int or self.n_external < 0:
+            raise ValueError(f"n_external must be a non-negative int, got {self.n_external!r}")
+
     @property
     def n_edges(self) -> int:
         return sum(self.citation_counts)
-
-    def citers(self, paper_ids: Iterable[str]) -> dict[str, list[str]]:
-        """The ids of the papers citing each of ``paper_ids`` inside the
-        window, in ``papers`` order, keyed in input order; KeyError for an id
-        that names no paper.
-
-        One pass walks the reference lists that name a listed id, found at C
-        level, and no other list. A key repeated within one list adds its
-        citer once, so each list's length is that paper's count in
-        ``citation_counts``. The window is tested per key only for a citing
-        year that some listed paper's span leaves out.
-        """
-        papers = self.papers
-        # Keyed by the corpus's own id objects, which the reference keys
-        # share, so that each key finds its entry by identity.
-        found: dict[str, list[str]] = {papers[paper_id].id: [] for paper_id in paper_ids}
-        found_get = found.get
-        citing_years = self.window.citing_years
-        listed_years = set(map(_YEAR, map(papers.__getitem__, found)))
-        spans = {year: citing_years(year) for year in listed_years}
-        every_span_holds: dict[int, bool] = {}  # by citing year
-        listed = set(found)
-        names_one = map(operator.not_, map(listed.isdisjoint, map(_REFERENCES, papers.values())))
-        for citing_id, citing_year, _, references, _ in itertools.compress(
-            papers.values(), names_one
-        ):
-            admitted = every_span_holds.get(citing_year)
-            if admitted is None:
-                admitted = all(citing_year in span for span in spans.values())
-                every_span_holds[citing_year] = admitted
-            for key in references:
-                citers = found_get(key)
-                # A repeated key finds this paper already last in its list.
-                if (
-                    citers is not None
-                    and (not citers or citers[-1] is not citing_id)
-                    and (admitted or citing_year in spans[papers[key].year])
-                ):
-                    citers.append(citing_id)
-        return found
 
     def with_journals(self, journals: Sequence[Journal]) -> Corpus:
         """Same papers and citation counts, the one column shared, under a
@@ -494,6 +482,7 @@ def _paper_from_record(record: dict, line_no: int, canon: dict) -> Paper:
         and paper_id[-1] != " "
         and YEAR_MIN <= year <= YEAR_MAX
         and paper_id not in references
+        and len(references) <= MAX_REFERENCES
         and (citations is None or citations >= 0)
     ):
         return tuple.__new__(Paper, (paper_id, year, journal_id, references, citations))
@@ -577,19 +566,22 @@ class GroupSelection(NamedTuple):
     ) -> GroupSelection:
         """The unknown, repeated and empty rules over ``items``: paper ids, or
         group-file lines when ``lines``, numbered from 1; a line that lists
-        no id (``listed_id`` gives None) is skipped."""
+        no id (``listed_id`` gives None) is skipped. The group holds the
+        corpus's own id objects, which the reference keys share, so a score
+        pass finds each id by identity."""
         first_line: dict[str, int] = {}
         line_no = 0
         for line_no, paper_id in enumerate(map(listed_id, items) if lines else items, 1):
             if paper_id is None and lines:
                 continue
             # an item that is not a ``str`` names no paper, and may not hash
-            if not isinstance(paper_id, str) or paper_id not in corpus.papers:
+            paper = corpus.papers.get(paper_id) if isinstance(paper_id, str) else None
+            if paper is None:
                 raise ParseError(line_no, f"group {name!r}: unknown paper {paper_id!r}")
             if paper_id in first_line:
                 raise ParseError(line_no, f"group {name!r} lists paper {paper_id!r} "
                                           f"twice (first on line {first_line[paper_id]})")
-            first_line[paper_id] = line_no
+            first_line[paper.id] = line_no
         if not first_line:
             if lines:
                 raise ParseError(line_no or 1, f"group {name!r} is empty")

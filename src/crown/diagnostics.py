@@ -289,16 +289,14 @@ def indexer_sensitivity(
     which must cover every paper's journal, over the same citation graph.
 
     One score pass per scheme feeds both the per-paper rows and the group
-    reports. The two corpora share the papers, the window and so the
-    group's citers, which are resolved once for both passes. Each pass
-    computes its own fractional scores from them, so the zero
-    fractional-delta check in ``SensitivityReport`` tests that fractional
-    scoring reads nothing from the category scheme.
+    reports. The two corpora share the papers and the window, and each pass
+    tallies its own fractional scores, so the zero fractional-delta check in
+    ``SensitivityReport`` compares two computations and tests that
+    fractional scoring reads nothing from the category scheme.
     """
     corpus_b = corpus.with_journals(scheme_b)
-    citers = corpus.citers(group.paper_ids)
-    scored_a = score_papers(corpus, group.paper_ids, weighting, citers)
-    scored_b = score_papers(corpus_b, group.paper_ids, weighting, citers)
+    scored_a = score_papers(corpus, group.paper_ids, weighting)
+    scored_b = score_papers(corpus_b, group.paper_ids, weighting)
     papers = tuple(
         PaperSensitivity(
             paper_id=paper_a.paper_id,

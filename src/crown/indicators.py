@@ -23,9 +23,9 @@ takes a paper's expected value and combined percentile from
 ``crown.baselines``, which owns the multi-category rule, once per distinct
 argument tuple. A paper's count is read from the corpus's count column,
 which the table is built from. ``fractional_scores`` runs once per pass,
-over the pass's papers, and alone withholds a score from papers with a
-citation override; it resolves the papers' citers once
-(``Corpus.citers``). The table and the caches live for one pass, so two
+over the pass's papers, in one exact tally over the reference lists that
+name one of them, and alone withholds a score from papers with a citation
+override. The table and the caches live for one pass, so two
 corpora, for example under two category schemes, share no table. To score
 many groups against one corpus, run one pass over their union and
 ``group_report`` per group, as ``diagnose ranksum`` does.
@@ -40,6 +40,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import warnings
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
@@ -51,7 +52,7 @@ from .baselines import (
     compute_baselines,
     expected_citations_with_reason,
 )
-from .corpus import CitationWindow, Corpus, GroupSelection, Paper
+from .corpus import CitationWindow, Corpus, GroupSelection
 
 
 class DegenerateGroupError(RuntimeError):
@@ -189,61 +190,55 @@ def pp_top(percentiles: Sequence[float], x: float) -> float:
     return sum(percentile >= threshold for percentile in percentiles) / len(percentiles)
 
 
-def fractional_scores(
-    corpus: Corpus,
-    paper_ids: Sequence[str],
-    citers: dict[str, list[str]] | None = None,
-) -> list[float | None]:
+def fractional_scores(corpus: Corpus, paper_ids: Sequence[str]) -> list[float | None]:
     """Citing-side fractional citation count of each of ``paper_ids``, in
-    order: the sum of 1/R over the papers citing it.
+    order: the sum of 1/R over the papers citing it inside the window;
+    KeyError for an id that names no paper.
 
     R is each citing paper's full reference-list length, so a citation from a
-    6-reference paper weighs 1/6 and one from a 40-reference paper 1/40. Each
-    citing paper's 1/R is computed once per call, one float per distinct R,
-    and ``math.fsum`` is correctly rounded, so a value depends neither on the
-    order of the citers nor on the other papers listed. The citers are
-    ``corpus.citers(paper_ids)``, or ``citers`` when the caller has resolved
-    them over the same papers and window. A value depends only on the
-    citation graph, never on any category scheme. Papers whose citation count
-    is a stored override have no trustworthy citing-side records, so they get
-    None; ``group_report`` counts them and warns once per group.
+    6-reference paper weighs 1/6 and one from a 40-reference paper 1/40. One
+    pass walks the reference lists that name a listed id, found at C level,
+    and no other list, and adds the citing paper's 1/R once to each distinct
+    listed key. The window is tested per key only for a citing year that
+    some listed paper's span leaves out. For R up to ``MAX_REFERENCES``
+    (2^27) the double 1/R is an integer multiple of 2^-80, so the sums are
+    exact integers in that unit, and each is rounded once to a float: the
+    correctly rounded sum of the doubles 1/R, as ``math.fsum`` of them gives
+    it. So a value depends neither on the order of the citers nor on the
+    other papers listed. A value depends only on the citation graph, never
+    on any category scheme. Papers whose citation count is a stored override
+    have no trustworthy citing-side records, so they get None;
+    ``group_report`` counts them and warns once per group.
     """
     papers = corpus.papers
-    if citers is None:
-        citers = corpus.citers(paper_ids)
-    weight = _Weights(papers)
+    totals = dict.fromkeys(paper_ids, 0)
+    citing_years = corpus.window.citing_years
+    spans = {year: citing_years(year) for year in {papers[key].year for key in totals}}
+    every_span_holds: dict[int, bool] = {}  # by citing year
+    listed = set(totals)
+    names_one = map(operator.not_, map(listed.isdisjoint, map(_REFERENCES, papers.values())))
+    for _, citing_year, _, references, _ in itertools.compress(papers.values(), names_one):
+        units = int(_UNITS_PER_ONE / len(references))  # exact: 1/R times 2^80
+        admitted = every_span_holds.get(citing_year)
+        if admitted is None:
+            admitted = all(citing_year in span for span in spans.values())
+            every_span_holds[citing_year] = admitted
+        for key in listed.intersection(references):
+            if admitted or citing_year in spans[papers[key].year]:
+                totals[key] += units
     return [
         None
         if papers[paper_id].raw_citation_count is not None
-        else math.fsum(map(weight.__getitem__, citers[paper_id]))
+        else totals[paper_id] / _UNITS_PER_ONE
         for paper_id in paper_ids
     ]
 
 
-class _Weights(dict):
-    """The fractional weight 1/R of each citing paper, by id, R its
-    reference-list length: computed on first use, one float per distinct R,
-    shared, so a call makes one weight object per length."""
-
-    __slots__ = ("_papers", "_inverses")
-
-    def __init__(self, papers: dict[str, Paper]):
-        super().__init__()
-        self._papers = papers
-        self._inverses: dict[int, float] = {}
-
-    def __missing__(self, paper_id: str) -> float:
-        n = len(self._papers[paper_id].references)
-        self[paper_id] = weight = self._inverses.setdefault(n, 1.0 / n)
-        return weight
+_UNITS_PER_ONE = 2.0**80
+_REFERENCES = operator.itemgetter(3)
 
 
-def score_papers(
-    corpus: Corpus,
-    paper_ids: Iterable[str],
-    weighting: Weighting,
-    citers: dict[str, list[str]] | None = None,
-) -> list[ScoredPaper]:
+def score_papers(corpus: Corpus, paper_ids: Iterable[str], weighting: Weighting) -> list[ScoredPaper]:
     """Per-paper scores in ascending paper-id order, against the baseline
     table of ``corpus``, built once for this pass; ValueError for a
     ``weighting`` that is not a ``Weighting``.
@@ -252,9 +247,7 @@ def score_papers(
     live for this one pass and are keyed on their helper's own arguments
     (the table and ``weighting`` are fixed for the pass). Each paper's count
     is read from ``corpus.citation_counts``, the column its cells hold.
-    ``fractional_scores`` runs once over the pass's papers, resolving their
-    citers unless ``citers`` holds them for the same papers and window, as
-    it does for the indexer's two schemes.
+    ``fractional_scores`` runs once over the pass's papers.
     """
     check_weighting(weighting)
     table = compute_baselines(corpus)
@@ -272,7 +265,7 @@ def score_papers(
         lambda categories, year, count: combined_percentile(table, categories, year, count)
     )
     scored = []
-    for paper_id, fractional in zip(ordered, fractional_scores(corpus, ordered, citers)):
+    for paper_id, fractional in zip(ordered, fractional_scores(corpus, ordered)):
         _, year, journal_id, _, override = papers[paper_id]
         citations = counts[paper_id] if override is None else override
         categories = journals[journal_id].categories

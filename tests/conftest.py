@@ -108,14 +108,32 @@ def corpus_from_synth(
     )
 
 
+def reference_cited_by(papers: Iterable[Paper], window: CitationWindow) -> dict:
+    """The plain graph build: per paper id, the ids of the distinct papers
+    citing it inside ``window``, in papers order; a key repeated within one
+    list resolves once."""
+    paper_map = {paper.id: paper for paper in papers}
+    cited_by: dict[str, list[str]] = {pid: [] for pid in paper_map}
+    for citing in paper_map.values():
+        resolved: set[str] = set()
+        for ref in citing.references:
+            cited = paper_map.get(ref)
+            if cited is None or ref in resolved:
+                continue
+            resolved.add(ref)
+            if window.years is None or 0 <= citing.year - cited.year < window.years:
+                cited_by[ref].append(citing.id)
+    return {pid: tuple(citers) for pid, citers in cited_by.items()}
+
+
 def citation_count(corpus: Corpus, paper_id: str) -> int:
     """Oracle for the count rule: citations received within the window, a
-    stored override winning. It counts ``Corpus.citers``, not the count
+    stored override winning. It counts ``reference_cited_by``, not the count
     column that the baseline table and the score pass read."""
     paper = corpus.papers[paper_id]
     if paper.raw_citation_count is not None:
         return paper.raw_citation_count
-    return len(corpus.citers([paper_id])[paper_id])
+    return len(reference_cited_by(corpus.papers.values(), corpus.window)[paper_id])
 
 
 def journal_of(corpus: Corpus, paper_id: str) -> Journal:

@@ -209,6 +209,28 @@ def test_unknown_group_member_is_input_error(demo, tmp_path, capsys) -> None:
     assert "unknown paper" in capsys.readouterr().err
 
 
+def test_a_reference_list_past_the_exact_bound_is_input_error(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    import crown.corpus
+
+    monkeypatch.setattr(crown.corpus, "MAX_REFERENCES", 1)
+    papers, journals, group = tmp_path / "p.jsonl", tmp_path / "j.csv", tmp_path / "g.txt"
+    papers.write_text(
+        '{"id":"p1","year":2005,"journal":"ajc","references":["x"]}\n'
+        '{"id":"p2","year":2005,"journal":"ajc","references":["p1","x"]}\n',
+        encoding="utf-8",
+    )
+    journals.write_text(CARDIOLOGY_JOURNALS_CSV, encoding="utf-8")
+    group.write_text("p1\n", encoding="utf-8")
+    code = main(["score", "--papers", str(papers), "--journals", str(journals),
+                 "--group", str(group)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "line 2: paper 'p2' has 2 references, more than the 1" in captured.err
+    assert captured.out == ""
+
+
 def test_unknown_flag_is_nonzero(capsys) -> None:
     assert main(["score", "--nope"]) == 1
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import math
 import pickle
 import re
 import sys
@@ -33,12 +34,12 @@ from crown.corpus import (
     read_hashed,
 )
 from crown.diagnostics import primary_only_scheme
-from crown.indicators import score_papers
+from crown.indicators import fractional_scores, score_papers
 from crown.synth import FieldSpec, SynthConfig, generate_corpus
 
 import conftest
 from conftest import (CARDIOLOGY_JOURNALS_CSV, SMALL_JOURNALS, categories_of, jsonl_lines,
-                      small_corpus)
+                      reference_cited_by, small_corpus)
 
 
 def test_parse_papers_maps_fields_directly() -> None:
@@ -394,13 +395,13 @@ def _two_paper_corpus(citing_year: int, window: CitationWindow):
 
 def test_build_corpus_single_edge() -> None:
     corpus = _two_paper_corpus(2001, CitationWindow.all())
-    assert corpus.citers(["p1"]) == {"p1": ["p2"]}
+    assert fractional_scores(corpus, ["p1"]) == [1.0]
     assert corpus.citation_counts == (1, 0)
 
 
 def test_build_corpus_window_excludes_late_citation() -> None:
     corpus = _two_paper_corpus(2010, CitationWindow.fixed_years(5))
-    assert corpus.citers(["p1"]) == {"p1": []}
+    assert fractional_scores(corpus, ["p1"]) == [0.0]
     assert corpus.citation_counts == (0, 0)
 
 
@@ -418,7 +419,7 @@ def test_external_reference_counts_toward_reference_length() -> None:
         Paper("p2", 2001, "j1", ("doi:x",)),
     ]
     corpus = build_corpus(papers, [Journal("j1", "J", ("cat",))])
-    assert corpus.citers(["p1"]) == {"p1": []}
+    assert fractional_scores(corpus, ["p1"]) == [0.0]
     assert len(corpus.papers["p2"].references) == 1
     assert corpus.n_edges == 0
     assert corpus.n_external == 1
@@ -430,9 +431,27 @@ def test_duplicate_reference_keys_make_one_edge_but_count_twice() -> None:
         Paper("p2", 2001, "j1", ("p1", "p1")),
     ]
     corpus = build_corpus(papers, [Journal("j1", "J", ("cat",))])
-    assert corpus.citers(["p1"]) == {"p1": ["p2"]}
+    # one citing paper, whose 1/R counts both keys in R
+    assert fractional_scores(corpus, ["p1"]) == [0.5]
     assert corpus.citation_counts == (1, 0)
     assert len(corpus.papers["p2"].references) == 2
+
+
+def test_a_reference_list_past_the_exact_bound_is_refused(monkeypatch) -> None:
+    import crown.corpus as corpus_module
+
+    monkeypatch.setattr(corpus_module, "MAX_REFERENCES", 2)
+    lines = [
+        '{"id":"p1","year":2005,"journal":"j1","references":["a","b"]}',
+        '{"id":"p2","year":2005,"journal":"j1","references":["a","b","a"]}',
+    ]
+    assert parse_papers(lines[:1])[0].references == ("a", "b")
+    message = "paper 'p2' has 3 references, more than the 2 fractional counting sums exactly"
+    with pytest.raises(ParseError, match=f"^line 2: {message}$") as exc_info:
+        parse_papers(lines)
+    assert exc_info.value.line_no == 2
+    with pytest.raises(CorpusError, match=f"^{message}$"):
+        Paper("p2", 2005, "j1", ("a", "b", "a"))
 
 
 def test_citation_count_override_beats_edges() -> None:
@@ -521,7 +540,7 @@ def test_with_journals_keeps_graph() -> None:
     corpus = _two_paper_corpus(2001, CitationWindow.all())
     swapped = corpus.with_journals([Journal("j1", "J", ("newcat",))])
     assert swapped.citation_counts is corpus.citation_counts
-    assert swapped.citers(["p1"]) == corpus.citers(["p1"]) == {"p1": ["p2"]}
+    assert fractional_scores(swapped, ["p1"]) == fractional_scores(corpus, ["p1"]) == [1.0]
     assert categories_of(swapped, "p1") == ("newcat",)
 
 
@@ -625,21 +644,20 @@ def test_small_corpus_draws_every_feature() -> None:
 @given(small_corpus())
 @settings(max_examples=200)
 def test_edge_symmetry(case) -> None:
+    # A paper's count and fractional value stand on exactly the distinct
+    # papers whose list names it and whose year its window admits: no citer
+    # missed, none counted twice, none from outside the window.
     papers, window = case
     corpus = build_corpus(papers, SMALL_JOURNALS, window)
-    by_id = {paper.id: paper for paper in papers}
-    cited_by = corpus.citers(corpus.papers)
-    for cited_id, citers in cited_by.items():
-        assert len(set(citers)) == len(citers)
-        for citing_id in citers:
-            assert cited_id in by_id[citing_id].references
-            assert by_id[citing_id].year in window.citing_years(by_id[cited_id].year)
-    # and the other direction: every admitted resolvable reference is an edge
-    for paper in papers:
-        for ref in paper.references:
-            target = by_id.get(ref)
-            if target is not None and paper.year in window.citing_years(target.year):
-                assert paper.id in cited_by[ref]
+    fractional = fractional_scores(corpus, list(corpus.papers))
+    for cited, count, value in zip(papers, corpus.citation_counts, fractional):
+        citing = [
+            paper for paper in papers
+            if cited.id in paper.references and paper.year in window.citing_years(cited.year)
+        ]
+        assert count == len(citing)
+        if cited.raw_citation_count is None:
+            assert value == math.fsum(1.0 / len(paper.references) for paper in citing)
 
 
 @given(small_corpus())
@@ -655,7 +673,12 @@ def test_citation_total_equals_resolvable_pairs(case) -> None:
         if ref in ids
     }
     assert sum(corpus.citation_counts) == len(pairs)
-    assert sum(map(len, corpus.citers(ids).values())) == len(pairs)
+    # each citing paper spreads its 1/R once over each resolvable key
+    by_id = {paper.id: paper for paper in papers}
+    fractional = fractional_scores(corpus, list(corpus.papers))
+    spread = [1.0 / len(by_id[citing].references)
+              for citing, ref in pairs if by_id[ref].raw_citation_count is None]
+    assert math.fsum(filter(None, fractional)) == pytest.approx(math.fsum(spread), abs=1e-12)
 
 
 @given(small_corpus())
@@ -665,31 +688,26 @@ def test_build_is_deterministic(case) -> None:
     first = build_corpus(papers, SMALL_JOURNALS, window)
     second = build_corpus(list(papers), SMALL_JOURNALS, window)
     assert first.citation_counts == second.citation_counts
-    assert first.citers(first.papers) == second.citers(second.papers)
+    ids = list(first.papers)
+    assert fractional_scores(first, ids) == fractional_scores(second, ids)
     assert list(first.papers) == list(second.papers)
 
 
-def _reference_cited_by(papers: list[Paper], window: CitationWindow) -> dict:
-    """The plain graph build: a set of resolved keys per citing paper."""
-    paper_map = {paper.id: paper for paper in papers}
-    cited_by: dict[str, list[str]] = {pid: [] for pid in paper_map}
-    for citing in paper_map.values():
-        resolved: set[str] = set()
-        for ref in citing.references:
-            cited = paper_map.get(ref)
-            if cited is None or ref in resolved:
-                continue
-            resolved.add(ref)
-            if window.years is None or 0 <= citing.year - cited.year < window.years:
-                cited_by[ref].append(citing.id)
-    return {pid: tuple(citers) for pid, citers in cited_by.items()}
+def _bits(values) -> list:
+    return [None if value is None else value.hex() for value in values]
 
 
 @given(small_corpus(), st.data())
 @settings(max_examples=300)
 def test_build_matches_the_reference_build(case, data) -> None:
     papers, window = case
-    expected = _reference_cited_by(papers, window)
+    expected = reference_cited_by(papers, window)
+    by_id = {paper.id: paper for paper in papers}
+    fractional = {
+        paper_id: None if by_id[paper_id].raw_citation_count is not None
+        else math.fsum(1.0 / len(by_id[citing_id].references) for citing_id in citers)
+        for paper_id, citers in expected.items()
+    }
     ids = [paper.id for paper in papers]
     subset = data.draw(st.lists(st.sampled_from(ids), unique=True), label="subset")
     for source in (papers, parse_papers(jsonl_lines(papers))):
@@ -699,10 +717,12 @@ def test_build_matches_the_reference_build(case, data) -> None:
         assert len(corpus.citation_counts) == len(corpus.papers)
         for paper_id, count in zip(corpus.papers, corpus.citation_counts):
             assert count == len(expected[paper_id])
-        assert list(corpus.citers(subset).items()) == [
-            (paper_id, list(expected[paper_id])) for paper_id in subset
-        ]
-        assert corpus.citers(ids) == {pid: list(citers) for pid, citers in expected.items()}
+        # a pass's fractional column, bit for bit, whichever papers it lists
+        for listed in (subset, ids):
+            scored = score_papers(corpus, listed, Weighting.HARMONIC)
+            assert _bits(paper.fractional for paper in scored) == _bits(
+                map(fractional.__getitem__, sorted(listed))
+            )
         assert corpus.n_edges == sum(len(citers) for citers in expected.values())
         rescheme = corpus.with_journals(SMALL_JOURNALS[::-1])
         assert rescheme.citation_counts is corpus.citation_counts
@@ -747,9 +767,6 @@ def test_parse_shares_one_string_per_key(case) -> None:
             assert key is first_seen.setdefault(key, key)
             if key in corpus.papers:
                 assert key is corpus.papers[key].id
-    for citers in corpus.citers(corpus.papers).values():
-        for citing_id in citers:
-            assert citing_id is corpus.papers[citing_id].id
     first_journal: dict[str, str] = {}
     first_year: dict[int, int] = {}
     for paper in parsed:
@@ -816,7 +833,8 @@ def test_load_corpus_restores_the_collector_state(tmp_path, gc_state, enabled) -
     _set_gc(enabled)
     corpus = load_corpus(papers_path, journals_path)
     assert gc.isenabled() is enabled
-    assert corpus.citers(["p1", "p2"]) == {"p1": ["p2"], "p2": ["p1"]}
+    assert corpus.citation_counts == (1, 1)
+    assert fractional_scores(corpus, ["p1", "p2"]) == [0.5, 0.5]
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -861,7 +879,7 @@ def test_external_keys_count_every_occurrence_whatever_the_window() -> None:
         Paper("p3", 2005, "j1", ("doi:x", "p2")),
     ]
     corpus = build_corpus(papers, [Journal("j1", "J", ("cat",))], CitationWindow.fixed_years(1))
-    assert corpus.citers(["p1", "p2", "p3"]) == {"p1": [], "p2": ["p3"], "p3": []}
+    assert fractional_scores(corpus, ["p1", "p2", "p3"]) == [0.0, 0.5, 0.0]
     assert corpus.citation_counts == (0, 1, 0)
     assert corpus.n_external == 4
 
@@ -1009,6 +1027,23 @@ def test_resolve_lists_every_item_it_is_given() -> None:
     # an unhashable item too, not a raw TypeError from the lookup
     with pytest.raises(ParseError, match=r"^line 1: group 'g': unknown paper \['p1'\]$"):
         GroupSelection.resolve("g", [["p1"]], GROUP_CORPUS)
+
+
+def test_a_group_holds_the_corpus_id_objects(tmp_path) -> None:
+    # A score pass matches a group's ids against reference keys, which are
+    # the corpus's own objects, so the group holds those, not equal copies.
+    ids = list(GROUP_CORPUS.papers)[::-1]
+    copies = [(paper_id + "\n")[:-1] for paper_id in ids]
+    assert copies == ids and copies[0] is not ids[0]
+    path = tmp_path / "g.txt"
+    path.write_text("".join(f" {paper_id}\n" for paper_id in ids), encoding="utf-8")
+    for group in (
+        GroupSelection.resolve("g", copies, GROUP_CORPUS),
+        GroupSelection.read(path, GROUP_CORPUS),
+    ):
+        assert group.paper_ids == tuple(ids)
+        for i, paper_id in enumerate(ids):
+            assert group.paper_ids[i] is GROUP_CORPUS.papers[paper_id].id
 
 
 def test_group_selection_keeps_its_import_paths() -> None:

@@ -250,10 +250,10 @@ def test_fractional_scoring_that_reads_the_scheme_fails_the_check(monkeypatch) -
     scheme_b = primary_only_scheme(list(corpus.journals.values()))
     honest = indicators.fractional_scores
 
-    def scheme_dependent(corpus, paper_ids, citers=None):
+    def scheme_dependent(corpus, paper_ids):
         return [
             score + len(corpus.journals[corpus.papers[paper_id].journal_id].categories)
-            for paper_id, score in zip(paper_ids, honest(corpus, paper_ids, citers))
+            for paper_id, score in zip(paper_ids, honest(corpus, paper_ids))
         ]
 
     monkeypatch.setattr(indicators, "fractional_scores", scheme_dependent)

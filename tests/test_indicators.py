@@ -22,7 +22,7 @@ from crown.baselines import (
     expected_citations_with_reason,
     percentile_rank,
 )
-from crown.corpus import CitationWindow, Journal, Paper, build_corpus
+from crown.corpus import MAX_REFERENCES, CitationWindow, Journal, Paper, build_corpus
 from crown.indicators import (
     DegenerateGroupError,
     GroupSelection,
@@ -41,7 +41,7 @@ from crown.diagnostics import indexer_sensitivity
 from crown.synth import FieldSpec, SynthConfig
 
 from conftest import (SMALL_JOURNALS, categories_of, citation_count, corpus_from_synth,
-                      corpus_from_text, small_corpus)
+                      corpus_from_text, reference_cited_by, small_corpus)
 
 
 # --- ratio-of-sums vs mean-of-ratios -------------------------------------
@@ -400,9 +400,23 @@ def test_mean_fractional_conservation_on_internal_corpus() -> None:
     exact = sum(
         Fraction(1, len(corpus.papers[q].references))
         for pid in corpus.papers
-        for q in corpus.citers([pid])[pid]
+        for q in reference_cited_by(papers, corpus.window)[pid]
     )
     assert exact == citing
+
+
+@given(st.integers(1, MAX_REFERENCES))
+@example(MAX_REFERENCES)
+@example(MAX_REFERENCES - 1)
+@example(3)
+def test_every_admitted_weight_lies_on_the_exact_grid(n) -> None:
+    # The tally sums 1/R in units of 2^-80: for every R up to the parse
+    # bound, the double 1/R is a whole number of units, so no weight is
+    # rounded on the way in, and the units give it back unchanged.
+    weight = 1.0 / n
+    units = int(weight * 2**80)
+    assert Fraction(weight) * 2**80 == units
+    assert units / 2.0**80 == weight
 
 
 def test_fractional_ignores_category_scheme() -> None:

@@ -169,6 +169,20 @@ CHECKED = {
                              r"^fixed-years window requires an integer n, got 2\.5$"),
     "CitationWindow str": (CitationWindow, (5,), ("3",), ValueError,
                            "^fixed-years window requires an integer n, got '3'$"),
+    # a window given as its CLI spelling; then a count column one entry
+    # short, a negative count, a count that is a bool, and a bad n_external
+    "Corpus window": (Corpus, tuple(CORPUS), (*CORPUS[:4], "all"),
+                      ValueError, "^window must be a CitationWindow, got 'all'$"),
+    "Corpus counts": (Corpus, tuple(CORPUS), (*CORPUS[:2], (1,), *CORPUS[3:]), ValueError,
+                      r"^citation counts must be a tuple of 2 non-negative ints$"),
+    "Corpus negative count": (Corpus, tuple(CORPUS), (*CORPUS[:2], (1, -1), *CORPUS[3:]),
+                              ValueError, r"^citation counts must be a tuple of 2 "),
+    "Corpus bool count": (Corpus, tuple(CORPUS), (*CORPUS[:2], (True, 0), *CORPUS[3:]),
+                          ValueError, r"^citation counts must be a tuple of 2 "),
+    "Corpus column list": (Corpus, tuple(CORPUS), (*CORPUS[:2], [1, 0], *CORPUS[3:]),
+                           ValueError, r"^citation counts must be a tuple of 2 "),
+    "Corpus n_external": (Corpus, tuple(CORPUS), (*CORPUS[:3], -1, CORPUS.window),
+                          ValueError, "^n_external must be a non-negative int, got -1$"),
     "FieldYearCell": (FieldYearCell, ("a", 2005, (3, 1, 2)), ("a", 2005, ()),
                       ValueError, r"^empty cell \('a', 2005\)$"),
     # an iterator is truthy however many counts it yields

@@ -22,7 +22,7 @@ from crown.synth import (
     generate_corpus,
 )
 
-from conftest import LINE_BREAKS, corpus_from_synth, journal_of
+from conftest import LINE_BREAKS, corpus_from_synth, journal_of, reference_cited_by
 
 DENSITY_CONFIG = SynthConfig(
     fields=(FieldSpec("math", 6.0, 50), FieldSpec("biomed", 40.0, 50)),
@@ -261,7 +261,7 @@ def test_zero_cross_field_fraction_keeps_every_edge_in_field() -> None:
     )
     corpus = corpus_from_synth(config)
     assert corpus.n_edges > 0
-    for pid, citers in corpus.citers(corpus.papers).items():
+    for pid, citers in reference_cited_by(corpus.papers.values(), corpus.window).items():
         cited_field = journal_of(corpus, pid).primary_category
         for citer in citers:
             assert journal_of(corpus, citer).primary_category == cited_field
@@ -276,7 +276,7 @@ def test_full_cross_field_fraction_sends_every_edge_out_of_field() -> None:
     )
     corpus = corpus_from_synth(config)
     assert corpus.n_edges > 0
-    for pid, citers in corpus.citers(corpus.papers).items():
+    for pid, citers in reference_cited_by(corpus.papers.values(), corpus.window).items():
         cited_field = journal_of(corpus, pid).primary_category
         for citer in citers:
             assert journal_of(corpus, citer).primary_category != cited_field
