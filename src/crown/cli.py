@@ -551,15 +551,16 @@ def _cmd_ranksum(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     group_a, group_b = (
         GroupSelection.read(path, corpus, digests) for path in (args.group_a, args.group_b)
     )
-    # One score pass over the union; each group takes its own papers from it,
-    # in the ascending id order a pass of its own would give them.
-    union = score_papers(corpus, dict.fromkeys(group_a.paper_ids + group_b.paper_ids), weighting)
+    # One score pass over the union, listed so each group can fold its own
+    # papers from it, in the ascending id order a pass of its own gives them.
+    union = list(
+        score_papers(corpus, dict.fromkeys(group_a.paper_ids + group_b.paper_ids), weighting)
+    )
     samples = []
     for group in (group_a, group_b):
         members = set(group.paper_ids)
-        scored = [paper for paper in union if paper.paper_id in members]
-        scorable, unscorable = scorable_papers(group.name, scored)
-        samples.append([paper.ncs for paper in scorable])
+        folded = scorable_papers(group.name, (p for p in union if p.paper_id in members))
+        samples.append(folded.ncs)
     if sum(map(len, samples)) < 3:
         # scorable_papers found one scorable paper in each group; the
         # coverage row is that of group B, the last one scored.
@@ -567,9 +568,9 @@ def _cmd_ranksum(args: argparse.Namespace, digests: dict[str, str]) -> Report:
             f"groups {group_a.name!r} and {group_b.name!r}: one scorable paper each, "
             "fewer than the 3 observations a rank-sum test needs",
             group=group_b.name,
-            n_total=len(scored),
-            unscorable=unscorable,
-            n_scorable=len(scorable),
+            n_total=folded.n_total,
+            unscorable=folded.unscorable,
+            n_scorable=len(folded.ncs),
         )
     result = rank_sum_test(*samples)
     columns = ("n_a", "n_b", "u_statistic", "z", "p_two_sided", "degenerate")

@@ -288,15 +288,15 @@ def indexer_sensitivity(
     """Score the group under the corpus's own scheme (A) and under ``scheme_b``,
     which must cover every paper's journal, over the same citation graph.
 
-    One score pass per scheme feeds both the per-paper rows and the group
-    reports. The two corpora share the papers and the window, and each pass
-    tallies its own fractional scores, so the zero fractional-delta check in
-    ``SensitivityReport`` compares two computations and tests that
+    One score pass per scheme, listed, feeds both the per-paper rows and the
+    group reports. The two corpora share the papers and the window, and each
+    pass tallies its own fractional scores, so the zero fractional-delta check
+    in ``SensitivityReport`` compares two computations and tests that
     fractional scoring reads nothing from the category scheme.
     """
     corpus_b = corpus.with_journals(scheme_b)
-    scored_a = score_papers(corpus, group.paper_ids, weighting)
-    scored_b = score_papers(corpus_b, group.paper_ids, weighting)
+    scored_a = list(score_papers(corpus, group.paper_ids, weighting))
+    scored_b = list(score_papers(corpus_b, group.paper_ids, weighting))
     papers = tuple(
         PaperSensitivity(
             paper_id=paper_a.paper_id,

@@ -12,26 +12,30 @@ functions of plain, non-empty columns: citations and expected values, ncs
 values, or percentiles. Each raises a ValueError that names it for an empty
 column, and ``cpp_fcsm`` for two columns of unequal length or an expected
 total that is not positive.
-``scorable_papers`` is the one filter that picks the scorable papers of a
-score pass, and the one place that finds a group with none;
-``group_report`` builds each column once from its result. The scorable
-and total counts are reported side by side, and papers are accumulated in
-ascending paper-id order so results are reproducible bit for bit.
 
-A score pass builds the baseline table of the corpus it scores, once, and
-takes a paper's expected value and combined percentile from
-``crown.baselines``, which owns the multi-category rule, once per distinct
-argument tuple. A paper's count is read from the corpus's count column,
-which the table is built from. ``fractional_scores`` runs once per pass,
-over the pass's papers, in one exact tally over the reference lists that
-name one of them, and alone withholds a score from papers with a citation
-override. The table and the caches live for one pass, so two
-corpora, for example under two category schemes, share no table. To score
-many groups against one corpus, run one pass over their union and
-``group_report`` per group, as ``diagnose ranksum`` does.
-Each paper's scores are a ``ScoredPaper`` named tuple and a group's an
-``IndicatorReport`` named tuple: each compares equal to the tuple of its
-fields and unpacks like one.
+A score pass is a stream. ``score_papers`` checks its arguments and builds
+the pass's baseline table and fractional tally when it is called, then
+yields one ``ScoredPaper`` per paper in ascending paper-id order and keeps
+none. ``scorable_papers`` folds any iterable of them, read once, into the
+``ScoredColumns`` the group statistics read, and is the one place that
+finds a group with nothing scorable; ``group_report``, and through it
+``score_group``, reads its pass through it. The scorable and total counts
+are reported side by side, and the id order makes results reproducible bit
+for bit.
+
+A pass keys its papers with one id-ordered dict: its member test, count
+lookup and output order. It takes a paper's expected value and combined
+percentile from ``crown.baselines``, which owns the multi-category rule,
+once per distinct argument tuple, and its count from the corpus's count
+column, which the table is built from. ``fractional_scores`` runs once per
+pass, in one exact tally over the reference lists that name one of its
+papers, and alone withholds a score from papers with a citation override.
+The table and the caches live for one pass, so two corpora, for example
+under two category schemes, share no table. To score many groups against
+one corpus, list one pass over their union and fold each group's papers
+from it, as ``diagnose ranksum`` does. Each paper's scores are a
+``ScoredPaper`` named tuple and a group's an ``IndicatorReport`` named
+tuple: each compares equal to the tuple of its fields and unpacks like one.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import json
 import math
 import operator
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 from .baselines import (
@@ -190,7 +194,7 @@ def pp_top(percentiles: Sequence[float], x: float) -> float:
     return sum(percentile >= threshold for percentile in percentiles) / len(percentiles)
 
 
-def fractional_scores(corpus: Corpus, paper_ids: Sequence[str]) -> list[float | None]:
+def fractional_scores(corpus: Corpus, paper_ids: Collection[str]) -> list[float | None]:
     """Citing-side fractional citation count of each of ``paper_ids``, in
     order: the sum of 1/R over the papers citing it inside the window;
     KeyError for an id that names no paper.
@@ -212,10 +216,10 @@ def fractional_scores(corpus: Corpus, paper_ids: Sequence[str]) -> list[float | 
     """
     papers = corpus.papers
     totals = dict.fromkeys(paper_ids, 0)
+    listed = totals.keys()
     citing_years = corpus.window.citing_years
-    spans = {year: citing_years(year) for year in {papers[key].year for key in totals}}
+    spans = {year: citing_years(year) for year in {papers[key].year for key in listed}}
     every_span_holds: dict[int, bool] = {}  # by citing year
-    listed = set(totals)
     names_one = map(operator.not_, map(listed.isdisjoint, map(_REFERENCES, papers.values())))
     for _, citing_year, _, references, _ in itertools.compress(papers.values(), names_one):
         units = int(_UNITS_PER_ONE / len(references))  # exact: 1/R times 2^80
@@ -223,7 +227,7 @@ def fractional_scores(corpus: Corpus, paper_ids: Sequence[str]) -> list[float | 
         if admitted is None:
             admitted = all(citing_year in span for span in spans.values())
             every_span_holds[citing_year] = admitted
-        for key in listed.intersection(references):
+        for key in listed & references:
             if admitted or citing_year in spans[papers[key].year]:
                 totals[key] += units
     return [
@@ -238,25 +242,33 @@ _UNITS_PER_ONE = 2.0**80
 _REFERENCES = operator.itemgetter(3)
 
 
-def score_papers(corpus: Corpus, paper_ids: Iterable[str], weighting: Weighting) -> list[ScoredPaper]:
+def score_papers(
+    corpus: Corpus, paper_ids: Iterable[str], weighting: Weighting
+) -> Iterator[ScoredPaper]:
     """Per-paper scores in ascending paper-id order, against the baseline
-    table of ``corpus``, built once for this pass; ValueError for a
-    ``weighting`` that is not a ``Weighting``.
+    table of ``corpus``, built once for this pass, as a stream that keeps
+    none of them.
 
-    The expected value and the combined percentile come from caches that
-    live for this one pass and are keyed on their helper's own arguments
-    (the table and ``weighting`` are fixed for the pass). Each paper's count
-    is read from ``corpus.citation_counts``, the column its cells hold.
-    ``fractional_scores`` runs once over the pass's papers.
+    The checks run, and the table and the fractional tally are built, when
+    this is called: ValueError for a ``weighting`` that is not a
+    ``Weighting`` or an id listed twice, KeyError for an id that names no
+    paper. The expected value and the combined percentile come from caches
+    that live for this one pass and are keyed on their helper's own
+    arguments (the table and ``weighting`` are fixed for the pass). Each
+    paper's count is read from ``corpus.citation_counts``, the column its
+    cells hold.
     """
     check_weighting(weighting)
+    ordered = sorted(paper_ids)
+    counts = dict.fromkeys(ordered)
+    if len(counts) < len(ordered):
+        repeated = next(a for a, b in itertools.pairwise(ordered) if a == b)
+        raise ValueError(f"paper {repeated!r} is listed twice")
+    fractional = fractional_scores(corpus, counts)
     table = compute_baselines(corpus)
     papers = corpus.papers
-    journals = corpus.journals
-    ordered = sorted(paper_ids)
-    listed = set(ordered)
-    counts = dict(
-        itertools.compress(zip(papers, corpus.citation_counts), map(listed.__contains__, papers))
+    counts.update(
+        itertools.compress(zip(papers, corpus.citation_counts), map(counts.__contains__, papers))
     )
     expected_of = functools.cache(
         lambda categories, year: expected_citations_with_reason(table, categories, year, weighting)
@@ -264,25 +276,26 @@ def score_papers(corpus: Corpus, paper_ids: Iterable[str], weighting: Weighting)
     percentile_of = functools.cache(
         lambda categories, year, count: combined_percentile(table, categories, year, count)
     )
-    scored = []
-    for paper_id, fractional in zip(ordered, fractional_scores(corpus, ordered)):
+    return _scored(papers, corpus.journals, counts, fractional, expected_of, percentile_of)
+
+
+def _scored(papers, journals, counts, fractional, expected_of, percentile_of):
+    """The per-paper loop of ``score_papers``."""
+    for (paper_id, count), fraction in zip(counts.items(), fractional):
         _, year, journal_id, _, override = papers[paper_id]
-        citations = counts[paper_id] if override is None else override
+        citations = count if override is None else override
         categories = journals[journal_id].categories
         expected, reason = expected_of(categories, year)
-        scored.append(
-            ScoredPaper(
-                paper_id,
-                citations,
-                expected,
-                None if expected is None else citations / expected,
-                percentile_of(categories, year, citations),
-                fractional,
-                expected is not None,
-                reason,
-            )
+        yield ScoredPaper(
+            paper_id,
+            citations,
+            expected,
+            None if expected is None else citations / expected,
+            percentile_of(categories, year, citations),
+            fraction,
+            expected is not None,
+            reason,
         )
-    return scored
 
 
 def score_group(
@@ -296,36 +309,58 @@ def score_group(
     return group_report(group.name, scored, weighting, corpus.window, top_x)
 
 
-def scorable_papers(
-    name: str, scored: Sequence[ScoredPaper]
-) -> tuple[list[ScoredPaper], tuple[tuple[str, str], ...]]:
-    """Split a score pass into its scorable papers and (id, reason) pairs for
-    the rest; the one filter the group statistics run behind. Raises
-    ``DegenerateGroupError`` when nothing is scorable."""
-    unscorable = tuple(
-        (paper.paper_id, paper.unscorable_reason or "unscorable")
-        for paper in scored
-        if not paper.scorable
-    )
-    scorable = [paper for paper in scored if paper.scorable]
-    if not scorable:
+class ScoredColumns(NamedTuple):
+    """A score pass folded into the columns the group statistics read: the
+    citations, expected values, ncs values and percentiles of its scorable
+    papers, the fractional scores of its papers without an override, and
+    (id, reason) pairs for its unscorable papers."""
+
+    citations: list[int]
+    expected: list[float]
+    ncs: list[float]
+    percentiles: list[float]
+    fractional: list[float]
+    unscorable: tuple[tuple[str, str], ...]
+
+    @property
+    def n_total(self) -> int:
+        return len(self.ncs) + len(self.unscorable)
+
+
+def scorable_papers(name: str, scored: Iterable[ScoredPaper]) -> ScoredColumns:
+    """Fold a score pass, read once, into its columns; the one filter the
+    group statistics run behind. Raises ``DegenerateGroupError`` when
+    nothing is scorable."""
+    citations, expected, ncs, percentiles, fractional, unscorable = [], [], [], [], [], []
+    for paper_id, count, value, ratio, percentile, fraction, scorable, reason in scored:
+        if scorable:
+            citations.append(count)
+            expected.append(value)
+            ncs.append(ratio)
+            percentiles.append(percentile)
+        else:
+            unscorable.append((paper_id, reason or "unscorable"))
+        if fraction is not None:
+            fractional.append(fraction)
+    columns = ScoredColumns(citations, expected, ncs, percentiles, fractional, tuple(unscorable))
+    if not ncs:
         raise DegenerateGroupError(
             f"group {name!r}: no scorable papers",
             group=name,
-            n_total=len(scored),
-            unscorable=unscorable,
+            n_total=columns.n_total,
+            unscorable=columns.unscorable,
         )
-    return scorable, unscorable
+    return columns
 
 
 def group_report(
     name: str,
-    scored: Sequence[ScoredPaper],
+    scored: Iterable[ScoredPaper],
     weighting: Weighting,
     window: CitationWindow,
     top_x: float = 1.0,
 ) -> IndicatorReport:
-    """Aggregate an existing score pass into the group report.
+    """Aggregate a score pass, read once, into the group report.
 
     Checks ``weighting`` and ``top_x`` first, so a bad one is a ValueError
     even for a degenerate group. Warns once when override papers were left
@@ -333,37 +368,34 @@ def group_report(
     """
     check_weighting(weighting)
     check_top_x(top_x)
-    scorable, unscorable = scorable_papers(name, scored)
-    overridden = [p.paper_id for p in scored if p.fractional is None]
-    if overridden:
+    columns = scorable_papers(name, scored)
+    n_total = columns.n_total
+    n_overridden = n_total - len(columns.fractional)
+    if n_overridden:
         warnings.warn(
-            f"group {name!r}: {len(overridden)} paper(s) with citation "
+            f"group {name!r}: {n_overridden} paper(s) with citation "
             "overrides excluded from fractional counting",
             stacklevel=3,
         )
-    fractional_values = [p.fractional for p in scored if p.fractional is not None]
-    if not fractional_values:
+    if not columns.fractional:
         raise DegenerateGroupError(
             f"group {name!r}: no papers with citing-side reference data",
             group=name,
-            n_total=len(scored),
-            unscorable=unscorable,
-            n_scorable=len(scorable),
+            n_total=n_total,
+            unscorable=columns.unscorable,
+            n_scorable=len(columns.ncs),
         )
-    fractional_mean = math.fsum(fractional_values) / len(fractional_values)
-    ncs = [p.ncs for p in scorable]
     return IndicatorReport(
         group=name,
-        n_total=len(scored),
-        n_scorable=len(scorable),
-        cpp_fcsm=cpp_fcsm([p.citations for p in scorable], [p.expected for p in scorable]),
-        mncs=mncs(ncs),
-        mdncs=mdncs(ncs),
-        pp_top=pp_top([p.percentile for p in scorable], top_x),
-        mean_fractional=fractional_mean,
+        n_total=n_total,
+        n_scorable=len(columns.ncs),
+        cpp_fcsm=cpp_fcsm(columns.citations, columns.expected),
+        mncs=mncs(columns.ncs),
+        mdncs=mdncs(columns.ncs),
+        pp_top=pp_top(columns.percentiles, top_x),
+        mean_fractional=math.fsum(columns.fractional) / len(columns.fractional),
         weighting=str(weighting),
         window=str(window),
         top_x=top_x,
-        unscorable=unscorable,
+        unscorable=columns.unscorable,
     )
-

@@ -463,7 +463,7 @@ def test_citation_count_override_beats_edges() -> None:
     corpus = build_corpus(papers, [Journal("j1", "J", ("cat",))])
     assert corpus.citation_counts == (2, 0, 0)
     table = compute_baselines(corpus)
-    scored = score_papers(corpus, ["q1", "p1"], Weighting.HARMONIC)
+    scored = list(score_papers(corpus, ["q1", "p1"], Weighting.HARMONIC))
     assert scored[0].citations == 17
     assert scored[1].citations == 0
     assert table.cell("cat", 2000).sorted_citations == (17,)
