@@ -356,7 +356,7 @@ def test_fractional_excludes_override_papers_with_warning() -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert fractional_scores(corpus, ["t", "q"]) == [None, 0.0]
-        scored = score_papers(corpus, ["t", "q"], Weighting.ARITHMETIC)
+        scored = list(score_papers(corpus, ["t", "q"], Weighting.ARITHMETIC))
     assert {paper.paper_id: paper.fractional for paper in scored} == {"q": 0.0, "t": None}
     # ... and the group report warns exactly once for the whole group
     group = GroupSelection.resolve("g", ["t", "q"], corpus)
