@@ -19,8 +19,11 @@ of the package; a cell checks and sorts its counts however it is built.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import operator
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
@@ -99,30 +102,37 @@ class BaselineTable(NamedTuple):
 
 
 def compute_baselines(corpus: Corpus) -> BaselineTable:
-    """Build the cell table in one pass over the papers, in corpus order.
+    """Build the cell table from one C-level tally over the corpus columns.
 
-    Counts are collected per (journal, year) first, then added to each of the
-    journal's categories once per key. A cell sorts its counts and its mean
-    is an exact integer sum over n, so the order in which papers are visited
-    cannot change a cell.
+    Every paper is counted once under its (journal, year, count) triple,
+    its count read from ``corpus.citation_counts``; only the papers with a
+    citation override are then moved to the triple of their override. Each
+    triple's papers are added to each of the journal's categories, so a
+    cell holds one count per paper of its journals in its year. A cell
+    sorts its counts and its mean is an exact integer sum over n, so the
+    order in which papers are tallied cannot change a cell; cells are keyed
+    in the order their (journal, year) pairs first occur in the corpus.
     """
-    per_key: dict[tuple[str, int], list[int]] = {}
-    # ``citation_counts`` has the key order of ``papers``, so they walk together.
-    for (_, year, journal_id, _, override), cited in zip(
-        corpus.papers.values(), corpus.citation_counts
+    papers = corpus.papers.values()
+    counts = corpus.citation_counts
+    tally = Counter(zip(map(_JOURNAL, papers), map(_YEAR, papers), counts))
+    overridden = map(operator.is_not, map(_OVERRIDE, papers), itertools.repeat(None))
+    for (_, year, journal_id, _, override), cited in itertools.compress(
+        zip(papers, counts), overridden
     ):
-        count = cited if override is None else override
-        counts = per_key.get((journal_id, year))
-        if counts is None:
-            per_key[(journal_id, year)] = [count]
-        else:
-            counts.append(count)
+        tally[journal_id, year, cited] -= 1
+        tally[journal_id, year, override] += 1
     per_cell: dict[tuple[str, int], list[int]] = {}
     journals = corpus.journals
-    for (journal_id, year), counts in per_key.items():
+    for (journal_id, year, count), n in tally.items():
         for category in journals[journal_id].categories:
-            per_cell.setdefault((category, year), []).extend(counts)
+            per_cell.setdefault((category, year), []).extend([count] * n)
     return BaselineTable({key: FieldYearCell(*key, counts) for key, counts in per_cell.items()})
+
+
+_YEAR = operator.itemgetter(1)
+_JOURNAL = operator.itemgetter(2)
+_OVERRIDE = operator.itemgetter(4)
 
 
 def expected_citations_with_reason(
@@ -139,7 +149,8 @@ def expected_citations_with_reason(
     cell mean zero (which would make c / e undefined). Callers must exclude
     such papers from group statistics and report them, never score them as
     zero or infinity. ValueError for a ``weighting`` that is not a
-    ``Weighting``.
+    ``Weighting``. For one category e is the cell mean under either
+    weighting.
     """
     check_weighting(weighting)
     means = [table.cell(category, year).mean_citations for category in categories]
@@ -148,6 +159,8 @@ def expected_citations_with_reason(
             f"({category}, {year})" for category, mean in zip(categories, means) if mean == 0.0
         )
         return None, f"zero baseline in cell {cells}"
+    if len(means) == 1:  # both weightings give the mean; 1 / (1 / mean) may not
+        return means[0], None
     if weighting is Weighting.HARMONIC:
         return len(means) / math.fsum(1.0 / mean for mean in means), None
     return math.fsum(means) / len(means), None

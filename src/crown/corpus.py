@@ -15,12 +15,20 @@ Lines end in LF or CRLF; a bare CR does not end a line. A line that is not
 UTF-8, a JSON key repeated within one object and malformed CSV are rejected
 with the line number, like any other malformed line.
 
-A papers line is read with one ``raw_decode`` from its first character, and
-the record is kept when nothing but the line end (LF, CRLF or none) follows
-it. Every other line takes the full ``decode``, which skips whitespace
-around the value and words every error: a padded line, two values on one
-line, and any line ``raw_decode`` refuses. So each line is decoded on its
-own, and no record or error can carry over from one line to the next.
+A papers line is read with one call of the decoder's ``scan_once`` from its
+first character, and the record is kept when nothing but the line end (LF,
+CRLF or none) follows it. Every other line takes the full ``decode``, which
+skips whitespace around the value and words every error: a padded line, two
+values on one line, and any line ``scan_once`` refuses. So each line is
+decoded on its own, and no record or error can carry over from one line to
+the next. The decode builds each record in its ``object_pairs_hook``: an
+object whose keys come in the documented order (``id, year, journal,
+references``, then ``citations`` when present) and whose values pass the
+fast checks becomes its ``Paper`` right there, with no dict built. Any other
+object becomes a dict, refused when it repeats a key, whose fields
+``_paper_from_record`` checks and words one by one, so no line is decoded
+twice. Any key order reads to the same records; the documented one, which
+``crown synth`` writes, reads fastest.
 
 Reference keys that match a paper id become citation edges, subject to the
 citation window. Keys that do not resolve stay external: they produce no edge
@@ -372,6 +380,7 @@ class Corpus(CheckedRecord, _CorpusFields):
         return self._replace(journals=_journal_map(journals, self.papers.values()))
 
 
+_ID = operator.itemgetter(0)
 _YEAR = operator.itemgetter(1)
 _REFERENCES = operator.itemgetter(3)
 
@@ -381,30 +390,33 @@ def parse_papers(lines: Iterable[str]) -> list[Paper]:
     the checks across records are ``build_corpus``'s."""
     papers: list[Paper] = []
     canon: dict = {}  # one object per distinct id, key, journal id or year
-    raw_decode = _JSON.raw_decode
+    decoder = json.JSONDecoder(object_pairs_hook=functools.partial(_paper_or_object, canon))
+    scan_once = decoder.scan_once
     for line_no, line in enumerate(lines, start=1):
         try:
-            record, end = raw_decode(line)
-        except (ValueError, RecursionError):  # the full decode words the error
+            record, end = scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):  # the full decode words it
             end = -1
         if end < 0 or line[end:] not in _LINE_ENDS:
-            record = _decode(line, line_no)
-        if not isinstance(record, dict):
-            raise ParseError(line_no, "expected a JSON object")
-        papers.append(_paper_from_record(record, line_no, canon))
+            record = _decode(decoder, line, line_no)
+        if type(record) is not Paper:
+            if not isinstance(record, dict):
+                raise ParseError(line_no, "expected a JSON object")
+            record = _paper_from_record(record, line_no, canon)
+        papers.append(record)
     return papers
 
 
-# What may follow a value that ``raw_decode`` read from the start of a line
+# What may follow a value that ``scan_once`` read from the start of a line
 # for the line to be that value alone.
 _LINE_ENDS = ("\n", "", "\r\n")
 
 
-def _decode(line: str, line_no: int) -> object:
+def _decode(decoder: json.JSONDecoder, line: str, line_no: int) -> object:
     """The JSON value a whole line holds, between optional whitespace, or
     ``ParseError`` numbered ``line_no``."""
     try:
-        return _JSON.decode(line)
+        return decoder.decode(line)
     except json.JSONDecodeError as exc:
         raise ParseError(line_no, f"malformed JSON ({exc.msg})") from exc
     except _DuplicateKeyError as exc:
@@ -431,7 +443,59 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return record
 
 
-_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
+def _paper_or_object(canon: dict, pairs: list[tuple[str, object]]) -> Paper | dict:
+    """The decode's ``object_pairs_hook``, one ``canon`` per parse.
+
+    A JSON object whose keys are ``id, year, journal, references[,
+    citations]`` in that order and whose values pass the fast checks
+    becomes the ``Paper`` it records, built without the call, its values
+    replaced by their first-seen equal in ``canon``; any other object is
+    ``_unique_keys(pairs)``. A nested object is built here too, and a
+    ``Paper`` is no value any record field takes. This is the one copy of
+    the fast checks: ``_paper_from_record`` hands it a record's fields in
+    this order.
+    """
+    if len(pairs) == 4:
+        (id_key, paper_id), (year_key, year), (journal_key, journal_id), (
+            references_key, references) = pairs
+        citations = None
+    elif len(pairs) == 5 and pairs[4][0] == "citations":
+        (id_key, paper_id), (year_key, year), (journal_key, journal_id), (
+            references_key, references), (_, citations) = pairs
+    else:
+        return _unique_keys(pairs)
+    # A decoded JSON value has an exact type, so ``type(x) is int`` also
+    # rejects a bool. A space is the only printable whitespace, so a
+    # printable id that neither starts with '#' or a space nor ends in one is
+    # an id ``Paper`` takes.
+    if (
+        id_key == "id"
+        and year_key == "year"
+        and journal_key == "journal"
+        and references_key == "references"
+        and type(paper_id) is str
+        and type(year) is int
+        and type(journal_id) is str
+        and journal_id
+        and type(references) is list
+        and all(map(str.__instancecheck__, references))
+        and (citations is None or type(citations) is int and citations >= 0)
+        and paper_id.isprintable()
+        and paper_id[:1] not in ("", "#", " ")
+        and paper_id[-1] != " "
+        and YEAR_MIN <= year <= YEAR_MAX
+        and len(references) <= MAX_REFERENCES
+        and paper_id not in references
+    ):
+        setdefault = canon.setdefault
+        return tuple.__new__(Paper, (
+            setdefault(paper_id, paper_id),
+            setdefault(year, year),
+            setdefault(journal_id, journal_id),
+            tuple(map(setdefault, references, references)),
+            citations,
+        ))
+    return _unique_keys(pairs)
 
 
 def _paper_from_record(record: dict, line_no: int, canon: dict) -> Paper:
@@ -452,8 +516,7 @@ def _paper_from_record(record: dict, line_no: int, canon: dict) -> Paper:
         raise ParseError(line_no, f"missing required field {exc.args[0]!r}") from exc
     # ``Paper`` checks these types too, but they must be checked here,
     # before ``canon`` replaces a value by its first-seen equal: a 2005.0
-    # year would collapse onto a shared int 2005. A decoded JSON value has
-    # an exact type, so ``type(x) is int`` also rejects a bool.
+    # year would collapse onto a shared int 2005.
     if type(paper_id) is not str:
         raise ParseError(line_no, "field 'id' must be a string")
     if type(year) is not int:
@@ -467,27 +530,23 @@ def _paper_from_record(record: dict, line_no: int, canon: dict) -> Paper:
     citations = record.get("citations")
     if citations is not None and type(citations) is not int:
         raise ParseError(line_no, "field 'citations' must be an integer")
-    paper_id = canon.setdefault(paper_id, paper_id)
-    year = canon.setdefault(year, year)
-    journal_id = canon.setdefault(journal_id, journal_id)
-    references = tuple(map(canon.setdefault, references, references))
-    # The types are checked above; when the values pass the rest of
-    # ``Paper``'s checks, the record is built without them. Any other record
-    # takes the call, which words its first fault. A space is the only
-    # printable whitespace, so a printable id that neither starts with '#'
-    # or a space nor ends in one is an id ``Paper`` takes.
-    if (
-        paper_id.isprintable()
-        and paper_id[:1] not in ("", "#", " ")
-        and paper_id[-1] != " "
-        and YEAR_MIN <= year <= YEAR_MAX
-        and paper_id not in references
-        and len(references) <= MAX_REFERENCES
-        and (citations is None or citations >= 0)
-    ):
-        return tuple.__new__(Paper, (paper_id, year, journal_id, references, citations))
+    paper = _paper_or_object(canon, [
+        ("id", paper_id), ("year", year), ("journal", journal_id),
+        ("references", references), ("citations", citations),
+    ])
+    if type(paper) is Paper:
+        return paper
+    # Values the fast checks do not take: the call words the first fault,
+    # or builds a record that only its full checks admit.
+    setdefault = canon.setdefault
     try:
-        return Paper(paper_id, year, journal_id, references, citations)
+        return Paper(
+            setdefault(paper_id, paper_id),
+            setdefault(year, year),
+            setdefault(journal_id, journal_id),
+            tuple(map(setdefault, references, references)),
+            citations,
+        )
     except CorpusError as exc:
         raise ParseError(line_no, str(exc)) from exc
 
@@ -568,25 +627,46 @@ class GroupSelection(NamedTuple):
         group-file lines when ``lines``, numbered from 1; a line that lists
         no id (``listed_id`` gives None) is skipped. The group holds the
         corpus's own id objects, which the reference keys share, so a score
-        pass finds each id by identity."""
-        first_line: dict[str, int] = {}
-        line_no = 0
-        for line_no, paper_id in enumerate(map(listed_id, items) if lines else items, 1):
-            if paper_id is None and lines:
-                continue
-            # an item that is not a ``str`` names no paper, and may not hash
-            paper = corpus.papers.get(paper_id) if isinstance(paper_id, str) else None
-            if paper is None:
-                raise ParseError(line_no, f"group {name!r}: unknown paper {paper_id!r}")
-            if paper_id in first_line:
-                raise ParseError(line_no, f"group {name!r} lists paper {paper_id!r} "
-                                          f"twice (first on line {first_line[paper_id]})")
-            first_line[paper.id] = line_no
-        if not first_line:
-            if lines:
-                raise ParseError(line_no or 1, f"group {name!r} is empty")
-            raise CorpusError(f"group {name!r} is empty")
-        return cls(name, tuple(first_line))
+        pass finds each id by identity.
+
+        The items are listed once and resolved at C level; only a group
+        that breaks a rule is walked in number order, to word its first
+        fault."""
+        papers = corpus.papers
+        listed: list = []
+        try:
+            listed.extend(map(listed_id, items) if lines else items)
+        except ParseError:  # a line that is not UTF-8; a fault above it is worded first
+            _check_listed(name, listed, papers, lines)
+            raise
+        ids = list(filter(None, listed)) if lines else listed
+        try:
+            unique = dict.fromkeys(ids)
+        except TypeError:  # an item that does not hash names no paper
+            unique = {}
+        if unique and len(unique) == len(ids) and papers.keys() >= unique.keys():
+            return cls(name, tuple(map(_ID, map(papers.__getitem__, unique))))
+        _check_listed(name, listed, papers, lines)
+        if lines:
+            raise ParseError(len(listed) or 1, f"group {name!r} is empty")
+        raise CorpusError(f"group {name!r} is empty")
+
+
+def _check_listed(name: str, listed: list, papers: dict[str, Paper], lines: bool) -> None:
+    """``ParseError`` for the first item of ``listed`` that names no paper
+    (one that is not a ``str`` included) or repeats an earlier one, numbered
+    by its 1-based position; a None line, which lists no id, is skipped."""
+    first_line: dict[str, int] = {}
+    for line_no, paper_id in enumerate(listed, 1):
+        if paper_id is None and lines:
+            continue
+        # an item that is not a ``str`` names no paper, and may not hash
+        if not isinstance(paper_id, str) or paper_id not in papers:
+            raise ParseError(line_no, f"group {name!r}: unknown paper {paper_id!r}")
+        if paper_id in first_line:
+            raise ParseError(line_no, f"group {name!r} lists paper {paper_id!r} "
+                                      f"twice (first on line {first_line[paper_id]})")
+        first_line[paper_id] = line_no
 
 
 def build_corpus(
@@ -611,7 +691,7 @@ def build_corpus(
     check_window(window)
     if not papers:
         raise CorpusError("corpus has no papers")
-    paper_map = dict(zip(map(operator.itemgetter(0), papers), papers))
+    paper_map = dict(zip(map(_ID, papers), papers))
     if len(paper_map) != len(papers):
         seen: set[str] = set()
         for line_no, paper in enumerate(papers, start=1):

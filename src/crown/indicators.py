@@ -280,13 +280,14 @@ def score_papers(
 
 
 def _scored(papers, journals, counts, fractional, expected_of, percentile_of):
-    """The per-paper loop of ``score_papers``."""
+    """The per-paper loop of ``score_papers``; each record is built without
+    the named tuple's ``__new__``, as the papers parse builds a ``Paper``."""
     for (paper_id, count), fraction in zip(counts.items(), fractional):
         _, year, journal_id, _, override = papers[paper_id]
         citations = count if override is None else override
         categories = journals[journal_id].categories
         expected, reason = expected_of(categories, year)
-        yield ScoredPaper(
+        yield tuple.__new__(ScoredPaper, (
             paper_id,
             citations,
             expected,
@@ -295,7 +296,7 @@ def _scored(papers, journals, counts, fractional, expected_of, percentile_of):
             fraction,
             expected is not None,
             reason,
-        )
+        ))
 
 
 def score_group(

@@ -704,6 +704,42 @@ def test_group_file_comments_and_blanks_are_ignored(demo, capsys) -> None:
     assert payload["report"]["n_total"] == 15  # comment and blank line skipped
 
 
+def _body(out: str) -> str:
+    """A report below its ``#`` header lines."""
+    lines = out.splitlines(keepends=True)
+    start = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return "".join(lines[start:])
+
+
+def test_papers_key_order_leaves_the_report_body_as_it_is(demo, tmp_path, capsys,
+                                                          monkeypatch) -> None:
+    # Every line with its keys reversed takes the worded record checks
+    # instead of the decode's hook; the reports below the header, which
+    # hashes the papers file, must not change.
+    import crown.corpus as corpus_module
+
+    papers, journals, group = demo
+    lines = papers.read_text(encoding="utf-8").splitlines()
+    reversed_papers = tmp_path / "reversed.jsonl"
+    reversed_papers.write_text("".join(
+        json.dumps(dict(reversed(json.loads(line).items())), separators=(",", ":")) + "\n"
+        for line in lines
+    ), encoding="utf-8")
+    worded = []
+    paper_from_record = corpus_module._paper_from_record
+    monkeypatch.setattr(corpus_module, "_paper_from_record",
+                        lambda *args: worded.append(args[1]) or paper_from_record(*args))
+    bodies = []
+    for path in (papers, reversed_papers):
+        worded.clear()
+        for argv in (["score", "--group", str(group)],
+                     ["diagnose", "indexer", "--group", str(group)]):
+            assert main([*argv, "--papers", str(path), "--journals", str(journals)]) == 0
+            bodies.append(_body(capsys.readouterr().out))
+        assert len(worded) == (0 if path == papers else 2 * len(lines))
+    assert bodies[:2] == bodies[2:]
+
+
 def test_help_exits_zero(capsys) -> None:
     assert main(["--help"]) == 0
     assert main(["score", "--help"]) == 0

@@ -8,6 +8,7 @@ import pickle
 import re
 import sys
 import tracemalloc
+import unittest.mock
 
 import pytest
 from hypothesis import Phase, example, find, given, settings
@@ -1046,6 +1047,46 @@ def test_a_group_holds_the_corpus_id_objects(tmp_path) -> None:
             assert group.paper_ids[i] is GROUP_CORPUS.papers[paper_id].id
 
 
+def test_a_group_file_fault_before_a_line_that_is_not_utf8_comes_first(tmp_path) -> None:
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"p0\nghost\np1\n\xff\n")
+    with pytest.raises(ParseError, match="^line 2: group 'g': unknown paper 'ghost'$"):
+        GroupSelection.read(path, GROUP_CORPUS)
+    path.write_bytes(b"p0\n\np1\n\xff\n")
+    with pytest.raises(ParseError, match="^line 4: not UTF-8"):
+        GroupSelection.read(path, GROUP_CORPUS)
+
+
+def test_a_synth_corpus_and_a_clean_group_file_take_the_fast_paths(
+    tmp_path, monkeypatch
+) -> None:
+    # Every ``crown synth`` line is a record in the documented key order, so
+    # the decode's hook builds each paper and no line reaches the worded
+    # record checks; a group file that breaks no rule is resolved without
+    # the numbered walk. Either fallback would only be slower, so it is
+    # pinned here.
+    import crown.corpus as corpus_module
+
+    def refuse(*args):
+        raise AssertionError("a fast path fell back")
+
+    config = SynthConfig(
+        (FieldSpec("sparse", 3.0, 30), FieldSpec("dense", 8.0, 30)), (2000, 2004),
+        multi_category_journal_fraction=1.0, seed=42)
+    papers_bytes, journals_bytes = generate_corpus(config)
+    monkeypatch.setattr(corpus_module, "_paper_from_record", refuse)
+    monkeypatch.setattr(corpus_module, "_check_listed", refuse)
+    papers = parse_papers(papers_bytes.decode("utf-8").splitlines(keepends=True))
+    assert len(papers) == 300 and all(type(paper) is Paper for paper in papers)
+    corpus = build_corpus(papers, parse_journals(journals_bytes.decode("utf-8").splitlines()))
+    ids = list(corpus.papers)
+    path = tmp_path / "all.txt"
+    path.write_text("# every paper\n\n" + "".join(f" {paper_id}\n" for paper_id in ids),
+                    encoding="utf-8")
+    assert GroupSelection.read(path, corpus).paper_ids == tuple(ids)
+    assert GroupSelection.resolve("all", ids, corpus).paper_ids == tuple(ids)
+
+
 def test_group_selection_keeps_its_import_paths() -> None:
     import crown
     import crown.indicators
@@ -1055,7 +1096,9 @@ def test_group_selection_keeps_its_import_paths() -> None:
 
 
 # ``parse_papers`` against the plain per-line decode: every line through
-# ``JSONDecoder.decode`` with its own duplicate-key hook and error wording.
+# ``JSONDecoder.decode`` with its own duplicate-key hook and error wording,
+# and every record through its own statement of the record checks, so that
+# no check the parse runs is its own oracle.
 class _RepeatedKey(Exception):
     pass
 
@@ -1071,11 +1114,32 @@ def _reference_object(pairs: list) -> dict:
 _REFERENCE_JSON = json.JSONDecoder(object_pairs_hook=_reference_object)
 
 
-def _reference_parse(lines) -> list[Paper]:
-    from crown.corpus import _paper_from_record  # the record checks, not the decode
+def _reference_paper(record: dict, line_no: int) -> Paper:
+    """The record checks as plainly stated: the JSON shape, then the call."""
+    for key in ("id", "year", "journal", "references"):
+        if key not in record:
+            raise ParseError(line_no, f"missing required field {key!r}")
+    paper_id, year, journal_id, references = (
+        record["id"], record["year"], record["journal"], record["references"])
+    citations = record.get("citations")
+    if type(paper_id) is not str:
+        raise ParseError(line_no, "field 'id' must be a string")
+    if type(year) is not int:
+        raise ParseError(line_no, "field 'year' must be an integer")
+    if type(journal_id) is not str or not journal_id:
+        raise ParseError(line_no, "field 'journal' must be a non-empty string")
+    if type(references) is not list or any(type(key) is not str for key in references):
+        raise ParseError(line_no, "field 'references' must be a list of strings")
+    if citations is not None and type(citations) is not int:
+        raise ParseError(line_no, "field 'citations' must be an integer")
+    try:
+        return Paper(paper_id, year, journal_id, tuple(references), citations)
+    except CorpusError as exc:
+        raise ParseError(line_no, str(exc)) from exc
 
+
+def _reference_parse(lines) -> list[Paper]:
     papers: list[Paper] = []
-    canon: dict = {}
     for line_no, line in enumerate(lines, start=1):
         try:
             record = _REFERENCE_JSON.decode(line)
@@ -1089,8 +1153,23 @@ def _reference_parse(lines) -> list[Paper]:
             raise ParseError(line_no, "malformed JSON (nested too deeply)") from exc
         if not isinstance(record, dict):
             raise ParseError(line_no, "expected a JSON object")
-        papers.append(_paper_from_record(record, line_no, canon))
+        papers.append(_reference_paper(record, line_no))
     return papers
+
+
+@st.composite
+def _paper_object(draw) -> dict:
+    """A paper-shaped JSON object, keys in the documented order, its values
+    valid or not, to nest inside a record."""
+    record = {
+        "id": draw(st.sampled_from(["n1", "#n", ""])),
+        "year": draw(st.sampled_from([2001, YEAR_MIN - 1])),
+        "journal": "j1",
+        "references": draw(st.lists(st.sampled_from(["q1", "n1"]), max_size=2)),
+    }
+    if draw(st.booleans()):
+        record["citations"] = draw(st.sampled_from([0, 3, -1]))
+    return record
 
 
 _JSON_VALUES = st.recursive(
@@ -1098,27 +1177,16 @@ _JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=2), inner, max_size=3),
     max_leaves=6,
-)
+) | _paper_object()
 _SEPARATORS = st.sampled_from([(",", ":"), (", ", ": "), (",\r", ":\r"), (" ,\t", " : ")])
 _PADDING = st.sampled_from(["", " ", "\t", "  \t", "\r", " \r"])
 
 
-@st.composite
-def _spelled_record(draw) -> str:
-    """One valid papers record as one line's text, without a line end: keys
-    permuted, some spelled with ``\\u`` escapes, an unknown key that may nest,
-    and JSON whitespace (a bare CR included) between tokens."""
-    record: dict = {
-        "id": draw(st.sampled_from(["p1", "p2", "a b", "é", "x#y", "doi:10.1/x"])),
-        "year": draw(st.integers(2000, 2003)),
-        "journal": draw(st.sampled_from(["j1", "j2"])),
-        "references": draw(st.lists(st.sampled_from(["q1", "q2", "ext:a"]), max_size=3)),
-    }
-    if draw(st.booleans()):
-        record["citations"] = draw(st.integers(0, 9))
-    if draw(st.booleans()):
-        record[draw(st.sampled_from(["extra", "x", "ü"]))] = draw(_JSON_VALUES)
-    items, (comma, colon) = draw(st.permutations(list(record.items()))), draw(_SEPARATORS)
+def _spell(draw, items: list) -> str:
+    """One JSON object of ``items`` as one line's text, without a line end:
+    some keys spelled with ``\\u`` escapes, and JSON whitespace (a bare CR
+    included) between tokens."""
+    comma, colon = draw(_SEPARATORS)
     ascii_only = draw(st.booleans())
     members = []
     for key, value in items:
@@ -1129,6 +1197,77 @@ def _spelled_record(draw) -> str:
         text = json.dumps(value, separators=(comma, colon), ensure_ascii=ascii_only)
         members.append(name + colon + text)
     return "{" + comma.join(members) + "}"
+
+
+@st.composite
+def _spelled_record(draw) -> str:
+    """One valid papers record as one line's text: for about half the
+    records the keys come in the documented order, ``citations`` fifth when
+    present, else permuted; an unknown key, which may hold a paper-shaped
+    object, comes last in the documented order."""
+    record: dict = {
+        "id": draw(st.sampled_from(["p1", "p2", "a b", "é", "x#y", "doi:10.1/x", "\x00"])),
+        "year": draw(st.integers(2000, 2003)),
+        "journal": draw(st.sampled_from(["j1", "j2"])),
+        "references": draw(st.lists(st.sampled_from(["q1", "q2", "ext:a"]), max_size=3)),
+    }
+    if draw(st.booleans()):
+        record["citations"] = draw(st.none() | st.integers(0, 9))
+    if draw(st.booleans()):
+        record[draw(st.sampled_from(["extra", "x", "ü"]))] = draw(_JSON_VALUES)
+    items = list(record.items())
+    if draw(st.booleans()):
+        items = draw(st.permutations(items))
+    return _spell(draw, items)
+
+
+# One flaw each, set into a record in the documented key order, so that the
+# parse's fast path meets it: a value the record checks refuse, a documented
+# key renamed in place, or a fifth key that is not ``citations``. The test
+# lowers ``MAX_REFERENCES`` to 3 for the long list.
+_FLAWS = [
+    *(("id", value) for value in (5, "", "#p", " p", "p ", "\tp")),
+    *(("year", value) for value in (2001.0, YEAR_MIN - 1, YEAR_MAX + 1)),
+    *(("journal", value) for value in (5, "")),
+    *(("references", value) for value in (
+        "q1", [1], [{"id": "n1", "year": 2001, "journal": "j1", "references": []}],
+        ["q1", "q2", "ext:a", "ext:b"], ["q1", "f1"])),
+    *(("citations", value) for value in (-1, 2.5)),
+    *(("rename", key) for key in ("id", "year", "journal", "references")),
+    ("fifth", "extra"), ("fifth", "year"),  # the second repeats a key at the end
+]
+
+
+def _flawed_items(kind: str, value: object, citations: bool) -> list:
+    """A record's (key, value) pairs in the documented order, with one flaw."""
+    items = [("id", "f1"), ("year", 2001), ("journal", "j1"), ("references", ["q1"])]
+    if citations:
+        items.append(("citations", 2))
+    if kind == "rename":
+        return [(key.upper() if key == value else key, item) for key, item in items]
+    if kind == "fifth":
+        return items[:4] + [(value, 7)]
+    if kind in dict(items):
+        return [(key, value if key == kind else item) for key, item in items]
+    return items + [(kind, value)]
+
+
+@st.composite
+def _flawed_record(draw) -> str:
+    flaw = draw(st.sampled_from(_FLAWS))
+    return _spell(draw, _flawed_items(*flaw, draw(st.booleans())))
+
+
+def _with_every_flaw(test):
+    """Run ``test`` on each flaw, with and without ``citations``, right
+    after a valid line, as well as on the files it draws."""
+    valid = '{"id":"p1","year":2000,"journal":"j1","references":[]}\n'
+    for flaw in _FLAWS:
+        for citations in (False, True):
+            items = _flawed_items(*flaw, citations)
+            record = ",".join(f"{json.dumps(key)}:{json.dumps(value)}" for key, value in items)
+            test = example(data=f"{valid}{{{record}}}\n".encode("utf-8"))(test)
+    return test
 
 
 def _faulty_lines(record: str) -> list[str]:
@@ -1154,12 +1293,17 @@ def _faulty_lines(record: str) -> list[str]:
 @st.composite
 def papers_file(draw) -> bytes:
     """A papers file in any spelling ``parse_papers`` reads, and for most
-    files one faulty line, often right after a valid one."""
+    files one faulty line, often right after a valid one: a line the decode
+    refuses, or a record with one flaw in the documented key order."""
     records = draw(st.lists(_spelled_record(), min_size=1, max_size=4))
     lines = [draw(_PADDING) + record + draw(_PADDING) for record in records]
-    if draw(st.integers(0, 3)):
-        faults = _faulty_lines(draw(st.sampled_from(records)))
-        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(faults)))
+    fault = draw(st.integers(0, 3))
+    if fault == 1:
+        fault_line = draw(st.sampled_from(_faulty_lines(draw(st.sampled_from(records)))))
+    elif fault:
+        fault_line = draw(_flawed_record())
+    if fault:
+        lines.insert(draw(st.integers(1, len(lines))), fault_line)
     ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
     ends[-1] = draw(st.sampled_from(["", "\n", "\r\n"]))
     bom = draw(st.sampled_from(["", "\ufeff"]))
@@ -1174,8 +1318,10 @@ def _parsed_or_error(path, parse):
 
 
 @given(papers_file())
+@_with_every_flaw
 @settings(max_examples=400, deadline=None)
 def test_parse_papers_reads_every_line_as_the_plain_decode_does(tmp_path_factory, data) -> None:
     path = tmp_path_factory.mktemp("papers") / "papers.jsonl"
     path.write_bytes(data)
-    assert _parsed_or_error(path, parse_papers) == _parsed_or_error(path, _reference_parse)
+    with unittest.mock.patch("crown.corpus.MAX_REFERENCES", 3):
+        assert _parsed_or_error(path, parse_papers) == _parsed_or_error(path, _reference_parse)

@@ -681,12 +681,8 @@ _ONE_CATEGORY_CELL = [
 ]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="expected_citations_with_reason takes the harmonic value as "
-    "len(means) / fsum(1 / mean), which rounds 1/mean first, so for one "
-    "category 1 / (1 / (51/7)) is one ulp below the mean",
-)
+# ``1 / (1 / (51/7))`` is one ulp below the mean: a one-category paper's
+# harmonic value must be its cell mean itself.
 def test_one_category_per_journal_makes_the_weightings_agree() -> None:
     corpus = build_corpus(_ONE_CATEGORY_CELL, [Journal("j1", "J", ("solo",))])
     ids = list(corpus.papers)
