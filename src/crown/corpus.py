@@ -27,8 +27,10 @@ references``, then ``citations`` when present) and whose values pass the
 fast checks becomes its ``Paper`` right there, with no dict built. Any other
 object becomes a dict, refused when it repeats a key, whose fields
 ``_paper_from_record`` checks and words one by one, so no line is decoded
-twice. Any key order reads to the same records; the documented one, which
-``crown synth`` writes, reads fastest.
+twice. Both paths take the value checks from one helper, ``_fast_paper``,
+and only a record it refuses takes ``Paper``'s own checks. Any key order
+reads to the same records; the documented one, which ``crown synth``
+writes, reads fastest.
 
 Reference keys that match a paper id become citation edges, subject to the
 citation window. Keys that do not resolve stay external: they produce no edge
@@ -447,13 +449,11 @@ def _paper_or_object(canon: dict, pairs: list[tuple[str, object]]) -> Paper | di
     """The decode's ``object_pairs_hook``, one ``canon`` per parse.
 
     A JSON object whose keys are ``id, year, journal, references[,
-    citations]`` in that order and whose values pass the fast checks
-    becomes the ``Paper`` it records, built without the call, its values
-    replaced by their first-seen equal in ``canon``; any other object is
-    ``_unique_keys(pairs)``. A nested object is built here too, and a
-    ``Paper`` is no value any record field takes. This is the one copy of
-    the fast checks: ``_paper_from_record`` hands it a record's fields in
-    this order.
+    citations]`` in that order and whose values have the JSON types
+    ``_paper_from_record`` asks for becomes ``_fast_paper`` of those values
+    when that is a ``Paper``; any other object is ``_unique_keys(pairs)``.
+    A nested object is built here too, and a ``Paper`` is no value any
+    record field takes.
     """
     if len(pairs) == 4:
         (id_key, paper_id), (year_key, year), (journal_key, journal_id), (
@@ -465,9 +465,7 @@ def _paper_or_object(canon: dict, pairs: list[tuple[str, object]]) -> Paper | di
     else:
         return _unique_keys(pairs)
     # A decoded JSON value has an exact type, so ``type(x) is int`` also
-    # rejects a bool. A space is the only printable whitespace, so a
-    # printable id that neither starts with '#' or a space nor ends in one is
-    # an id ``Paper`` takes.
+    # rejects a bool.
     if (
         id_key == "id"
         and year_key == "year"
@@ -479,13 +477,34 @@ def _paper_or_object(canon: dict, pairs: list[tuple[str, object]]) -> Paper | di
         and journal_id
         and type(references) is list
         and all(map(str.__instancecheck__, references))
-        and (citations is None or type(citations) is int and citations >= 0)
-        and paper_id.isprintable()
+        and (citations is None or type(citations) is int)
+    ):
+        paper = _fast_paper(canon, paper_id, year, journal_id, references, citations)
+        if paper is not None:
+            return paper
+    return _unique_keys(pairs)
+
+
+def _fast_paper(
+    canon: dict, paper_id: str, year: int, journal_id: str, references: list[str],
+    citations: int | None,
+) -> Paper | None:
+    """The ``Paper`` of values of the checked JSON types, built without the
+    call and its values replaced by their first-seen equal in ``canon``, or
+    None when a value needs ``Paper``'s own checks.
+
+    A space is the only printable whitespace, so a printable id that
+    neither starts with '#' or a space nor ends in one is an id ``Paper``
+    takes.
+    """
+    if (
+        paper_id.isprintable()
         and paper_id[:1] not in ("", "#", " ")
         and paper_id[-1] != " "
         and YEAR_MIN <= year <= YEAR_MAX
         and len(references) <= MAX_REFERENCES
         and paper_id not in references
+        and (citations is None or citations >= 0)
     ):
         setdefault = canon.setdefault
         return tuple.__new__(Paper, (
@@ -495,7 +514,7 @@ def _paper_or_object(canon: dict, pairs: list[tuple[str, object]]) -> Paper | di
             tuple(map(setdefault, references, references)),
             citations,
         ))
-    return _unique_keys(pairs)
+    return None
 
 
 def _paper_from_record(record: dict, line_no: int, canon: dict) -> Paper:
@@ -530,11 +549,8 @@ def _paper_from_record(record: dict, line_no: int, canon: dict) -> Paper:
     citations = record.get("citations")
     if citations is not None and type(citations) is not int:
         raise ParseError(line_no, "field 'citations' must be an integer")
-    paper = _paper_or_object(canon, [
-        ("id", paper_id), ("year", year), ("journal", journal_id),
-        ("references", references), ("citations", citations),
-    ])
-    if type(paper) is Paper:
+    paper = _fast_paper(canon, paper_id, year, journal_id, references, citations)
+    if paper is not None:
         return paper
     # Values the fast checks do not take: the call words the first fault,
     # or builds a record that only its full checks admit.
@@ -639,12 +655,12 @@ class GroupSelection(NamedTuple):
         except ParseError:  # a line that is not UTF-8; a fault above it is worded first
             _check_listed(name, listed, papers, lines)
             raise
-        ids = list(filter(None, listed)) if lines else listed
+        n_ids = len(listed) - listed.count(None) if lines else len(listed)
         try:
-            unique = dict.fromkeys(ids)
+            unique = dict.fromkeys(filter(None, listed) if lines else listed)
         except TypeError:  # an item that does not hash names no paper
             unique = {}
-        if unique and len(unique) == len(ids) and papers.keys() >= unique.keys():
+        if unique and len(unique) == n_ids and papers.keys() >= unique.keys():
             return cls(name, tuple(map(_ID, map(papers.__getitem__, unique))))
         _check_listed(name, listed, papers, lines)
         if lines:
