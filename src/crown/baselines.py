@@ -27,7 +27,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
-from .corpus import CheckedRecord, Corpus
+from .corpus import _JOURNAL, _OVERRIDE, _YEAR, CheckedRecord, Corpus
 
 
 class Weighting(enum.Enum):
@@ -128,11 +128,6 @@ def compute_baselines(corpus: Corpus) -> BaselineTable:
         for category in journals[journal_id].categories:
             per_cell.setdefault((category, year), []).extend([count] * n)
     return BaselineTable({key: FieldYearCell(*key, counts) for key, counts in per_cell.items()})
-
-
-_YEAR = operator.itemgetter(1)
-_JOURNAL = operator.itemgetter(2)
-_OVERRIDE = operator.itemgetter(4)
 
 
 def expected_citations_with_reason(

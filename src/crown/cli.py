@@ -551,16 +551,14 @@ def _cmd_ranksum(args: argparse.Namespace, digests: dict[str, str]) -> Report:
     group_a, group_b = (
         GroupSelection.read(path, corpus, digests) for path in (args.group_a, args.group_b)
     )
-    # One score pass over the union, listed so each group can fold its own
-    # papers from it, in the ascending id order a pass of its own gives them.
-    union = list(
-        score_papers(corpus, dict.fromkeys(group_a.paper_ids + group_b.paper_ids), weighting)
-    )
+    # One score pass over the union; each group selects its own papers from
+    # it, as a pass of its own would score them.
+    union = score_papers(corpus, dict.fromkeys(group_a.paper_ids + group_b.paper_ids), weighting)
     samples = []
     for group in (group_a, group_b):
-        members = set(group.paper_ids)
-        folded = scorable_papers(group.name, (p for p in union if p.paper_id in members))
-        samples.append(folded.ncs)
+        part = union.select(map(set(group.paper_ids).__contains__, union.paper_ids))
+        scorable, unscorable = scorable_papers(group.name, part)
+        samples.append(scorable.ncs)
     if sum(map(len, samples)) < 3:
         # scorable_papers found one scorable paper in each group; the
         # coverage row is that of group B, the last one scored.
@@ -568,9 +566,9 @@ def _cmd_ranksum(args: argparse.Namespace, digests: dict[str, str]) -> Report:
             f"groups {group_a.name!r} and {group_b.name!r}: one scorable paper each, "
             "fewer than the 3 observations a rank-sum test needs",
             group=group_b.name,
-            n_total=folded.n_total,
-            unscorable=folded.unscorable,
-            n_scorable=len(folded.ncs),
+            n_total=len(part.paper_ids),
+            unscorable=unscorable,
+            n_scorable=len(scorable.ncs),
         )
     result = rank_sum_test(*samples)
     columns = ("n_a", "n_b", "u_statistic", "z", "p_two_sided", "degenerate")

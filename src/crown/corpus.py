@@ -227,6 +227,15 @@ class Paper(CheckedRecord, _PaperFields):
                 raise CorpusError(f"paper {paper_id!r}: citation override must be non-negative")
 
 
+# C-level getters of the ``Paper`` fields, by position; every module that
+# reads a column of papers imports them from here.
+_ID = operator.itemgetter(0)
+_YEAR = operator.itemgetter(1)
+_JOURNAL = operator.itemgetter(2)
+_REFERENCES = operator.itemgetter(3)
+_OVERRIDE = operator.itemgetter(4)
+
+
 class _JournalFields(NamedTuple):
     id: str
     title: str
@@ -380,11 +389,6 @@ class Corpus(CheckedRecord, _CorpusFields):
         different category scheme, which must cover every paper's journal,
         checked as in ``build_corpus``."""
         return self._replace(journals=_journal_map(journals, self.papers.values()))
-
-
-_ID = operator.itemgetter(0)
-_YEAR = operator.itemgetter(1)
-_REFERENCES = operator.itemgetter(3)
 
 
 def parse_papers(lines: Iterable[str]) -> list[Paper]:
@@ -857,7 +861,7 @@ def _journal_map(journals: Sequence[Journal], papers: Collection[Paper]) -> dict
         if journal.id in journal_map:
             raise ParseError(position, f"duplicate journal id {journal.id!r}")
         journal_map[journal.id] = journal
-    if not journal_map.keys() >= set(map(operator.itemgetter(2), papers)):
+    if not journal_map.keys() >= set(map(_JOURNAL, papers)):
         for line_no, (paper_id, _, journal_id, _, _) in enumerate(papers, start=1):
             if journal_id not in journal_map:
                 raise ParseError(

@@ -288,25 +288,22 @@ def indexer_sensitivity(
     """Score the group under the corpus's own scheme (A) and under ``scheme_b``,
     which must cover every paper's journal, over the same citation graph.
 
-    One score pass per scheme, listed, feeds both the per-paper rows and the
-    group reports. The two corpora share the papers and the window, and each
-    pass tallies its own fractional scores, so the zero fractional-delta check
-    in ``SensitivityReport`` compares two computations and tests that
-    fractional scoring reads nothing from the category scheme.
+    One score pass per scheme feeds both the per-paper rows, its columns
+    zipped row by row, and the group reports. The two corpora share the
+    papers and the window, and each pass tallies its own fractional scores,
+    so the zero fractional-delta check in ``SensitivityReport`` compares two
+    computations and tests that fractional scoring reads nothing from the
+    category scheme.
     """
     corpus_b = corpus.with_journals(scheme_b)
-    scored_a = list(score_papers(corpus, group.paper_ids, weighting))
-    scored_b = list(score_papers(corpus_b, group.paper_ids, weighting))
+    scored_a = score_papers(corpus, group.paper_ids, weighting)
+    scored_b = score_papers(corpus_b, group.paper_ids, weighting)
     papers = tuple(
-        PaperSensitivity(
-            paper_id=paper_a.paper_id,
-            ncs_a=paper_a.ncs,
-            ncs_b=paper_b.ncs,
-            percentile_a=paper_a.percentile,
-            percentile_b=paper_b.percentile,
-            fractional_delta=(paper_b.fractional or 0.0) - (paper_a.fractional or 0.0),
-        )
-        for paper_a, paper_b in zip(scored_a, scored_b)
+        PaperSensitivity(paper_id, ncs_a, ncs_b, percentile_a, percentile_b,
+                         (fractional_b or 0.0) - (fractional_a or 0.0))
+        for paper_id, ncs_a, ncs_b, percentile_a, percentile_b, fractional_a, fractional_b
+        in zip(scored_a.paper_ids, scored_a.ncs, scored_b.ncs, scored_a.percentiles,
+               scored_b.percentiles, scored_a.fractional, scored_b.fractional)
     )
     return SensitivityReport(
         group=group.name,

@@ -13,29 +13,30 @@ values, or percentiles. Each raises a ValueError that names it for an empty
 column, and ``cpp_fcsm`` for two columns of unequal length or an expected
 total that is not positive.
 
-A score pass is a stream. ``score_papers`` checks its arguments and builds
-the pass's baseline table and fractional tally when it is called, then
-yields one ``ScoredPaper`` per paper in ascending paper-id order and keeps
-none. ``scorable_papers`` folds any iterable of them, read once, into the
-``ScoredColumns`` the group statistics read, and is the one place that
-finds a group with nothing scorable; ``group_report``, and through it
-``score_group``, reads its pass through it. The scorable and total counts
-are reported side by side, and the id order makes results reproducible bit
-for bit.
+A score pass is one table. ``score_papers`` returns a ``ScoredColumns`` of
+equal-length columns in ascending paper-id order: ``paper_ids``,
+``citations``, ``expected``, ``ncs``, ``percentiles``, ``fractional`` and
+``reasons``. ``expected`` and ``ncs`` are None exactly for an unscorable
+paper, whose ``reasons`` entry says why, and ``fractional`` is None exactly
+for a paper with a citation override. ``select`` cuts a pass to some of its
+papers, as a pass over just them gives them. ``scorable_papers`` cuts the
+columns the group statistics read to the scorable papers and is the one
+place that finds a group with nothing scorable; ``group_report``, and
+through it ``score_group``, reads its pass through it. The scorable and
+total counts are reported side by side.
 
-A pass keys its papers with one id-ordered dict: its member test, count
-lookup and output order. It takes a paper's expected value and combined
-percentile from ``crown.baselines``, which owns the multi-category rule,
-once per distinct argument tuple, and its count from the corpus's count
-column, which the table is built from. ``fractional_scores`` runs once per
-pass, in one exact tally over the reference lists that name one of its
-papers, and alone withholds a score from papers with a citation override.
-The table and the caches live for one pass, so two corpora, for example
-under two category schemes, share no table. To score many groups against
-one corpus, list one pass over their union and fold each group's papers
-from it, as ``diagnose ranksum`` does. Each paper's scores are a
-``ScoredPaper`` named tuple and a group's an ``IndicatorReport`` named
-tuple: each compares equal to the tuple of its fields and unpacks like one.
+The columns are built by C-level maps, with no Python frame per paper: a
+paper's expected value and combined percentile come from
+``crown.baselines``, which owns the multi-category rule, once per distinct
+argument tuple, and its count from the corpus's count column, which the
+table is built from. ``fractional_scores`` runs once per pass, in one exact
+tally over the reference lists that name one of its papers, and alone
+withholds a score from papers with a citation override. The table and the
+caches live for one pass, so two corpora, for example under two category
+schemes, share no table. To score many groups against one corpus, score
+their union once and ``select`` each group's papers from it, as ``diagnose
+ranksum`` does. A group's scores are an ``IndicatorReport`` named tuple: it
+compares equal to the tuple of its fields and unpacks like one.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import json
 import math
 import operator
 import warnings
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from typing import NamedTuple
 
 from .baselines import (
@@ -56,7 +57,9 @@ from .baselines import (
     compute_baselines,
     expected_citations_with_reason,
 )
-from .corpus import CitationWindow, Corpus, GroupSelection
+from .corpus import (
+    _JOURNAL, _OVERRIDE, _REFERENCES, _YEAR, CitationWindow, Corpus, GroupSelection, Paper,
+)
 
 
 class DegenerateGroupError(RuntimeError):
@@ -76,20 +79,6 @@ class DegenerateGroupError(RuntimeError):
         self.n_total = n_total
         self.unscorable = tuple(unscorable)
         self.n_scorable = n_scorable
-
-
-class ScoredPaper(NamedTuple):
-    """One paper's scores from a score pass; a named tuple, so it compares
-    equal to the tuple of its fields and unpacks like one."""
-
-    paper_id: str
-    citations: int
-    expected: float | None
-    ncs: float | None
-    percentile: float
-    fractional: float | None
-    scorable: bool
-    unscorable_reason: str | None = None
 
 
 class IndicatorReport(NamedTuple):
@@ -239,64 +228,86 @@ def fractional_scores(corpus: Corpus, paper_ids: Collection[str]) -> list[float 
 
 
 _UNITS_PER_ONE = 2.0**80
-_REFERENCES = operator.itemgetter(3)
 
 
-def score_papers(
-    corpus: Corpus, paper_ids: Iterable[str], weighting: Weighting
-) -> Iterator[ScoredPaper]:
-    """Per-paper scores in ascending paper-id order, against the baseline
-    table of ``corpus``, built once for this pass, as a stream that keeps
-    none of them.
+class ScoredColumns(NamedTuple):
+    """A score pass, one entry per paper in each column, under the column
+    contract of the module docstring."""
 
-    The checks run, and the table and the fractional tally are built, when
-    this is called: ValueError for a ``weighting`` that is not a
-    ``Weighting`` or an id listed twice, KeyError for an id that names no
-    paper. The expected value and the combined percentile come from caches
-    that live for this one pass and are keyed on their helper's own
-    arguments (the table and ``weighting`` are fixed for the pass). Each
-    paper's count is read from ``corpus.citation_counts``, the column its
-    cells hold.
+    paper_ids: list[str]
+    citations: list[int]
+    expected: list[float | None]
+    ncs: list[float | None]
+    percentiles: list[float]
+    fractional: list[float | None]
+    reasons: list[str | None]
+
+    def select(self, keep: Iterable[object]) -> ScoredColumns:
+        """The papers whose entry of ``keep`` is true: a pass over just them."""
+        keep = list(keep)
+        return self._make(list(itertools.compress(column, keep)) for column in self)
+
+
+def score_papers(corpus: Corpus, paper_ids: Iterable[str], weighting: Weighting) -> ScoredColumns:
+    """Per-paper scores of ``paper_ids`` against the baseline table of
+    ``corpus``, built once for this pass, as columns in ascending paper-id
+    order.
+
+    ValueError for a ``weighting`` that is not a ``Weighting`` or an id
+    listed twice, KeyError for an id that names no paper. The expected value
+    and the combined percentile come from caches that live for this one pass
+    and are keyed on their helper's own arguments (the table and
+    ``weighting`` are fixed for the pass). Each paper's count is read from
+    ``corpus.citation_counts``, the column its cells hold.
     """
     check_weighting(weighting)
     ordered = sorted(paper_ids)
-    counts = dict.fromkeys(ordered)
-    if len(counts) < len(ordered):
-        repeated = next(a for a, b in itertools.pairwise(ordered) if a == b)
-        raise ValueError(f"paper {repeated!r} is listed twice")
-    fractional = fractional_scores(corpus, counts)
+    later = itertools.islice(ordered, 1, None)
+    repeated = list(itertools.compress(ordered, map(operator.eq, ordered, later)))
+    if repeated:
+        raise ValueError(f"paper {repeated[0]!r} is listed twice")
+    fractional = fractional_scores(corpus, ordered)
     table = compute_baselines(corpus)
-    papers = corpus.papers
-    counts.update(
-        itertools.compress(zip(papers, corpus.citation_counts), map(counts.__contains__, papers))
-    )
+    records = list(map(corpus.papers.__getitem__, ordered))
+    citations = _citations(corpus, ordered, records)
+    years = list(map(_YEAR, records))
+    categories = list(map(_CATEGORIES, map(corpus.journals.__getitem__, map(_JOURNAL, records))))
     expected_of = functools.cache(
         lambda categories, year: expected_citations_with_reason(table, categories, year, weighting)
     )
     percentile_of = functools.cache(
         lambda categories, year, count: combined_percentile(table, categories, year, count)
     )
-    return _scored(papers, corpus.journals, counts, fractional, expected_of, percentile_of)
+    ratio_of = functools.cache(lambda c, e: None if e is None else c / e)
+    with_reasons = list(map(expected_of, categories, years))
+    expected = list(map(_FIRST, with_reasons))
+    return ScoredColumns(
+        ordered,
+        citations,
+        expected,
+        list(map(ratio_of, citations, expected)),
+        list(map(percentile_of, categories, years, citations)),
+        fractional,
+        list(map(_SECOND, with_reasons)),
+    )
 
 
-def _scored(papers, journals, counts, fractional, expected_of, percentile_of):
-    """The per-paper loop of ``score_papers``; each record is built without
-    the named tuple's ``__new__``, as the papers parse builds a ``Paper``."""
-    for (paper_id, count), fraction in zip(counts.items(), fractional):
-        _, year, journal_id, _, override = papers[paper_id]
-        citations = count if override is None else override
-        categories = journals[journal_id].categories
-        expected, reason = expected_of(categories, year)
-        yield tuple.__new__(ScoredPaper, (
-            paper_id,
-            citations,
-            expected,
-            None if expected is None else citations / expected,
-            percentile_of(categories, year, citations),
-            fraction,
-            expected is not None,
-            reason,
-        ))
+def _citations(corpus: Corpus, ordered: list[str], records: list[Paper]) -> list[int]:
+    """The citation count of each paper of ``ordered``, whose records are
+    ``records``: its override, else its entry of the count column."""
+    papers = corpus.papers
+    counts = dict.fromkeys(ordered)
+    counts.update(
+        itertools.compress(zip(papers, corpus.citation_counts), map(counts.__contains__, papers))
+    )
+    overridden = map(operator.is_not, map(_OVERRIDE, records), itertools.repeat(None))
+    counts.update(itertools.compress(zip(ordered, map(_OVERRIDE, records)), overridden))
+    return list(counts.values())
+
+
+_CATEGORIES = operator.attrgetter("categories")
+_FIRST = operator.itemgetter(0)
+_SECOND = operator.itemgetter(1)
 
 
 def score_group(
@@ -310,58 +321,40 @@ def score_group(
     return group_report(group.name, scored, weighting, corpus.window, top_x)
 
 
-class ScoredColumns(NamedTuple):
-    """A score pass folded into the columns the group statistics read: the
-    citations, expected values, ncs values and percentiles of its scorable
-    papers, the fractional scores of its papers without an override, and
-    (id, reason) pairs for its unscorable papers."""
-
-    citations: list[int]
-    expected: list[float]
-    ncs: list[float]
-    percentiles: list[float]
-    fractional: list[float]
-    unscorable: tuple[tuple[str, str], ...]
-
-    @property
-    def n_total(self) -> int:
-        return len(self.ncs) + len(self.unscorable)
-
-
-def scorable_papers(name: str, scored: Iterable[ScoredPaper]) -> ScoredColumns:
-    """Fold a score pass, read once, into its columns; the one filter the
-    group statistics run behind. Raises ``DegenerateGroupError`` when
+def scorable_papers(
+    name: str, scored: ScoredColumns
+) -> tuple[ScoredColumns, tuple[tuple[str, str], ...]]:
+    """A pass with the four columns the group statistics read (citations,
+    expected values, ncs values, percentiles) cut to its scorable papers,
+    those with an expected value, and the (id, reason) pairs of the others;
+    the ids, fractional scores and reasons stay whole. The one filter the
+    group statistics run behind: raises ``DegenerateGroupError`` when
     nothing is scorable."""
-    citations, expected, ncs, percentiles, fractional, unscorable = [], [], [], [], [], []
-    for paper_id, count, value, ratio, percentile, fraction, scorable, reason in scored:
-        if scorable:
-            citations.append(count)
-            expected.append(value)
-            ncs.append(ratio)
-            percentiles.append(percentile)
-        else:
-            unscorable.append((paper_id, reason or "unscorable"))
-        if fraction is not None:
-            fractional.append(fraction)
-    columns = ScoredColumns(citations, expected, ncs, percentiles, fractional, tuple(unscorable))
-    if not ncs:
+    scorable = list(map(operator.is_not, scored.expected, itertools.repeat(None)))
+    unscorable = map(operator.not_, scorable)
+    pairs = tuple(itertools.compress(zip(scored.paper_ids, scored.reasons), unscorable))
+    columns = scored._replace(**{
+        column: list(itertools.compress(getattr(scored, column), scorable))
+        for column in ("citations", "expected", "ncs", "percentiles")
+    })
+    if not columns.ncs:
         raise DegenerateGroupError(
             f"group {name!r}: no scorable papers",
             group=name,
-            n_total=columns.n_total,
-            unscorable=columns.unscorable,
+            n_total=len(scored.paper_ids),
+            unscorable=pairs,
         )
-    return columns
+    return columns, pairs
 
 
 def group_report(
     name: str,
-    scored: Iterable[ScoredPaper],
+    scored: ScoredColumns,
     weighting: Weighting,
     window: CitationWindow,
     top_x: float = 1.0,
 ) -> IndicatorReport:
-    """Aggregate a score pass, read once, into the group report.
+    """Aggregate a score pass into the group report.
 
     Checks ``weighting`` and ``top_x`` first, so a bad one is a ValueError
     even for a degenerate group. Warns once when override papers were left
@@ -369,23 +362,24 @@ def group_report(
     """
     check_weighting(weighting)
     check_top_x(top_x)
-    columns = scorable_papers(name, scored)
-    n_total = columns.n_total
-    n_overridden = n_total - len(columns.fractional)
+    columns, unscorable = scorable_papers(name, scored)
+    n_total = len(columns.paper_ids)
+    n_overridden = columns.fractional.count(None)
     if n_overridden:
         warnings.warn(
             f"group {name!r}: {n_overridden} paper(s) with citation "
             "overrides excluded from fractional counting",
             stacklevel=3,
         )
-    if not columns.fractional:
+    if n_overridden == n_total:
         raise DegenerateGroupError(
             f"group {name!r}: no papers with citing-side reference data",
             group=name,
             n_total=n_total,
-            unscorable=columns.unscorable,
+            unscorable=unscorable,
             n_scorable=len(columns.ncs),
         )
+    counted = map(operator.is_not, columns.fractional, itertools.repeat(None))
     return IndicatorReport(
         group=name,
         n_total=n_total,
@@ -394,9 +388,10 @@ def group_report(
         mncs=mncs(columns.ncs),
         mdncs=mdncs(columns.ncs),
         pp_top=pp_top(columns.percentiles, top_x),
-        mean_fractional=math.fsum(columns.fractional) / len(columns.fractional),
+        mean_fractional=math.fsum(itertools.compress(columns.fractional, counted))
+        / (n_total - n_overridden),
         weighting=str(weighting),
         window=str(window),
         top_x=top_x,
-        unscorable=columns.unscorable,
+        unscorable=unscorable,
     )

@@ -208,11 +208,10 @@ def test_single_category_corpus_weighting_is_irrelevant() -> None:
         ]
     )
     corpus = corpus_from_text(papers_jsonl, "id,title,categories\nj1,J,solo\n")
-    arithmetic = list(score_papers(corpus, corpus.papers, Weighting.ARITHMETIC))
+    arithmetic = score_papers(corpus, corpus.papers, Weighting.ARITHMETIC)
     harmonic = score_papers(corpus, corpus.papers, Weighting.HARMONIC)
-    assert [paper.paper_id for paper in arithmetic] == sorted(corpus.papers)
-    for a, h in zip(arithmetic, harmonic):
-        assert a.ncs == h.ncs
+    assert arithmetic.paper_ids == sorted(corpus.papers)
+    assert arithmetic.ncs == harmonic.ncs
 
 
 def test_baseline_table_covers_every_category_year_pair() -> None:

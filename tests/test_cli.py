@@ -685,10 +685,10 @@ def test_ranksum_of_overlapping_groups_matches_one_pass_per_group(
     payload = json.loads(capsys.readouterr().out)["ranksum"]
     corpus = load_corpus(papers, journals)
     samples = [
-        [paper.ncs
-         for paper in score_papers(corpus, GroupSelection.read(path, corpus).paper_ids,
-                                   Weighting.HARMONIC)
-         if paper.scorable]
+        [ncs
+         for ncs in score_papers(corpus, GroupSelection.read(path, corpus).paper_ids,
+                                 Weighting.HARMONIC).ncs
+         if ncs is not None]
         for path in (group_a, group_b)
     ]
     assert payload == rank_sum_test(*samples)._asdict()
@@ -737,6 +737,35 @@ def test_papers_key_order_leaves_the_report_body_as_it_is(demo, tmp_path, capsys
             assert main([*argv, "--papers", str(path), "--journals", str(journals)]) == 0
             bodies.append(_body(capsys.readouterr().out))
         assert len(worded) == (0 if path == papers else 2 * len(lines))
+    assert bodies[:2] == bodies[2:]
+
+
+def test_a_disjoint_renamed_copy_leaves_the_report_bodies_as_they_are(tmp_path,
+                                                                       capsys) -> None:
+    # A copy of every paper under new ids and reference keys, with the same
+    # years and journals, doubles every cell without moving its mean or any
+    # midrank percentile, and leaves every fractional sum as it is.
+    papers, journals = tmp_path / "papers.jsonl", tmp_path / "journals.csv"
+    assert main(["synth", "--fields", "a:3:40,b:8:40,c:5:30", "--years", "2000-2006",
+                 "--seed", "7", "--cross-field", "0.3", "--multi-cat", "0.5",
+                 "--papers", str(papers), "--journals", str(journals)]) == 0
+    group = _group_file(tmp_path, papers, count=60)
+    text = papers.read_text(encoding="utf-8")
+    copies = []
+    for line in text.splitlines():
+        record = json.loads(line)
+        record["id"] = "copy-" + record["id"]
+        record["references"] = ["copy-" + key for key in record["references"]]
+        copies.append(json.dumps(record, separators=(",", ":")) + "\n")
+    doubled = tmp_path / "doubled.jsonl"
+    doubled.write_text(text + "".join(copies), encoding="utf-8")
+    bodies = []
+    for path in (papers, doubled):
+        for argv in (["score", "--weighting", "harmonic"],
+                     ["diagnose", "indexer", "--weighting", "arithmetic", "--window", "years3"]):
+            assert main([*argv, "--papers", str(path), "--journals", str(journals),
+                         "--group", str(group)]) == 0
+            bodies.append(_body(capsys.readouterr().out))
     assert bodies[:2] == bodies[2:]
 
 

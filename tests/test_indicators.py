@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import itertools
 import json
 import math
 import statistics
@@ -28,7 +29,7 @@ from crown.corpus import MAX_REFERENCES, CitationWindow, Journal, Paper, build_c
 from crown.indicators import (
     DegenerateGroupError,
     GroupSelection,
-    ScoredPaper,
+    ScoredColumns,
     cpp_fcsm,
     fractional_scores,
     mdncs,
@@ -130,12 +131,15 @@ def test_mdncs_is_statistics_median_to_the_bit(ncs) -> None:
     assert mdncs(ncs).hex() == statistics.median(ncs).hex()
 
 
+def _dead_pass(n: int) -> ScoredColumns:
+    """A pass over ``n`` papers, none of them scorable."""
+    return ScoredColumns([f"p{i}" for i in range(n)], [0] * n, [None] * n, [None] * n,
+                         [50.0] * n, [0.0] * n, ["zero baseline"] * n)
+
+
 def test_empty_scorable_set_is_degenerate() -> None:
-    dead = [
-        ScoredPaper(f"p{i}", 0, None, None, 50.0, 0.0, False, "zero baseline")
-        for i in range(3)
-    ]
-    unscorable = tuple((paper.paper_id, "zero baseline") for paper in dead)
+    dead = _dead_pass(3)
+    unscorable = tuple((paper_id, "zero baseline") for paper_id in dead.paper_ids)
     for split in (
         lambda: scorable_papers("dead", dead),
         lambda: indicators.group_report(
@@ -356,8 +360,8 @@ def test_fractional_excludes_override_papers_with_warning() -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert fractional_scores(corpus, ["t", "q"]) == [None, 0.0]
-        scored = list(score_papers(corpus, ["t", "q"], Weighting.ARITHMETIC))
-    assert {paper.paper_id: paper.fractional for paper in scored} == {"q": 0.0, "t": None}
+        scored = score_papers(corpus, ["t", "q"], Weighting.ARITHMETIC)
+    assert dict(zip(scored.paper_ids, scored.fractional)) == {"q": 0.0, "t": None}
     # ... and the group report warns exactly once for the whole group
     group = GroupSelection.resolve("g", ["t", "q"], corpus)
     with warnings.catch_warnings(record=True) as caught:
@@ -550,7 +554,7 @@ def test_score_group_all_unscorable_raises_with_coverage() -> None:
 
 
 def test_group_report_checks_top_x_before_the_degenerate_raise() -> None:
-    dead = [ScoredPaper("p1", 0, None, None, 50.0, 0.0, False, "zero baseline")]
+    dead = _dead_pass(1)
     for x in (math.nan, 0.0, 150.0):
         with pytest.raises(ValueError, match=r"^top-x share needs 0 < x < 100, got "):
             indicators.group_report("dead", dead, Weighting.HARMONIC, CitationWindow.all(), x)
@@ -593,7 +597,7 @@ def test_group_selection_errors_name_the_position_of_the_id(tmp_path) -> None:
 def test_score_papers_orders_by_paper_id() -> None:
     corpus = _scored_corpus()
     scored = score_papers(corpus, ["q1", "p1", "p3"], Weighting.HARMONIC)
-    assert [paper.paper_id for paper in scored] == ["p1", "p3", "q1"]
+    assert scored.paper_ids == ["p1", "p3", "q1"]
 
 
 def test_score_papers_refuses_a_repeated_id_at_the_call() -> None:
@@ -624,19 +628,19 @@ def _outcome(report):
 
 @given(small_corpus(), st.sampled_from(list(Weighting)), st.data())
 @settings(max_examples=200)
-def test_a_group_report_reads_its_pass_once_as_a_stream(case, weighting, data) -> None:
+def test_a_group_report_of_a_pass_matches_score_group(case, weighting, data) -> None:
     papers, window = case
     group = data.draw(
         st.lists(st.sampled_from([paper.id for paper in papers]), min_size=1, unique=True)
     )
     corpus = build_corpus(papers, SMALL_JOURNALS, window)
-    listed = list(score_papers(corpus, group, weighting))
+    scored = score_papers(corpus, group, weighting)
 
-    def report(scored):
-        return lambda: indicators.group_report("g", scored, weighting, window)
+    def report():
+        return indicators.group_report("g", scored, weighting, window)
 
-    expected = _outcome(report(listed))
-    assert _outcome(report(iter(listed))) == expected
+    expected = _outcome(report)
+    assert _outcome(report) == expected  # a report leaves its pass whole
     selection = GroupSelection.resolve("g", group, corpus)
     assert _outcome(lambda: score_group(corpus, selection, weighting)) == expected
 
@@ -666,7 +670,9 @@ def test_a_whole_corpus_score_group_holds_no_list_of_papers() -> None:
     if not tracing:
         tracemalloc.start()
     try:
-        listed = peak(lambda: list(score_papers(corpus, group.paper_ids, Weighting.HARMONIC)))
+        listed = peak(
+            lambda: list(zip(*score_papers(corpus, group.paper_ids, Weighting.HARMONIC)))
+        )
         folded = peak(lambda: score_group(corpus, group, Weighting.HARMONIC))
     finally:
         if not tracing:
@@ -688,20 +694,20 @@ def test_one_category_per_journal_makes_the_weightings_agree() -> None:
     ids = list(corpus.papers)
 
     def values(weighting):
-        columns = scorable_papers("g", score_papers(corpus, ids, weighting))
+        columns, _ = scorable_papers("g", score_papers(corpus, ids, weighting))
         return (columns.expected, mncs(columns.ncs),
                 cpp_fcsm(columns.citations, columns.expected))
 
     assert values(Weighting.HARMONIC) == values(Weighting.ARITHMETIC)
 
 
-def test_scored_paper_is_immutable_and_keeps_the_dataclass_repr() -> None:
-    paper = ScoredPaper("pair0", 3, 2, 1.5, 0.0, None, True)
+def test_scored_columns_are_immutable_and_keep_the_named_tuple_repr() -> None:
+    scored = ScoredColumns(["pair0"], [3], [2], [1.5], [0.0], [None], [None])
     with pytest.raises(AttributeError):
-        paper.ncs = 2.0  # type: ignore[misc]
-    assert repr(paper) == (
-        "ScoredPaper(paper_id='pair0', citations=3, expected=2, ncs=1.5, "
-        "percentile=0.0, fractional=None, scorable=True, unscorable_reason=None)"
+        scored.ncs = [2.0]  # type: ignore[misc]
+    assert repr(scored) == (
+        "ScoredColumns(paper_ids=['pair0'], citations=[3], expected=[2], ncs=[1.5], "
+        "percentiles=[0.0], fractional=[None], reasons=[None])"
     )
 
 
@@ -709,7 +715,8 @@ def test_scored_paper_is_immutable_and_keeps_the_dataclass_repr() -> None:
 
 
 def _reference_score_papers(corpus, paper_ids, weighting) -> list:
-    """The plain score pass: every value recomputed for every paper, against a
+    """The plain score pass, one row per paper in the order of the columns of
+    ``ScoredColumns``: every value recomputed for every paper, against a
     table built here, not the one the corpus keeps."""
     table = compute_baselines(corpus)
     scored = []
@@ -724,18 +731,15 @@ def _reference_score_papers(corpus, paper_ids, weighting) -> list:
             fractional = fractional_scores(corpus, [paper_id])[0]
         else:
             fractional = None
-        scored.append(
-            ScoredPaper(
-                paper_id=paper_id,
-                citations=citations,
-                expected=expected,
-                ncs=None if expected is None else citations / expected,
-                percentile=combined_percentile(table, categories, year, citations),
-                fractional=fractional,
-                scorable=expected is not None,
-                unscorable_reason=reason,
-            )
-        )
+        scored.append((
+            paper_id,
+            citations,
+            expected,
+            None if expected is None else citations / expected,
+            combined_percentile(table, categories, year, citations),
+            fractional,
+            reason,
+        ))
     return scored
 
 
@@ -747,10 +751,34 @@ def test_score_papers_matches_the_per_paper_reference_pass(case, weighting, data
         st.lists(st.sampled_from([paper.id for paper in papers]), min_size=1, unique=True)
     )
     corpus = build_corpus(papers, SMALL_JOURNALS, window)
-    scored = list(score_papers(corpus, group, weighting))
+    rows = list(zip(*score_papers(corpus, group, weighting)))
     expected = _reference_score_papers(corpus, group, weighting)
-    assert scored == expected
-    assert repr(scored) == repr(expected)
+    assert rows == expected
+    assert repr(rows) == repr(expected)
+
+
+@given(small_corpus(), st.sampled_from(list(Weighting)), st.data())
+@settings(max_examples=300)
+def test_a_pass_is_one_table_of_columns(case, weighting, data) -> None:
+    papers, window = case
+    group = data.draw(
+        st.lists(st.sampled_from([paper.id for paper in papers]), min_size=1, unique=True)
+    )
+    corpus = build_corpus(papers, SMALL_JOURNALS, window)
+    scored = score_papers(corpus, group, weighting)
+    assert {len(column) for column in scored} == {len(group)}
+    assert all(a < b for a, b in itertools.pairwise(scored.paper_ids))
+    for expected, ncs, reason in zip(scored.expected, scored.ncs, scored.reasons):
+        assert (expected is None) == (ncs is None) == (reason is not None)
+    assert [fractional is None for fractional in scored.fractional] == [
+        corpus.papers[paper_id].raw_citation_count is not None for paper_id in scored.paper_ids
+    ]
+    # selecting papers from a pass, as ranksum does from its union, gives
+    # the pass over just those papers
+    keep = data.draw(st.lists(st.booleans(), min_size=len(group), max_size=len(group)))
+    alone = score_papers(corpus, itertools.compress(scored.paper_ids, keep), weighting)
+    assert scored.select(keep) == alone
+    assert repr(scored.select(iter(keep))) == repr(alone)
 
 
 def test_score_pass_computes_each_value_once_per_key(monkeypatch) -> None:
@@ -784,7 +812,7 @@ def test_score_pass_computes_each_value_once_per_key(monkeypatch) -> None:
     monkeypatch.setattr(
         indicators, "fractional_scores", counting("fractional", fractional_scores)
     )
-    scored = list(score_papers(corpus, group, Weighting.HARMONIC))
+    scored = score_papers(corpus, group, Weighting.HARMONIC)
     papers = [corpus.papers[pid] for pid in group]
     year_keys = {(categories_of(corpus, paper.id), paper.year) for paper in papers}
     count_keys = {
@@ -797,7 +825,7 @@ def test_score_pass_computes_each_value_once_per_key(monkeypatch) -> None:
     # one fractional call for the whole pass, which decides the overrides itself
     assert calls["fractional"] == 1
     monkeypatch.undo()
-    assert scored == _reference_score_papers(corpus, group, Weighting.HARMONIC)
+    assert list(zip(*scored)) == _reference_score_papers(corpus, group, Weighting.HARMONIC)
 
 
 # --- metamorphic checks on real corpus groups --------------------------------
@@ -822,7 +850,10 @@ def _metamorphic_corpus(window: str):
 def _scorable_ids(weighting: Weighting) -> tuple[str, ...]:
     corpus = _metamorphic_corpus("all")
     scored = score_papers(corpus, corpus.papers, weighting)
-    return tuple(paper.paper_id for paper in scored if paper.scorable)
+    return tuple(
+        paper_id for paper_id, expected in zip(scored.paper_ids, scored.expected)
+        if expected is not None
+    )
 
 
 @given(
@@ -843,8 +874,7 @@ def test_adding_one_paper_to_two_equal_groups_never_reverses_their_mncs(
         return score_group(corpus, group, weighting).mncs
 
     def exact_sum(ids) -> Fraction:
-        scored = score_papers(corpus, ids, weighting)
-        return sum(Fraction(paper.ncs) for paper in scored)
+        return sum(map(Fraction, score_papers(corpus, ids, weighting).ncs))
 
     before_a, before_b = value(group_a), value(group_b)
     after_a, after_b = value([*group_a, added]), value([*group_b, added])
@@ -887,6 +917,6 @@ def test_relabelling_categories_leaves_fractional_scores_bit_identical(
         score_papers(scheme, ids, Weighting.ARITHMETIC)
         for scheme in (corpus, relabelled)
     ]
-    assert [paper.fractional.hex() for paper in passes[0]] == [
-        paper.fractional.hex() for paper in passes[1]
+    assert [score.hex() for score in passes[0].fractional] == [
+        score.hex() for score in passes[1].fractional
     ]

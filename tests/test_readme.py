@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +69,33 @@ def test_public_api_is_the_documented_surface() -> None:
     ]
     for name in crown.__all__:
         assert hasattr(crown, name)
+
+
+def _resolve(dotted: str) -> object:
+    """The module or attribute a dotted ``crown`` name names: its longest
+    importable prefix, then an attribute for each part after it."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for part in parts[cut:]:
+            found = getattr(found, part)
+        return found
+    raise ModuleNotFoundError(dotted)
+
+
+def test_every_crown_name_the_readme_gives_exists() -> None:
+    names = set(re.findall(r"`(crown(?:\.[A-Za-z_]\w*)+)", README.read_text(encoding="utf-8")))
+    assert len(names) >= 19
+    missing = []
+    for name in sorted(names):
+        try:
+            _resolve(name)
+        except (AttributeError, ModuleNotFoundError):
+            missing.append(name)
+    assert missing == []
 
 
 # Standard modules no crown import needs, each costly at interpreter start:

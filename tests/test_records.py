@@ -29,7 +29,7 @@ from crown.diagnostics import (
     SearchBounds,
     SensitivityReport,
 )
-from crown.indicators import IndicatorReport, ScoredPaper
+from crown.indicators import IndicatorReport, ScoredColumns
 from crown.synth import FieldSpec, SynthConfig, Written
 
 CELL = FieldYearCell("a", 2005, (3, 1, 2))
@@ -133,7 +133,7 @@ def test_record_keeps_its_repr_and_is_immutable(name) -> None:
 def test_no_record_has_an_instance_dict() -> None:
     records = [record for record, _ in REPRS.values()] + [
         Paper("p1", 2005, "j", ("p0",)),
-        ScoredPaper("p1", 3, 2.0, 1.5, 50.0, 1.0, True),
+        ScoredColumns(["p1"], [3], [2.0], [1.5], [50.0], [1.0], [None]),
     ]
     assert Corpus in map(type, records)
     for record in records:
