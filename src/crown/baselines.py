@@ -19,15 +19,13 @@ of the package; a cell checks and sorts its counts however it is built.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
-from .corpus import _JOURNAL, _OVERRIDE, _YEAR, CheckedRecord, Corpus
+from .corpus import _JOURNAL, _YEAR, CheckedRecord, Corpus
 
 
 class Weighting(enum.Enum):
@@ -104,24 +102,16 @@ class BaselineTable(NamedTuple):
 def compute_baselines(corpus: Corpus) -> BaselineTable:
     """Build the cell table from one C-level tally over the corpus columns.
 
-    Every paper is counted once under its (journal, year, count) triple,
-    its count read from ``corpus.citation_counts``; only the papers with a
-    citation override are then moved to the triple of their override. Each
-    triple's papers are added to each of the journal's categories, so a
-    cell holds one count per paper of its journals in its year. A cell
-    sorts its counts and its mean is an exact integer sum over n, so the
-    order in which papers are tallied cannot change a cell; cells are keyed
-    in the order their (journal, year) pairs first occur in the corpus.
+    Every paper is counted once under its (journal, year, count) triple, its
+    count read from ``corpus.citation_counts``, overrides included. Each
+    triple's papers are added to each of the journal's categories, so a cell
+    holds one count per paper of its journals in its year. A cell sorts its
+    counts and its mean is an exact integer sum over n, so the order in which
+    papers are tallied cannot change a cell; cells are keyed in the order
+    their (journal, year) pairs first occur in the corpus.
     """
     papers = corpus.papers.values()
-    counts = corpus.citation_counts
-    tally = Counter(zip(map(_JOURNAL, papers), map(_YEAR, papers), counts))
-    overridden = map(operator.is_not, map(_OVERRIDE, papers), itertools.repeat(None))
-    for (_, year, journal_id, _, override), cited in itertools.compress(
-        zip(papers, counts), overridden
-    ):
-        tally[journal_id, year, cited] -= 1
-        tally[journal_id, year, override] += 1
+    tally = Counter(zip(map(_JOURNAL, papers), map(_YEAR, papers), corpus.citation_counts))
     per_cell: dict[tuple[str, int], list[int]] = {}
     journals = corpus.journals
     for (journal_id, year, count), n in tally.items():

@@ -57,12 +57,12 @@ memory and lets the graph build match keys by identity. Every record of one
 journal shares one journal-id string, and every record of one year one year
 int, so a corpus holds one such object per distinct value, not one per record.
 
-The build keeps one count column, ``Corpus.citation_counts``: per paper,
-the distinct papers citing it inside the window, taken by a C-level tally
-over the reference lists. It builds no per-paper container of citers; a
-score pass tallies the fractional counts of its own papers
-(``crown.indicators.fractional_scores``) in one walk over the reference
-lists that name one of them. A reference list holds at most
+The build keeps one count column, ``Corpus.citation_counts``, read by the
+cells and the score pass: per paper, its override, else the distinct papers
+citing it inside the window, by a C-level tally over the reference lists. No
+container of citers is built; a score pass tallies the fractional counts of
+its own papers (``crown.indicators.fractional_scores``) in one walk over the
+reference lists that name one of them. A reference list holds at most
 ``MAX_REFERENCES`` keys, so that tally is exact.
 
 Every record of the package (``Paper``, ``Journal``, ``CitationWindow``,
@@ -337,6 +337,7 @@ class _CorpusFields(NamedTuple):
     papers: dict[str, Paper]
     journals: dict[str, Journal]
     citation_counts: tuple[int, ...]
+    n_edges: int
     n_external: int
     window: CitationWindow
 
@@ -344,17 +345,17 @@ class _CorpusFields(NamedTuple):
 class Corpus(CheckedRecord, _CorpusFields):
     """Resolved, immutable collection of papers, journals and citation counts.
 
-    ``citation_counts`` holds, per paper in the key order of ``papers``, how
-    many distinct papers cite it inside the window, so the two can be walked
-    in step. ``n_external`` counts the reference keys that name no corpus
-    paper, every occurrence, whatever the window. Both are graph data: they
-    do not depend on ``journals``. Who cites a paper is not stored: a score
-    pass tallies what it needs from the reference lists. Within one parse,
-    equal ids, journal ids and years are each one shared object.
+    ``citation_counts`` holds, per paper in the key order of ``papers``, the
+    count every indicator reads: its citation override, else how many distinct
+    papers cite it inside the window. ``n_edges`` counts the in-window
+    citations, overrides aside, and ``n_external`` the reference keys that
+    name no paper, every occurrence, whatever the window. None depends on
+    ``journals``; who cites a paper is not stored. Within one parse, equal
+    ids, journal ids and years are each one shared object.
 
-    Every way of building one checks that the window is a ``CitationWindow``,
-    the count column a tuple of ``len(papers)`` non-negative ints and
-    ``n_external`` a non-negative int; ValueError otherwise.
+    Every build checks that the window is a ``CitationWindow``, the count
+    column a tuple of ``len(papers)`` non-negative ints holding each override,
+    and ``n_edges`` and ``n_external`` such ints; ValueError otherwise.
 
     Dict insertion order matches input order everywhere, so two corpora built
     from identical input bytes are identical including all list orderings.
@@ -377,12 +378,13 @@ class Corpus(CheckedRecord, _CorpusFields):
             raise ValueError(
                 f"citation counts must be a tuple of {len(self.papers)} non-negative ints"
             )
-        if type(self.n_external) is not int or self.n_external < 0:
-            raise ValueError(f"n_external must be a non-negative int, got {self.n_external!r}")
-
-    @property
-    def n_edges(self) -> int:
-        return sum(self.citation_counts)
+        for name, value in (("n_edges", self.n_edges), ("n_external", self.n_external)):
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} must be a non-negative int, got {value!r}")
+        for at, override in _overrides(self.papers.values()).items():
+            if counts[at] != override:
+                raise ValueError(f"citation count of paper {list(self.papers)[at]!r} is "
+                                 f"{counts[at]}, not its override {override}")
 
     def with_journals(self, journals: Sequence[Journal]) -> Corpus:
         """Same papers and citation counts, the one column shared, under a
@@ -698,9 +700,10 @@ def build_corpus(
 
     A reference key equal to a paper id is a citation if the window admits
     the citing paper's year (``CitationWindow.citing_years``); a key
-    repeated within one reference list counts one citing paper. Unresolved
-    keys are counted in ``n_external`` and still count toward the citing
-    paper's reference-list length R, the denominator of fractional counting.
+    repeated within one reference list counts one citing paper. ``n_edges``
+    counts these citations; an override replaces its paper's count.
+    Unresolved keys count in ``n_external`` and toward the citing paper's
+    reference-list length R, the denominator of fractional counting.
 
     ValueError for a ``window`` that is not a ``CitationWindow``. The first
     repeated paper id, else the first repeated journal id, else the first
@@ -720,7 +723,9 @@ def build_corpus(
             seen.add(paper.id)
     journal_map = _journal_map(journals, paper_map.values())
     counts, n_external = _citation_counts(paper_map, window)
-    return Corpus(paper_map, journal_map, counts, n_external, window)
+    overrides = _overrides(paper_map.values())
+    column = tuple(map(overrides.get, range(len(counts)), counts)) if overrides else counts
+    return Corpus(paper_map, journal_map, column, sum(counts), n_external, window)
 
 
 def check_window(window: CitationWindow) -> None:
@@ -730,10 +735,17 @@ def check_window(window: CitationWindow) -> None:
         raise ValueError(f"window must be a CitationWindow, got {window!r}")
 
 
+def _overrides(papers: Collection[Paper]) -> dict[int, int]:
+    """Each citation override of ``papers``, keyed by its paper's position."""
+    if operator.countOf(map(_OVERRIDE, papers), None) == len(papers):  # builds nothing
+        return {}
+    return {at: count for at, count in enumerate(map(_OVERRIDE, papers)) if count is not None}
+
+
 def _citation_counts(
     papers: dict[str, Paper], window: CitationWindow
 ) -> tuple[tuple[int, ...], int]:
-    """``Corpus.citation_counts`` and ``Corpus.n_external`` of ``papers``.
+    """The graph counts of ``papers``, overrides aside, and ``Corpus.n_external``.
 
     When every paper admits citing papers of every corpus year (``all``),
     one tally over all reference lists is read in key order. Otherwise the
@@ -741,7 +753,7 @@ def _citation_counts(
     of the cited years whose span holds that year.
     """
     spans = {year: window.citing_years(year) for year in set(map(_YEAR, papers.values()))}
-    if all(spans.keys() <= set(span) for span in spans.values()):
+    if all(all(map(span.__contains__, spans)) for span in spans.values()):
         tally, n_external = _tally(list(map(_REFERENCES, papers.values())), papers)
         return tuple(map(tally.get, papers, itertools.repeat(0))), n_external
     ids_by_year: dict[int, list[str]] = {year: [] for year in spans}

@@ -57,9 +57,7 @@ from .baselines import (
     compute_baselines,
     expected_citations_with_reason,
 )
-from .corpus import (
-    _JOURNAL, _OVERRIDE, _REFERENCES, _YEAR, CitationWindow, Corpus, GroupSelection, Paper,
-)
+from .corpus import _JOURNAL, _REFERENCES, _YEAR, CitationWindow, Corpus, GroupSelection
 
 
 class DegenerateGroupError(RuntimeError):
@@ -186,7 +184,8 @@ def pp_top(percentiles: Sequence[float], x: float) -> float:
 def fractional_scores(corpus: Corpus, paper_ids: Collection[str]) -> list[float | None]:
     """Citing-side fractional citation count of each of ``paper_ids``, in
     order: the sum of 1/R over the papers citing it inside the window;
-    KeyError for an id that names no paper.
+    KeyError for an item that names no paper, one that does not hash
+    included.
 
     R is each citing paper's full reference-list length, so a citation from a
     6-reference paper weighs 1/6 and one from a 40-reference paper 1/40. One
@@ -204,7 +203,10 @@ def fractional_scores(corpus: Corpus, paper_ids: Collection[str]) -> list[float 
     ``group_report`` counts them and warns once per group.
     """
     papers = corpus.papers
-    totals = dict.fromkeys(paper_ids, 0)
+    try:
+        totals = dict.fromkeys(paper_ids, 0)
+    except TypeError:  # ids are strings, which hash
+        raise _not_an_id(paper_ids) from None
     listed = totals.keys()
     citing_years = corpus.window.citing_years
     spans = {year: citing_years(year) for year in {papers[key].year for key in listed}}
@@ -228,6 +230,12 @@ def fractional_scores(corpus: Corpus, paper_ids: Collection[str]) -> list[float 
 
 
 _UNITS_PER_ONE = 2.0**80
+
+
+def _not_an_id(paper_ids: Iterable[object]) -> KeyError:
+    """The KeyError for the first of ``paper_ids`` that is not a ``str``,
+    so names no paper."""
+    return KeyError(next(itertools.filterfalse(str.__instancecheck__, paper_ids)))
 
 
 class ScoredColumns(NamedTuple):
@@ -254,14 +262,19 @@ def score_papers(corpus: Corpus, paper_ids: Iterable[str], weighting: Weighting)
     order.
 
     ValueError for a ``weighting`` that is not a ``Weighting`` or an id
-    listed twice, KeyError for an id that names no paper. The expected value
-    and the combined percentile come from caches that live for this one pass
-    and are keyed on their helper's own arguments (the table and
-    ``weighting`` are fixed for the pass). Each paper's count is read from
+    listed twice, KeyError for an item that names no paper, one that does
+    not sort or hash included. The expected value and the combined
+    percentile come from caches that live for this one pass and are keyed
+    on their helper's own arguments (the table and ``weighting`` are fixed
+    for the pass). Each paper's count is its entry of
     ``corpus.citation_counts``, the column its cells hold.
     """
     check_weighting(weighting)
-    ordered = sorted(paper_ids)
+    ordered = list(paper_ids)
+    try:
+        ordered.sort()
+    except TypeError:  # ids are strings, which sort
+        raise _not_an_id(ordered) from None
     later = itertools.islice(ordered, 1, None)
     repeated = list(itertools.compress(ordered, map(operator.eq, ordered, later)))
     if repeated:
@@ -269,7 +282,7 @@ def score_papers(corpus: Corpus, paper_ids: Iterable[str], weighting: Weighting)
     fractional = fractional_scores(corpus, ordered)
     table = compute_baselines(corpus)
     records = list(map(corpus.papers.__getitem__, ordered))
-    citations = _citations(corpus, ordered, records)
+    citations = _citations(corpus, ordered)
     years = list(map(_YEAR, records))
     categories = list(map(_CATEGORIES, map(corpus.journals.__getitem__, map(_JOURNAL, records))))
     expected_of = functools.cache(
@@ -292,16 +305,13 @@ def score_papers(corpus: Corpus, paper_ids: Iterable[str], weighting: Weighting)
     )
 
 
-def _citations(corpus: Corpus, ordered: list[str], records: list[Paper]) -> list[int]:
-    """The citation count of each paper of ``ordered``, whose records are
-    ``records``: its override, else its entry of the count column."""
+def _citations(corpus: Corpus, ordered: list[str]) -> list[int]:
+    """The count column's entry of each paper of ``ordered``, as its cells read it."""
     papers = corpus.papers
     counts = dict.fromkeys(ordered)
     counts.update(
         itertools.compress(zip(papers, corpus.citation_counts), map(counts.__contains__, papers))
     )
-    overridden = map(operator.is_not, map(_OVERRIDE, records), itertools.repeat(None))
-    counts.update(itertools.compress(zip(ordered, map(_OVERRIDE, records)), overridden))
     return list(counts.values())
 
 

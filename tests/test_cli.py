@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from crown import cli, indicators
 from crown.baselines import Weighting, compute_baselines
 from crown.cli import main
-from crown.corpus import GroupSelection, listed_id, load_corpus
+from crown.corpus import CitationWindow, GroupSelection, listed_id, load_corpus
 from crown.diagnostics import rank_sum_test
 from crown.indicators import score_papers
 
@@ -769,6 +770,30 @@ def test_a_disjoint_renamed_copy_leaves_the_report_bodies_as_they_are(tmp_path,
     assert bodies[:2] == bodies[2:]
 
 
+def test_a_window_past_the_year_range_reads_as_the_longest_span(demo, tmp_path,
+                                                                capsys) -> None:
+    # Every year lies in 1900-2100, so a 201-year span holds every citing
+    # year from the cited one on, and a longer one holds no more.
+    papers, journals, _ = demo
+    group = _group_file(tmp_path, papers, count=400)
+    # A load that held each span's years would run out of memory at 10^9
+    # years; at 10^5 it already peaked near 9 MB, so it fails here first.
+    tracemalloc.start()
+    try:
+        load_corpus(papers, journals, CitationWindow.fixed_years(10**5))
+        assert tracemalloc.get_traced_memory()[1] < 2_000_000
+    finally:
+        tracemalloc.stop()
+    outs = []
+    for window in ("years201", "years1000000000"):
+        for command in (["score"], ["diagnose", "indexer"]):
+            assert main([*command, "--papers", str(papers), "--journals", str(journals),
+                         "--group", str(group), "--window", window]) == 0
+            outs.append(capsys.readouterr().out)
+    assert "# window: years1000000000\n" in outs[2]
+    assert [_body(out) for out in outs[:2]] == [_body(out) for out in outs[2:]]
+
+
 def test_help_exits_zero(capsys) -> None:
     assert main(["--help"]) == 0
     assert main(["score", "--help"]) == 0
@@ -1047,6 +1072,15 @@ PINNED_PAPERS = "".join(
         ("d4", 2008, "phy", ["c2", "c3", "c4", "b4", "a4"]),
     )
 )
+# The same corpus with citation overrides that differ from the graph
+# counts: five papers cite a1 and three cite b3, and d2, an uncited final-year
+# paper, makes its three cells' means non-zero.
+OVERRIDES = {"a1": 9, "b3": 0, "d2": 2}
+PINNED_OVERRIDE_PAPERS = "".join(
+    json.dumps({**record, "citations": OVERRIDES[record["id"]]}
+               if record["id"] in OVERRIDES else record) + "\n"
+    for record in map(json.loads, PINNED_PAPERS.splitlines())
+)
 PINNED_JOURNALS = (
     "id,title,categories\n"
     "jvr,Journal of Vascular Research,vascular|physiology\n"
@@ -1063,6 +1097,7 @@ PINNED_JOURNALS_B = (
 )
 PINNED_FILES = {
     "papers.jsonl": PINNED_PAPERS,
+    "overrides.jsonl": PINNED_OVERRIDE_PAPERS,
     "journals.csv": PINNED_JOURNALS,
     "journals_b.csv": PINNED_JOURNALS_B,
     "unit.txt": "# unit under evaluation\n\na1\nb2\nc3\nd4\nb4\nc1\n",
@@ -1142,6 +1177,58 @@ def test_report_bytes_are_pinned(case, fmt, pinned_inputs, capsys) -> None:
     assert main([*PINNED_CASES[case], "--format", fmt]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == PINNED_SHA256[f"{case}-{fmt}"]
+
+
+# Every pinned case that reads the papers, run on the override papers.
+OVERRIDE_CASES = {
+    case: tuple("overrides.jsonl" if arg == "papers.jsonl" else arg for arg in argv)
+    for case, argv in PINNED_CASES.items() if "papers.jsonl" in argv
+}
+OVERRIDE_SHA256 = {
+    "baselines-tsv": "6933181ba45987192483cc1dd38399b7d4885ff65d4ddd3254f329d68f275011",
+    "baselines-json": "51b6a29e6c4f45ad268d478f1046d775aa9358b22eb5e82a02502e60fec06bd7",
+    "baselines-years5-tsv": "34e6840b6e76706125f845d8f95573b279710c24ffc252c2f946db610967fe74",
+    "baselines-years5-json": "e8d18bbb451847e2d1225dd1e5870dc70ec473fab485c18c8d166d71405b79e5",
+    "indexer-tsv": "6f9dc0a32991eca39a8f8c0ef764748f5a908507bdaad327de860ce095d5c372",
+    "indexer-json": "a5dfd1efbfdec04cc815e0ad43906382b0d7e749ecdd0ec33437891aa05fb3fc",
+    "indexer-journals-b-tsv": "68467a00f18a238269051f9096204aee5fa21ae44de601f6c6381f6c382e0149",
+    "indexer-journals-b-json": "b22857e474db993a16151569ddbc6025dbccc7bc0176da335f1438361c7c67a7",
+    "indexer-top25.5-tsv": "341bc6d74c2420d49de1d505ab84a46f2413db56a71108138bb4f7b272cea5b0",
+    "indexer-top25.5-json": "10a00448175471a17163dce91d9a739a35e568d41ef6f062258fb4f49df5fa7b",
+    "ingest-tsv": "080d32943f40b586b02d58af279c3b7dfd2688339458a9773f4e6a23af7bc272",
+    "ingest-json": "ac93a2b119eac06efe6b4dbcc963c0cd1de382139d159f90086b962ac8bf8fbe",
+    "ingest-years5-tsv": "dc68daada7a44114a1cd5064a32c110d84158e79f6b538b61b6a09aeaf8a67bb",
+    "ingest-years5-json": "44ed8dfce1200d73ce24731caa65416f1b634b198c543a7b9736a326d7008299",
+    "ranksum-tsv": "ad006bb50ddf08dc4194eedd96925842c79e166ed30d6108f5765a886f5cb43c",
+    "ranksum-json": "2fcac61d5423652efa96c45603d71b7e0402a0c75d7901176ab800cff3b40401",
+    "ranksum-arithmetic-years5-tsv": "4cd84805ee114f7dff49c69d07b70725fb1d9368f9eb4c8c4284940a0c2b9724",
+    "ranksum-arithmetic-years5-json": "59e59ba24aa33a5ebacab9c9a146e645d1ad507d8e6a7c271c2dd6af8dfa527c",
+    "ranksum-identical-tsv": "206fdd16980b11f6a2855441dd25f3759699f151da6e8b46407fcd6eeb172d19",
+    "ranksum-identical-json": "64e97a8eb96feb6e8508a5b38a4c41e82e317f543901bc63ebd42d9b0466cf00",
+    "score-tsv": "787c379711cdd73bb69eb480c6335c2cec7b12f20f4d147a72e0c1593084d486",
+    "score-json": "b1f846b4fae97b2b76dfd0e2142f17a5f312142d316d2e846ccf3518ffe88c62",
+    "score-arithmetic-years5-tsv": "764a7b9006f76f4b267aa58bf6bcd498994dcc04c3a42b7cd2bba2ec8ee74824",
+    "score-arithmetic-years5-json": "8ecccda2c1abb449565b21f80b9e37b48aae6f74d4ac8a3b365d381d9ce79c23",
+    "score-top10-tsv": "12a5b038bfc32f2191e81dbd0f5055901ddb41d3bc4ca60a6c0837498f297740",
+    "score-top10-json": "643f93423cf0975bcdfcd98652e265546d72c1d41eb835a90f7575fcbfdbf76c",
+}
+
+
+def test_the_override_papers_differ_from_the_graph_counts(pinned_inputs) -> None:
+    corpus = load_corpus("papers.jsonl", "journals.csv")
+    counts = dict(zip(corpus.papers, corpus.citation_counts))
+    assert {paper_id: counts[paper_id] for paper_id in OVERRIDES} == {"a1": 5, "b3": 3, "d2": 0}
+    overridden = load_corpus("overrides.jsonl", "journals.csv")
+    assert dict(zip(overridden.papers, overridden.citation_counts)) == {**counts, **OVERRIDES}
+    assert overridden.n_edges == corpus.n_edges
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize("case", sorted(OVERRIDE_CASES))
+def test_override_report_bytes_are_pinned(case, fmt, pinned_inputs, capsys) -> None:
+    assert main([*OVERRIDE_CASES[case], "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == OVERRIDE_SHA256[f"{case}-{fmt}"]
 
 
 DEGENERATE_CASES = {

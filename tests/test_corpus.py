@@ -414,6 +414,32 @@ def test_window_includes_publication_year_span() -> None:
     assert CitationWindow.all().citing_years(2000) == range(YEAR_MIN, YEAR_MAX + 1)
 
 
+def test_a_window_past_the_year_range_allocates_nothing_per_year() -> None:
+    # Years lie in 1900-2100, so a 201-year span holds every citing year from
+    # the cited one on, and a longer one adds none. A build that held a set
+    # of each span's years peaked near 6 MB at 10^5 years and ran out of
+    # memory long before 10^9; the shorter window runs first, so such a
+    # build fails before it reaches the longer.
+    papers = [
+        Paper("p1", 1900, "j1", ()),
+        Paper("p2", 2000, "j1", ("p1",)),
+        Paper("p3", 2100, "j1", ("p1", "p2")),
+    ]
+    journals = [Journal("j1", "J", ("cat",))]
+    longest = build_corpus(papers, journals, CitationWindow.fixed_years(201))
+    assert longest.citation_counts == (2, 1, 0)
+    for years in (10**5, 10**9):
+        tracemalloc.start()
+        try:
+            corpus = build_corpus(papers, journals, CitationWindow.fixed_years(years))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000
+        assert corpus._replace(window=longest.window) == longest
+        assert fractional_scores(corpus, ["p1", "p2"]) == fractional_scores(longest, ["p1", "p2"])
+
+
 def test_external_reference_counts_toward_reference_length() -> None:
     papers = [
         Paper("p1", 2000, "j1", ()),
@@ -462,7 +488,9 @@ def test_citation_count_override_beats_edges() -> None:
         Paper("q2", 2001, "j1", ("p1",)),
     ]
     corpus = build_corpus(papers, [Journal("j1", "J", ("cat",))])
-    assert corpus.citation_counts == (2, 0, 0)
+    # the column holds the override, and the edges count the graph
+    assert corpus.citation_counts == (17, 0, 0)
+    assert corpus.n_edges == 2
     table = compute_baselines(corpus)
     scored = score_papers(corpus, ["q1", "p1"], Weighting.HARMONIC)
     assert scored.citations == [17, 0]
@@ -646,18 +674,24 @@ def test_small_corpus_draws_every_feature() -> None:
 def test_edge_symmetry(case) -> None:
     # A paper's count and fractional value stand on exactly the distinct
     # papers whose list names it and whose year its window admits: no citer
-    # missed, none counted twice, none from outside the window.
+    # missed, none counted twice, none from outside the window. A paper
+    # with an override holds it instead, and the edges count every citer.
     papers, window = case
     corpus = build_corpus(papers, SMALL_JOURNALS, window)
     fractional = fractional_scores(corpus, list(corpus.papers))
+    edges = 0
     for cited, count, value in zip(papers, corpus.citation_counts, fractional):
         citing = [
             paper for paper in papers
             if cited.id in paper.references and paper.year in window.citing_years(cited.year)
         ]
-        assert count == len(citing)
+        edges += len(citing)
         if cited.raw_citation_count is None:
+            assert count == len(citing)
             assert value == math.fsum(1.0 / len(paper.references) for paper in citing)
+        else:
+            assert count == cited.raw_citation_count
+    assert corpus.n_edges == edges
 
 
 @given(small_corpus())
@@ -672,7 +706,7 @@ def test_citation_total_equals_resolvable_pairs(case) -> None:
         for ref in paper.references
         if ref in ids
     }
-    assert sum(corpus.citation_counts) == len(pairs)
+    assert corpus.n_edges == len(pairs)
     # each citing paper spreads its 1/R once over each resolvable key
     by_id = {paper.id: paper for paper in papers}
     fractional = fractional_scores(corpus, list(corpus.papers))
@@ -716,7 +750,8 @@ def test_build_matches_the_reference_build(case, data) -> None:
         assert type(corpus.citation_counts) is tuple
         assert len(corpus.citation_counts) == len(corpus.papers)
         for paper_id, count in zip(corpus.papers, corpus.citation_counts):
-            assert count == len(expected[paper_id])
+            override = by_id[paper_id].raw_citation_count
+            assert count == (len(expected[paper_id]) if override is None else override)
         # a pass's fractional column, bit for bit, whichever papers it lists
         for listed in (subset, ids):
             scored = score_papers(corpus, listed, Weighting.HARMONIC)

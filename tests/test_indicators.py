@@ -614,6 +614,21 @@ def test_score_papers_refuses_an_unknown_id_at_the_call() -> None:
         score_papers(corpus, ["p1", "ghost"], Weighting.HARMONIC)
 
 
+@pytest.mark.parametrize("paper_ids, item", [
+    (["p1", 3], 3),  # does not sort with the ids
+    (["p1", ["x"]], ["x"]),  # neither sorts nor hashes
+    ([["x"], ["y"]], ["x"]),  # sorts, but does not hash
+    ([3], 3),
+])
+def test_score_papers_refuses_an_item_that_is_no_id_with_a_key_error(paper_ids, item) -> None:
+    corpus = _scored_corpus()
+    for score in (lambda: score_papers(corpus, paper_ids, Weighting.HARMONIC),
+                  lambda: fractional_scores(corpus, paper_ids)):
+        with pytest.raises(KeyError) as exc_info:
+            score()
+        assert exc_info.value.args == (item,)
+
+
 def _outcome(report):
     """What one group report call gives: the report or the degenerate
     error's fields, and the text of every warning it raised."""
@@ -779,6 +794,65 @@ def test_a_pass_is_one_table_of_columns(case, weighting, data) -> None:
     alone = score_papers(corpus, itertools.compress(scored.paper_ids, keep), weighting)
     assert scored.select(keep) == alone
     assert repr(scored.select(iter(keep))) == repr(alone)
+
+
+@given(small_corpus(), st.data())
+@settings(max_examples=200)
+def test_an_override_equal_to_its_count_moves_only_the_fractional_column(case, data) -> None:
+    # The override is the count the cells and the pass read, so pinning a
+    # paper at its own count changes neither; only fractional counting
+    # leaves an override paper out.
+    papers, window = case
+    corpus = build_corpus(papers, SMALL_JOURNALS, window)
+    pinned = {
+        paper.id for paper in papers
+        if paper.raw_citation_count is None and data.draw(st.booleans(), label=paper.id)
+    }
+    overridden = build_corpus(
+        [paper._replace(raw_citation_count=citation_count(corpus, paper.id))
+         if paper.id in pinned else paper for paper in papers],
+        SMALL_JOURNALS, window,
+    )
+    assert overridden.citation_counts == corpus.citation_counts
+    assert overridden.n_edges == corpus.n_edges
+    table = compute_baselines(corpus)
+    assert list(compute_baselines(overridden).cells.items()) == list(table.cells.items())
+    for weighting in Weighting:
+        before = score_papers(corpus, list(corpus.papers), weighting)
+        after = score_papers(overridden, list(corpus.papers), weighting)
+        assert repr(after._replace(fractional=None)) == repr(before._replace(fractional=None))
+        assert after.fractional == [
+            None if paper_id in pinned else value
+            for paper_id, value in zip(before.paper_ids, before.fractional)
+        ]
+
+
+@given(small_corpus())
+@settings(max_examples=200)
+def test_a_disjoint_renamed_copy_moves_no_score_and_doubles_every_cell(case) -> None:
+    # A copy under new ids and reference keys, with the same years,
+    # journals and overrides, cites only itself: each cell holds every
+    # count twice, so its mean and every midrank percentile stay the same
+    # rational, and no fractional sum moves.
+    papers, window = case
+    copy = [
+        paper._replace(id="copy-" + paper.id,
+                       references=tuple("copy-" + key for key in paper.references))
+        for paper in papers
+    ]
+    corpus = build_corpus(papers, SMALL_JOURNALS, window)
+    doubled = build_corpus([*papers, *copy], SMALL_JOURNALS, window)
+    table, doubled_table = compute_baselines(corpus), compute_baselines(doubled)
+    assert doubled_table.cells.keys() == table.cells.keys()
+    for key, cell in table.cells.items():
+        twice = doubled_table.cells[key]
+        assert twice.n == 2 * cell.n
+        assert twice.mean_citations == cell.mean_citations
+    ids = list(corpus.papers)
+    for weighting in Weighting:
+        assert repr(score_papers(doubled, ids, weighting)) == repr(
+            score_papers(corpus, ids, weighting)
+        )
 
 
 def test_score_pass_computes_each_value_once_per_key(monkeypatch) -> None:

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import crown
+from crown.corpus import Corpus, Paper
+from crown.indicators import IndicatorReport, ScoredColumns
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -95,6 +97,20 @@ def test_every_crown_name_the_readme_gives_exists() -> None:
             _resolve(name)
         except (AttributeError, ModuleNotFoundError):
             missing.append(name)
+    assert missing == []
+
+
+# The record each instance name of the README's prose reads from.
+_INSTANCES = {"corpus": Corpus, "paper": Paper, "report": IndicatorReport,
+              "scored": ScoredColumns}
+
+
+def test_every_instance_name_the_readme_gives_exists() -> None:
+    names = set(re.findall(r"`((corpus|paper|report|scored)\.([A-Za-z_]\w*))",
+                           README.read_text(encoding="utf-8")))
+    assert len(names) >= 10
+    missing = [name for name, instance, attribute in sorted(names)
+               if not hasattr(_INSTANCES[instance], attribute)]
     assert missing == []
 
 

@@ -42,6 +42,10 @@ CORPUS = build_corpus(
     [Journal("j", "J", ("a", "b"))],
     CitationWindow.fixed_years(5),
 )
+# p0 is cited once and p1 never, but p1 carries an override
+OVERRIDE_CORPUS = build_corpus(
+    [Paper("p0", 2004, "j"), Paper("p1", 2005, "j", ("p0",), 3)], [Journal("j", "J", ("a",))]
+)
 
 _REPORT_REPR = (
     "IndicatorReport(group='g', n_total=2, n_scorable=1, cpp_fcsm=1.0, mncs=1.5, "
@@ -67,7 +71,7 @@ REPRS = {
         "Corpus(papers={'p0': Paper(id='p0', year=2004, journal_id='j', references=(), "
         "raw_citation_count=None), 'p1': Paper(id='p1', year=2005, journal_id='j', "
         "references=('p0',), raw_citation_count=None)}, journals={'j': Journal(id='j', "
-        "title='J', categories=('a', 'b'))}, citation_counts=(1, 0), n_external=0, "
+        "title='J', categories=('a', 'b'))}, citation_counts=(1, 0), n_edges=1, n_external=0, "
         "window=CitationWindow(years=5))",
     ),
     "GroupSelection": (
@@ -170,8 +174,9 @@ CHECKED = {
     "CitationWindow str": (CitationWindow, (5,), ("3",), ValueError,
                            "^fixed-years window requires an integer n, got '3'$"),
     # a window given as its CLI spelling; then a count column one entry
-    # short, a negative count, a count that is a bool, and a bad n_external
-    "Corpus window": (Corpus, tuple(CORPUS), (*CORPUS[:4], "all"),
+    # short, a negative count, a count that is a bool, a bad n_edges or
+    # n_external, and a count that is not its paper's override
+    "Corpus window": (Corpus, tuple(CORPUS), (*CORPUS[:5], "all"),
                       ValueError, "^window must be a CitationWindow, got 'all'$"),
     "Corpus counts": (Corpus, tuple(CORPUS), (*CORPUS[:2], (1,), *CORPUS[3:]), ValueError,
                       r"^citation counts must be a tuple of 2 non-negative ints$"),
@@ -181,8 +186,13 @@ CHECKED = {
                           ValueError, r"^citation counts must be a tuple of 2 "),
     "Corpus column list": (Corpus, tuple(CORPUS), (*CORPUS[:2], [1, 0], *CORPUS[3:]),
                            ValueError, r"^citation counts must be a tuple of 2 "),
-    "Corpus n_external": (Corpus, tuple(CORPUS), (*CORPUS[:3], -1, CORPUS.window),
+    "Corpus n_edges": (Corpus, tuple(CORPUS), (*CORPUS[:3], 1.0, *CORPUS[4:]),
+                       ValueError, r"^n_edges must be a non-negative int, got 1\.0$"),
+    "Corpus n_external": (Corpus, tuple(CORPUS), (*CORPUS[:4], -1, CORPUS.window),
                           ValueError, "^n_external must be a non-negative int, got -1$"),
+    "Corpus override": (Corpus, tuple(OVERRIDE_CORPUS),
+                        (*OVERRIDE_CORPUS[:2], (1, 0), *OVERRIDE_CORPUS[3:]), ValueError,
+                        "^citation count of paper 'p1' is 0, not its override 3$"),
     "FieldYearCell": (FieldYearCell, ("a", 2005, (3, 1, 2)), ("a", 2005, ()),
                       ValueError, r"^empty cell \('a', 2005\)$"),
     # an iterator is truthy however many counts it yields
