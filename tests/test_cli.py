@@ -712,32 +712,52 @@ def _body(out: str) -> str:
     return "".join(lines[start:])
 
 
+def _escaped_id(line: str) -> str:
+    """A compact line with its id's first character spelled as a ``\\u`` escape."""
+    head, tail = line.split('"id":"', 1)
+    return f'{head}"id":"\\u{ord(tail[0]):04x}{tail[1:]}'
+
+
+# Spellings of every papers line, each with the records it must read to,
+# and whether the line still takes the compact pattern (else every line
+# goes through the worded record checks).
+_PAPERS_SPELLINGS = {
+    "keys-reversed": (lambda line: json.dumps(dict(reversed(json.loads(line).items())),
+                                              separators=(",", ":")) + "\n", False),
+    "json-dumps-default": (lambda line: json.dumps(json.loads(line)) + "\n", False),
+    "escaped-ids": (lambda line: _escaped_id(line) + "\n", False),
+    "crlf": (lambda line: line + "\r\n", True),
+}
+
+
+@pytest.mark.parametrize("spelling", list(_PAPERS_SPELLINGS))
 def test_papers_key_order_leaves_the_report_body_as_it_is(demo, tmp_path, capsys,
-                                                          monkeypatch) -> None:
-    # Every line with its keys reversed takes the worded record checks
-    # instead of the decode's hook; the reports below the header, which
-    # hashes the papers file, must not change.
+                                                          monkeypatch, spelling) -> None:
+    # Every line spelled another way (keys reversed, spaced as ``json.dumps``
+    # writes by default, an escaped id, CRLF ends) reads to the same records;
+    # the reports below the header, which hashes the papers file, must not
+    # change. Only the compact spelling, CRLF included, skips the worded
+    # record checks.
     import crown.corpus as corpus_module
 
     papers, journals, group = demo
     lines = papers.read_text(encoding="utf-8").splitlines()
-    reversed_papers = tmp_path / "reversed.jsonl"
-    reversed_papers.write_text("".join(
-        json.dumps(dict(reversed(json.loads(line).items())), separators=(",", ":")) + "\n"
-        for line in lines
-    ), encoding="utf-8")
+    respell, compact = _PAPERS_SPELLINGS[spelling]
+    respelled = tmp_path / f"{spelling}.jsonl"
+    respelled.write_text("".join(map(respell, lines)), encoding="utf-8", newline="")
+    assert respelled.read_bytes() != papers.read_bytes()
     worded = []
     paper_from_record = corpus_module._paper_from_record
     monkeypatch.setattr(corpus_module, "_paper_from_record",
                         lambda *args: worded.append(args[1]) or paper_from_record(*args))
     bodies = []
-    for path in (papers, reversed_papers):
+    for path in (papers, respelled):
         worded.clear()
         for argv in (["score", "--group", str(group)],
                      ["diagnose", "indexer", "--group", str(group)]):
             assert main([*argv, "--papers", str(path), "--journals", str(journals)]) == 0
             bodies.append(_body(capsys.readouterr().out))
-        assert len(worded) == (0 if path == papers else 2 * len(lines))
+        assert len(worded) == (0 if path == papers or compact else 2 * len(lines))
     assert bodies[:2] == bodies[2:]
 
 

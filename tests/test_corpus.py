@@ -629,6 +629,81 @@ def test_read_hashed_covers_bytes_the_parser_left_unread(tmp_path) -> None:
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _record_line(number: int, year: int = 2001) -> bytes:
+    return b'{"id":"p%d","year":%d,"journal":"j1","references":[]}\n' % (number, year)
+
+
+@pytest.mark.parametrize("bad, not_utf8", [(2, 4), (256, 257)])
+def test_a_papers_fault_before_a_line_that_is_not_utf8_comes_first(tmp_path, bad, not_utf8):
+    # The second case puts the bad value on the last line of one 256-line
+    # block and the undecodable byte on the first line of the next.
+    lines = [_record_line(number, 1800 if number == bad else 2001)
+             for number in range(1, not_utf8 + 3)]
+    lines[not_utf8 - 1] = b"\xff\n"
+    path = tmp_path / "papers.jsonl"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ParseError, match=(
+        rf"^line {bad}: paper 'p{bad}': year 1800 outside \[{YEAR_MIN}, {YEAR_MAX}\]$"
+    )):
+        read_hashed(path, parse_papers)
+    lines[bad - 1] = _record_line(bad)
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ParseError, match=rf"^line {not_utf8}: not UTF-8"):
+        read_hashed(path, parse_papers)
+
+
+def test_each_item_parse_papers_is_given_is_one_line() -> None:
+    record = '{"id":"p1","year":2001,"journal":"j1","references":[]}'
+    with pytest.raises(ParseError, match=r"^line 1: malformed JSON \(Extra data\)$"):
+        parse_papers([record + "\n" + record, "\n"])
+    with pytest.raises(ParseError, match=r"^line 1: malformed JSON \(Extra data\)$"):
+        parse_papers([record + "\x00" + record, "{}"])
+    # An item without a line end is still one line.
+    assert len(parse_papers([record, record.replace("p1", "p2") + "\n"])) == 2
+
+
+def test_the_parse_holds_a_block_not_the_file(tmp_path) -> None:
+    # Past the papers it returns, a parse holds one block of lines and its
+    # columns at a time (about 0.4 MB), and its table of shared values
+    # (``canon``), which grows with the distinct values. A block of a whole
+    # 2,000-line file costs about 2 MB here, and of a 20,000-line one 20 MB.
+    excess = {}
+    for per_year in (100, 1000):
+        config = SynthConfig((FieldSpec("sparse", 3.0, per_year), FieldSpec("dense", 8.0, per_year)),
+                             (2000, 2009), seed=42)
+        path = tmp_path / f"papers-{per_year}.jsonl"
+        path.write_bytes(generate_corpus(config)[0])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            papers = read_hashed(path, parse_papers)[0]
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        distinct = {value for paper in papers
+                    for value in (paper.id, paper.year, paper.journal_id, *paper.references)}
+        excess[len(papers)] = (peak - retained, sys.getsizeof(dict.fromkeys(distinct)))
+    (small, _), (large, canon) = excess[2000], excess[20000]
+    assert small < 1_000_000
+    assert large - small < 2 * canon
+
+
+@pytest.mark.parametrize("spelling", [
+    pytest.param(lambda text: text[:-1], id="unterminated-last-line"),
+    pytest.param(lambda text: text.replace("\n", "\r\n"), id="crlf"),
+    pytest.param(lambda text: text[:-1] + "\r", id="cr-after-the-last-line"),
+])
+def test_line_ends_read_to_the_same_papers(tmp_path, spelling) -> None:
+    text = b"".join(map(_record_line, range(1, 301))).decode("utf-8")
+    path = tmp_path / "papers.jsonl"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = read_hashed(path, parse_papers)[0]
+    path.write_text(spelling(text), encoding="utf-8", newline="")
+    papers, digest = read_hashed(path, parse_papers)
+    assert papers == expected and len(papers) == 300
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 _SMALL_CATEGORIES = {journal.id: journal.categories for journal in SMALL_JOURNALS}
 
 # What ``small_corpus`` must keep drawing, as predicates on (papers, window),
@@ -1216,15 +1291,15 @@ _SEPARATORS = st.sampled_from([(",", ":"), (", ", ": "), (",\r", ":\r"), (" ,\t"
 _PADDING = st.sampled_from(["", " ", "\t", "  \t", "\r", " \r"])
 
 
-def _spell(draw, items: list) -> str:
+def _spell(draw, items: list, compact: bool = False) -> str:
     """One JSON object of ``items`` as one line's text, without a line end:
-    some keys spelled with ``\\u`` escapes, and JSON whitespace (a bare CR
-    included) between tokens."""
-    comma, colon = draw(_SEPARATORS)
+    unless ``compact``, some keys spelled with ``\\u`` escapes, and JSON
+    whitespace (a bare CR included) between tokens."""
+    comma, colon = (",", ":") if compact else draw(_SEPARATORS)
     ascii_only = draw(st.booleans())
     members = []
     for key, value in items:
-        if draw(st.booleans()):
+        if not compact and draw(st.booleans()):
             name = '"' + "".join(f"\\u{ord(char):04x}" for char in key) + '"'
         else:
             name = json.dumps(key, ensure_ascii=ascii_only)
@@ -1234,11 +1309,13 @@ def _spell(draw, items: list) -> str:
 
 
 @st.composite
-def _spelled_record(draw) -> str:
+def _spelled_record(draw, compact: bool = False) -> str:
     """One valid papers record as one line's text: for about half the
     records the keys come in the documented order, ``citations`` fifth when
     present, else permuted; an unknown key, which may hold a paper-shaped
-    object, comes last in the documented order."""
+    object, comes last in the documented order. A ``compact`` record is in
+    the documented order and spelled as ``crown synth`` writes, but for the
+    escapes that ``json.dumps`` may write in its values."""
     record: dict = {
         "id": draw(st.sampled_from(["p1", "p2", "a b", "é", "x#y", "doi:10.1/x", "\x00"])),
         "year": draw(st.integers(2000, 2003)),
@@ -1246,7 +1323,9 @@ def _spelled_record(draw) -> str:
         "references": draw(st.lists(st.sampled_from(["q1", "q2", "ext:a"]), max_size=3)),
     }
     if draw(st.booleans()):
-        record["citations"] = draw(st.none() | st.integers(0, 9))
+        record["citations"] = draw(st.integers(0, 9) if compact else st.none() | st.integers(0, 9))
+    if compact:
+        return _spell(draw, list(record.items()), compact)
     if draw(st.booleans()):
         record[draw(st.sampled_from(["extra", "x", "ü"]))] = draw(_JSON_VALUES)
     items = list(record.items())
@@ -1260,7 +1339,7 @@ def _spelled_record(draw) -> str:
 # key renamed in place, or a fifth key that is not ``citations``. The test
 # lowers ``MAX_REFERENCES`` to 3 for the long list.
 _FLAWS = [
-    *(("id", value) for value in (5, "", "#p", " p", "p ", "\tp")),
+    *(("id", value) for value in (5, "", "#p", " p", "p ", "\tp", "p\u2028", "\u3000p")),
     *(("year", value) for value in (2001.0, YEAR_MIN - 1, YEAR_MAX + 1)),
     *(("journal", value) for value in (5, "")),
     *(("references", value) for value in (
@@ -1287,20 +1366,53 @@ def _flawed_items(kind: str, value: object, citations: bool) -> list:
 
 
 @st.composite
-def _flawed_record(draw) -> str:
+def _flawed_record(draw, compact: bool = False) -> str:
     flaw = draw(st.sampled_from(_FLAWS))
-    return _spell(draw, _flawed_items(*flaw, draw(st.booleans())))
+    return _spell(draw, _flawed_items(*flaw, draw(st.booleans())), compact)
+
+
+# Compact lines, each in the documented key order or nearly, that the
+# compact pattern must refuse, or read as the decode does: string values
+# with escapes, a raw control character (which JSON refuses in a string),
+# an unknown key between two documented ones, an empty reference key,
+# reference keys that hold commas, and numbers the pattern does not take.
+_COMPACT_EDGES = [
+    '{"id":"p\\u0031","year":2001,"journal":"j\\u0031","references":["q\\u0031"]}',
+    '{"id":"p\\"1","year":2001,"journal":"j1","references":[]}',
+    '{"id":"p1","year":2001,"journal":"j\\\\","references":["q\\"1"]}',
+    '{"id":"p\t1","year":2001,"journal":"j1","references":[]}',
+    '{"id":"p1","year":2001,"journal":"j\x01","references":[]}',
+    '{"id":"p1","year":2001,"journal":"j1","references":["q1","\x1f"]}',
+    '{"id":"p1","x":"y","year":2001,"journal":"j1","references":[]}',
+    '{"id":"p1","year":2001,"journal":"j1","references":["q1",""]}',
+    '{"id":"p1","year":2001,"journal":"j1","references":[",","a,",",b",","]}',
+    '{"id":"p1","year":2001,"journal":"j1","references":["a",",","b"]}',
+    '{"id":"p1","year":2001,"journal":"j1","references":[""]}',
+    '{"id":"p1","year":2001,"journal":"j1","references":[],"citations":00}',
+    '{"id":"p1","year":2001,"journal":"j1","references":[],"citations":-0}',
+    '{"id":"p1","year":02001,"journal":"j1","references":[]}',
+    '{"id":"p1","year":2001,"journal":"j1","references":[],"citations":12345678901234567890}',
+]
 
 
 def _with_every_flaw(test):
     """Run ``test`` on each flaw, with and without ``citations``, right
-    after a valid line, as well as on the files it draws."""
+    after a valid line, spelled compactly (so that the flaw meets the
+    compact pattern and the column checks) and spaced (so that it meets the
+    worded record checks), and on each compact edge case, as well as on the
+    files it draws."""
     valid = '{"id":"p1","year":2000,"journal":"j1","references":[]}\n'
     for flaw in _FLAWS:
         for citations in (False, True):
             items = _flawed_items(*flaw, citations)
-            record = ",".join(f"{json.dumps(key)}:{json.dumps(value)}" for key, value in items)
-            test = example(data=f"{valid}{{{record}}}\n".encode("utf-8"))(test)
+            for comma, colon in ((",", ":"), (", ", ": ")):
+                record = comma.join(
+                    json.dumps(key) + colon
+                    + json.dumps(value, separators=(comma, colon), ensure_ascii=False)
+                    for key, value in items)
+                test = example(data=f"{valid}{{{record}}}\n".encode("utf-8"))(test)
+    for line in _COMPACT_EDGES:
+        test = example(data=f"{valid}{line}\n{valid}".encode("utf-8"))(test)
     return test
 
 
@@ -1328,14 +1440,19 @@ def _faulty_lines(record: str) -> list[str]:
 def papers_file(draw) -> bytes:
     """A papers file in any spelling ``parse_papers`` reads, and for most
     files one faulty line, often right after a valid one: a line the decode
-    refuses, or a record with one flaw in the documented key order."""
-    records = draw(st.lists(_spelled_record(), min_size=1, max_size=4))
-    lines = [draw(_PADDING) + record + draw(_PADDING) for record in records]
+    refuses, or a record with one flaw in the documented key order. In a
+    compact file every line but the faulty one is spelled as ``crown
+    synth`` writes, and so is a flawed record, so that it meets the checks
+    the compact lines take."""
+    compact = draw(st.booleans())
+    records = draw(st.lists(_spelled_record(compact), min_size=1, max_size=4))
+    lines = records if compact else [draw(_PADDING) + record + draw(_PADDING)
+                                     for record in records]
     fault = draw(st.integers(0, 3))
     if fault == 1:
         fault_line = draw(st.sampled_from(_faulty_lines(draw(st.sampled_from(records)))))
     elif fault:
-        fault_line = draw(_flawed_record())
+        fault_line = draw(_flawed_record(compact))
     if fault:
         lines.insert(draw(st.integers(1, len(lines))), fault_line)
     ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
